@@ -55,7 +55,8 @@ fleet-smoke:
 
 # Serve smoke: three tenants stream small traces through the socket
 # service, final digests must equal the batch runs, a SIGTERM'd server
-# checkpoints every session and a restart resumes them bit-exact.
+# checkpoints every session and a restart resumes them bit-exact; the
+# transport tests pin NODELAY on both ends and coalesced client writes.
 serve-smoke:
 	$(PYTHON) -m pytest -q -m serve_smoke
 

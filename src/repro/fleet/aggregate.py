@@ -153,6 +153,7 @@ class FleetResult:
 
     def summary(self) -> Dict[str, Any]:
         """Flat dict for reports and JSON dumps."""
+        combined = self.all_requests
         return {
             "workload": self.spec.workload,
             "system": self.spec.system,
@@ -165,9 +166,9 @@ class FleetResult:
             "erases": self.erases,
             "write_amplification": self.write_amplification,
             "revival_rate": self.revival_rate,
-            "mean_latency_us": self.mean_latency_us,
-            "p50_latency_us": self.p50_latency_us,
-            "p99_latency_us": self.p99_latency_us,
+            "mean_latency_us": combined.mean,
+            "p50_latency_us": combined.percentile(50),
+            "p99_latency_us": combined.p99,
             "imbalance_cv": self.imbalance_cv,
             "imbalance_max_over_mean": self.imbalance_max_over_mean,
             "fleet_digest": self.fleet_digest,

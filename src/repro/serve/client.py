@@ -5,6 +5,13 @@ process; plain blocking sockets (no asyncio) so it drops into ordinary
 test code.  ``io`` lines are fire-and-forget by protocol design — the
 server applies backpressure by not reading ahead — and :meth:`flush` is
 the acknowledgement barrier that surfaces any queued error.
+
+Transport: the socket runs with ``TCP_NODELAY`` (the server's asyncio
+transport sets it too), and ``io`` lines only fill the buffered socket
+file, so a window of requests leaves in a few buffer-sized writes.
+Every control message forces the buffer out before it waits for its
+reply, which keeps ``flush`` the one sync point, and with Nagle off no
+control message waits on the ACK of an earlier segment.
 """
 
 from __future__ import annotations
@@ -28,11 +35,13 @@ class ServeClient:
 
     def __init__(self, host: str, port: int, timeout: Optional[float] = 30.0):
         self._sock = socket.create_connection((host, port), timeout=timeout)
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._fh = self._sock.makefile("rwb")
 
     # -- plumbing ------------------------------------------------------
 
     def _send(self, message: Dict[str, Any]) -> None:
+        """Write ``message`` and force everything buffered onto the wire."""
         self._fh.write(encode_message(message))
         self._fh.flush()
 
@@ -66,8 +75,11 @@ class ServeClient:
         return self._call(dict(fields, type="open"), "opened")
 
     def send(self, request: IORequest) -> None:
-        """Stream one request (unacknowledged; ``flush`` is the barrier)."""
-        self._send(dict(record_of_request(request), type="io"))
+        """Stream one request: unacknowledged and buffered until the next
+        control message (``flush`` is the barrier)."""
+        self._fh.write(
+            encode_message(dict(record_of_request(request), type="io"))
+        )
 
     def stream(self, requests: Iterable[IORequest]) -> int:
         """Stream a whole request sequence; returns how many were sent."""
@@ -101,6 +113,8 @@ class ServeClient:
     # -- connection ----------------------------------------------------
 
     def close(self) -> None:
+        """Drop the connection.  ``io`` lines still buffered are written
+        first, so an abrupt close leaves them in the (detached) session."""
         try:
             self._fh.close()
         finally:

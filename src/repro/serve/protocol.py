@@ -17,8 +17,14 @@ Client → server::
 valid request stream — and they are deliberately **not** acknowledged:
 the server does not read the next line until the previous message is
 fully processed, so TCP flow control is the per-tenant backpressure.
-``flush`` is the acknowledgement barrier — its ``metrics`` reply proves
-every prior ``io`` line was serviced.
+A client may hold ``io`` lines back — unacknowledged and buffered until
+the next control message — and the bundled
+:class:`~repro.serve.client.ServeClient` does, so a window leaves in a
+few large writes.  Every other client message forces that buffer onto
+the wire, so ``flush`` is the one sync point: the acknowledgement
+barrier whose ``metrics`` reply proves every prior ``io`` line was
+serviced.  Both ends run with ``TCP_NODELAY``, so a control message is
+never held back waiting for the ACK of an earlier segment.
 
 Server → client replies are tagged the same way: ``opened``,
 ``metrics``, ``result``, ``bye``, ``pong``, ``error``, ``draining``.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..ftl.ftl import FTLCounters
 
@@ -20,17 +20,43 @@ __all__ = ["LatencyStats", "RunResult", "percent_improvement"]
 
 
 class LatencyStats:
-    """Exact latency distribution over one request class."""
+    """Exact latency distribution over one request class.
+
+    Percentiles read a sort cache: ``_sorted`` holds the first
+    ``len(_sorted)`` samples in stable sorted order, and a query folds in
+    only the samples recorded since the last one.  Timsort sorts that
+    tail and merges it into the cached run in one linear pass, so a
+    long-lived stream queried every window (a serve session's ``flush``)
+    sorts each window once instead of the whole session every time.  Stability makes the cache equal,
+    element for element, to ``sorted()`` of the samples in arrival order.
+    """
 
     def __init__(self) -> None:
         self._samples: List[float] = []
-        self._sorted: Optional[List[float]] = None
+        self._sorted: List[float] = []
 
     def record(self, latency_us: float) -> None:
-        if latency_us < 0:
+        if not latency_us >= 0:
             raise ValueError("latency must be non-negative")
         self._samples.append(latency_us)
-        self._sorted = None
+
+    def __getstate__(self) -> Dict[str, List[float]]:
+        # The cache is derived state: checkpoints carry the samples only.
+        return {"_samples": self._samples}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # Blobs written before the cache existed also carry ``_sorted``
+        # (``None`` or a full sorted copy); either way it is rebuilt.
+        self._samples = state["_samples"]
+        self._sorted = []
+
+    def _sorted_samples(self) -> List[float]:
+        """The sort cache, brought up to date with every sample."""
+        cache = self._sorted
+        if len(cache) < len(self._samples):
+            cache.extend(self._samples[len(cache):])
+            cache.sort()
+        return cache
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -61,10 +87,9 @@ class LatencyStats:
             raise ValueError("percentile must be in (0, 100]")
         if not self._samples:
             return 0.0
-        if self._sorted is None:
-            self._sorted = sorted(self._samples)
-        rank = max(1, math.ceil(p / 100.0 * len(self._sorted)))
-        return self._sorted[rank - 1]
+        ordered = self._sorted_samples()
+        rank = max(1, math.ceil(p / 100.0 * len(ordered)))
+        return ordered[rank - 1]
 
     @property
     def p99(self) -> float:
@@ -75,8 +100,14 @@ class LatencyStats:
         return max(self._samples) if self._samples else 0.0
 
     def merged_with(self, other: "LatencyStats") -> "LatencyStats":
+        """Both sample sets, ``self`` first, with the sort cache built by
+        merging the two parts' sorted runs (stable: ``self``'s ties first,
+        exactly as sorting the concatenation would order them)."""
         out = LatencyStats()
         out._samples = self._samples + other._samples
+        merged = self._sorted_samples() + other._sorted_samples()
+        merged.sort()
+        out._sorted = merged
         return out
 
 
@@ -118,6 +149,7 @@ class RunResult:
 
     def summary(self) -> Dict[str, float]:
         """Flat dict for reports and JSON dumps."""
+        combined = self.all_requests
         return {
             "host_writes": self.counters.host_writes,
             "host_reads": self.counters.host_reads,
@@ -127,8 +159,8 @@ class RunResult:
             "dedup_hits": self.counters.dedup_hits,
             "gc_relocations": self.counters.gc_relocations,
             "erases": self.erases,
-            "mean_latency_us": self.mean_latency_us,
-            "p99_latency_us": self.p99_latency_us,
+            "mean_latency_us": combined.mean,
+            "p99_latency_us": combined.p99,
             "read_mean_us": self.reads.mean,
             "write_mean_us": self.writes.mean,
             "horizon_us": self.horizon_us,

@@ -4,15 +4,20 @@ The ``serve_smoke`` subset is the CI smoke gate (``make serve-smoke``):
 three tenants stream small traces through one server and every final
 ``serve.session`` digest must equal the same trace run in batch; a
 SIGTERM'd server process must exit 0 with every session checkpointed,
-and a restarted server must resume them bit-exact.
+and a restarted server must resume them bit-exact.  The transport
+tests pin the client/server socket contract: ``TCP_NODELAY`` on both
+ends, ``io`` lines coalesced into buffer-sized writes, and buffered
+lines delivered even when the client closes without a flush.
 
 No pytest-asyncio in the image, so the in-process server runs a plain
 ``asyncio.run`` loop on a background thread and the tenants drive it
 with the blocking :class:`repro.serve.ServeClient`.
 """
 
+import io
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -91,6 +96,26 @@ class ServerThread:
             self.join()
 
 
+def reopen(port, **fields):
+    """A new connection reopening a tenant whose old connection just
+    vanished.  The server may not have processed the disconnect yet
+    (tenant still attached), so the open is retried briefly."""
+    deadline = time.time() + 30
+    while True:
+        client = ServeClient("127.0.0.1", port)
+        try:
+            return client, client.open(**fields)
+        except Exception:
+            client.close()
+            if time.time() > deadline:
+                raise
+            time.sleep(0.05)
+
+
+def nodelay(sock):
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
 @pytest.mark.serve_smoke
 def test_three_tenants_isolated_and_digest_identical_to_batch(tmp_path):
     """Concurrent tenants cannot perturb each other: each streamed
@@ -164,26 +189,84 @@ def test_mid_stream_disconnect_leaves_session_resumable():
         client.close()  # abrupt: no close/detach message
 
         # The same tenant reconnects and continues where it left off.
-        deadline = time.time() + 30
-        while True:
-            with ServeClient("127.0.0.1", server.port) as client:
-                try:
-                    opened = client.open(
-                        tenant="dropper", workload="mail", system=SYSTEM,
-                        scale=SCALE, batch_requests=BATCH,
-                    )
-                except Exception:
-                    # The server may not have processed the disconnect
-                    # yet (tenant still attached); retry briefly.
-                    if time.time() > deadline:
-                        raise
-                    time.sleep(0.05)
-                    continue
-                assert opened["resumed"] is True
-                assert opened["served"] == cut
-                client.stream(trace[cut:])
-                record = client.close_session()
-                break
+        client, opened = reopen(
+            server.port, tenant="dropper", workload="mail", system=SYSTEM,
+            scale=SCALE, batch_requests=BATCH,
+        )
+        with client:
+            assert opened["resumed"] is True
+            assert opened["served"] == cut
+            client.stream(trace[cut:])
+            record = client.close_session()
+
+    assert record["digest"] == expected
+
+
+@pytest.mark.serve_smoke
+def test_both_ends_of_a_connection_disable_nagle():
+    """The client sets TCP_NODELAY itself; the server side relies on
+    asyncio's transports setting it on every accepted TCP socket."""
+    with ServerThread() as server:
+        with ServeClient("127.0.0.1", server.port) as client:
+            client.ping()  # the handler now holds the connection
+            assert nodelay(client._sock) == 1
+            (writer,) = server.server._conn_writers
+            assert nodelay(writer.get_extra_info("socket")) == 1
+
+
+@pytest.mark.serve_smoke
+def test_streamed_window_leaves_in_buffer_sized_writes(monkeypatch):
+    """512 ``io`` lines then ``flush`` reach the socket in a handful of
+    buffer-sized writes, not one write per line."""
+    window = trace_for("mail")[:512]
+    writes = []
+    real_send = socket.socket.send
+
+    with ServerThread() as server:
+        with ServeClient("127.0.0.1", server.port) as client:
+            client.open(tenant="spy", workload="mail", system=SYSTEM,
+                        scale=SCALE)
+
+            def spy(sock, data, *args):
+                if sock is client._sock:
+                    writes.append(len(data))
+                return real_send(sock, data, *args)
+
+            monkeypatch.setattr(socket.socket, "send", spy)
+            assert client.stream(window) == 512
+            metrics = client.flush()
+            monkeypatch.undo()
+            assert metrics["meta"]["served"] == 512
+
+    sent = sum(writes)
+    assert len(writes) <= sent // io.DEFAULT_BUFFER_SIZE + 2, writes
+    assert len(writes) < 512 // 10
+
+
+@pytest.mark.serve_smoke
+def test_lines_buffered_at_an_abrupt_close_reach_the_session():
+    """``send`` only buffers, so closing without a flush must still write
+    the buffered lines before the disconnect: the detached session holds
+    every request sent, and resuming it finishes digest-identical."""
+    trace = trace_for("mail")
+    cut = BATCH + 10  # one stepped batch plus a partial one
+    expected = batch_digest("mail")
+    fields = dict(tenant="closer", workload="mail", system=SYSTEM,
+                  scale=SCALE, batch_requests=BATCH)
+
+    with ServerThread() as server:
+        client = ServeClient("127.0.0.1", server.port)
+        client.open(**fields)
+        for request in trace[:cut]:
+            client.send(request)
+        client.close()  # abrupt: no flush, close or detach message
+
+        client, opened = reopen(server.port, **fields)
+        with client:
+            assert opened["resumed"] is True
+            assert client.flush()["meta"]["served"] == cut
+            client.stream(trace[cut:])
+            record = client.close_session()
 
     assert record["digest"] == expected
 

@@ -1,5 +1,7 @@
 """Unit tests for latency statistics and run results."""
 
+import pickle
+
 import pytest
 
 from repro.ftl.ftl import FTLCounters
@@ -72,6 +74,52 @@ class TestLatencyStats:
             stats.record(v)
         assert stats.percentile(33) == 10.0  # ceil(0.33*3)=1 -> smallest
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            LatencyStats().record(float("nan"))
+
+    def test_pickle_omits_sort_cache(self):
+        stats = LatencyStats()
+        for v in (3.0, 1.0, 2.0):
+            stats.record(v)
+        cold = pickle.dumps(stats)
+        stats.percentile(50)
+        assert pickle.dumps(stats) == cold
+        restored = pickle.loads(cold)
+        assert restored.samples == [3.0, 1.0, 2.0]
+        assert restored.percentile(50) == 2.0
+
+    # Pickles of the class as it was before the sort cache: ``_sorted``
+    # was ``None`` after any record and a full sorted copy after a query.
+    # Both hold the samples [30.0, 10.0, 20.0, 40.0].
+    LEGACY_UNQUERIED = (
+        b"\x80\x05\x95l\x00\x00\x00\x00\x00\x00\x00\x8c\x11repro.sim.metrics"
+        b"\x94\x8c\x0cLatencyStats\x94\x93\x94)\x81\x94}\x94(\x8c\x08_samples"
+        b"\x94]\x94(G@>\x00\x00\x00\x00\x00\x00G@$\x00\x00\x00\x00\x00\x00"
+        b"G@4\x00\x00\x00\x00\x00\x00G@D\x00\x00\x00\x00\x00\x00e"
+        b"\x8c\x07_sorted\x94Nub."
+    )
+    LEGACY_QUERIED = (
+        b"\x80\x05\x95\x93\x00\x00\x00\x00\x00\x00\x00\x8c\x11repro.sim.metrics"
+        b"\x94\x8c\x0cLatencyStats\x94\x93\x94)\x81\x94}\x94(\x8c\x08_samples"
+        b"\x94]\x94(G@>\x00\x00\x00\x00\x00\x00G@$\x00\x00\x00\x00\x00\x00"
+        b"G@4\x00\x00\x00\x00\x00\x00G@D\x00\x00\x00\x00\x00\x00e"
+        b"\x8c\x07_sorted\x94]\x94(G@$\x00\x00\x00\x00\x00\x00"
+        b"G@4\x00\x00\x00\x00\x00\x00G@>\x00\x00\x00\x00\x00\x00"
+        b"G@D\x00\x00\x00\x00\x00\x00eub."
+    )
+
+    @pytest.mark.parametrize("blob", [LEGACY_UNQUERIED, LEGACY_QUERIED])
+    def test_restores_pickles_from_before_the_sort_cache(self, blob):
+        stats = pickle.loads(blob)
+        assert stats.samples == [30.0, 10.0, 20.0, 40.0]
+        assert stats.p99 == 40.0
+        assert stats.percentile(50) == 20.0
+        assert stats.percentile(25) == 10.0
+        stats.record(5.0)
+        assert stats.percentile(20) == 5.0
+        assert stats.mean == 21.0
+
 
 class TestRunResult:
     def _result(self):
@@ -103,6 +151,21 @@ class TestRunResult:
         ):
             assert key in summary
         assert summary["erases"] == 3
+
+    def test_summary_merges_reads_and_writes_once(self, monkeypatch):
+        result = self._result()
+        calls = []
+        merged_with = LatencyStats.merged_with
+
+        def counting(self, other):
+            calls.append(other)
+            return merged_with(self, other)
+
+        monkeypatch.setattr(LatencyStats, "merged_with", counting)
+        summary = result.summary()
+        assert len(calls) == 1
+        assert summary["mean_latency_us"] == 250.0
+        assert summary["p99_latency_us"] == 400.0
 
 
 class TestPercentImprovement:

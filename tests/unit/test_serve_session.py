@@ -200,6 +200,56 @@ class TestCheckpointResume:
                 resumed.flush()
         assert resumed.finalize().digest == batch_digest
 
+    def test_blob_from_before_the_sort_cache_resumes(
+        self, context, batch_digest
+    ):
+        """Checkpoints written before LatencyStats had an incremental sort
+        cache pickled it as ``_sorted`` (``None`` after a record, a full
+        sorted copy after a query).  Such a blob restores, reports the
+        same percentiles, and still finishes bit-exact."""
+        import copyreg
+        import io
+        import pickle
+
+        from repro.sim.metrics import LatencyStats
+
+        class LegacyPickler(pickle.Pickler):
+            def reducer_override(self, obj):
+                if type(obj) is not LatencyStats:
+                    return NotImplemented
+                state = {"_samples": obj.samples, "_sorted": None}
+                return copyreg.__newobj__, (LatencyStats,), state
+
+        def legacy_dumps(obj):
+            out = io.BytesIO()
+            LegacyPickler(out, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+            return out.getvalue()
+
+        trace = generate_trace(context.profile)
+        cut = len(trace) // 2
+        session = TenantSession(session_config())
+        for request in trace[:cut]:
+            session.push(request)
+            if session.step_due():
+                session.flush()
+        expected = session.metrics_record()
+        state = pickle.loads(session.checkpoint_blob())
+        state["blobs"] = [
+            legacy_dumps(pickle.loads(blob)) for blob in state["blobs"]
+        ]
+        legacy_blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        assert b"_sorted" in legacy_blob
+
+        resumed = TenantSession.from_blob(legacy_blob)
+        restored = resumed.metrics_record()
+        for view in ("reads", "writes", "requests"):
+            assert getattr(restored, view) == getattr(expected, view)
+        for request in trace[cut:]:
+            resumed.push(request)
+            if resumed.step_due():
+                resumed.flush()
+        assert resumed.finalize().digest == batch_digest
+
     def test_blob_version_gate(self):
         import pickle
 
