@@ -3,12 +3,15 @@
 Usage (from the repo root)::
 
     PYTHONPATH=src python benchmarks/perf/harness.py [--out BENCH_matrix.json]
-        [--jobs N] [--scale S] [--workloads a,b] [--systems x,y] [--no-gate]
-        [--tolerance F]
+        [--jobs N] [--no-gate] [--tolerance F]
 
 Thin wrapper over :func:`repro.perf.bench.write_benchmark` plus a
-regression gate; ``make bench`` calls this.  The gate compares the fresh
-report against the committed one before overwriting it and fails on:
+regression gate; ``make bench`` calls this.  The report has three
+sections — ``matrix`` (systems × workloads), ``fleet`` (long-lived
+shards, pool-mode comparison) and ``kv`` (pool on/off ablation) — built
+from uniform cells, and the gate walks every section and cell the same
+way.  It compares the fresh report against the committed one before
+overwriting it and fails on:
 
 * ``identical_results`` false — serial and parallel legs disagreed;
 * a speedup below 1.0 without the explicit ``serial_fallback`` marker —
@@ -19,31 +22,19 @@ report against the committed one before overwriting it and fails on:
   tracked ``serial_seconds`` (with a 0.05 s absolute floor — wall timing
   cannot resolve smaller deltas) — a perf regression in the hot paths.
 
-The report also carries the tracked **fleet** section (``--no-fleet``
-skips it): a GC-bound workload sharded across ``--fleet-shards``
-long-lived drives, run serially and fanned out one worker per shard.
-The gate additionally fails on:
+One section carries one extra datum: a non-fallback fleet speedup below
+2.0 fails when the box has ≥4 cores and the fleet ran with ≥4 workers,
+since four long-lived GC-bound shards that cannot double throughput on
+four cores mean the fan-out is broken.
 
-* fleet serial/parallel shard-digest mismatch;
-* fleet digest drift against the tracked section (same fleet shape);
-* a non-fallback fleet speedup below 1.0 — or below 2.0 when the box
-  has ≥4 cores and the fleet ran with ≥4 workers, since four long-lived
-  GC-bound shards that cannot double throughput on four cores mean the
-  fan-out is broken.
-
-The report's tracked **kv** section (``--no-kv`` skips it) runs the KV
-ablation cells — each YCSB workload with the pool on and off — and the
-gate fails on a serial/parallel digest mismatch, an on/off digest drift
-against the tracked section (same system and scale), or a silent
-sub-1.0 speedup.
-
-Timing comparisons are normalized by each report's
-``calibration_seconds`` (a fixed pure-Python loop timed at bench time),
-so a container running 1.5× slower today than when the tracked report
-was minted does not read as a simulator regression.  They only run on
-reports with the same scale; ``--no-gate`` skips the comparison when
-re-minting after an intentional change (the digest drift must then be
-explained in the PR).
+Cells are matched to tracked cells by ``id``; a new cell or section has
+nothing to regress against and passes.  Timing comparisons are
+normalized by each report's ``calibration_seconds`` (a fixed pure-Python
+loop timed at bench time), so a container running 1.5× slower today than
+when the tracked report was minted does not read as a simulator
+regression.  They only run on sections with the same scale;
+``--no-gate`` skips the comparison when re-minting after an intentional
+change (the digest drift must then be explained in the PR).
 """
 
 import argparse
@@ -51,139 +42,82 @@ import json
 import os
 import sys
 
-from repro.perf.bench import (
-    DEFAULT_BENCH_SCALE,
-    DEFAULT_FLEET_SCALE,
-    DEFAULT_FLEET_SHARDS,
-    DEFAULT_KV_SCALE,
-    write_benchmark,
-)
+from repro.perf.bench import write_benchmark
 
-#: Minimum non-fallback fleet speedup on a box with ≥4 cores running
-#: ≥4 workers (the acceptance bar for the long-lived-shard fan-out).
-FLEET_SPEEDUP_FLOOR = 2.0
+#: Per-section minimum non-fallback speedup on a box with ≥4 cores
+#: running ≥4 workers (the acceptance bar for the long-lived-shard
+#: fan-out); every other section only has to beat 1.0.
+SPEEDUP_FLOORS = {"fleet": 2.0}
 
 
-def gate_fleet(fresh: dict, tracked: dict) -> list:
-    """Fleet-section checks; ``tracked`` may be ``None`` (new section)."""
-    failures = []
-    if not fresh["identical_results"]:
-        failures.append(
-            "fleet: serial and parallel legs produced different shard digests"
-        )
-    speedup = fresh.get("speedup")
-    if not fresh.get("serial_fallback"):
-        if speedup is None or speedup < 1.0:
-            failures.append(
-                f"fleet: speedup {speedup} < 1.0 without serial_fallback "
-                "marker"
-            )
-        elif (
-            (os.cpu_count() or 1) >= 4
-            and fresh.get("jobs", 1) >= 4
-            and speedup < FLEET_SPEEDUP_FLOOR
-        ):
-            failures.append(
-                f"fleet: speedup {speedup} < {FLEET_SPEEDUP_FLOOR} with "
-                f"{fresh['jobs']} workers on {os.cpu_count()} cores"
-            )
-    if tracked:
-        same_shape = all(
-            tracked.get(key) == fresh.get(key)
-            for key in ("workload", "system", "shards", "scale")
-        )
-        if same_shape and tracked.get("fleet_digest") != fresh["fleet_digest"]:
-            failures.append("fleet: digest drifted from tracked report")
-    return failures
+def _machine_factor(report: dict, tracked: dict) -> float:
+    """How much slower this machine is than the tracked report's.
 
-
-def gate_kv(fresh: dict, tracked: dict) -> list:
-    """KV-section checks; ``tracked`` may be ``None`` (new section)."""
-    failures = []
-    if not fresh["identical_results"]:
-        failures.append(
-            "kv: serial and parallel legs produced different digests"
-        )
-    speedup = fresh.get("speedup")
-    if not fresh.get("serial_fallback") and (speedup is None or speedup < 1.0):
-        failures.append(
-            f"kv: speedup {speedup} < 1.0 without serial_fallback marker"
-        )
-    if tracked:
-        old_cells = {c["workload"]: c for c in tracked.get("cells", [])}
-        same_shape = all(
-            tracked.get(key) == fresh.get(key) for key in ("system", "scale")
-        )
-        for cell in fresh.get("cells", []):
-            old = old_cells.get(cell["workload"])
-            if old is None or not same_shape:
-                continue
-            for leg in ("digest_on", "digest_off"):
-                if old.get(leg) != cell[leg]:
-                    failures.append(
-                        f"kv: {cell['workload']} {leg} drifted from "
-                        "tracked report"
-                    )
-    return failures
-
-
-def gate(report: dict, tracked: dict, tolerance: float) -> list:
-    """Compare a fresh report against the tracked one; return failures."""
-    failures = []
-    if not report["identical_results"]:
-        failures.append("serial and parallel legs produced different digests")
-    if report.get("fleet"):
-        failures.extend(gate_fleet(report["fleet"], tracked.get("fleet")))
-    if report.get("kv"):
-        failures.extend(gate_kv(report["kv"], tracked.get("kv")))
-    speedup = report.get("speedup")
-    if not report.get("serial_fallback") and (speedup is None or speedup < 1.0):
-        failures.append(
-            f"speedup {speedup} < 1.0 without serial_fallback marker"
-        )
-    if tracked.get("schema") != report["schema"]:
-        failures.append(
-            f"tracked schema {tracked.get('schema')!r} != {report['schema']!r}"
-        )
-        return failures
-    old_cells = {
-        (c["workload"], c["system"]): c for c in tracked.get("cells", [])
-    }
-    comparable = tracked.get("scale") == report["scale"]
-    if not comparable:
-        failures.append(
-            f"tracked scale {tracked.get('scale')} != {report['scale']}: "
-            "timings not comparable (re-mint with --no-gate)"
-        )
-    # Cancel machine-speed drift between mint time and now; reports
-    # predating the calibration field fall back to raw seconds.  An
-    # apparently *faster* machine may tighten the allowance by at most
-    # 15% — beyond that it is far more likely calibration jitter than a
-    # genuinely faster box, and a tighter gate false-fires on every cell.
-    machine = 1.0
+    Cancels machine-speed drift between mint time and now; reports
+    without the calibration field fall back to raw seconds.  An
+    apparently *faster* machine may tighten the allowance by at most
+    15% — beyond that it is far more likely calibration jitter than a
+    genuinely faster box, and a tighter gate false-fires on every cell.
+    """
     fresh_cal = report.get("calibration_seconds")
     tracked_cal = tracked.get("calibration_seconds")
     if fresh_cal and tracked_cal:
-        machine = max(fresh_cal / tracked_cal, 0.85)
-    for cell in report["cells"]:
-        key = (cell["workload"], cell["system"])
-        old = old_cells.get(key)
-        if old is None:
-            continue  # new cell: nothing tracked to regress against
-        if comparable and old["digest"] != cell["digest"]:
+        return max(fresh_cal / tracked_cal, 0.85)
+    return 1.0
+
+
+def _gate_section(
+    name: str, fresh: dict, old: dict, tolerance: float, machine: float
+) -> list:
+    """One section's checks; ``old`` is ``None`` for a new section."""
+    failures = []
+    if not fresh["identical_results"]:
+        failures.append(
+            f"{name}: serial and parallel legs produced different digests"
+        )
+    speedup = fresh.get("speedup")
+    floor = SPEEDUP_FLOORS.get(name)
+    if not fresh.get("serial_fallback"):
+        if speedup is None or speedup < 1.0:
             failures.append(
-                f"{key[0]}/{key[1]}: digest drifted from tracked report"
+                f"{name}: speedup {speedup} < 1.0 without serial_fallback "
+                "marker"
             )
+        elif (
+            floor is not None
+            and (os.cpu_count() or 1) >= 4
+            and fresh.get("jobs", 1) >= 4
+            and speedup < floor
+        ):
+            failures.append(
+                f"{name}: speedup {speedup} < {floor} with "
+                f"{fresh['jobs']} workers on {os.cpu_count()} cores"
+            )
+    if not old:
+        return failures
+    if old.get("scale") != fresh["scale"]:
+        failures.append(
+            f"{name}: tracked scale {old.get('scale')} != {fresh['scale']}: "
+            "timings not comparable (re-mint with --no-gate)"
+        )
+        return failures
+    old_cells = {cell["id"]: cell for cell in old.get("cells", [])}
+    for cell in fresh["cells"]:
+        prev = old_cells.get(cell["id"])
+        if prev is None:
+            continue  # new cell: nothing tracked to regress against
+        where = f"{name} {cell['id']}"
+        if prev["digest"] != cell["digest"]:
+            failures.append(f"{where}: digest drifted from tracked report")
         # Relative tolerance with an absolute floor: sub-0.05 s deltas on
         # sub-second cells are below what best-of-N wall timing resolves
         # on a shared box, so they cannot evidence a regression.
-        baseline = old["serial_seconds"] * machine
-        slowdown = cell["serial_seconds"] - baseline
-        if comparable and slowdown > max(tolerance * baseline, 0.05):
+        baseline = prev["serial_seconds"] * machine
+        if cell["serial_seconds"] - baseline > max(tolerance * baseline, 0.05):
             failures.append(
-                f"{key[0]}/{key[1]}: serial {cell['serial_seconds']:.3f}s "
+                f"{where}: serial {cell['serial_seconds']:.3f}s "
                 f"> {1.0 + tolerance:.2f}x tracked "
-                f"{old['serial_seconds']:.3f}s"
+                f"{prev['serial_seconds']:.3f}s"
                 + (
                     f" (machine-normalized x{machine:.2f})"
                     if machine != 1.0
@@ -193,35 +127,36 @@ def gate(report: dict, tracked: dict, tolerance: float) -> list:
     return failures
 
 
+def gate(report: dict, tracked: dict, tolerance: float) -> list:
+    """Compare a fresh report against the tracked one; return failures.
+
+    The fresh sections are always checked on their own; a tracked
+    report of another schema has no sections to compare against.
+    """
+    failures = []
+    tracked_sections = tracked.get("sections", {})
+    if tracked.get("schema") != report["schema"]:
+        failures.append(
+            f"tracked schema {tracked.get('schema')!r} != {report['schema']!r}"
+        )
+        tracked_sections = {}
+    machine = _machine_factor(report, tracked)
+    for name, section in report["sections"].items():
+        failures.extend(_gate_section(
+            name, section, tracked_sections.get(name), tolerance, machine
+        ))
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_matrix.json")
     parser.add_argument("--jobs", type=int, default=0,
-                        help="workers for the parallel leg (0 = all cores)")
-    parser.add_argument("--scale", type=float, default=DEFAULT_BENCH_SCALE)
-    parser.add_argument("--workloads", default=None,
-                        help="comma-separated (default: canonical slice)")
-    parser.add_argument("--systems", default=None,
-                        help="comma-separated (default: canonical slice)")
+                        help="workers for the parallel legs (0 = all cores)")
     parser.add_argument("--no-gate", action="store_true",
                         help="skip comparison against the tracked report")
     parser.add_argument("--tolerance", type=float, default=0.15,
                         help="per-cell slowdown tolerance (fraction)")
-    parser.add_argument("--fleet-shards", type=int,
-                        default=DEFAULT_FLEET_SHARDS, metavar="N",
-                        help="shards for the tracked fleet section "
-                             f"(default {DEFAULT_FLEET_SHARDS})")
-    parser.add_argument("--fleet-scale", type=float,
-                        default=DEFAULT_FLEET_SCALE,
-                        help="workload scale for the fleet section "
-                             f"(default {DEFAULT_FLEET_SCALE})")
-    parser.add_argument("--no-fleet", action="store_true",
-                        help="skip the fleet section")
-    parser.add_argument("--kv-scale", type=float, default=DEFAULT_KV_SCALE,
-                        help="workload scale for the KV ablation section "
-                             f"(default {DEFAULT_KV_SCALE})")
-    parser.add_argument("--no-kv", action="store_true",
-                        help="skip the KV ablation section")
     args = parser.parse_args(argv)
 
     tracked = None
@@ -229,73 +164,35 @@ def main(argv=None) -> int:
         with open(args.out) as f:
             tracked = json.load(f)
 
-    kwargs = {"jobs": args.jobs, "scale": args.scale}
-    if args.workloads:
-        kwargs["workloads"] = args.workloads.split(",")
-    if args.systems:
-        kwargs["systems"] = args.systems.split(",")
-    if not args.no_fleet:
-        kwargs["fleet_shards"] = args.fleet_shards
-        kwargs["fleet_scale"] = args.fleet_scale
-    if not args.no_kv:
-        kwargs["kv"] = True
-        kwargs["kv_scale"] = args.kv_scale
-    report = write_benchmark(args.out, **kwargs)
-    second_leg = (
-        "serial_fallback"
-        if report["serial_fallback"]
-        else f"x{report['speedup']}, jobs={report['jobs']}"
-    )
-    print(
-        f"wrote {args.out}: {len(report['cells'])} cells, "
-        f"serial {report['serial_seconds']:.2f}s, "
-        f"parallel {report['parallel_seconds']:.2f}s "
-        f"({second_leg}), "
-        f"identical_results={report['identical_results']}"
-    )
-    fleet = report.get("fleet")
-    if fleet:
-        fleet_leg = (
+    report = write_benchmark(args.out, jobs=args.jobs)
+    sections = report["sections"]
+    for name, section in sections.items():
+        leg = (
             "serial_fallback"
-            if fleet["serial_fallback"]
-            else f"x{fleet['speedup']}, jobs={fleet['jobs']}"
+            if section["serial_fallback"]
+            else f"x{section['speedup']}, jobs={section['jobs']}"
         )
         print(
-            f"fleet: {fleet['shards']}x {fleet['workload']}/"
-            f"{fleet['system']} at scale {fleet['scale']}, "
-            f"serial {fleet['serial_seconds']:.2f}s, "
-            f"parallel {fleet['parallel_seconds']:.2f}s ({fleet_leg}), "
-            f"identical_results={fleet['identical_results']}, "
-            f"pool per-drive {fleet['pool_modes']['per-drive']} vs "
-            f"shared {fleet['pool_modes']['shared']} programs"
+            f"{name}: {len(section['cells'])} cells at scale "
+            f"{section['scale']}, serial {section['serial_seconds']:.2f}s, "
+            f"parallel {section['parallel_seconds']:.2f}s ({leg}), "
+            f"identical_results={section['identical_results']}"
         )
-
-    kv = report.get("kv")
-    if kv:
-        kv_leg = (
-            "serial_fallback"
-            if kv["serial_fallback"]
-            else f"x{kv['speedup']}, jobs={kv['jobs']}"
-        )
-        deltas = ", ".join(
-            f"{c['workload']} rev {c['revival_rate']:.3f} "
-            f"(saves {c['flash_writes_saved']} writes)"
-            for c in kv["cells"]
-        )
-        print(
-            f"kv: {kv['system']} at scale {kv['scale']}, "
-            f"serial {kv['serial_seconds']:.2f}s, "
-            f"parallel {kv['parallel_seconds']:.2f}s ({kv_leg}), "
-            f"identical_results={kv['identical_results']}; {deltas}"
-        )
+    if "fleet" in sections:
+        modes = sections["fleet"]["pool_modes"]
+        print(f"fleet: pool per-drive {modes['per-drive']} vs shared "
+              f"{modes['shared']} programs")
+    if "kv" in sections:
+        print("kv: " + ", ".join(
+            f"{d['workload']} rev {d['revival_rate']:.3f} "
+            f"(saves {d['flash_writes_saved']} writes)"
+            for d in sections["kv"]["deltas"]
+        ))
+    print(f"wrote {args.out}")
 
     if tracked is None:
-        ok = (
-            report["identical_results"]
-            and (fleet is None or fleet["identical_results"])
-            and (kv is None or kv["identical_results"])
-        )
-        return 0 if ok else 1
+        identical = all(s["identical_results"] for s in sections.values())
+        return 0 if identical else 1
     failures = gate(report, tracked, args.tolerance)
     for failure in failures:
         print(f"bench gate: {failure}", file=sys.stderr)

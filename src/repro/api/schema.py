@@ -28,7 +28,6 @@ layers must never import it — enforced by the ``layer.*`` lint rules.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import asdict, dataclass, field
 from dataclasses import replace as dataclasses_replace
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
@@ -383,10 +382,11 @@ def lint_finding_record(
 
 
 def session_digest(shard_digests: List[str]) -> str:
-    """Digest of an ordered digest list — the fleet/serve identity rule
-    (matches :attr:`~repro.fleet.aggregate.FleetResult.fleet_digest`)."""
-    payload = "\n".join(shard_digests).encode("ascii")
-    return hashlib.sha256(payload).hexdigest()
+    """Digest of an ordered digest list — the fleet/serve identity rule,
+    :func:`repro.perf.spec.digest_of_digests` under its api name."""
+    from ..perf.spec import digest_of_digests  # lazy: keeps repro.api light
+
+    return digest_of_digests(shard_digests)
 
 
 def record_from_kv_run(

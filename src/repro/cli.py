@@ -31,8 +31,6 @@ Commands
     any system: key→LPN translation, small-value inlining, TRIM on
     delete; ``--ablate`` pairs the run with its pool-off counterpart
     and reports the revival / write-amplification delta.
-``bench``
-    Time the canonical matrix and refresh ``BENCH_matrix.json``.
 ``serve``
     Run the streaming multi-tenant trace service (:mod:`repro.serve`):
     tenants stream JSONL trace traffic over a socket, sessions
@@ -46,8 +44,10 @@ where applicable — always one ``repro.api/v1``
 :class:`~repro.api.ResultRecord` shape (or a mapping of them), the
 same schema the obs/fleet JSONL exporters, the bench harness and the
 serve responses emit.  Commands that fan out over independent cells
-(``compare``, ``replicate``, ``matrix``, ``bench``) take ``--jobs N``
-(0 = all cores); parallel results are bit-identical to ``--jobs 1``.
+(``compare``, ``replicate``, ``matrix``, ``fleet``, ``kv --ablate``)
+take ``--jobs N`` (0 = all cores); parallel results are bit-identical
+to ``--jobs 1``.  The tracked benchmark is not a subcommand: ``make
+bench`` runs ``benchmarks/perf/harness.py``, which gates the report.
 Shared flag groups (``--scale``, ``--jobs``, ``--seed``, the
 ``--check`` trio, the fault probabilities, the ``--obs`` pair) are
 declared once in :mod:`repro.cliopts` and reused verbatim across
@@ -276,28 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_seed(kv_p, default=None, help="workload generator seed override")
     add_scale(kv_p)
     add_jobs(kv_p)
-
-    bench_p = sub.add_parser(
-        "bench", help="time the canonical matrix; refresh BENCH_matrix.json"
-    )
-    bench_p.add_argument("--out", default="BENCH_matrix.json",
-                         help="report path (default BENCH_matrix.json)")
-    bench_p.add_argument(
-        "--workloads", default=None,
-        help="comma-separated workloads (default: canonical slice)",
-    )
-    bench_p.add_argument(
-        "--systems", default=None,
-        help="comma-separated systems (default: canonical slice)",
-    )
-    bench_p.add_argument(
-        "--scale", type=float, default=None,
-        help="workload scale (default: canonical bench scale)",
-    )
-    bench_p.add_argument(
-        "--jobs", type=int, default=0, metavar="N",
-        help="workers for the parallel leg (default 0 = all cores)",
-    )
 
     serve_p = sub.add_parser(
         "serve",
@@ -858,39 +836,6 @@ def _cmd_kv(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .perf.bench import write_benchmark
-
-    kwargs = {"jobs": args.jobs}
-    if args.workloads:
-        kwargs["workloads"] = [
-            w.strip() for w in args.workloads.split(",") if w.strip()
-        ]
-    if args.systems:
-        kwargs["systems"] = [
-            s.strip() for s in args.systems.split(",") if s.strip()
-        ]
-    if args.scale is not None:
-        kwargs["scale"] = args.scale
-    report = write_benchmark(args.out, **kwargs)
-    second_leg = (
-        "serial_fallback"
-        if report["serial_fallback"]
-        else f"x{report['speedup']}, jobs={report['jobs']}"
-    )
-    print(
-        f"wrote {args.out}: {len(report['cells'])} cells, "
-        f"serial {report['serial_seconds']:.2f}s, "
-        f"parallel {report['parallel_seconds']:.2f}s "
-        f"({second_leg}), "
-        f"identical_results={report['identical_results']}"
-    )
-    ok = report["identical_results"] and (
-        report["serial_fallback"] or (report["speedup"] or 0) >= 1.0
-    )
-    return 0 if ok else 1
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from .lint import (
         Baseline,
@@ -1002,7 +947,6 @@ COMMANDS = {
     "fleet": _cmd_fleet,
     "kv": _cmd_kv,
     "serve": _cmd_serve,
-    "bench": _cmd_bench,
     "lint": _cmd_lint,
 }
 

@@ -9,9 +9,10 @@ totals, again not means of per-shard ratios.
 
 ``shard_digests`` carries each shard's
 :func:`~repro.perf.spec.result_digest` in shard order; the fleet digest
-hashes their concatenation.  These are the bit-identity oracle for the
-fleet determinism tests and the tracked fleet bench cell: ``jobs=1`` and
-``jobs=N`` must mint identical digest tuples.
+is :func:`~repro.perf.spec.digest_of_digests` over them.  These are the
+bit-identity oracle for the fleet determinism tests and the tracked
+fleet bench section: ``jobs=1`` and ``jobs=N`` must mint identical
+digest tuples.
 
 ``export_jsonl`` writes the per-shard and fleet records through the
 :mod:`repro.obs` JSONL sink, so fleet output flows through the same
@@ -20,7 +21,6 @@ exporter surface as single-drive observability samples.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Sequence, Tuple
@@ -47,8 +47,7 @@ class FleetResult:
 
     spec: "FleetSpec"
     shard_results: Tuple[RunResult, ...]
-    #: Effective worker count the run used (1 = serial path); bench
-    #: reporting uses it to carry the serial-fallback marker through.
+    #: Effective worker count the run used (1 = serial path).
     jobs: int
     #: :func:`~repro.perf.spec.result_digest` per shard, in shard order.
     shard_digests: Tuple[str, ...]
@@ -58,8 +57,9 @@ class FleetResult:
     @property
     def fleet_digest(self) -> str:
         """Digest of the ordered shard digests — the fleet's identity."""
-        payload = "\n".join(self.shard_digests).encode("ascii")
-        return hashlib.sha256(payload).hexdigest()
+        from ..perf.spec import digest_of_digests
+
+        return digest_of_digests(self.shard_digests)
 
     # -- latency (merged exact samples, never percentile-of-percentiles)
 

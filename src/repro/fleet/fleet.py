@@ -2,15 +2,17 @@
 
 A :class:`FleetSpec` names a whole fleet run by value — workload, system,
 shard count, pool label and mode, scale — and a :class:`ShardSpec` is one
-shard of it.  Both are frozen and cheap to pickle, so the fleet fans out
-to worker processes as a flat list of shard specs exactly the way the
-evaluation matrix ships :class:`~repro.perf.spec.RunSpec` cells.
+shard of it.  Both are frozen and cheap to pickle; a shard spec is a
+:func:`~repro.perf.parallel.run_specs` job, so the fleet fans out to
+worker processes as a flat list of shard specs exactly the way the
+evaluation matrix ships :class:`~repro.perf.spec.RunSpec` cells, and
+:func:`run_fleet` is that fan-out plus :func:`~.aggregate.aggregate_fleet`.
 
 :func:`execute_shard` is a pure function of its spec:
 
 1. materialise the workload context (trace cache — in the parallel path
-   the parent prewarms it before the pool forks, so workers inherit the
-   trace copy-on-write and never regenerate it);
+   :meth:`ShardSpec.prewarm` fills it before the pool forks, so workers
+   inherit the trace copy-on-write and never regenerate it);
 2. route the logical space through the :class:`~.ring.HashRing` and take
    the pages this shard owns, remapped to a dense local address space in
    global-LBA order;
@@ -44,7 +46,6 @@ Pool modes model two fleet designs for the dead-value pool budget:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -53,7 +54,7 @@ from ..experiments.config import DEFAULT_SCALE, RunConfig
 from ..experiments.device import Device
 from ..experiments.runner import ExperimentContext, scaled_pool_entries
 from ..flash.config import scaled_config
-from ..perf.parallel import pool_chunksize, resolve_jobs
+from ..perf.parallel import resolve_jobs, run_specs
 from ..sim.metrics import RunResult
 from ..traces.synthetic import initial_value_of
 from .aggregate import FleetResult, PoolModeComparison, aggregate_fleet
@@ -154,6 +155,19 @@ class ShardSpec:
     def label(self, workload_name: str) -> str:
         return f"{workload_name}/shard{self.index}of{self.fleet.shards}"
 
+    def execute(self) -> RunResult:
+        # Looked up in this module at call time, so a wrapper patched in
+        # before the pool forks runs in every worker too.
+        return execute_shard(self)
+
+    def prewarm(self) -> None:
+        """Generate the fleet's trace in the parent before forking (the
+        shards never use the prefill cache)."""
+        fleet = self.fleet
+        ExperimentContext.for_workload(
+            fleet.workload, fleet.scale, seed=fleet.seed
+        )
+
 
 def build_shard_device(
     fleet: FleetSpec,
@@ -214,40 +228,17 @@ def execute_shard(spec: ShardSpec) -> RunResult:
     return device.finalize(workload=spec.label(profile.name))
 
 
-def _prewarm_trace(spec: FleetSpec) -> None:
-    """Generate the fleet's trace once in the parent before forking."""
-    from ..perf.trace_cache import cached_trace
-
-    profile = ExperimentContext.for_workload(
-        spec.workload, spec.scale, seed=spec.seed
-    ).profile
-    cached_trace(profile)
-
-
 def run_fleet(spec: FleetSpec, jobs: Optional[int] = 1) -> FleetResult:
     """Run every shard of ``spec``; results collect in shard order.
 
     ``jobs=1`` (default) runs shards serially in-process; ``jobs=None``/
     ``0`` uses every core.  Jobs are capped at the shard count — a fleet
     of 4 long-lived shards can never keep more workers busy — and the
-    effective worker count is recorded on the result so bench reporting
-    can carry the serial-fallback marker through fleet runs.
+    effective worker count is recorded on the result.
     """
-    shard_specs = [spec.shard(index) for index in range(spec.shards)]
     jobs = resolve_jobs(jobs, tasks=spec.shards)
-    if jobs == 1 or spec.shards == 1:
-        results = [execute_shard(shard) for shard in shard_specs]
-        return aggregate_fleet(spec, results, jobs=1)
-    _prewarm_trace(spec)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(
-            pool.map(
-                execute_shard,
-                shard_specs,
-                chunksize=pool_chunksize(spec.shards, jobs),
-            )
-        )
-    return aggregate_fleet(spec, results, jobs=jobs)
+    shards = [spec.shard(index) for index in range(spec.shards)]
+    return aggregate_fleet(spec, run_specs(shards, jobs=jobs), jobs=jobs)
 
 
 def compare_pool_modes(

@@ -13,8 +13,8 @@ end to end:
   repack;
 * :mod:`repro.kv.zoo` — streaming YCSB-style / TRIM-heavy / diurnal
   multi-tenant workload generators;
-* :mod:`repro.kv.scenario` — the end-to-end runner, parallel fan-out
-  and the pool on/off ablation.
+* :mod:`repro.kv.scenario` — the end-to-end runner, the
+  :class:`KVSpec` job and the pool on/off ablation.
 
 Layering: ``repro.kv`` sits with the orchestration layers (it drives
 :class:`~repro.experiments.device.Device`); the device layers —
@@ -30,7 +30,6 @@ from .scenario import (
     execute_kv_spec,
     kv_result_digest,
     run_kv_ablation,
-    run_kv_specs,
 )
 from .store import KVStats, KVStore, page_value_id
 from .zoo import (
@@ -64,6 +63,5 @@ __all__ = [
     "KVRunResult",
     "execute_kv_spec",
     "kv_result_digest",
-    "run_kv_specs",
     "run_kv_ablation",
 ]

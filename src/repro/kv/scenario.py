@@ -18,21 +18,19 @@ Phases mirror the block runner's discipline:
    (never materialised).
 
 :class:`KVRunResult` pairs the page-level :class:`~repro.sim.metrics.
-RunResult` with the store's KV counters and a combined content digest;
-:func:`run_kv_specs` fans specs over worker processes with the same
-spec-order determinism contract as :func:`~repro.perf.parallel.run_specs`
-(``jobs=N`` is digest-identical to ``jobs=1`` — enforced by the kv_smoke
-tests), and :func:`run_kv_ablation` pairs a system with its pool-off
-counterpart to isolate what revival buys under keyed traffic.
+RunResult` with the store's KV counters and a combined content digest.
+A :class:`KVSpec` is a :func:`~repro.perf.parallel.run_specs` job, so a
+list of them fans over worker processes with the same spec-order
+determinism contract as the matrix (``jobs=N`` is digest-identical to
+``jobs=1`` — enforced by the kv_smoke tests), and
+:func:`run_kv_ablation` pairs a system with its pool-off counterpart to
+isolate what revival buys under keyed traffic.
 """
 
 from __future__ import annotations
 
-import hashlib
-import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.dvp import PoolStats
 from ..core.hashing import fingerprint_of_value
@@ -42,7 +40,8 @@ from ..experiments.runner import scaled_pool_entries
 from ..flash.config import scaled_config
 from ..ftl.dvp_ftl import POOL_OFF_SYSTEM, SYSTEMS
 from ..ftl.ftl import FTLCounters
-from ..perf.parallel import pool_chunksize, resolve_jobs
+from ..perf.parallel import run_specs
+from ..perf.spec import kv_result_digest
 from ..sim.metrics import RunResult
 from ..sim.request import OpType
 from .inline import PackerStats
@@ -54,12 +53,8 @@ __all__ = [
     "KVRunResult",
     "kv_result_digest",
     "execute_kv_spec",
-    "run_kv_specs",
     "run_kv_ablation",
 ]
-
-#: Same pinned protocol as :data:`~repro.perf.spec._DIGEST_PROTOCOL`.
-_DIGEST_PROTOCOL = 4
 
 #: Store footprint over exported capacity (drive slack matters for GC,
 #: like the block profiles' ``fill_fraction``).
@@ -113,6 +108,12 @@ class KVSpec:
                 f"ablatable systems: {sorted(POOL_OFF_SYSTEM)}"
             ) from None
 
+    def execute(self) -> "KVRunResult":
+        return execute_kv_spec(self)
+
+    def prewarm(self) -> None:
+        """Nothing to share: a keyed run streams its own zoo traffic."""
+
 
 @dataclass(frozen=True)
 class KVRunResult:
@@ -139,19 +140,6 @@ class KVRunResult:
         if not counters.host_writes:
             return 0.0
         return counters.short_circuits / counters.host_writes
-
-
-def kv_result_digest(
-    result: RunResult, kv_counters: Dict[str, int]
-) -> str:
-    """Content hash over the device outcome *and* the store's counters,
-    so a jobs=1 / jobs=N divergence in either layer is caught."""
-    from ..perf.spec import result_digest
-
-    payload = (result_digest(result), sorted(kv_counters.items()))
-    return hashlib.sha256(
-        pickle.dumps(payload, protocol=_DIGEST_PROTOCOL)
-    ).hexdigest()
 
 
 def _apply_untimed(ftl, store: KVStore, stream) -> None:
@@ -212,28 +200,6 @@ def execute_kv_spec(spec: KVSpec) -> KVRunResult:
     )
 
 
-def _execute_kv_worker(spec: KVSpec) -> KVRunResult:
-    return execute_kv_spec(spec)
-
-
-def run_kv_specs(
-    specs: Sequence[KVSpec], jobs: Optional[int] = 1
-) -> List[KVRunResult]:
-    """Execute ``specs``, results in spec order (the run_specs contract:
-    ``jobs=1`` serial in-process; ``jobs=None``/``0`` all cores; each
-    cell a pure function of its spec, so fan-out is digest-identical)."""
-    jobs = resolve_jobs(jobs)
-    if jobs == 1 or len(specs) <= 1:
-        return [execute_kv_spec(spec) for spec in specs]
-    workers = min(jobs, len(specs))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(
-            _execute_kv_worker,
-            specs,
-            chunksize=pool_chunksize(len(specs), workers),
-        ))
-
-
 def run_kv_ablation(
     spec: KVSpec, jobs: Optional[int] = 1
 ) -> Tuple[KVRunResult, KVRunResult]:
@@ -244,6 +210,5 @@ def run_kv_ablation(
     and store, so the delta isolates exactly what revival buys under
     keyed traffic (the KV ablation cell of ``make bench`` tracks it).
     """
-    on_spec, off_spec = spec, spec.pool_off()
-    on, off = run_kv_specs([on_spec, off_spec], jobs=jobs)
+    on, off = run_specs([spec, spec.pool_off()], jobs=jobs)
     return on, off

@@ -10,8 +10,9 @@ The cost model (the reason this can live inside ``make lint``):
 * per-file fact extraction is the only part that touches an AST, and
   it is cached on disk keyed by content SHA-256 — a warm run touches
   only the dirty frontier (edited files);
-* a cold run can fan extraction out over a process pool (``--jobs``),
-  reusing the worker-count/chunk-size policy of :mod:`repro.perf`;
+* a cold run can fan extraction out over a process pool (``--jobs``)
+  through :func:`repro.perf.parallel.run_specs`, one small frozen job
+  per dirty file;
 * the whole-graph passes (taint fixpoint, hot-cone BFS, closure walks)
   are pure dict work over the summaries and re-run every time — they
   are the part that *must* see the whole program, and they are cheap.
@@ -86,18 +87,27 @@ class FlowReport:
         return " -> ".join(steps)
 
 
-def _extract_worker(
-    payload: Tuple[str, str, str, bool]
-) -> Tuple[str, dict]:
-    """Process-pool worker: parse + extract one file, return JSON facts.
+@dataclass(frozen=True)
+class _ExtractJob:
+    """One dirty file's fact extraction, as a ``run_specs`` job.
 
-    Top-level (picklable) on purpose; re-parses from source because AST
-    objects do not cross process boundaries.
+    Carries the source, not the tree: AST objects do not cross process
+    boundaries, so the worker re-parses.
     """
-    module, path, source, is_package = payload
-    tree = ast.parse(source, filename=path)
-    facts = extract_module_facts(module, path, tree, is_package)
-    return module, facts.to_dict()
+
+    module: str
+    path: str
+    source: str
+    is_package: bool
+
+    def execute(self) -> ModuleFacts:
+        tree = ast.parse(self.source, filename=self.path)
+        return extract_module_facts(
+            self.module, self.path, tree, self.is_package
+        )
+
+    def prewarm(self) -> None:
+        """Nothing to share with the workers."""
 
 
 def flow_report(program, options: Optional[FlowOptions] = None) -> FlowReport:
@@ -123,36 +133,21 @@ def flow_report(program, options: Optional[FlowOptions] = None) -> FlowReport:
         else:
             dirty.append((key, module))
 
-    jobs = 1
     if options.jobs is not None and len(dirty) >= _MIN_PARALLEL_FILES:
-        from repro.perf.parallel import resolve_jobs
+        from repro.perf.parallel import run_specs
 
-        jobs = resolve_jobs(options.jobs, tasks=len(dirty))
-
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.perf.parallel import pool_chunksize
-
-        payloads = [
-            (m.name, m.path, m.source, m.is_package) for _key, m in dirty
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            extracted = dict(pool.map(
-                _extract_worker, payloads,
-                chunksize=pool_chunksize(len(payloads), jobs),
-            ))
-        for key, module in dirty:
-            facts = ModuleFacts.from_dict(extracted[module.name])
-            cache.put(key, facts)
-            facts_by_module[module.name] = facts
+        extracted = run_specs([
+            _ExtractJob(m.name, m.path, m.source, m.is_package)
+            for _key, m in dirty
+        ], jobs=options.jobs)
     else:
-        for key, module in dirty:
-            facts = extract_module_facts(
-                module.name, module.path, module.tree, module.is_package
-            )
-            cache.put(key, facts)
-            facts_by_module[module.name] = facts
+        extracted = [
+            extract_module_facts(m.name, m.path, m.tree, m.is_package)
+            for _key, m in dirty
+        ]
+    for (key, module), facts in zip(dirty, extracted):
+        cache.put(key, facts)
+        facts_by_module[module.name] = facts
 
     table = build_symbol_table(facts_by_module.values())
     graph = CallGraph.build(table)

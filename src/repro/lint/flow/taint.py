@@ -6,9 +6,10 @@ Classic summary-based taint propagation over the call graph:
   facts — wall clock, global ``random`` draws, ``os.environ``,
   ``id()``/``hash()``, unordered set iteration;
 * **sinks** are the digest/fingerprint/record surfaces that must stay
-  bit-exact: ``result_digest``, ``kv_result_digest``, fleet/session
-  digests, the ``Fingerprint`` constructors, and the ``repro.api``
-  record builders.
+  bit-exact: the :mod:`repro.perf.spec` digests (``result_digest``,
+  ``kv_result_digest``, ``digest_of_digests`` and its ``repro.api``
+  name ``session_digest``), the ``Fingerprint`` constructors, and the
+  ``repro.api`` record builders.
 
 Each function gets a summary: which sources reach its return/yield
 values (with the call path from the source), which parameters flow to
@@ -42,7 +43,7 @@ __all__ = ["SINK_NAMES", "TaintFinding", "analyze_taint"]
 #: Callable tail names whose arguments must be deterministic.  Matched
 #: on the final path component so re-exports and method calls both hit.
 SINK_NAMES = frozenset({
-    "result_digest", "kv_result_digest", "fleet_digest",
+    "result_digest", "kv_result_digest", "digest_of_digests",
     "session_digest", "fingerprint_of_value", "fingerprint_of_bytes",
     "Fingerprint", "record_from_run", "aggregate_record",
     "write_golden", "save_golden",

@@ -8,9 +8,11 @@ into a parallel one without changing a single result bit:
   workload's trace is generated once per matrix instead of once per cell.
 - :mod:`.snapshot` — prefill snapshot/restore: precondition once per
   (FTL family, config, profile), then rehydrate sibling runs by copy.
-- :mod:`.spec` / :mod:`.parallel` — picklable :class:`RunSpec` cells and
-  a ``ProcessPoolExecutor`` fan-out with ordered deterministic collection
-  (``jobs=N`` is digest-identical to ``jobs=1``).
+- :mod:`.spec` / :mod:`.parallel` — picklable :class:`RunSpec` cells,
+  the run digests, and the repo's one ``ProcessPoolExecutor`` fan-out
+  over any job with ``execute()``/``prewarm()``, with ordered
+  deterministic collection (``jobs=N`` is digest-identical to
+  ``jobs=1``).
 
 :mod:`.bench` drives the tracked ``BENCH_matrix.json`` harness on top.
 
@@ -25,13 +27,13 @@ from typing import TYPE_CHECKING
 
 __all__ = [
     "RunSpec",
+    "digest_of_digests",
     "execute_spec",
-    "execute_spec_timed",
+    "kv_result_digest",
     "result_digest",
     "pool_chunksize",
     "resolve_jobs",
     "run_specs",
-    "run_specs_timed",
     "TraceCache",
     "profile_cache_key",
     "default_trace_cache",
@@ -44,13 +46,13 @@ __all__ = [
 
 _EXPORTS = {
     "RunSpec": ".spec",
+    "digest_of_digests": ".spec",
     "execute_spec": ".spec",
-    "execute_spec_timed": ".spec",
+    "kv_result_digest": ".spec",
     "result_digest": ".spec",
     "pool_chunksize": ".parallel",
     "resolve_jobs": ".parallel",
     "run_specs": ".parallel",
-    "run_specs_timed": ".parallel",
     "TraceCache": ".trace_cache",
     "profile_cache_key": ".trace_cache",
     "default_trace_cache": ".trace_cache",
@@ -63,17 +65,13 @@ _EXPORTS = {
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from .bench import run_benchmark, write_benchmark
-    from .parallel import (
-        pool_chunksize,
-        resolve_jobs,
-        run_specs,
-        run_specs_timed,
-    )
+    from .parallel import pool_chunksize, resolve_jobs, run_specs
     from .snapshot import PrefillCache, default_prefill_cache
     from .spec import (
         RunSpec,
+        digest_of_digests,
         execute_spec,
-        execute_spec_timed,
+        kv_result_digest,
         result_digest,
     )
     from .trace_cache import (

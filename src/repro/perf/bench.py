@@ -1,19 +1,27 @@
-"""Tracked matrix benchmark: times canonical runs, emits BENCH_matrix.json.
+"""Tracked benchmark: times canonical runs, emits BENCH_matrix.json.
 
-The harness runs one canonical slice of the evaluation matrix twice from
-cold caches — once serially with per-cell timings, once fanned out over
-worker processes — verifies the two paths produced digest-identical
-:class:`~repro.sim.metrics.RunResult`s, and writes a JSON report.  The
-report is committed (``BENCH_matrix.json`` at the repo root, refreshed by
-``make bench``), so the perf trajectory of the engine is tracked in git
-history from this PR onward.
+The report has one section per result shape the paper reports: the
+systems × workloads ``matrix``, the sharded ``fleet`` with its pool-mode
+comparison, and the ``kv`` pool on/off ablation.  A section is a list
+of :func:`~repro.perf.parallel.run_specs` jobs plus its extras, and one
+runner, :func:`bench_section`, times every section the same way:
+
+* every cell serially, best of three cold legs (both process caches are
+  cleared before each leg, so timings include all setup);
+* the whole list once more through ``run_specs`` on the worker pool;
+* ``identical_results`` — both legs minted the same cell digests.
+
+Every cell carries its ``id``, ``serial_seconds``, ``requests``,
+``digest`` and its ``repro.api/v1`` ``record``.  The report is committed
+(``BENCH_matrix.json`` at the repo root, refreshed by ``make bench``),
+so the perf trajectory of the engine is tracked in git history.
 
 Timings are wall-clock and machine-dependent; the *speedup* and the
 ``identical_results`` flag are the portable signals.  Where a process
 pool cannot win — a single-core box, or cells so short that fork and
-pickling overheads dominate — the harness runs the second leg serially
-and marks the report ``serial_fallback: true`` instead of committing a
-sub-1× speedup.  A fast matrix is not a parallelism failure; a slow
+pickling overheads dominate — the second leg runs serially and the
+section is marked ``serial_fallback: true`` instead of committing a
+sub-1× speedup.  A fast section is not a parallelism failure; a slow
 pool would be, so that case is made explicit rather than silent.
 """
 
@@ -24,9 +32,10 @@ import json
 import os
 import platform
 import time
-from typing import Dict, List, Optional, Sequence
+from dataclasses import replace
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-from .parallel import resolve_jobs, run_specs, run_specs_timed
+from .parallel import resolve_jobs, run_specs
 from .snapshot import default_prefill_cache
 from .spec import RunSpec, result_digest
 from .trace_cache import default_trace_cache
@@ -43,13 +52,13 @@ __all__ = [
     "DEFAULT_KV_SCALE",
     "KV_BENCH_WORKLOADS",
     "KV_BENCH_SYSTEM",
+    "bench_section",
+    "default_sections",
     "run_benchmark",
-    "run_fleet_benchmark",
-    "run_kv_benchmark",
     "write_benchmark",
 ]
 
-BENCH_SCHEMA = "repro.perf.bench_matrix/v1"
+BENCH_SCHEMA = "repro.perf.bench_matrix/v2"
 
 #: The canonical slice: a heavy-dedup trace (mail), a popularity-skewed
 #: one (web) and the deepest cold region (desktop), against the paper's
@@ -62,8 +71,11 @@ CANONICAL_SYSTEMS = ("baseline", "mq-dvp", "dedup")
 DEFAULT_BENCH_SCALE = 0.05
 
 #: Mean per-cell serial seconds below which the pool leg is not worth
-#: its fork/pickle overhead and the harness falls back to serial.
+#: its fork/pickle overhead and the section falls back to serial.
 SERIAL_FALLBACK_THRESHOLD_S = 0.2
+
+#: Cold serial legs per section; each cell records its fastest.
+SERIAL_REPEATS = 3
 
 #: The tracked fleet cell: the heaviest-dedup workload on the headline
 #: system, sharded 4 ways.  The scale is chosen GC-bound (hundreds of
@@ -84,6 +96,34 @@ DEFAULT_FLEET_SCALE = 0.2
 KV_BENCH_WORKLOADS = ("ycsb-a", "ycsb-b")
 KV_BENCH_SYSTEM = "mq-dvp"
 DEFAULT_KV_SCALE = 0.5
+
+
+def default_sections() -> Dict[str, List[Any]]:
+    """The tracked sections' job lists, in report order."""
+    from ..fleet import FleetSpec
+    from ..kv import KVSpec
+
+    fleet = FleetSpec(
+        workload=FLEET_BENCH_WORKLOAD,
+        system=FLEET_BENCH_SYSTEM,
+        shards=DEFAULT_FLEET_SHARDS,
+        scale=DEFAULT_FLEET_SCALE,
+    )
+    kv = [
+        KVSpec(workload=workload, system=KV_BENCH_SYSTEM,
+               scale=DEFAULT_KV_SCALE)
+        for workload in KV_BENCH_WORKLOADS
+    ]
+    return {
+        "matrix": [
+            RunSpec(workload=workload, system=system,
+                    scale=DEFAULT_BENCH_SCALE)
+            for workload in CANONICAL_WORKLOADS
+            for system in CANONICAL_SYSTEMS
+        ],
+        "fleet": [fleet.shard(index) for index in range(fleet.shards)],
+        "kv": [leg for on in kv for leg in (on, on.pool_off())],
+    }
 
 
 def _clear_caches() -> None:
@@ -119,103 +159,111 @@ def _calibrate(repeats: int = 3) -> float:
     return best
 
 
-def run_benchmark(
-    workloads: Sequence[str] = CANONICAL_WORKLOADS,
-    systems: Sequence[str] = CANONICAL_SYSTEMS,
-    scale: float = DEFAULT_BENCH_SCALE,
-    paper_pool_entries: int = 200_000,
-    jobs: Optional[int] = None,
-    serial_repeats: int = 3,
-) -> Dict:
-    """Time the canonical matrix serially and in parallel; return the report.
-
-    ``jobs=None`` uses every core for the parallel leg.  Both legs start
-    from cold in-memory caches; the serial leg records per-cell seconds
-    (best of ``serial_repeats`` cold legs — the noise-stable statistic
-    the regression gate compares), the parallel leg records end-to-end
-    wall time.  Digests of every cell are compared across legs —
-    ``identical_results`` must be true.
-
-    When the pool cannot plausibly win (one core, or cells cheaper than
-    :data:`SERIAL_FALLBACK_THRESHOLD_S` on average), the second leg runs
-    serially too and the report carries ``serial_fallback: true``.
-    """
-    jobs = resolve_jobs(jobs)
-    specs = [
-        RunSpec(
-            workload=workload,
-            system=system,
-            paper_pool_entries=paper_pool_entries,
-            scale=scale,
-        )
-        for workload in workloads
-        for system in systems
-    ]
-
+def _serial_leg(specs: Sequence[Any], seconds: List[float]) -> List[Any]:
+    """Run ``specs`` in-process from cold caches; append each cell's wall
+    seconds to ``seconds``, apart from the results — timings must never
+    reach a digest."""
     _clear_caches()
-    serial_start = time.perf_counter()
-    serial = run_specs_timed(specs, jobs=1)
-    serial_seconds = time.perf_counter() - serial_start
-    # Per-cell times are best-of-N over identical cold legs: single-shot
-    # 0.2 s timings jitter ±20% on shared boxes, which would false-fire
-    # the harness's 15% regression gate.  The min is the stable statistic.
-    cell_seconds = [seconds for _, seconds in serial]
-    for _ in range(max(serial_repeats, 1) - 1):
-        _clear_caches()
-        repeat = run_specs_timed(specs, jobs=1)
-        cell_seconds = [
-            min(best, seconds)
-            for best, (_, seconds) in zip(cell_seconds, repeat)
-        ]
+    results = []
+    for spec in specs:
+        start = time.perf_counter()
+        results.append(spec.execute())
+        seconds.append(time.perf_counter() - start)
+    return results
+
+
+def _cell_id(spec: Any) -> str:
+    """The key the gate matches a cell against its tracked self by."""
+    fleet = getattr(spec, "fleet", None)
+    if fleet is not None:
+        return f"{fleet.workload}/{fleet.system}/shard{spec.index}of{fleet.shards}"
+    return f"{spec.workload}/{spec.system}"
+
+
+def _scale(spec: Any) -> float:
+    fleet = getattr(spec, "fleet", None)
+    return fleet.scale if fleet is not None else spec.scale
+
+
+def _digest(result: Any) -> str:
+    """A cell's digest: a keyed run carries its own, the rest hash their
+    :class:`~repro.sim.metrics.RunResult`."""
+    from ..kv import KVRunResult
+
+    if isinstance(result, KVRunResult):
+        return result.digest
+    return result_digest(result)
+
+
+def _cell(spec: Any, result: Any) -> Dict[str, Any]:
+    """A cell's identity and outcome (its timing is added by the caller)."""
+    from ..api import record_from_kv_run, record_from_run
+    from ..kv import KVRunResult
+
+    digest = _digest(result)
+    if isinstance(result, KVRunResult):
+        run, record = result.result, record_from_kv_run(result)
+    else:
+        run = result
+        record = record_from_run(result, kind="bench.cell", digest=digest)
+    return {
+        "id": _cell_id(spec),
+        "requests": run.reads.count + run.writes.count,
+        "digest": digest,
+        "record": record.to_dict(),
+    }
+
+
+#: A section's extras: ``(specs, serial results, second-leg jobs)`` →
+#: keys merged into the section.
+Extras = Callable[[Sequence[Any], List[Any], int], Dict[str, Any]]
+
+
+def bench_section(
+    specs: Sequence[Any],
+    jobs: Optional[int] = None,
+    extras: Optional[Extras] = None,
+) -> Dict[str, Any]:
+    """Time one section's jobs serially and fanned out; return it.
+
+    Per-cell ``serial_seconds`` are best of :data:`SERIAL_REPEATS` cold legs
+    — single-shot 0.2 s timings jitter ±20% on shared boxes, which would
+    false-fire the harness's regression gate; the min is the stable
+    statistic.  The section's ``serial_seconds`` is the first leg's.
+
+    When the pool cannot plausibly win (``jobs`` resolves to 1, one
+    core, or cells cheaper than :data:`SERIAL_FALLBACK_THRESHOLD_S` on
+    average), the second leg runs serially too and the section carries
+    ``serial_fallback: true`` and no speedup.
+    """
+    jobs = resolve_jobs(jobs, tasks=len(specs))
+    first: List[float] = []
+    serial = _serial_leg(specs, first)
+    best = list(first)
+    for _ in range(SERIAL_REPEATS - 1):
+        repeat: List[float] = []
+        _serial_leg(specs, repeat)
+        best = [min(a, b) for a, b in zip(best, repeat)]
+    serial_seconds = sum(first)
 
     serial_fallback = (
         jobs == 1
         or (os.cpu_count() or 1) == 1
         or serial_seconds / len(specs) < SERIAL_FALLBACK_THRESHOLD_S
     )
+    leg_jobs = 1 if serial_fallback else jobs
     _clear_caches()
     parallel_start = time.perf_counter()
-    parallel = run_specs(specs, jobs=1 if serial_fallback else jobs)
+    parallel = run_specs(specs, jobs=leg_jobs)
     parallel_seconds = time.perf_counter() - parallel_start
 
-    serial_digests = [result_digest(result) for result, _ in serial]
-    parallel_digests = [result_digest(result) for result in parallel]
-
-    from ..api import record_from_run
-
-    cells: List[Dict] = []
-    for spec, (result, _), seconds, digest in zip(
-        specs, serial, cell_seconds, serial_digests
-    ):
-        cells.append(
-            {
-                "workload": spec.workload,
-                "system": spec.system,
-                "paper_pool_entries": spec.paper_pool_entries,
-                "serial_seconds": round(seconds, 6),
-                "requests": result.reads.count + result.writes.count,
-                "digest": digest,
-                # The cell's outcome in the unified repro.api/v1 shape.
-                # The regression gate ignores it (timing keys above stay
-                # authoritative), so older reports remain comparable.
-                "record": record_from_run(
-                    result, kind="bench.cell", digest=digest
-                ).to_dict(),
-            }
-        )
-
-    return {
-        "schema": BENCH_SCHEMA,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
-            timespec="seconds"
-        ),
-        "scale": scale,
+    cells = [
+        dict(_cell(spec, result), serial_seconds=round(seconds, 6))
+        for spec, result, seconds in zip(specs, serial, best)
+    ]
+    section = {
+        "scale": _scale(specs[0]),
         "jobs": jobs,
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "cells": cells,
-        "calibration_seconds": round(_calibrate(), 6),
         "serial_seconds": round(serial_seconds, 6),
         "parallel_seconds": round(parallel_seconds, 6),
         "serial_fallback": serial_fallback,
@@ -224,199 +272,106 @@ def run_benchmark(
         "speedup": round(serial_seconds / parallel_seconds, 3)
         if parallel_seconds > 1e-6 and not serial_fallback
         else None,
-        "identical_results": serial_digests == parallel_digests,
+        "identical_results": (
+            [cell["digest"] for cell in cells]
+            == [_digest(result) for result in parallel]
+        ),
+        "cells": cells,
     }
+    if extras is not None:
+        section.update(extras(specs, serial, leg_jobs))
+    return section
 
 
-def run_fleet_benchmark(
-    shards: int = DEFAULT_FLEET_SHARDS,
-    jobs: Optional[int] = None,
-    scale: float = DEFAULT_FLEET_SCALE,
-    workload: str = FLEET_BENCH_WORKLOAD,
-    system: str = FLEET_BENCH_SYSTEM,
-) -> Dict:
-    """Time the fleet cell serially and fanned out; return its report.
+def _fleet_extras(
+    specs: Sequence[Any], results: List[Any], jobs: int
+) -> Dict[str, Any]:
+    """The fleet aggregate plus the shared-vs-per-drive pool comparison."""
+    from ..fleet.fleet import aggregate_fleet, run_fleet
 
-    Unlike the matrix leg (many short cells), the fleet leg is ``shards``
-    *long-lived* drives: one worker per shard, each replaying its whole
-    slice of the trace.  Serial and parallel legs must mint identical
-    per-shard digest tuples; the shared-vs-per-drive pool comparison
-    rides along (aggregate flash programs under both modes), reusing the
-    serial run as the per-drive data point.
-
-    The same fallback rule as the matrix applies: on a single core, with
-    ``jobs=1``, or when a shard is too cheap to amortise a fork, the
-    second leg runs serially and the section is marked
-    ``serial_fallback`` rather than recording a meaningless ratio.
-    """
-    from dataclasses import replace as dc_replace
-
-    from ..fleet import FleetSpec, run_fleet
-
-    jobs = resolve_jobs(jobs, tasks=shards)
-    spec = FleetSpec(
-        workload=workload, system=system, shards=shards, scale=scale
-    )
-
-    _clear_caches()
-    serial_start = time.perf_counter()
-    serial = run_fleet(spec, jobs=1)
-    serial_seconds = time.perf_counter() - serial_start
-
-    serial_fallback = (
-        jobs == 1
-        or (os.cpu_count() or 1) == 1
-        or serial_seconds / shards < SERIAL_FALLBACK_THRESHOLD_S
-    )
-    _clear_caches()
-    parallel_start = time.perf_counter()
-    parallel = run_fleet(spec, jobs=1 if serial_fallback else jobs)
-    parallel_seconds = time.perf_counter() - parallel_start
-
+    spec = specs[0].fleet
+    fleet = aggregate_fleet(spec, results, jobs=1)
     # Pool-mode comparison point: same fleet, shared budget (the
-    # fleet-wide-pool upper bound).  Untimed — the warm trace cache is
-    # fine here — and run with the same effective jobs as the second leg.
-    shared = run_fleet(
-        dc_replace(spec, pool_mode="shared"),
-        jobs=1 if serial_fallback else jobs,
-    )
-
+    # fleet-wide-pool upper bound).  Untimed, with the second leg's jobs.
+    shared = run_fleet(replace(spec, pool_mode="shared"), jobs=jobs)
     return {
-        "workload": workload,
-        "system": system,
-        "shards": shards,
-        "scale": scale,
-        "jobs": parallel.jobs,
-        "serial_seconds": round(serial_seconds, 6),
-        "parallel_seconds": round(parallel_seconds, 6),
-        "serial_fallback": serial_fallback,
-        "speedup": round(serial_seconds / parallel_seconds, 3)
-        if parallel_seconds > 1e-6 and not serial_fallback
-        else None,
-        "identical_results": serial.shard_digests == parallel.shard_digests,
-        "shard_digests": list(serial.shard_digests),
-        "fleet_digest": serial.fleet_digest,
-        "requests": serial.host_writes + serial.host_reads,
-        "write_amplification": round(serial.write_amplification, 6),
-        "revival_rate": round(serial.revival_rate, 6),
-        "imbalance_cv": round(serial.imbalance_cv, 6),
+        "fleet_digest": fleet.fleet_digest,
+        "aggregate": {
+            "requests": fleet.host_writes + fleet.host_reads,
+            "write_amplification": round(fleet.write_amplification, 6),
+            "revival_rate": round(fleet.revival_rate, 6),
+            "imbalance_cv": round(fleet.imbalance_cv, 6),
+        },
         "pool_modes": {
-            "per-drive": serial.flash_programs,
+            "per-drive": fleet.flash_programs,
             "shared": shared.flash_programs,
         },
     }
 
 
-def run_kv_benchmark(
-    workloads: Sequence[str] = KV_BENCH_WORKLOADS,
-    system: str = KV_BENCH_SYSTEM,
-    scale: float = DEFAULT_KV_SCALE,
-    jobs: Optional[int] = None,
-) -> Dict:
-    """Time the KV ablation cells serially and fanned out; return the
-    section.
+def _kv_extras(
+    specs: Sequence[Any], results: List[Any], jobs: int
+) -> Dict[str, Any]:
+    """Each workload's pool on/off deltas (the cells are on/off pairs)."""
 
-    Each workload runs twice — pool on (``system``) and its
-    :data:`~repro.ftl.dvp_ftl.POOL_OFF_SYSTEM` counterpart — so the
-    tracked numbers are the keyed revival rate and the flash writes the
-    pool saves, not just wall time.  The serial and parallel legs must
-    mint identical digest lists (``identical_results``), the same
-    engine-determinism contract as the matrix and fleet sections.
-    """
-    from ..kv import KVSpec, run_kv_specs
+    def flash_writes(kv) -> int:
+        return kv.result.counters.programs + kv.result.counters.gc_relocations
 
-    specs = []
-    for workload in workloads:
-        on = KVSpec(workload=workload, system=system, scale=scale)
-        specs.extend([on, on.pool_off()])
-    jobs = resolve_jobs(jobs, tasks=len(specs))
-
-    serial_start = time.perf_counter()
-    serial = []
-    cell_seconds = []
-    for spec in specs:
-        cell_start = time.perf_counter()
-        serial.append(run_kv_specs([spec], jobs=1)[0])
-        cell_seconds.append(time.perf_counter() - cell_start)
-    serial_seconds = time.perf_counter() - serial_start
-
-    serial_fallback = (
-        jobs == 1
-        or (os.cpu_count() or 1) == 1
-        or serial_seconds / len(specs) < SERIAL_FALLBACK_THRESHOLD_S
-    )
-    parallel_start = time.perf_counter()
-    parallel = run_kv_specs(specs, jobs=1 if serial_fallback else jobs)
-    parallel_seconds = time.perf_counter() - parallel_start
-
-    serial_digests = [kv.digest for kv in serial]
-    parallel_digests = [kv.digest for kv in parallel]
-
-    cells: List[Dict] = []
-    for index, workload in enumerate(workloads):
-        on, off = serial[2 * index], serial[2 * index + 1]
-        on_writes = (on.result.counters.programs
-                     + on.result.counters.gc_relocations)
-        off_writes = (off.result.counters.programs
-                      + off.result.counters.gc_relocations)
-        cells.append({
-            "workload": workload,
-            "system": system,
+    return {"deltas": [
+        {
+            "workload": on.spec.workload,
+            "system": on.spec.system,
             "system_off": off.spec.system,
-            "serial_seconds": round(
-                cell_seconds[2 * index] + cell_seconds[2 * index + 1], 6
-            ),
-            "requests": (
-                on.result.reads.count + on.result.writes.count
-            ),
-            "digest_on": on.digest,
-            "digest_off": off.digest,
             "revival_rate": round(on.revival_rate, 6),
             "write_amplification_on": round(on.write_amplification, 6),
             "write_amplification_off": round(off.write_amplification, 6),
-            "flash_writes_saved": off_writes - on_writes,
-        })
+            "flash_writes_saved": flash_writes(off) - flash_writes(on),
+        }
+        for on, off in zip(results[::2], results[1::2])
+    ]}
 
+
+#: Section name → its extras; sections not named here have none.
+SECTION_EXTRAS: Dict[str, Extras] = {
+    "fleet": _fleet_extras,
+    "kv": _kv_extras,
+}
+
+
+def run_benchmark(
+    sections: Optional[Mapping[str, Sequence[Any]]] = None,
+    jobs: Optional[int] = None,
+) -> Dict[str, Any]:
+    """Time every section (default: :func:`default_sections`); return
+    the report.  ``jobs=None`` uses every core for the parallel legs."""
+    if sections is None:
+        sections = default_sections()
+    jobs = resolve_jobs(jobs)
+    timed = {
+        name: bench_section(specs, jobs, extras=SECTION_EXTRAS.get(name))
+        for name, specs in sections.items()
+    }
     return {
-        "system": system,
-        "scale": scale,
+        "schema": BENCH_SCHEMA,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
+            timespec="seconds"
+        ),
         "jobs": jobs,
-        "serial_seconds": round(serial_seconds, 6),
-        "parallel_seconds": round(parallel_seconds, 6),
-        "serial_fallback": serial_fallback,
-        "speedup": round(serial_seconds / parallel_seconds, 3)
-        if parallel_seconds > 1e-6 and not serial_fallback
-        else None,
-        "identical_results": serial_digests == parallel_digests,
-        "cells": cells,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "calibration_seconds": round(_calibrate(), 6),
+        "sections": timed,
     }
 
 
 def write_benchmark(
     path: str = "BENCH_matrix.json",
-    fleet_shards: Optional[int] = None,
-    fleet_scale: float = DEFAULT_FLEET_SCALE,
-    kv: bool = False,
-    kv_scale: float = DEFAULT_KV_SCALE,
-    **kwargs,
-) -> Dict:
-    """Run the benchmark and write the report to ``path``; returns it.
-
-    ``fleet_shards`` (``None`` = skip) appends the tracked fleet section
-    to the report; ``kv`` appends the tracked KV ablation section.  Both
-    extra legs run with the matrix leg's ``jobs``.
-    """
-    report = run_benchmark(**kwargs)
-    if fleet_shards is not None:
-        report["fleet"] = run_fleet_benchmark(
-            shards=fleet_shards,
-            jobs=kwargs.get("jobs"),
-            scale=fleet_scale,
-        )
-    if kv:
-        report["kv"] = run_kv_benchmark(
-            jobs=kwargs.get("jobs"), scale=kv_scale,
-        )
+    sections: Optional[Mapping[str, Sequence[Any]]] = None,
+    jobs: Optional[int] = None,
+) -> Dict[str, Any]:
+    """Run the benchmark and write the report to ``path``; returns it."""
+    report = run_benchmark(sections, jobs)
     with open(path, "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")

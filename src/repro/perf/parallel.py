@@ -1,45 +1,40 @@
-"""Process-pool fan-out over run specs with deterministic collection.
+"""The one process-pool fan-out, with deterministic collection.
 
-``run_specs`` is the single entry point the matrix, replication and CLI
-layers share.  Results come back **in spec order** regardless of which
-worker finished first (``Executor.map`` preserves input order), and each
-cell is a pure function of its spec, so ``jobs=N`` is observably identical
-to ``jobs=1`` — the determinism tests compare digests across both paths.
+``run_specs`` runs every kind of job the repo fans out — matrix
+:class:`~repro.perf.spec.RunSpec` cells, fleet
+:class:`~repro.fleet.ShardSpec` shards, :class:`~repro.kv.KVSpec` keyed
+runs, lint fact extraction.  A job is any picklable object with two
+methods:
 
-Workers are plain module-level functions (picklable by reference).  Two
-parent-side prewarms run before the pool spawns so workers never repeat
-shared setup:
+* ``execute()`` — run it and return its result (a pure function of the
+  job, so ``jobs=N`` is observably identical to ``jobs=1`` — the
+  determinism tests compare digests across both paths);
+* ``prewarm()`` — fill the parent's shared caches before the pool forks
+  (a matrix cell generates its trace and captures its family prefill
+  snapshot, a shard generates the fleet trace, the rest do nothing).
 
-* traces for the distinct profiles are generated once into the trace
-  cache, and
-* prefill snapshots for the distinct (family, config, profile) triples
-  are captured once into the prefill cache —
+Results come back **in job order** regardless of which worker finished
+first (``Executor.map`` preserves input order).  ``prewarm`` runs only on
+the pool path: under the default ``fork`` start method on Linux the
+children inherit the warm caches copy-on-write and skip generation *and*
+the per-page prefill loop entirely.  (Under ``spawn`` each worker redoes
+the work — results are identical either way, it only costs time; this is
+why the first fan-out used to run *slower* than serial: every worker paid
+the prefill that the serial path amortised across cells.)
 
-under the default ``fork`` start method on Linux the children inherit
-both warm caches copy-on-write and skip generation *and* the per-page
-prefill loop entirely.  (Under ``spawn`` each worker redoes the work —
-results are identical either way, it only costs time; this is why the
-first fan-out used to run *slower* than serial: every worker paid the
-prefill that the serial path amortised across cells.)
-
-Cells are dispatched in contiguous chunks (one chunk per worker when the
-spec list divides evenly) rather than one task per cell: a worker runs
-its whole chunk in-process, so its local caches stay warm across the
-chunk's cells and per-task dispatch overhead is paid per chunk.
+Jobs are dispatched in contiguous chunks (one chunk per worker when the
+job list divides evenly) rather than one task per job: a worker runs its
+whole chunk in-process, so its local caches stay warm across the chunk
+and per-task dispatch overhead is paid per chunk.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence
 
-from ..sim.metrics import RunResult
-from .snapshot import default_prefill_cache
-from .spec import RunSpec, execute_spec, execute_spec_timed
-from .trace_cache import default_trace_cache
-
-__all__ = ["pool_chunksize", "resolve_jobs", "run_specs", "run_specs_timed"]
+__all__ = ["pool_chunksize", "resolve_jobs", "run_specs"]
 
 
 def resolve_jobs(jobs: Optional[int], tasks: Optional[int] = None) -> int:
@@ -76,87 +71,27 @@ def pool_chunksize(task_count: int, workers: int) -> int:
     return max(1, task_count // workers)
 
 
-def _prewarm_traces(specs: Sequence[RunSpec]) -> None:
-    """Generate each distinct trace once in the parent process."""
-    cache = default_trace_cache()
-    seen = set()
-    for spec in specs:
-        profile = spec.profile()
-        key = (profile.name, profile.seed, spec.scale)
-        if key not in seen:
-            seen.add(key)
-            cache.get(profile)
+def _execute(spec: Any) -> Any:
+    return spec.execute()
 
 
-def _prewarm_prefills(specs: Sequence[RunSpec]) -> None:
-    """Capture each distinct family prefill snapshot once in the parent.
-
-    Runs after :func:`_prewarm_traces` (contexts hit the warm trace
-    cache).  Forked workers inherit the snapshots and restore by copy
-    instead of each repeating the per-page prefill loop — the fix for
-    the parallel leg benchmarking *slower* than serial.
-    """
-    cache = default_prefill_cache()
-    for spec in specs:
-        context = spec.context()
-        cache.warm(
-            spec.system,
-            context.config,
-            context.profile,
-            spec.paper_pool_entries,
-        )
-
-
-def _run_spec_worker(spec: RunSpec) -> RunResult:
-    return execute_spec(spec)
-
-
-def _run_spec_timed_worker(spec: RunSpec) -> Tuple[RunResult, float]:
-    return execute_spec_timed(spec)
-
-
-def run_specs(
-    specs: Sequence[RunSpec], jobs: Optional[int] = 1
-) -> List[RunResult]:
+def run_specs(specs: Sequence[Any], jobs: Optional[int] = 1) -> List[Any]:
     """Execute ``specs``, returning results in spec order.
 
-    ``jobs=1`` (the default) runs serially in-process — no pool, no
-    pickling, observability intact.  ``jobs=None``/``0`` uses every core.
-    An explicit ``jobs>1`` always uses the pool (the determinism tests
-    rely on ``jobs=2`` actually exercising the parallel path).
+    ``jobs=1`` (the default) runs serially in-process — no prewarm, no
+    pool, no pickling, observability intact.  ``jobs=None``/``0`` uses
+    every core.  An explicit ``jobs>1`` always uses the pool (the
+    determinism tests rely on ``jobs=2`` actually exercising the
+    parallel path); workers are capped at the spec count.
     """
-    jobs = resolve_jobs(jobs)
+    jobs = resolve_jobs(jobs, tasks=len(specs))
     if jobs == 1 or len(specs) <= 1:
-        return [execute_spec(spec) for spec in specs]
-    _prewarm_traces(specs)
-    _prewarm_prefills(specs)
-    workers = min(jobs, len(specs))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [spec.execute() for spec in specs]
+    for spec in specs:
+        spec.prewarm()
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(
             pool.map(
-                _run_spec_worker,
-                specs,
-                chunksize=pool_chunksize(len(specs), workers),
-            )
-        )
-
-
-def run_specs_timed(
-    specs: Sequence[RunSpec], jobs: Optional[int] = 1
-) -> List[Tuple[RunResult, float]]:
-    """Like :func:`run_specs` but pairs each result with its cell's
-    wall-clock seconds (as measured inside the worker)."""
-    jobs = resolve_jobs(jobs)
-    if jobs == 1 or len(specs) <= 1:
-        return [execute_spec_timed(spec) for spec in specs]
-    _prewarm_traces(specs)
-    _prewarm_prefills(specs)
-    workers = min(jobs, len(specs))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(
-            pool.map(
-                _run_spec_timed_worker,
-                specs,
-                chunksize=pool_chunksize(len(specs), workers),
+                _execute, specs, chunksize=pool_chunksize(len(specs), jobs)
             )
         )

@@ -5,33 +5,43 @@ system, paper pool label, scale, optional seed override and queue depth.
 It is frozen, hashable and (unlike an :class:`~repro.experiments.runner.
 ExperimentContext`, which drags a materialised trace along) cheap to
 pickle, so a matrix fans out to worker processes as a flat list of specs
-and each worker rebuilds its context from the shared caches.
+and each worker rebuilds its context from the shared caches.  Like every
+job :func:`~repro.perf.parallel.run_specs` ships, it has ``execute()``
+(run the cell) and ``prewarm()`` (fill the parent's caches before the
+pool forks).
 
-:func:`result_digest` is the bit-identity oracle: it hashes the *complete*
-observable outcome of a run — every counter and the exact latency sample
-sequences, not summary statistics — under a pinned pickle protocol, so a
-digest match between a serial and a parallel run means the runs were
-indistinguishable.
+The digests live here too (the two content hashes share one pinned
+pickle protocol):
+
+* :func:`result_digest` is the bit-identity oracle: it hashes the
+  *complete* observable outcome of a run — every counter and the exact
+  latency sample sequences, not summary statistics — so a digest match
+  between a serial and a parallel run means the runs were
+  indistinguishable;
+* :func:`kv_result_digest` adds a keyed run's store counters;
+* :func:`digest_of_digests` is the identity of an ordered digest list —
+  a fleet's shards, a serve session's shards, a KV on/off pair.
 """
 
 from __future__ import annotations
 
 import hashlib
 import pickle
-import time
 from dataclasses import asdict, dataclass, replace
-from typing import Optional, Tuple
+from typing import Dict, Optional, Sequence
 
 from ..experiments.config import DEFAULT_SCALE, RunConfig
 from ..experiments.runner import ExperimentContext, run_system
 from ..faults.model import FaultConfig
 from ..sim.metrics import RunResult
 from ..traces.profiles import WorkloadProfile, profile_by_name
+from .snapshot import default_prefill_cache
 
 __all__ = [
     "RunSpec",
+    "digest_of_digests",
     "execute_spec",
-    "execute_spec_timed",
+    "kv_result_digest",
     "result_digest",
 ]
 
@@ -109,6 +119,21 @@ class RunSpec:
             self.workload, self.scale, seed=self.seed
         )
 
+    def execute(self) -> RunResult:
+        return execute_spec(self)
+
+    def prewarm(self) -> None:
+        """Generate the trace and capture the family prefill snapshot.
+
+        Forked workers inherit both caches copy-on-write and restore by
+        copy instead of each repeating the per-page prefill loop.
+        """
+        context = self.context()
+        default_prefill_cache().warm(
+            self.system, context.config, context.profile,
+            self.paper_pool_entries,
+        )
+
 
 def execute_spec(spec: RunSpec, reuse_prefill: bool = True) -> RunResult:
     """Run one cell.  Pure function of the spec — the determinism tests
@@ -120,16 +145,6 @@ def execute_spec(spec: RunSpec, reuse_prefill: bool = True) -> RunResult:
         spec.context(),
         config=spec.run_config(reuse_prefill=reuse_prefill),
     )
-
-
-def execute_spec_timed(
-    spec: RunSpec, reuse_prefill: bool = True
-) -> Tuple[RunResult, float]:
-    """Run one cell and report its wall-clock seconds (cache costs
-    included — the first cell of a family pays generation/prefill)."""
-    start = time.perf_counter()
-    result = execute_spec(spec, reuse_prefill=reuse_prefill)
-    return result, time.perf_counter() - start
 
 
 def result_digest(result: RunResult) -> str:
@@ -158,3 +173,21 @@ def result_digest(result: RunResult) -> str:
     return hashlib.sha256(
         pickle.dumps(payload, protocol=_DIGEST_PROTOCOL)
     ).hexdigest()
+
+
+def kv_result_digest(
+    result: RunResult, kv_counters: Dict[str, int]
+) -> str:
+    """Content hash over the device outcome *and* a keyed run's store
+    counters, so a jobs=1 / jobs=N divergence in either layer is caught."""
+    payload = (result_digest(result), sorted(kv_counters.items()))
+    return hashlib.sha256(
+        pickle.dumps(payload, protocol=_DIGEST_PROTOCOL)
+    ).hexdigest()
+
+
+def digest_of_digests(digests: Sequence[str]) -> str:
+    """Digest of an ordered digest list: the fleet and serve-session
+    identity (and a KV ablation pair's)."""
+    payload = "\n".join(digests).encode("ascii")
+    return hashlib.sha256(payload).hexdigest()

@@ -14,6 +14,8 @@ from repro.experiments.runner import (
     run_matrix,
     run_system,
 )
+from repro.fleet import FleetSpec
+from repro.kv import KVSpec
 from repro.perf.parallel import run_specs
 from repro.perf.spec import RunSpec, execute_spec, result_digest
 from repro.perf.trace_cache import TraceCache
@@ -84,13 +86,26 @@ class TestRunDeterminism:
         assert result_digest(base) != result_digest(reseeded)
 
 
+def _digest(result):
+    # A keyed run carries its own digest; matrix cells and fleet shards
+    # return a plain RunResult.
+    return getattr(result, "digest", None) or result_digest(result)
+
+
 class TestParallelDeterminism:
     def test_serial_vs_parallel_specs(self):
-        specs = [
-            RunSpec(w, s, scale=SCALE) for w in WORKLOADS for s in SYSTEMS
-        ]
-        serial = [result_digest(r) for r in run_specs(specs, jobs=1)]
-        parallel = [result_digest(r) for r in run_specs(specs, jobs=2)]
+        """Every job kind through the one fan-out: matrix cells, KV runs
+        and fleet shards in a single mixed spec list."""
+        fleet = FleetSpec(workload="web", system="mq-dvp", shards=2,
+                          scale=SCALE)
+        specs = (
+            [RunSpec(w, s, scale=SCALE) for w in WORKLOADS for s in SYSTEMS]
+            + [KVSpec(workload="ycsb-a", system=s, scale=SCALE)
+               for s in ("mq-dvp", "baseline")]
+            + [fleet.shard(index) for index in range(fleet.shards)]
+        )
+        serial = [_digest(r) for r in run_specs(specs, jobs=1)]
+        parallel = [_digest(r) for r in run_specs(specs, jobs=2)]
         assert serial == parallel
 
     def test_serial_vs_parallel_matrix(self):

@@ -7,9 +7,16 @@ across any worker count.  Chunked stepping must also be invisible: the
 chunk size only bounds batch memory, never the outcome.
 """
 
+import os
+
 import pytest
 
+import repro.fleet.fleet as fleet_mod
+import repro.perf.spec as perf_spec
 from repro.fleet import FleetSpec, execute_shard, run_fleet
+from repro.fleet.aggregate import aggregate_fleet
+from repro.kv import kv_result_digest
+from repro.perf.parallel import run_specs
 from repro.perf.spec import result_digest
 
 SCALE = 0.02
@@ -85,3 +92,53 @@ class TestFleetCoverage:
         )
         context = ExperimentContext.for_workload("mail", SCALE)
         assert one.shard_requests == (len(context.trace),)
+
+
+@pytest.mark.fleet_smoke
+class TestFanOutBinding:
+    """``run_fleet`` is ``run_specs`` over shard jobs plus
+    ``aggregate_fleet``, and the functions it reaches are looked up at
+    call time — the traced bench patches them the same way."""
+
+    def test_run_fleet_is_aggregate_over_run_specs(self):
+        shards = [SPEC.shard(i) for i in range(SPEC.shards)]
+        by_parts = aggregate_fleet(SPEC, run_specs(shards, jobs=2), jobs=2)
+        fleet = run_fleet(SPEC, jobs=2)
+        assert fleet.jobs == by_parts.jobs == 2
+        assert fleet.shard_digests == by_parts.shard_digests
+        assert fleet.fleet_digest == by_parts.fleet_digest
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_patched_execute_shard_runs_for_every_shard(
+        self, jobs, monkeypatch, tmp_path
+    ):
+        original = fleet_mod.execute_shard
+
+        def marking(spec):
+            (tmp_path / f"shard{spec.index}").write_text(str(os.getpid()))
+            return original(spec)
+
+        monkeypatch.setattr(fleet_mod, "execute_shard", marking)
+        run_fleet(SPEC, jobs=jobs)
+        pids = [
+            int((tmp_path / f"shard{i}").read_text())
+            for i in range(SPEC.shards)
+        ]
+        if jobs == 1:
+            assert set(pids) == {os.getpid()}
+        else:  # the wrapper ran inside the forked workers
+            assert os.getpid() not in pids
+
+    def test_patched_result_digest_reaches_shards_and_kv(self, monkeypatch):
+        original = perf_spec.result_digest
+        calls = []
+
+        def counting(result):
+            calls.append(result.workload)
+            return original(result)
+
+        monkeypatch.setattr(perf_spec, "result_digest", counting)
+        fleet = run_fleet(SPEC, jobs=1)
+        assert calls == [r.workload for r in fleet.shard_results]
+        kv_result_digest(fleet.shard_results[0], {"puts": 1})
+        assert len(calls) == SPEC.shards + 1

@@ -8,8 +8,8 @@ from repro.kv import (
     execute_kv_spec,
     kv_result_digest,
     run_kv_ablation,
-    run_kv_specs,
 )
+from repro.perf.parallel import run_specs
 
 #: Small enough for CI, large enough to exercise GC/repack/revival.
 SMOKE_SCALE = 0.05
@@ -85,8 +85,8 @@ class TestKVParallelDeterminism:
             for workload in ("ycsb-a", "trim-heavy")
             for system in ("mq-dvp", "baseline")
         ]
-        serial = run_kv_specs(specs, jobs=1)
-        parallel = run_kv_specs(specs, jobs=2)
+        serial = run_specs(specs, jobs=1)
+        parallel = run_specs(specs, jobs=2)
         assert [kv.digest for kv in serial] == \
             [kv.digest for kv in parallel]
         assert [kv.kv_counters for kv in serial] == \
@@ -97,5 +97,5 @@ class TestKVParallelDeterminism:
             KVSpec(workload=workload, system="mq-dvp", scale=SMOKE_SCALE)
             for workload in ("ycsb-b", "ycsb-a")
         ]
-        results = run_kv_specs(specs, jobs=2)
+        results = run_specs(specs, jobs=2)
         assert [kv.spec.workload for kv in results] == ["ycsb-b", "ycsb-a"]

@@ -12,7 +12,7 @@ import pytest
 
 from repro.perf.bench import run_benchmark, write_benchmark
 from repro.perf.parallel import pool_chunksize, resolve_jobs, run_specs
-from repro.perf.spec import RunSpec, result_digest
+from repro.perf.spec import RunSpec, digest_of_digests, result_digest
 
 SCALE = 0.004
 SPECS = [
@@ -39,33 +39,70 @@ class TestPerfSmoke:
 
     def test_bench_report_shape(self):
         report = run_benchmark(
-            workloads=("web",),
-            systems=("baseline", "mq-dvp"),
-            scale=SCALE,
+            sections={"matrix": [
+                RunSpec("web", system, scale=SCALE)
+                for system in ("baseline", "mq-dvp")
+            ]},
             jobs=2,
         )
-        assert report["schema"] == "repro.perf.bench_matrix/v1"
-        assert report["identical_results"] is True
-        assert len(report["cells"]) == 2
-        for cell in report["cells"]:
+        assert report["schema"] == "repro.perf.bench_matrix/v2"
+        (section,) = report["sections"].values()
+        assert section["identical_results"] is True
+        assert section["scale"] == SCALE
+        assert [c["id"] for c in section["cells"]] == [
+            "web/baseline", "web/mq-dvp",
+        ]
+        for cell in section["cells"]:
             assert cell["serial_seconds"] >= 0
             assert cell["requests"] > 0
             assert len(cell["digest"]) == 64
-        assert report["serial_seconds"] > 0
-        assert report["parallel_seconds"] > 0
+            assert cell["record"]["digest"] == cell["digest"]
+        assert section["serial_seconds"] > 0
+        assert section["parallel_seconds"] > 0
 
     def test_write_benchmark_emits_json(self, tmp_path):
         path = tmp_path / "BENCH_matrix.json"
         write_benchmark(
             str(path),
-            workloads=("web",),
-            systems=("baseline",),
-            scale=SCALE,
+            sections={"matrix": [RunSpec("web", "baseline", scale=SCALE)]},
             jobs=2,
         )
         report = json.loads(path.read_text())
-        assert report["schema"] == "repro.perf.bench_matrix/v1"
-        assert report["identical_results"] is True
+        assert report["schema"] == "repro.perf.bench_matrix/v2"
+        assert report["sections"]["matrix"]["identical_results"] is True
+
+    def test_every_section_kind_times_uniform_cells(self):
+        """Fleet shards and KV legs are cells like matrix cells, and each
+        section adds its extras."""
+        from repro.fleet import FleetSpec
+        from repro.kv import KVSpec
+
+        fleet = FleetSpec(workload="web", system="mq-dvp", shards=2,
+                          scale=SCALE)
+        on = KVSpec(workload="ycsb-a", system="mq-dvp", scale=SCALE)
+        report = run_benchmark(
+            sections={
+                "fleet": [fleet.shard(i) for i in range(fleet.shards)],
+                "kv": [on, on.pool_off()],
+            },
+            jobs=2,
+        )
+        fleet_section = report["sections"]["fleet"]
+        kv_section = report["sections"]["kv"]
+        assert [c["id"] for c in fleet_section["cells"]] == [
+            "web/mq-dvp/shard0of2", "web/mq-dvp/shard1of2",
+        ]
+        assert fleet_section["fleet_digest"] == digest_of_digests(
+            [c["digest"] for c in fleet_section["cells"]]
+        )
+        assert set(fleet_section["pool_modes"]) == {"per-drive", "shared"}
+        assert [c["id"] for c in kv_section["cells"]] == [
+            "ycsb-a/mq-dvp", "ycsb-a/baseline",
+        ]
+        (delta,) = kv_section["deltas"]
+        assert delta["system_off"] == "baseline"
+        for section in (fleet_section, kv_section):
+            assert section["identical_results"] is True
 
 
 class TestResolveJobs:
