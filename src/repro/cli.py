@@ -57,9 +57,11 @@ subcommands.  Exit code 0 on success, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import cProfile
 import json
+import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .analysis.characterize import (
     invalidation_cdf,
@@ -127,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_obs_flags(run_p)
     run_p.add_argument(
         "--profile", action="store_true",
-        help="trace wall-clock spans (FTL write/read, GC) and print them",
+        help="run under cProfile and print self time by repro layer",
     )
     add_check_flags(run_p)
     add_fault_flags(run_p)
@@ -387,20 +389,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     obs = build_obs(args)
     if obs is None:
         return 2
-    tracer = None
-    if args.profile:
-        from .obs import Tracer
-
-        tracer = Tracer()
+    config = RunConfig(
+        paper_pool_entries=args.pool, scale=args.scale,
+        observer=obs.observer, faults=faults, **check_kwargs(args),
+    )
+    profiler = cProfile.Profile() if args.profile else None
     try:
-        result = run_system(
-            args.system, context,
-            config=RunConfig(
-                paper_pool_entries=args.pool, scale=args.scale,
-                observer=obs.observer, registry=obs.registry, tracer=tracer,
-                faults=faults, **check_kwargs(args),
-            ),
-        )
+        if profiler is not None:
+            result = profiler.runcall(
+                run_system, args.system, context, config=config
+            )
+        else:
+            result = run_system(args.system, context, config=config)
     finally:
         obs.close()
     if args.json:
@@ -416,17 +416,35 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if obs.observer is not None:
         print(f"observability: {obs.observer.sample_count} samples "
               f"-> {args.obs}", file=sys.stderr)
-    if tracer is not None:
-        print(render_table(
-            ["span", "count", "total (s)", "mean (us)", "max (us)"],
-            [
-                (name, s["count"], f"{s['total_s']:.3f}",
-                 f"{s['mean_us']:.1f}", f"{s['max_us']:.1f}")
-                for name, s in tracer.summary().items()
-            ],
-            title="wall-clock profile",
-        ))
+    if profiler is not None:
+        print(_layer_profile(profiler))
     return 0
+
+
+def _layer_profile(profiler: cProfile.Profile) -> str:
+    """Fold a profile's self time by ``repro.<subpackage>``; builtins,
+    top-level ``repro`` modules and foreign code count as ``other``."""
+    root = os.path.dirname(__file__) + os.sep
+    layers: Dict[str, List[float]] = {}
+    for entry in profiler.getstats():
+        path = getattr(entry.code, "co_filename", "")
+        rest = path[len(root):] if path.startswith(root) else ""
+        layer = rest.split(os.sep)[0] if os.sep in rest else "other"
+        totals = layers.setdefault(layer, [0, 0.0])
+        totals[0] += entry.callcount
+        totals[1] += entry.inlinetime
+    whole = sum(self_s for _, self_s in layers.values()) or 1.0
+    return render_table(
+        ["layer", "calls", "self (s)", "share (%)"],
+        [
+            (layer, int(calls), f"{self_s:.3f}",
+             f"{100 * self_s / whole:.1f}")
+            for layer, (calls, self_s) in sorted(
+                layers.items(), key=lambda kv: (-kv[1][1], kv[0])
+            )
+        ],
+        title="cProfile self time by layer",
+    )
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:

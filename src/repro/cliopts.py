@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .faults.model import FaultConfig
     from .obs.export import JsonlWriter
-    from .obs.registry import MetricRegistry
     from .obs.sampler import TimeSeriesSampler
 
 __all__ = [
@@ -188,7 +187,7 @@ def fault_config_or_none(args: argparse.Namespace) -> Optional["FaultConfig"]:
 
 @dataclass
 class ObsSetup:
-    """The live observability trio the ``--obs`` group builds.
+    """The live sampler/writer pair the ``--obs`` group builds.
 
     ``close()`` is safe to call unconditionally (and more than once);
     callers wrap the run in ``try/finally`` around it.
@@ -196,7 +195,6 @@ class ObsSetup:
 
     observer: Optional["TimeSeriesSampler"] = None
     writer: Optional["JsonlWriter"] = None
-    registry: Optional["MetricRegistry"] = None
 
     def close(self) -> None:
         if self.writer is not None:
@@ -205,7 +203,7 @@ class ObsSetup:
 
 
 def build_obs(args: argparse.Namespace) -> Optional[ObsSetup]:
-    """Build the sampler/writer/registry for the ``--obs`` flags.
+    """Build the sampler/writer for the ``--obs`` flags.
 
     Returns an empty :class:`ObsSetup` when ``--obs`` was not given and
     ``None`` on a flag error (after printing it — the caller exits 2).
@@ -214,14 +212,12 @@ def build_obs(args: argparse.Namespace) -> Optional[ObsSetup]:
     """
     if not args.obs:
         return ObsSetup()
-    from .obs import JsonlWriter, MetricRegistry, TimeSeriesSampler
+    from .obs import JsonlWriter, TimeSeriesSampler
 
-    registry = MetricRegistry()
     try:
         observer = TimeSeriesSampler(
             interval_requests=args.obs_interval,
             interval_us=args.obs_interval_us,
-            registry=registry,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -232,4 +228,4 @@ def build_obs(args: argparse.Namespace) -> Optional[ObsSetup]:
         print(f"error: cannot open --obs file: {exc}", file=sys.stderr)
         return None
     observer.sink = writer
-    return ObsSetup(observer=observer, writer=writer, registry=registry)
+    return ObsSetup(observer=observer, writer=writer)

@@ -94,16 +94,6 @@ class AdaptiveMQDeadValuePool(MQDeadValuePool):
     def capacity(self) -> int:
         return self._mq.capacity
 
-    def register_metrics(self, registry) -> None:
-        """Adaptive-capacity gauges on top of the MQ ones."""
-        super().register_metrics(registry)
-        registry.gauge("pool.capacity", lambda: self.capacity)
-        registry.gauge("pool.resizes_up", lambda: self.resizes_up)
-        registry.gauge("pool.resizes_down", lambda: self.resizes_down)
-        registry.gauge(
-            "pool.capacity_high_water", lambda: self.capacity_high_water
-        )
-
     def lookup_for_write(self, fp: Fingerprint, now: int) -> Optional[int]:
         hit = super().lookup_for_write(fp, now)
         self._tick()

@@ -430,15 +430,6 @@ class MQDeadValuePool(PoolBase):
         """The underlying multi-queue (exposed for tests and reports)."""
         return self._mq
 
-    def register_metrics(self, registry) -> None:
-        """Register MQ gauges with a :class:`~repro.obs.MetricRegistry`."""
-        registry.gauge("mq.promotions", lambda: self._mq.promotions)
-        registry.gauge("mq.demotions", lambda: self._mq.demotions)
-        registry.gauge("mq.evictions", lambda: self._mq.evictions)
-        registry.gauge(
-            "mq.hottest_interval", lambda: self._mq.hottest_interval
-        )
-
     def lookup_for_write(self, fp: Fingerprint, now: int) -> Optional[int]:
         self.stats.lookups += 1
         entry = self._mq.get(fp)

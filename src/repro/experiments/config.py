@@ -11,11 +11,8 @@ no place to put new knobs (the fault layer added three more).
 a run needs beyond its identity (workload/system stay positional — they
 *name* the run; the config describes *how* to run it).  It is immutable,
 so one instance can safely be shared across a whole matrix, and —
-``observer``/``registry``/``tracer`` aside — picklable, so
-``RunSpec.from_config`` can ship it to worker processes.
-
-The old kwargs still work for one release and raise
-``DeprecationWarning``; see README's migration notes.
+``observer`` aside — picklable, so ``RunSpec.from_config`` can ship it
+to worker processes.
 """
 
 from __future__ import annotations
@@ -27,9 +24,7 @@ from typing import TYPE_CHECKING, Optional
 from ..faults.model import FaultConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs.registry import MetricRegistry
     from ..obs.sampler import TimeSeriesSampler
-    from ..obs.tracer import Tracer
 
 __all__ = ["DEFAULT_SCALE", "RunConfig"]
 
@@ -54,8 +49,6 @@ class RunConfig:
         A :class:`~repro.obs.TimeSeriesSampler` attached to the device for
         the measured window.  Holds callbacks — not picklable, so configs
         carrying one cannot fan out to worker processes.
-    registry / tracer:
-        Wired through :meth:`~repro.ftl.ftl.BaseFTL.attach_observability`.
     reuse_prefill:
         Precondition via the process prefill cache (bit-identical to a
         direct prefill; the determinism tests enforce it).
@@ -91,8 +84,6 @@ class RunConfig:
     scale: float = DEFAULT_SCALE
     queue_depth: Optional[int] = None
     observer: Optional["TimeSeriesSampler"] = None
-    registry: Optional["MetricRegistry"] = None
-    tracer: Optional["Tracer"] = None
     reuse_prefill: bool = True
     jobs: int = 1
     faults: Optional[FaultConfig] = None
@@ -128,10 +119,6 @@ class RunConfig:
 
     @property
     def picklable(self) -> bool:
-        """Whether this config can cross a process boundary (observers,
-        registries and tracers hold live callbacks and cannot)."""
-        return (
-            self.observer is None
-            and self.registry is None
-            and self.tracer is None
-        )
+        """Whether this config can cross a process boundary (an observer
+        holds live callbacks and cannot)."""
+        return self.observer is None

@@ -133,7 +133,7 @@ class Device:
         """Attach the optional layers and construct the timing device.
 
         Order matters and is the historical ``run_system`` order: faults,
-        observability, checker — all after preconditioning — then the
+        then checker — both after preconditioning — then the
         :class:`SimulatedSSD` with the config's queue depth and observer.
         """
         if self.ftl is None:
@@ -142,12 +142,8 @@ class Device:
             from ..faults.model import FaultModel
 
             self.ftl.attach_faults(FaultModel(config.faults))
-        if config.registry is not None or config.tracer is not None:
-            self.ftl.attach_observability(
-                registry=config.registry, tracer=config.tracer
-            )
         if config.checking:
-            # Attached after preconditioning (like faults/observability) so
+            # Attached after preconditioning (like faults) so
             # prefill snapshots stay checker-free and the audited baseline
             # is the preconditioned drive.  Checking never mutates FTL
             # state, so the run's digest is identical with or without it.

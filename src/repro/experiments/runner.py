@@ -169,11 +169,9 @@ def run_system(
     ``config.observer`` (a :class:`~repro.obs.TimeSeriesSampler`) is
     attached after preconditioning so samples cover only the measured
     trace window; a final sample is forced at the run horizon so short
-    traces always produce at least one record.  ``registry``/``tracer``
-    are wired through :meth:`BaseFTL.attach_observability`, and
-    ``config.faults`` attaches a fresh seeded
-    :class:`~repro.faults.FaultModel` — also post-precondition, so the
-    prefill snapshot cache stays fault-free.
+    traces always produce at least one record.  ``config.faults``
+    attaches a fresh seeded :class:`~repro.faults.FaultModel` — also
+    post-precondition, so the prefill snapshot cache stays fault-free.
 
     With ``config.reuse_prefill`` (the default) preconditioning goes
     through the process prefill cache: the first run of an FTL family
@@ -227,7 +225,7 @@ def run_matrix(
     if cfg.jobs != 1:
         if not cfg.picklable:
             raise ValueError(
-                "a RunConfig carrying an observer/registry/tracer cannot "
+                "a RunConfig carrying an observer cannot "
                 "fan out to worker processes; use jobs=1"
             )
         from ..perf.parallel import run_specs

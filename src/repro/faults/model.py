@@ -224,26 +224,3 @@ class FaultModel:
         self.stats.read_errors += 1
         self.stats.read_retries += rounds
         return rounds
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-
-    def register_metrics(self, registry) -> None:
-        """Expose the fault counters as gauges on a
-        :class:`~repro.obs.MetricRegistry` (sampled per snapshot)."""
-        stats = self.stats
-        registry.gauge(
-            "faults.program_failures", lambda: stats.program_failures
-        )
-        registry.gauge("faults.rejected_writes", lambda: stats.rejected_writes)
-        registry.gauge("faults.erase_failures", lambda: stats.erase_failures)
-        registry.gauge("faults.read_errors", lambda: stats.read_errors)
-        registry.gauge("faults.read_retries", lambda: stats.read_retries)
-        registry.gauge("faults.retired_blocks", lambda: stats.retired_blocks)
-        registry.gauge("faults.remaps", lambda: stats.remaps)
-        registry.gauge("faults.crashes", lambda: stats.crashes)
-        registry.gauge("faults.recoveries", lambda: stats.recovery_count)
-        registry.gauge(
-            "faults.mean_recovery_us", lambda: stats.mean_recovery_us
-        )

@@ -142,8 +142,6 @@ def crash_and_recover(
     if ftl.faults is not None:
         ftl.faults.stats.crashes += 1
         ftl.faults.stats.recovery_times_us.append(recovery_us)
-    if ftl._registry is not None:
-        ftl._registry.histogram("faults.recovery_us").observe(recovery_us)
     return RecoveryReport(
         at_us=at_us,
         scanned_pages=scanned,

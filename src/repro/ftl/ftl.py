@@ -183,10 +183,6 @@ class BaseFTL:
             pool.drop_listener = self._clear_garbage_pop
         self.counters = FTLCounters()
         self.write_clock = 0
-        #: Optional :class:`~repro.obs.Tracer`; ``attach_observability``
-        #: sets it.  ``None`` keeps the hot path branch-predictable.
-        self.tracer = None
-        self._registry = None
         #: Optional :class:`~repro.check.InvariantChecker`
         #: (``attach_checker`` sets it).  ``None`` keeps the hot paths to
         #: one identity check per operation.
@@ -235,46 +231,6 @@ class BaseFTL:
         return self._block_garbage_pop.get(block_global, 0)
 
     # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-
-    def attach_observability(self, registry=None, tracer=None) -> "BaseFTL":
-        """Wire a :class:`~repro.obs.MetricRegistry` and/or
-        :class:`~repro.obs.Tracer` into the FTL, its collector and pool.
-
-        Safe to call on a live FTL; with both arguments ``None`` it is a
-        no-op.  Returns ``self`` for chaining.
-        """
-        if tracer is not None:
-            self.tracer = tracer
-            self.gc.tracer = tracer
-        if registry is not None:
-            registry.gauge(
-                "ftl.free_blocks",
-                lambda: sum(len(b) for b in self.allocator.free_blocks),
-            )
-            registry.gauge("ftl.write_clock", lambda: self.write_clock)
-            registry.gauge("gc.invocations", lambda: self.gc.invocations)
-            if self.pool is not None:
-                registry.gauge("pool.occupancy", lambda: len(self.pool))
-                registry.gauge(
-                    "pool.tracked_ppns",
-                    lambda: self.pool.tracked_ppn_count(),
-                )
-                register = getattr(self.pool, "register_metrics", None)
-                if register is not None:
-                    register(registry)
-            self._registry = registry
-            if self.faults is not None:
-                self.faults.register_metrics(registry)
-                registry.gauge(
-                    "faults.spares_remaining",
-                    lambda: self.badblocks.spares_remaining,
-                )
-                registry.gauge("faults.read_only", lambda: int(self.read_only))
-        return self
-
-    # ------------------------------------------------------------------
     # Fault injection (repro.faults)
     # ------------------------------------------------------------------
 
@@ -304,15 +260,6 @@ class BaseFTL:
             plane_of_block=geometry.plane_of_block,
             planes=geometry.total_planes,
         )
-        if self._registry is not None:
-            model.register_metrics(self._registry)
-            self._registry.gauge(
-                "faults.spares_remaining",
-                lambda: self.badblocks.spares_remaining,
-            )
-            self._registry.gauge(
-                "faults.read_only", lambda: int(self.read_only)
-            )
         return self
 
     def enter_read_only(self) -> None:
@@ -326,10 +273,9 @@ class BaseFTL:
     def attach_checker(self, checker) -> "BaseFTL":
         """Arm an :class:`~repro.check.InvariantChecker` on a live FTL.
 
-        Like ``attach_faults``/``attach_observability``, safe to call
-        after preconditioning: the checker (and its oracle, if any)
-        adopts the current state as the audited baseline.  Returns
-        ``self`` for chaining.
+        Like ``attach_faults``, safe to call after preconditioning: the
+        checker (and its oracle, if any) adopts the current state as the
+        audited baseline.  Returns ``self`` for chaining.
         """
         self.checker = checker
         self.gc.checker = checker
@@ -342,12 +288,6 @@ class BaseFTL:
 
     def write(self, lpn: int, fp: Fingerprint) -> WriteOutcome:
         """Service one 4KB host write of content ``fp`` at ``lpn``."""
-        if self.tracer is not None:
-            with self.tracer.span("ftl.write"):
-                return self._write_impl(lpn, fp)
-        return self._write_impl(lpn, fp)
-
-    def _write_impl(self, lpn: int, fp: Fingerprint) -> WriteOutcome:
         self._check_lpn(lpn)
         self.write_clock += 1
         self.counters.host_writes += 1
@@ -419,12 +359,6 @@ class BaseFTL:
 
     def read(self, lpn: int) -> ReadOutcome:
         """Service one 4KB host read."""
-        if self.tracer is not None:
-            with self.tracer.span("ftl.read"):
-                return self._read_impl(lpn)
-        return self._read_impl(lpn)
-
-    def _read_impl(self, lpn: int) -> ReadOutcome:
         self._check_lpn(lpn)
         self.counters.host_reads += 1
         ppn = self.mapping.lookup(lpn)

@@ -182,9 +182,6 @@ class GarbageCollector:
         #: levelling shapes preference, never correctness.
         self.wear_guard = wear_guard
         self.invocations = 0
-        #: Optional :class:`~repro.obs.Tracer` wrapping collection passes
-        #: in a ``gc.collect`` span (set via ``BaseFTL.attach_observability``).
-        self.tracer = None
         #: Optional :class:`~repro.check.InvariantChecker` postcondition
         #: hook (set via ``BaseFTL.attach_checker``).
         self.checker = None
@@ -235,11 +232,7 @@ class GarbageCollector:
             return _NO_WORK
         work = GCWork()
         self.invocations += 1
-        if self.tracer is not None:
-            with self.tracer.span("gc.collect"):
-                self._collect_to_watermark(plane, work)
-        else:
-            self._collect_to_watermark(plane, work)
+        self._collect_to_watermark(plane, work)
         if self.checker is not None:
             self.checker.after_gc(self.delegate, plane, work)
         return work

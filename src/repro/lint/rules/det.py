@@ -66,10 +66,10 @@ def _dotted(node: ast.expr, aliases: Dict[str, str]) -> Optional[str]:
 
 @register_rule
 class WallClockRule(ModuleRule):
-    """No wall-clock reads outside the observability and perf layers.
+    """No wall-clock reads outside the perf layer.
 
     Simulated time comes from the event engine; wall time exists only to
-    be *reported* (tracer spans, bench timings).  A wall-clock read
+    be *reported* (bench timings).  A wall-clock read
     anywhere else eventually ends up compared, logged into a digest-
     relevant structure, or used to break a tie — and the runs stop being
     replayable.
@@ -77,11 +77,11 @@ class WallClockRule(ModuleRule):
 
     code = "det.wallclock"
     summary = (
-        "wall-clock read (time.*/datetime.now) outside repro.obs/repro.perf"
+        "wall-clock read (time.*/datetime.now) outside repro.perf"
     )
 
     #: Modules whose job is measuring wall time.
-    allowed_prefixes: Tuple[str, ...] = ("repro.obs", "repro.perf")
+    allowed_prefixes: Tuple[str, ...] = ("repro.perf",)
 
     banned = frozenset({
         "time.time", "time.time_ns",
@@ -112,7 +112,7 @@ class WallClockRule(ModuleRule):
                     f"wall-clock read {name}() outside "
                     f"{'/'.join(self.allowed_prefixes)}; simulated time "
                     "comes from the engine, wall time only from the "
-                    "obs/perf layers",
+                    "perf layer",
                 )
 
 

@@ -1,48 +1,24 @@
-"""Observability: metrics, time series and tracing for the simulator.
+"""Observability: time series of the simulator's internal state.
 
 The evaluation sections of the paper reason about *internal* dynamics —
 pool occupancy over time, MQ queue-length distributions, GC pressure and
 cumulative write amplification — not just end-of-run aggregates.  This
-package provides that visibility without touching the hot paths when it
-is switched off:
+package provides that visibility without touching the FTL hot paths:
 
-:class:`MetricRegistry`
-    Named counters and gauges subsystems register cheaply.  A disabled
-    registry hands out a shared no-op counter, so instrumented code pays
-    one attribute check and nothing else.
 :class:`TimeSeriesSampler`
-    Snapshots pool/MQ/FTL/GC state every N host requests or M simulated
-    microseconds and appends one JSON object per sample to a sink
-    (see :class:`JsonlWriter`).  DESIGN.md documents the schema.
-:class:`Tracer`
-    Span-based wall-clock profiler for the FTL write/read/GC paths and
-    the DES event loop.  Disabled tracers hand out a shared no-op span.
+    Snapshots FTL/GC/pool/MQ/fault state every N host requests or M
+    simulated microseconds by reading the device directly, and appends
+    one JSON object per sample to a sink (see :class:`JsonlWriter`).
+    DESIGN.md documents the schema.  Without a sampler the only cost is
+    the device's one ``observer is not None`` check per request.
 :class:`JsonlWriter`
     Line-per-object JSON sink used by the ``--obs`` CLI flag.
+
+Wall-clock attribution is not kept here: ``repro run --profile`` runs
+under the standard library's :mod:`cProfile`.
 """
 
 from .export import JsonlWriter, read_jsonl
-from .registry import (
-    NULL_COUNTER,
-    NULL_HISTOGRAM,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-)
 from .sampler import TimeSeriesSampler
-from .tracer import SpanStats, Tracer
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricRegistry",
-    "NULL_COUNTER",
-    "NULL_HISTOGRAM",
-    "TimeSeriesSampler",
-    "Tracer",
-    "SpanStats",
-    "JsonlWriter",
-    "read_jsonl",
-]
+__all__ = ["TimeSeriesSampler", "JsonlWriter", "read_jsonl"]

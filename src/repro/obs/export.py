@@ -8,7 +8,7 @@ directly to :class:`~repro.obs.sampler.TimeSeriesSampler` as its sink.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, IO, Iterator, List, Optional, Union
+from typing import Any, Dict, IO, List, Union
 
 __all__ = ["JsonlWriter", "read_jsonl"]
 
@@ -52,19 +52,7 @@ class JsonlWriter:
         self.close()
 
 
-def read_jsonl(path: str, limit: Optional[int] = None) -> List[Dict[str, Any]]:
+def read_jsonl(path: str) -> List[Dict[str, Any]]:
     """Load a JSONL file written by :class:`JsonlWriter`."""
-    out: List[Dict[str, Any]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in _lines(fh):
-            out.append(json.loads(line))
-            if limit is not None and len(out) >= limit:
-                break
-    return out
-
-
-def _lines(fh: IO[str]) -> Iterator[str]:
-    for line in fh:
-        line = line.strip()
-        if line:
-            yield line
+        return [json.loads(line) for line in fh if line.strip()]

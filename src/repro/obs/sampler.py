@@ -1,11 +1,11 @@
 """Time-series sampling of the simulator's internal state.
 
-The sampler is *pull-based*: it is attached to an FTL (and optionally a
-device and a :class:`~repro.obs.registry.MetricRegistry`), and every
-completed host request the device calls :meth:`on_request` with the
-current simulated time.  When the request- or time-interval elapses, one
-sample is collected and appended to ``samples`` (and to the sink, when
-one is configured — typically a :class:`~repro.obs.export.JsonlWriter`).
+The sampler is *pull-based*: it is attached to an FTL and reads the
+FTL, its pool and its fault model directly.  After every completed host
+request the device calls :meth:`on_request` with the current simulated
+time.  When the request- or time-interval elapses, one sample is
+collected and appended to ``samples`` (and to the sink, when one is
+configured — typically a :class:`~repro.obs.export.JsonlWriter`).
 
 Each sample is one flat-ish JSON object; the full schema is documented
 in DESIGN.md ("Observability") and asserted by ``tests/unit/test_obs.py``.
@@ -38,12 +38,6 @@ class TimeSeriesSampler:
     sink:
         Optional callable invoked with each sample dict as it is taken
         (e.g. a :class:`~repro.obs.export.JsonlWriter`).
-    registry:
-        Optional :class:`~repro.obs.registry.MetricRegistry` whose
-        snapshot is embedded under the ``"metrics"`` key of each sample.
-    keep_samples:
-        Retain samples in memory on ``self.samples`` (default).  Long
-        runs streaming to a sink can switch this off.
     """
 
     def __init__(
@@ -51,8 +45,6 @@ class TimeSeriesSampler:
         interval_requests: Optional[int] = DEFAULT_INTERVAL_REQUESTS,
         interval_us: Optional[float] = None,
         sink: Optional[Callable[[Dict[str, Any]], None]] = None,
-        registry: Optional[Any] = None,
-        keep_samples: bool = True,
     ):
         if interval_requests is None and interval_us is None:
             raise ValueError("need a request interval or a time interval")
@@ -63,8 +55,6 @@ class TimeSeriesSampler:
         self.interval_requests = interval_requests
         self.interval_us = interval_us
         self.sink = sink
-        self.registry = registry
-        self.keep_samples = keep_samples
         self.samples: List[Dict[str, Any]] = []
         self.sample_count = 0
         self._ftl = None
@@ -80,10 +70,6 @@ class TimeSeriesSampler:
         """Bind the sampler to the FTL whose state it snapshots."""
         self._ftl = ftl
         return self
-
-    @property
-    def requests_seen(self) -> int:
-        return self._requests
 
     # ------------------------------------------------------------------
     # Hot path
@@ -123,8 +109,7 @@ class TimeSeriesSampler:
         self._last_t_us = t_us
         self._requests_at_last = self._requests
         self.sample_count += 1
-        if self.keep_samples:
-            self.samples.append(sample)
+        self.samples.append(sample)
         if self.sink is not None:
             self.sink(sample)
         return sample
@@ -147,6 +132,8 @@ class TimeSeriesSampler:
             "invalidations": counters.invalidations,
             "gc_relocations": counters.gc_relocations,
             "gc_erases": counters.gc_erases,
+            "gc_invocations": ftl.gc.invocations,
+            "write_clock": ftl.write_clock,
             "write_amp": (
                 total_programs / host_writes if host_writes else 0.0
             ),
@@ -167,9 +154,13 @@ class TimeSeriesSampler:
                 "evicted_ppns": stats.evicted_ppns,
                 "gc_removals": stats.gc_removals,
             }
-            capacity = getattr(pool, "capacity", None)
-            if capacity is not None:
-                pool_view["capacity"] = capacity
+            for name in (
+                "capacity", "capacity_high_water", "resizes_up",
+                "resizes_down",
+            ):
+                value = getattr(pool, name, None)
+                if value is not None:
+                    pool_view[name] = value
             sample["pool"] = pool_view
             mq = getattr(pool, "mq", None)
             if mq is not None:
@@ -180,6 +171,10 @@ class TimeSeriesSampler:
                     "evictions": mq.evictions,
                     "hottest_interval": mq.hottest_interval,
                 }
-        if self.registry is not None:
-            sample["metrics"] = self.registry.snapshot()
+        faults = ftl.faults
+        if faults is not None:
+            fault_view: Dict[str, Any] = faults.stats.summary()
+            fault_view["spares_remaining"] = ftl.badblocks.spares_remaining
+            fault_view["read_only"] = ftl.read_only
+            sample["faults"] = fault_view
         return sample

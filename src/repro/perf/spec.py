@@ -76,9 +76,8 @@ class RunSpec:
         """The spec that runs ``(workload, system)`` under ``config``.
 
         Only the picklable, by-value parts of the config ride along
-        (``observer``/``registry``/``tracer`` are per-process live
-        objects; the caller attaches them on the receiving side if it
-        needs them).
+        (``observer`` is a per-process live object; the caller attaches
+        one on the receiving side if it needs it).
         """
         return cls(
             workload=workload,

@@ -61,9 +61,6 @@ class EventEngine:
         self.events_cancelled = 0
         self._pending = 0        # live (not-fired, not-cancelled) events
         self._dead_in_heap = 0   # cancelled events still in the heap
-        #: Optional :class:`~repro.obs.Tracer`; when set, each event
-        #: callback runs inside a ``des.event`` span.
-        self.tracer = None
 
     @property
     def now(self) -> float:
@@ -127,11 +124,7 @@ class EventEngine:
             self._now = event.time
             self.events_fired += 1
             self._pending -= 1
-            if self.tracer is not None:
-                with self.tracer.span("des.event"):
-                    event.callback()
-            else:
-                event.callback()
+            event.callback()
             return True
         return False
 

@@ -73,14 +73,8 @@ def test_wallclock_catches_aliases_and_from_imports(tmp_path):
     assert len(result.violations) == 3
 
 
-def test_wallclock_allowed_in_obs_and_perf(tmp_path):
+def test_wallclock_allowed_in_perf(tmp_path):
     result = lint_sources(tmp_path, {
-        "repro/obs/tracer.py": """
-            import time
-
-            def span():
-                return time.perf_counter()
-        """,
         "repro/perf/bench.py": """
             import time
 
@@ -89,6 +83,18 @@ def test_wallclock_allowed_in_obs_and_perf(tmp_path):
         """,
     }, select=["det.wallclock"])
     assert result.clean
+
+
+def test_wallclock_fires_in_obs(tmp_path):
+    result = lint_sources(tmp_path, {
+        "repro/obs/taps.py": """
+            import time
+
+            def stamp():
+                return time.perf_counter()
+        """,
+    }, select=["det.wallclock"])
+    assert codes_of(result) == ["det.wallclock"]
 
 
 # ---------------------------------------------------------------------------

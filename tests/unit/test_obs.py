@@ -7,20 +7,16 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.runner import ExperimentContext, RunConfig, run_system
-from repro.obs import (
-    JsonlWriter,
-    MetricRegistry,
-    NULL_COUNTER,
-    TimeSeriesSampler,
-    Tracer,
-    read_jsonl,
-)
+from repro.faults import FaultConfig
+from repro.obs import JsonlWriter, TimeSeriesSampler, read_jsonl
+from repro.perf.spec import result_digest
 
 #: Top-level fields every sample must carry (DESIGN.md, "Observability").
 SAMPLE_FIELDS = {
     "seq", "t_us", "requests", "host_writes", "host_reads", "programs",
     "flash_reads", "short_circuits", "dedup_hits", "invalidations",
-    "gc_relocations", "gc_erases", "write_amp", "free_blocks",
+    "gc_relocations", "gc_erases", "gc_invocations", "write_clock",
+    "write_amp", "free_blocks",
 }
 POOL_FIELDS = {
     "occupancy", "tracked_ppns", "lookups", "hits", "insertions",
@@ -30,69 +26,6 @@ MQ_FIELDS = {
     "queue_lengths", "promotions", "demotions", "evictions",
     "hottest_interval",
 }
-
-
-class TestMetricRegistry:
-    def test_counter_counts(self):
-        registry = MetricRegistry()
-        counter = registry.counter("x")
-        counter.inc()
-        counter.inc(4)
-        assert registry.snapshot() == {"x": 5}
-
-    def test_counter_handle_is_shared_by_name(self):
-        registry = MetricRegistry()
-        registry.counter("x").inc()
-        registry.counter("x").inc()
-        assert registry.counter("x").value == 2
-
-    def test_gauge_is_pull_based(self):
-        registry = MetricRegistry()
-        state = {"v": 1}
-        registry.gauge("g", lambda: state["v"])
-        state["v"] = 7
-        assert registry.snapshot()["g"] == 7
-
-    def test_disabled_registry_is_noop(self):
-        registry = MetricRegistry(enabled=False)
-        counter = registry.counter("x")
-        assert counter is NULL_COUNTER
-        counter.inc(100)
-        registry.gauge("g", lambda: 1)
-        assert registry.snapshot() == {}
-
-    def test_reset_counters(self):
-        registry = MetricRegistry()
-        registry.counter("x").inc(3)
-        registry.reset_counters()
-        assert registry.snapshot() == {"x": 0}
-
-
-class TestTracer:
-    def test_span_records_count_and_time(self):
-        tracer = Tracer()
-        for _ in range(3):
-            with tracer.span("work"):
-                pass
-        stats = tracer.stats("work")
-        assert stats.count == 3
-        assert stats.total_s >= 0.0
-        assert stats.max_s >= stats.mean_s
-
-    def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        with tracer.span("work"):
-            pass
-        assert tracer.stats("work") is None
-        assert tracer.summary() == {}
-
-    def test_summary_sorted_by_total_time(self):
-        tracer = Tracer()
-        with tracer.span("a"):
-            pass
-        summary = tracer.summary()
-        assert list(summary) == ["a"]
-        assert summary["a"]["count"] == 1
 
 
 class TestJsonlWriter:
@@ -211,36 +144,60 @@ class TestTimeTrigger:
             assert later["t_us"] >= earlier["t_us"]
 
 
-class TestRegistryAndTracerIntegration:
-    def test_registry_snapshot_embedded_in_samples(self):
-        context = ExperimentContext.for_workload("mail", 0.02)
-        registry = MetricRegistry()
-        sampler = TimeSeriesSampler(interval_requests=500, registry=registry)
-        run_system(
-            "adaptive-dvp", context,
-            RunConfig(
-                paper_pool_entries=200_000, scale=0.02,
-                observer=sampler, registry=registry,
-            ),
-        )
-        metrics = sampler.samples[-1]["metrics"]
-        assert "ftl.free_blocks" in metrics
-        assert "pool.occupancy" in metrics
-        assert "pool.capacity" in metrics       # adaptive pool gauge
-        assert "mq.promotions" in metrics
+class TestDirectReads:
+    """Values the sampler reads straight from the pool and fault model."""
 
-    def test_tracer_spans_cover_hot_paths(self):
-        # 0.05 is the smallest mail scale that reliably triggers GC.
-        context = ExperimentContext.for_workload("mail", 0.05)
-        tracer = Tracer()
-        run_system("mq-dvp", context, RunConfig(
-            paper_pool_entries=200_000, scale=0.05, tracer=tracer,
+    def test_adaptive_pool_fields_and_no_metrics_key(self):
+        context = ExperimentContext.for_workload("mail", 0.02)
+        sampler = TimeSeriesSampler(interval_requests=500)
+        run_system("adaptive-dvp", context, RunConfig(
+            paper_pool_entries=200_000, scale=0.02, observer=sampler,
         ))
-        summary = tracer.summary()
-        assert "ftl.write" in summary
-        assert "ftl.read" in summary
-        assert "gc.collect" in summary
-        assert summary["ftl.write"]["count"] > 0
+        last = sampler.samples[-1]
+        assert "metrics" not in last
+        assert last["write_clock"] > 0
+        assert last["gc_invocations"] >= 0
+        pool = last["pool"]
+        assert {
+            "capacity", "capacity_high_water", "resizes_up", "resizes_down",
+        } <= set(pool)
+        assert pool["capacity_high_water"] >= pool["capacity"]
+
+    def test_mq_pool_has_no_adaptive_fields(self, obs_run):
+        _, sampler = obs_run
+        pool = sampler.samples[-1]["pool"]
+        assert "capacity" in pool
+        assert "resizes_up" not in pool
+        assert "faults" not in sampler.samples[-1]
+
+    def test_faults_view_after_crash_matches_result(self):
+        context = ExperimentContext.for_workload("mail", 0.02)
+        sampler = TimeSeriesSampler(interval_requests=500)
+        result = run_system("mq-dvp", context, RunConfig(
+            paper_pool_entries=200_000, scale=0.02, observer=sampler,
+            faults=FaultConfig(seed=0, crash_after_requests=1000),
+        ))
+        view = dict(sampler.samples[-1]["faults"])
+        assert view.pop("read_only") is False
+        assert view.pop("spares_remaining") > 0
+        assert view == result.fault_stats
+        assert view["recoveries"] == 1
+
+
+class TestObserverCannotPerturb:
+    @pytest.mark.parametrize("system, faults", [
+        ("mq-dvp", None),
+        ("adaptive-dvp", None),
+        ("mq-dvp", FaultConfig(seed=0, crash_after_requests=1000)),
+    ])
+    def test_observed_digest_equals_unobserved(self, system, faults):
+        context = ExperimentContext.for_workload("mail", 0.02)
+        config = RunConfig(scale=0.02, faults=faults)
+        plain = run_system(system, context, config)
+        observed = run_system(system, context, config.replace(
+            observer=TimeSeriesSampler(interval_requests=100),
+        ))
+        assert result_digest(observed) == result_digest(plain)
 
 
 class TestCliObsFlag:
@@ -267,3 +224,20 @@ class TestCliObsFlag:
         ])
         assert code == 0
         assert "observability" not in capsys.readouterr().err
+
+    def test_profile_prints_layer_table(self, capsys):
+        code = main([
+            "run", "--workload", "mail", "--system", "mq-dvp",
+            "--scale", "0.02", "--profile",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "cProfile self time by layer" in out
+        rows = {}
+        for line in out.splitlines():
+            cells = line.split()
+            if len(cells) == 4 and cells[0] in ("ftl", "core"):
+                rows[cells[0]] = (int(cells[1]), float(cells[2]))
+        for layer in ("ftl", "core"):
+            calls, self_s = rows[layer]
+            assert calls > 0 and self_s > 0.0

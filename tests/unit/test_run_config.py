@@ -21,7 +21,7 @@ from repro.experiments.runner import (
     run_system,
 )
 from repro.faults import FaultConfig
-from repro.obs import MetricRegistry
+from repro.obs import TimeSeriesSampler
 from repro.perf.spec import RunSpec
 
 SCALE = 0.004
@@ -65,7 +65,7 @@ class TestRunConfig:
         cfg = RunConfig(faults=FaultConfig(seed=2, read_error_prob=0.1))
         assert cfg.picklable
         assert pickle.loads(pickle.dumps(cfg)) == cfg
-        assert not cfg.replace(registry=MetricRegistry()).picklable
+        assert not cfg.replace(observer=TimeSeriesSampler()).picklable
 
     def test_runspec_from_config_round_trip(self):
         cfg = RunConfig(
