@@ -3,11 +3,17 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.hashing import fingerprint_of_value
+from repro.faults import FaultConfig, FaultModel
 from repro.flash.config import SSDConfig
 from repro.flash.timing import ResourceTimeline
+from repro.ftl.dedup import DedupFTL
 from repro.ftl.dvp_ftl import build_system
+from repro.obs import TimeSeriesSampler
+from repro.sim.logging import CompletionLog
 from repro.sim.request import IORequest, OpType
 from repro.sim.ssd import SimulatedSSD
+from repro.traces.transforms import with_trims
 
 
 def config() -> SSDConfig:
@@ -88,3 +94,176 @@ def test_timeline_fifo_no_overlap(jobs):
         assert end == start + duration
         last_end = end
     assert timeline.busy_time == sum(d for _, d in jobs)
+
+
+# ----------------------------------------------------------------------
+# Batched service loop vs the per-request submit path
+# ----------------------------------------------------------------------
+
+
+class PerRequestSSD(SimulatedSSD):
+    """Any ``submit`` override sends ``service`` down the per-request
+    path, which is the reference the batched loop must reproduce."""
+
+    def submit(self, request):
+        return super().submit(request)
+
+
+#: FTLs whose outcomes exercise every pricing branch: plain programs and
+#: GC, hashing and revivals, dedup hits, DFTL translation traffic, and
+#: hit verification reads.
+FTL_FACTORIES = {
+    "baseline": lambda: build_system("baseline", config(), 16),
+    "mq-dvp": lambda: build_system("mq-dvp", config(), 16),
+    "dedup": lambda: build_system("dedup", config(), 16),
+    "dftl-mq-dvp": lambda: build_system("dftl-mq-dvp", config(), 16),
+    "dedup-verify": lambda: DedupFTL(config(), verify_hits=True),
+}
+
+#: LPNs each replay prefills and then addresses: about half the raw
+#: pages, so a few hundred requests drive GC relocations without ever
+#: starving collection of free space.
+REPLAY_LPNS = 100
+
+replay_traces = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=3000.0, allow_nan=False),
+        st.booleans(),
+        st.integers(min_value=0, max_value=REPLAY_LPNS - 1),
+        st.integers(min_value=0, max_value=40),
+    ),
+    min_size=150,
+    max_size=400,
+)
+
+
+def replay_pair(make_ftl, trace, chunk, queue_depth=None, faults=None,
+                log=False, observer=False):
+    """Prefill, then replay ``trace`` through the batched ``service`` and
+    the per-request path, ``chunk`` requests per call (``None``: whole)."""
+    devices = []
+    for cls in (SimulatedSSD, PerRequestSSD):
+        ftl = make_ftl()
+        for lpn in range(REPLAY_LPNS):
+            ftl.write(lpn, fingerprint_of_value(1000 + lpn))
+        if faults is not None:
+            ftl.attach_faults(FaultModel(faults))
+        device = cls(
+            ftl,
+            queue_depth=queue_depth,
+            log=CompletionLog() if log else None,
+            observer=(
+                TimeSeriesSampler(interval_requests=7, interval_us=700.0)
+                if observer else None
+            ),
+        )
+        step = chunk or len(trace)
+        for start in range(0, len(trace), step):
+            batch = trace[start:start + step]
+            assert device.service(batch) == len(batch)
+        devices.append(device)
+    return devices
+
+
+def timeline_state(device):
+    timelines = device.timelines
+    return [
+        (t.name, t.busy_until, t.busy_time, t.op_count)
+        for t in [*timelines.chips, *timelines.channels, timelines.hash_unit]
+    ]
+
+
+def assert_identical(batched, reference):
+    assert batched.writes.samples == reference.writes.samples
+    assert batched.reads.samples == reference.reads.samples
+    assert batched.horizon_us == reference.horizon_us
+    assert batched.requests_served == reference.requests_served
+    assert batched.host_queue.max_observed == reference.host_queue.max_observed
+    assert timeline_state(batched) == timeline_state(reference)
+    assert batched.ftl.counters == reference.ftl.counters
+    assert len(batched.recovery_reports) == len(reference.recovery_reports)
+    if reference.log is not None:
+        assert batched.log.records() == reference.log.records()
+    if reference.observer is not None:
+        assert batched.observer.samples == reference.observer.samples
+    if reference.ftl.faults is not None:
+        assert (
+            batched.ftl.faults.stats.summary()
+            == reference.ftl.faults.stats.summary()
+        )
+
+
+@given(
+    raw=replay_traces,
+    system=st.sampled_from(sorted(FTL_FACTORIES)),
+    queue_depth=st.sampled_from([None, 4]),
+    trim_every=st.sampled_from([None, 3]),
+    chunk=st.one_of(st.none(), st.integers(min_value=1, max_value=64)),
+    log=st.booleans(),
+    observer=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_batched_service_matches_per_request(
+    raw, system, queue_depth, trim_every, chunk, log, observer
+):
+    """The inlined batch loop charges every timeline, queue and latency
+    sample exactly as a per-request loop over ``submit`` does."""
+    trace = to_trace(raw)
+    if trim_every is not None:
+        trace = list(with_trims(trace, trim_every))
+    batched, reference = replay_pair(
+        FTL_FACTORIES[system], trace, chunk,
+        queue_depth=queue_depth, log=log, observer=observer,
+    )
+    assert_identical(batched, reference)
+
+
+@given(
+    raw=replay_traces,
+    system=st.sampled_from(["baseline", "mq-dvp", "dftl-mq-dvp"]),
+    seed=st.integers(min_value=0, max_value=1000),
+    crash_frac=st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
+    chunk=st.one_of(st.none(), st.integers(min_value=1, max_value=64)),
+)
+@settings(max_examples=30, deadline=None)
+def test_batched_service_matches_per_request_under_faults(
+    raw, system, seed, crash_frac, chunk
+):
+    """Read-retry rounds, failed programs and a power loss at a global
+    request index land identically on both paths."""
+    trace = to_trace(raw)
+    crash_after = None
+    if crash_frac is not None:
+        crash_after = 1 + int(crash_frac * (len(trace) - 1))
+    faults = FaultConfig(
+        seed=seed,
+        read_error_prob=0.3,
+        program_failure_prob=0.05,
+        crash_after_requests=crash_after,
+    )
+    batched, reference = replay_pair(
+        FTL_FACTORIES[system], trace, chunk, faults=faults
+    )
+    assert_identical(batched, reference)
+    assert len(batched.recovery_reports) == (crash_after is not None)
+
+
+def test_crash_mid_chunk_matches_per_request():
+    """A crash index that falls inside a ``service`` batch (not on its
+    boundary) fires at the same request on both paths."""
+    trace = [
+        IORequest(i * 37.0, OpType.WRITE if i % 3 else OpType.READ,
+                  i % 40, i % 17)
+        for i in range(240)
+    ]
+    chunk = 50
+    crash_after = 2 * chunk + 13
+    faults = FaultConfig(
+        seed=7, read_error_prob=0.4, crash_after_requests=crash_after
+    )
+    batched, reference = replay_pair(
+        FTL_FACTORIES["mq-dvp"], trace, chunk, queue_depth=4, faults=faults
+    )
+    assert_identical(batched, reference)
+    assert len(batched.recovery_reports) == 1
+    assert batched.ftl.faults.stats.read_errors > 0

@@ -3,8 +3,12 @@
 import pytest
 
 from repro.core.dvp import InfiniteDeadValuePool
+from repro.experiments import Device, RunConfig
+from repro.experiments.runner import ExperimentContext
+from repro.flash.timing import TimelineSet
 from repro.ftl.dedup import DedupFTL
 from repro.ftl.ftl import BaseFTL
+from repro.sim.background import BackgroundGCSSD
 from repro.sim.request import IORequest, OpType
 from repro.sim.ssd import SimulatedSSD, replay
 
@@ -120,3 +124,73 @@ class TestRun:
             worst = max(worst, done.latency_us)
         assert ftl.counters.gc_erases > 0
         assert worst >= tiny_config.timing.erase_us
+
+
+class TestServiceRouting:
+    """``service`` inlines ``submit`` and the timing model only while they
+    are the methods this package defines.  A ``setattr``-wrapped one (the
+    e2e benchmark's layer probes, a profiler) or a subclass override must
+    still see every request of a ``Device.step``."""
+
+    SCALE = 0.01
+
+    @pytest.fixture(scope="class")
+    def context(self):
+        return ExperimentContext.for_workload("web", self.SCALE)
+
+    def step(self, context):
+        device = Device("mq-dvp", context.config, 64)
+        device.precondition(context.profile)
+        device.attach(RunConfig(scale=self.SCALE))
+        trace = list(context.trace)
+        assert device.step(trace) == len(trace)
+        return device.ssd, trace
+
+    def test_wrapped_submit_sees_every_request(self, context, monkeypatch):
+        seen = []
+        original = SimulatedSSD.submit
+
+        def probe(self, request):
+            seen.append(request)
+            return original(self, request)
+
+        monkeypatch.setattr(SimulatedSSD, "submit", probe)
+        _, trace = self.step(context)
+        assert seen == trace
+
+    @pytest.mark.parametrize("attr", ["chip_op", "hash_op"])
+    def test_wrapped_timing_sees_every_op(self, context, monkeypatch, attr):
+        calls = 0
+        original = getattr(TimelineSet, attr)
+
+        def probe(self, *args):
+            nonlocal calls
+            calls += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(TimelineSet, attr, probe)
+        ssd, _ = self.step(context)
+        # Channels are charged only by chip_op, the hash unit only by
+        # hash_op: one timeline op per call made.
+        timelines = ssd.timelines
+        if attr == "chip_op":
+            expected = sum(t.op_count for t in timelines.channels)
+        else:
+            expected = timelines.hash_unit.op_count
+        assert calls == expected > 0
+
+    def test_background_gc_probes_before_every_request(
+        self, tiny_config, monkeypatch
+    ):
+        seen = []
+        original = BackgroundGCSSD._background_pass
+
+        def probe(self, now_us):
+            seen.append(now_us)
+            return original(self, now_us)
+
+        monkeypatch.setattr(BackgroundGCSSD, "_background_pass", probe)
+        device = BackgroundGCSSD(BaseFTL(tiny_config))
+        trace = [w(i * 100.0, i % 8, i) for i in range(50)]
+        assert device.service(trace) == len(trace)
+        assert seen == [request.arrival_us for request in trace]
