@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-flow check perf-smoke fleet-smoke serve-smoke kv-smoke bench figures
+.PHONY: test lint check perf-smoke fleet-smoke serve-smoke kv-smoke bench figures
 
 test: lint check
 	$(PYTHON) -m pytest -q
@@ -12,7 +12,7 @@ test: lint check
 #   2. ruff, 3. mypy — generic lint/typing.  Both optional: environments
 #      without them (e.g. the minimal CI image) skip with a notice
 #      instead of failing.
-lint: lint-flow
+lint:
 	$(PYTHON) -m repro lint src/repro --strict-baseline
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src/repro; \
@@ -24,15 +24,6 @@ lint: lint-flow
 	else \
 		echo "lint: mypy not installed, skipping"; \
 	fi
-
-# Whole-program flow passes only (determinism taint, hot-path effects,
-# pickle/async safety — DESIGN.md §14).  Warms the on-disk facts cache
-# (.lint-flow-cache/) so the full `make lint` run after it is
-# incremental.  No --strict-baseline here: under --select, baseline
-# entries for unselected rules can never match and would read as stale.
-lint-flow:
-	$(PYTHON) -m repro lint src/repro \
-		--select flow.taint-digest,flow.hot-effect,flow.blocking-async,flow.spec-pickle
 
 # The correctness harness under a tight time budget: seeded-corruption
 # detection, property fuzz (TRIM + faults + crash streams), and the

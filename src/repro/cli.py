@@ -363,11 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
              "auto-detecting package roots",
     )
     lint_p.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for the whole-program flow analysis "
-             "(default: serial; 0 = one per CPU)",
-    )
-    lint_p.add_argument(
         "--flow-cache-dir", default=".lint-flow-cache", metavar="DIR",
         help="directory for the per-file flow-analysis cache, keyed on "
              "content hashes (default .lint-flow-cache)",
@@ -894,18 +889,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    from .lint.flow import FlowOptions
-
-    flow_options = FlowOptions(
-        jobs=args.jobs,
-        cache_dir=None if args.no_flow_cache else args.flow_cache_dir,
-    )
     engine = LintEngine(
         select=select,
         ignore=ignore,
         baseline=baseline,
         package_root=args.package_root,
-        flow_options=flow_options,
+        cache_dir=None if args.no_flow_cache else args.flow_cache_dir,
     )
     try:
         result = engine.run(args.paths)

@@ -10,14 +10,14 @@ analyzer whose rules encode repo-specific invariants that generic tools
 Rule families (stable dotted codes; DESIGN.md §9 is the catalog):
 
 ``det.*``
-    Determinism: no wall-clock reads outside the observability/perf
-    layers, no draws from the process-global ``random`` state, no
-    iteration over bare sets feeding ordered results, no environment
-    reads outside the sanctioned config surfaces.
+    Determinism: no wall-clock reads outside the perf layer, no draws
+    from the process-global ``random`` state, no iteration over bare
+    sets feeding ordered results, no environment reads outside the
+    sanctioned config surfaces.
 ``layer.*``
     Import-DAG enforcement: ``repro.core`` stays pure, the simulator
-    and FTL never reach up into ``repro.experiments``, and the
-    top-level import graph is acyclic.
+    and FTL never reach up into ``repro.experiments``, only the CLI
+    imports ``repro.serve``, and the top-level import graph is acyclic.
 ``proto.*``
     Protocol surfaces: every dead-value-pool implementation defines the
     full :class:`~repro.core.dvp.DeadValuePool` contract (including
@@ -25,8 +25,12 @@ Rule families (stable dotted codes; DESIGN.md §9 is the catalog):
     extra state requires.
 ``frozen.*``
     Frozen-dataclass hygiene: no ``object.__setattr__`` escape hatches
-    outside ``__post_init__``; ``RunSpec``/``FaultConfig`` fields stay
-    statically picklable so the process-pool engine can ship them.
+    outside ``__post_init__``.
+``flow.*``
+    Whole-program passes (:mod:`repro.lint.flow`): nondeterminism
+    flowing into a digest, effects on the per-op hot path, blocking
+    calls in serve coroutines, and specs the process-pool engine
+    cannot pickle.
 
 Violations are suppressed per line with ``# lint: disable=<code>[,<code>...]``
 or repo-wide via a baseline file (``lint-baseline.json``) whose every
@@ -45,7 +49,6 @@ from .registry import (
     all_codes,
     all_rules,
     register_rule,
-    rules_by_code,
 )
 from .report import render_github, render_jsonl, render_text
 from .violations import Violation, suppressed_codes
@@ -68,6 +71,5 @@ __all__ = [
     "render_github",
     "render_jsonl",
     "render_text",
-    "rules_by_code",
     "suppressed_codes",
 ]

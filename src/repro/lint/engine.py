@@ -20,10 +20,17 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .baseline import Baseline
-from .imports import ImportGraph, build_import_graph
+from .imports import (
+    ImportGraph,
+    alias_map,
+    build_import_graph,
+    dotted_name,
+    resolve_name,
+)
 from .registry import Rule, all_rules
 from .violations import Violation, suppression_table
 
@@ -81,6 +88,16 @@ class ModuleInfo:
 
         walk(self.tree, "")
 
+    @cached_property
+    def aliases(self) -> Dict[str, str]:
+        """Local name → absolute dotted origin, from this module's imports."""
+        return alias_map(self.tree, self.name, self.is_package)
+
+    def resolve(self, node: ast.expr) -> Optional[str]:
+        """Absolute dotted name of a name chain, resolved through imports."""
+        dotted = dotted_name(node)
+        return None if dotted is None else resolve_name(dotted, self.aliases)
+
     def context_at(self, node: ast.AST) -> str:
         """Dotted qualname enclosing ``node`` (``<module>`` at top level)."""
         line = getattr(node, "lineno", None)
@@ -101,10 +118,8 @@ class Program:
 
     modules: List[ModuleInfo]
     import_graph: ImportGraph
-    #: knobs for the whole-program flow analysis (a
-    #: :class:`repro.lint.flow.FlowOptions`; loosely typed here so the
-    #: engine has no import-time dependency on the flow subpackage)
-    flow_options: Optional[object] = None
+    #: on-disk flow facts cache (None → memory-only, no disk tier)
+    cache_dir: Optional[str] = None
 
     def module_named(self, name: str) -> Optional[ModuleInfo]:
         for module in self.modules:
@@ -144,7 +159,7 @@ class LintEngine:
         ignore: Optional[Iterable[str]] = None,
         baseline: Optional[Baseline] = None,
         package_root: Optional[str] = None,
-        flow_options: Optional[object] = None,
+        cache_dir: Optional[str] = None,
     ) -> None:
         self.rules = list(rules) if rules is not None else all_rules()
         if select:
@@ -155,7 +170,7 @@ class LintEngine:
             self.rules = [r for r in self.rules if r.code not in unwanted]
         self.baseline = baseline or Baseline()
         self.package_root = package_root
-        self.flow_options = flow_options
+        self.cache_dir = cache_dir
 
     # -- loading -------------------------------------------------------
 
@@ -172,9 +187,7 @@ class LintEngine:
             (m.name, m.tree, m.is_package) for m in modules
         )
         return Program(
-            modules=modules,
-            import_graph=graph,
-            flow_options=self.flow_options,
+            modules=modules, import_graph=graph, cache_dir=self.cache_dir
         )
 
     def _collect_files(self, paths: Sequence[str]) -> List[str]:
@@ -273,7 +286,7 @@ def lint_paths(
     ignore: Optional[Iterable[str]] = None,
     baseline: Optional[Baseline] = None,
     package_root: Optional[str] = None,
-    flow_options: Optional[object] = None,
+    cache_dir: Optional[str] = None,
 ) -> LintResult:
     """One-call façade: lint ``paths`` with the full registry."""
     engine = LintEngine(
@@ -281,6 +294,6 @@ def lint_paths(
         ignore=ignore,
         baseline=baseline,
         package_root=package_root,
-        flow_options=flow_options,
+        cache_dir=cache_dir,
     )
     return engine.run(paths)

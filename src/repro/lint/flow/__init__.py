@@ -7,8 +7,7 @@ graph (:mod:`.graph`) from per-file **facts** (:mod:`.facts`) — a pure
 syntactic summary of every function: its taint sources, its calls with
 name-level argument dependences, its effects.  Facts are content-keyed
 (SHA-256 of the file) and cached on disk (:mod:`.cache`), so a warm
-re-analysis only re-extracts the dirty frontier; cold runs can fan the
-extraction out across processes (:mod:`.analysis`).
+re-analysis only re-extracts the dirty frontier.
 
 Three interprocedural passes run over the graph:
 
@@ -30,14 +29,14 @@ Three interprocedural passes run over the graph:
     ships (``RunSpec``/``KVSpec``/``ShardSpec`` and every dataclass
     they reference) must be statically picklable, transitively.
 
-:mod:`.analysis` orchestrates: ``flow_report(program, options)`` is
+:mod:`.analysis` orchestrates: ``flow_report(program)`` is
 memoised per :class:`~repro.lint.engine.Program`, so the four
 registered rules (:mod:`repro.lint.rules.flow`) share one analysis.
 """
 
 from __future__ import annotations
 
-from .analysis import FlowOptions, FlowReport, flow_report
+from .analysis import FlowReport, flow_report
 from .cache import FactsCache
 from .facts import FunctionFacts, ModuleFacts, extract_module_facts
 from .graph import CallGraph, SymbolTable, build_symbol_table
@@ -45,7 +44,6 @@ from .graph import CallGraph, SymbolTable, build_symbol_table
 __all__ = [
     "CallGraph",
     "FactsCache",
-    "FlowOptions",
     "FlowReport",
     "FunctionFacts",
     "ModuleFacts",

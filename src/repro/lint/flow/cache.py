@@ -23,10 +23,7 @@ from typing import Dict, Optional
 
 from .facts import FACTS_VERSION, ModuleFacts
 
-__all__ = ["FactsCache", "content_key", "default_cache_dir"]
-
-#: Default cache location, relative to the lint root (gitignored).
-_DEFAULT_DIRNAME = ".lint-flow-cache"
+__all__ = ["FactsCache", "content_key"]
 
 
 def content_key(source: bytes, module: str = "", path: str = "") -> str:
@@ -41,11 +38,6 @@ def content_key(source: bytes, module: str = "", path: str = "") -> str:
         digest.update(b"\x00")
     digest.update(source)
     return digest.hexdigest()
-
-
-def default_cache_dir(root: Optional[str] = None) -> Path:
-    base = Path(root) if root is not None else Path(".")
-    return base / _DEFAULT_DIRNAME
 
 
 class FactsCache:

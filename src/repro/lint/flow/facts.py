@@ -34,7 +34,7 @@ import ast
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..imports import _resolve_from_import
+from ..imports import alias_map, dotted_name, resolve_name
 
 __all__ = [
     "CallFact",
@@ -58,9 +58,9 @@ FACTS_VERSION = "repro-lint-flow/1"
 #: Absolute dotted callables whose *return value* is nondeterministic.
 #: Keys map to the source kind reported in findings.
 SOURCE_CALLS: Dict[str, str] = {
-    # wall clock (same family as det.wallclock, but with no module
-    # allowlist: a wall-clock read is fine in repro.perf until it flows
-    # into a digest)
+    # wall clock (det.wallclock bans exactly these outside repro.perf;
+    # here there is no module allowlist: a wall-clock read is fine in
+    # repro.perf until it flows into a digest)
     "time.time": "wallclock", "time.time_ns": "wallclock",
     "time.perf_counter": "wallclock", "time.perf_counter_ns": "wallclock",
     "time.monotonic": "wallclock", "time.monotonic_ns": "wallclock",
@@ -256,51 +256,8 @@ class ModuleFacts:
 
 
 # ---------------------------------------------------------------------------
-# import alias resolution (same scheme as the det.* rules)
+# annotations
 # ---------------------------------------------------------------------------
-
-
-def _alias_map(
-    tree: ast.Module, module: str, is_package: bool
-) -> Dict[str, str]:
-    """Local name → absolute dotted origin for this module's imports.
-
-    Relative imports are resolved against the module's own dotted name
-    (same scheme as the import graph), so ``from ..core import hashing``
-    and ``from repro.core import hashing`` yield identical aliases.
-    """
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".")[0]
-                origin = alias.name if alias.asname else alias.name.split(".")[0]
-                aliases[local] = origin
-        elif isinstance(node, ast.ImportFrom):
-            base = _resolve_from_import(
-                module, is_package, node.level, node.module
-            )
-            if base is None:
-                continue
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                aliases[local] = f"{base}.{alias.name}"
-    return aliases
-
-
-def _dotted(node: ast.expr) -> Optional[str]:
-    """``a.b.c`` as a string when the expression is a pure name chain."""
-    parts: List[str] = []
-    cursor = node
-    while isinstance(cursor, ast.Attribute):
-        parts.append(cursor.attr)
-        cursor = cursor.value
-    if not isinstance(cursor, ast.Name):
-        return None
-    parts.append(cursor.id)
-    return ".".join(reversed(parts))
 
 
 def _annotation_class(node: Optional[ast.expr]) -> Optional[str]:
@@ -346,13 +303,11 @@ class _FunctionExtractor:
         qualname: str,
         cls: Optional[str],
         aliases: Dict[str, str],
-        module_classes: Set[str],
     ) -> None:
         self.fn = fn
         self.qualname = qualname
         self.cls = cls
         self.aliases = aliases
-        self.module_classes = module_classes
         self.sources: List[SourceFact] = []
         self.effects: List[EffectFact] = []
         self.calls: List[CallFact] = []
@@ -450,16 +405,10 @@ class _FunctionExtractor:
     def _constructed_class(self, value: ast.expr) -> Optional[str]:
         if not isinstance(value, ast.Call):
             return None
-        name = _dotted(value.func)
+        name = dotted_name(value.func)
         if name is None:
             return None
-        name = self.aliases.get(name, name)
-        tail = name.rsplit(".", 1)[-1]
-        if tail[:1].isupper() and (
-            tail in self.module_classes or "." in name or tail != name
-            or tail in self.module_classes
-        ):
-            return tail
+        tail = self.aliases.get(name, name).rsplit(".", 1)[-1]
         return tail if tail[:1].isupper() else None
 
     @staticmethod
@@ -579,15 +528,9 @@ class _FunctionExtractor:
                 origins.add(f"p:{self.params.index(node.id)}")
             return
         if isinstance(node, ast.Attribute):
-            dotted = _dotted(node)
+            dotted = dotted_name(node)
             if dotted is not None:
-                resolved = self.aliases.get(
-                    dotted.split(".", 1)[0], dotted.split(".", 1)[0]
-                )
-                full = (
-                    resolved + dotted[len(dotted.split(".", 1)[0]):]
-                    if "." in dotted else resolved
-                )
+                full = resolve_name(dotted, self.aliases)
                 if full == "os.environ" or full.startswith("os.environ."):
                     origins.add(self._add_source("environ", full, node))
                     return
@@ -655,12 +598,10 @@ class _FunctionExtractor:
             kw_origins.update(deps[0])
             kw_names.update(deps[1])
 
-        dotted = _dotted(node.func)
-        resolved = None
-        if dotted is not None:
-            head, _, rest = dotted.partition(".")
-            base = self.aliases.get(head, head)
-            resolved = f"{base}.{rest}" if rest else base
+        dotted = dotted_name(node.func)
+        resolved = (
+            None if dotted is None else resolve_name(dotted, self.aliases)
+        )
 
         # sources -------------------------------------------------------
         if resolved is not None:
@@ -694,7 +635,7 @@ class _FunctionExtractor:
             and node.func.attr == "acquire"
         ):
             self.effects.append(EffectFact(
-                kind="lock", name=_dotted(node.func) or ".acquire",
+                kind="lock", name=dotted_name(node.func) or ".acquire",
                 line=node.lineno, col=node.col_offset + 1,
             ))
 
@@ -737,7 +678,7 @@ class _FunctionExtractor:
         if isinstance(func, ast.Attribute):
             attr = func.attr
             recv = func.value
-            recv_dotted = _dotted(recv)
+            recv_dotted = dotted_name(recv)
             if recv_dotted == "self":
                 return CallFact(kind="self", name="", attr=attr,
                                 line=line, col=col)
@@ -815,7 +756,7 @@ def _target_names(target: ast.expr) -> List[str]:
             out.extend(_target_names(element))
         return out
     if isinstance(target, ast.Attribute):
-        dotted = _dotted(target)
+        dotted = dotted_name(target)
         if dotted is not None:
             return [dotted, dotted.split(".", 1)[0]]
         return []
@@ -859,14 +800,17 @@ def extract_module_facts(
     path: str,
     tree: ast.Module,
     is_package: Optional[bool] = None,
+    aliases: Optional[Dict[str, str]] = None,
 ) -> ModuleFacts:
-    """One-pass fact extraction for a parsed module."""
+    """One-pass fact extraction for a parsed module.
+
+    ``aliases`` is the module's import table when the caller already
+    has it (:attr:`repro.lint.engine.ModuleInfo.aliases`).
+    """
     if is_package is None:
         is_package = path.endswith("__init__.py")
-    aliases = _alias_map(tree, module, is_package)
-    module_classes = {
-        n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)
-    }
+    if aliases is None:
+        aliases = alias_map(tree, module, is_package)
     functions: List[FunctionFacts] = []
     classes: List[ClassFacts] = []
     class_attr_types: Dict[str, Dict[str, str]] = {}
@@ -875,9 +819,7 @@ def extract_module_facts(
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qual = f"{prefix}.{node.name}" if prefix else node.name
-                extractor = _FunctionExtractor(
-                    node, qual, cls, aliases, module_classes
-                )
+                extractor = _FunctionExtractor(node, qual, cls, aliases)
                 functions.append(extractor.extract())
                 if cls is not None and extractor.self_attr_types:
                     class_attr_types.setdefault(cls, {}).update(
@@ -888,12 +830,9 @@ def extract_module_facts(
                 qual = f"{prefix}.{node.name}" if prefix else node.name
                 bases = []
                 for base in node.bases:
-                    name = _dotted(base)
-                    if name is None:
-                        continue
-                    head, _, rest = name.partition(".")
-                    base_abs = aliases.get(head, head)
-                    bases.append(f"{base_abs}.{rest}" if rest else base_abs)
+                    name = dotted_name(base)
+                    if name is not None:
+                        bases.append(resolve_name(name, aliases))
                 methods = [
                     child.name for child in node.body
                     if isinstance(child, (ast.FunctionDef,

@@ -2,13 +2,15 @@
 
 ``flow.spec-pickle``
     The process-pool engine ships ``RunSpec``/``KVSpec``/``ShardSpec``
-    by value.  ``frozen.spec-picklable`` already validates the spec
-    class's *own* field annotations; this pass closes the transitive
-    gap — it walks the dataclass-reference closure (a spec field typed
-    ``FleetSpec`` drags in every ``FleetSpec`` field, and so on) and
-    validates every field in that closure against the same
-    statically-picklable grammar, reporting the offending field with
-    the reference chain back to the spec that ships it.
+    by value.  A field whose annotated type is not in the statically
+    picklable grammar (scalars, Optional/Tuple/List/Dict of picklable,
+    other analyzed dataclasses) fails at fan-out time on the first
+    ``--jobs 2`` run, or worse, pickles by reference and decouples
+    worker state from the parent.  The pass validates each spec's own
+    fields and walks the dataclass-reference closure (a spec field
+    typed ``FaultConfig`` drags in every ``FaultConfig`` field, and so
+    on), reporting the offending field with the reference chain back to
+    the spec that ships it.
 
 ``flow.blocking-async``
     ``repro.serve`` runs one asyncio event loop per service; a blocking
@@ -27,7 +29,6 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..rules.frozen import _validate, _Unparseable
 from .facts import EffectFact
 from .graph import CallGraph, SymbolTable
 
@@ -65,6 +66,75 @@ class PickleFinding:
     line: int
     bad_parts: Tuple[str, ...]
     chain: Tuple[str, ...]       # class simple names, spec root … owner
+
+
+#: Atomic annotation names that always pickle by value.
+_PICKLABLE_ATOMS = frozenset({
+    "int", "float", "str", "bool", "bytes", "None", "NoneType", "complex",
+})
+
+#: Generic containers whose picklability is their parameters'.
+_PICKLABLE_GENERICS = frozenset({
+    "Optional", "Union", "Tuple", "List", "Dict", "FrozenSet", "Set",
+    "Sequence", "Mapping", "tuple", "list", "dict", "frozenset", "set",
+})
+
+
+class _Unparseable(Exception):
+    pass
+
+
+def _validate(node: ast.expr, dataclass_names: Set[str]) -> Set[str]:
+    """The annotation's atoms that fall outside the picklable grammar."""
+    # string annotation: "FaultConfig" / "Optional[int]"
+    if isinstance(node, ast.Constant):
+        if node.value is None:
+            return set()
+        if isinstance(node.value, str):
+            try:
+                parsed = ast.parse(node.value, mode="eval").body
+            except SyntaxError:
+                raise _Unparseable(repr(node.value))
+            return _validate(parsed, dataclass_names)
+        if node.value is Ellipsis:  # Tuple[int, ...]
+            return set()
+        raise _Unparseable(repr(node.value))
+    if isinstance(node, ast.Name):
+        if (
+            node.id in _PICKLABLE_ATOMS
+            or node.id in dataclass_names
+        ):
+            return set()
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        # typing.Optional / faults.FaultConfig — judge by the tail name
+        tail = node.attr
+        if tail in _PICKLABLE_ATOMS or tail in dataclass_names:
+            return set()
+        return {tail}
+    if isinstance(node, ast.Subscript):
+        head = node.value
+        head_name = None
+        if isinstance(head, ast.Name):
+            head_name = head.id
+        elif isinstance(head, ast.Attribute):
+            head_name = head.attr
+        if head_name not in _PICKLABLE_GENERICS:
+            return {head_name or ast.dump(head)}
+        inner = node.slice
+        elements = (
+            inner.elts if isinstance(inner, ast.Tuple) else [inner]
+        )
+        bad: Set[str] = set()
+        for element in elements:
+            bad |= _validate(element, dataclass_names)
+        return bad
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        # PEP 604: int | None
+        return _validate(node.left, dataclass_names) | _validate(
+            node.right, dataclass_names
+        )
+    raise _Unparseable(type(node).__name__)
 
 
 def _dataclass_tails(table: SymbolTable) -> Set[str]:

@@ -19,6 +19,8 @@ workarounds for annotations.
 
 Relative imports are resolved against the importing module's dotted
 name, so the graph is correct for any package root the engine maps.
+The same resolution backs :func:`alias_map`, the one local-name →
+absolute-origin table every rule resolves call targets through.
 """
 
 from __future__ import annotations
@@ -31,8 +33,11 @@ __all__ = [
     "ImportEdge",
     "ImportGraph",
     "ModuleImports",
+    "alias_map",
     "build_import_graph",
+    "dotted_name",
     "find_cycles",
+    "resolve_name",
 ]
 
 
@@ -208,6 +213,58 @@ def _resolve_from_import(
     if target:
         return f"{base}.{target}" if base else target
     return base or None
+
+
+def alias_map(
+    tree: ast.Module, module: str, is_package: bool
+) -> Dict[str, str]:
+    """Local name → absolute dotted origin for this module's imports.
+
+    ``import time as t`` maps ``t`` → ``time``; ``from datetime import
+    datetime as dt`` maps ``dt`` → ``datetime.datetime``.  Relative
+    imports are resolved against the module's own dotted name (same
+    scheme as the import graph), so ``from ..core import hashing`` and
+    ``from repro.core import hashing`` yield identical aliases.
+    """
+    aliases: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                origin = alias.name if alias.asname else alias.name.split(".")[0]
+                aliases[local] = origin
+        elif isinstance(node, ast.ImportFrom):
+            base = _resolve_from_import(
+                module, is_package, node.level, node.module
+            )
+            if base is None:
+                continue
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                local = alias.asname or alias.name
+                aliases[local] = f"{base}.{alias.name}"
+    return aliases
+
+
+def dotted_name(node: ast.expr) -> Optional[str]:
+    """``a.b.c`` as a string when the expression is a pure name chain."""
+    parts: List[str] = []
+    cursor = node
+    while isinstance(cursor, ast.Attribute):
+        parts.append(cursor.attr)
+        cursor = cursor.value
+    if not isinstance(cursor, ast.Name):
+        return None
+    parts.append(cursor.id)
+    return ".".join(reversed(parts))
+
+
+def resolve_name(dotted: str, aliases: Dict[str, str]) -> str:
+    """``dotted`` with its head name replaced by its import origin."""
+    head, _, rest = dotted.partition(".")
+    base = aliases.get(head, head)
+    return f"{base}.{rest}" if rest else base
 
 
 def collect_module_imports(

@@ -33,7 +33,6 @@ __all__ = [
     "all_codes",
     "all_rules",
     "register_rule",
-    "rules_by_code",
 ]
 
 _REGISTRY: Dict[str, Type["Rule"]] = {}
@@ -110,12 +109,6 @@ def all_rules() -> List[Rule]:
     """Fresh instances of every registered rule, sorted by code."""
     _load_rules()
     return [_REGISTRY[code]() for code in sorted(_REGISTRY)]
-
-
-def rules_by_code() -> Dict[str, Type[Rule]]:
-    """The registry mapping (codes sorted on iteration)."""
-    _load_rules()
-    return {code: _REGISTRY[code] for code in sorted(_REGISTRY)}
 
 
 def all_codes() -> List[str]:

@@ -6,16 +6,25 @@ into a result, one draw from the process-global ``random`` state, one
 iteration over a bare ``set`` whose order depends on hash seeding, one
 environment variable consulted off the sanctioned config path.  Each
 rule here bans one of those cuts everywhere outside the modules whose
-*job* is the banned thing (the observability/perf layers measure wall
-time; the trace cache reads its env knob).
+*job* is the banned thing (the perf layer measures wall time; the
+trace cache reads its env knob).  Call targets are resolved through the
+module's import aliases (:attr:`~repro.lint.engine.ModuleInfo.aliases`),
+so ``import time as t; t.time()`` is caught too.
+
+These rules overlap ``flow.taint-digest`` in their sources but not in
+their reach: the flow pass reports a source only when it flows into a
+digest sink, and it never looks at module-level statements.  A
+wall-clock read that feeds a tie-break, or an environment read at
+import time, is caught here and nowhere else.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Iterator, Optional, Set, Tuple
 
 from ..engine import ModuleInfo, Program
+from ..flow.facts import SOURCE_CALLS
 from ..registry import ModuleRule, register_rule
 from ..violations import Violation
 
@@ -25,43 +34,6 @@ __all__ = [
     "SetIterationRule",
     "WallClockRule",
 ]
-
-
-def _alias_map(tree: ast.Module) -> Dict[str, str]:
-    """Local name → absolute dotted origin, from this module's imports.
-
-    ``import time as t`` maps ``t`` → ``time``; ``from datetime import
-    datetime as dt`` maps ``dt`` → ``datetime.datetime``.  Only absolute
-    imports matter here — the banned modules are all stdlib.
-    """
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".")[0]
-                origin = alias.name if alias.asname else alias.name.split(".")[0]
-                aliases[local] = origin
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            for alias in node.names:
-                if node.module is None:
-                    continue
-                local = alias.asname or alias.name
-                aliases[local] = f"{node.module}.{alias.name}"
-    return aliases
-
-
-def _dotted(node: ast.expr, aliases: Dict[str, str]) -> Optional[str]:
-    """Absolute dotted name of an expression, resolved through imports."""
-    parts = []
-    cursor = node
-    while isinstance(cursor, ast.Attribute):
-        parts.append(cursor.attr)
-        cursor = cursor.value
-    if not isinstance(cursor, ast.Name):
-        return None
-    base = aliases.get(cursor.id, cursor.id)
-    parts.append(base)
-    return ".".join(reversed(parts))
 
 
 @register_rule
@@ -83,15 +55,10 @@ class WallClockRule(ModuleRule):
     #: Modules whose job is measuring wall time.
     allowed_prefixes: Tuple[str, ...] = ("repro.perf",)
 
-    banned = frozenset({
-        "time.time", "time.time_ns",
-        "time.perf_counter", "time.perf_counter_ns",
-        "time.monotonic", "time.monotonic_ns",
-        "time.process_time", "time.process_time_ns",
-        "time.clock_gettime", "time.clock_gettime_ns",
-        "datetime.datetime.now", "datetime.datetime.utcnow",
-        "datetime.datetime.today", "datetime.date.today",
-    })
+    #: The flow pass's wall-clock sources (``facts.SOURCE_CALLS``).
+    banned = frozenset(
+        name for name, kind in SOURCE_CALLS.items() if kind == "wallclock"
+    )
 
     def _allowed(self, module: ModuleInfo) -> bool:
         return module.name.startswith(self.allowed_prefixes)
@@ -101,11 +68,10 @@ class WallClockRule(ModuleRule):
     ) -> Iterator[Violation]:
         if self._allowed(module):
             return
-        aliases = _alias_map(module.tree)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = _dotted(node.func, aliases)
+            name = module.resolve(node.func)
             if name in self.banned:
                 yield self.violation(
                     module, node,
@@ -137,11 +103,10 @@ class GlobalRandomRule(ModuleRule):
     def check_module(
         self, program: Program, module: ModuleInfo
     ) -> Iterator[Violation]:
-        aliases = _alias_map(module.tree)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = _dotted(node.func, aliases)
+            name = module.resolve(node.func)
             if name is None or not name.startswith("random."):
                 continue
             attr = name.split(".", 1)[1]
@@ -185,15 +150,14 @@ class EnvironRule(ModuleRule):
     ) -> Iterator[Violation]:
         if self._allowed(module):
             return
-        aliases = _alias_map(module.tree)
         for node in ast.walk(module.tree):
             name: Optional[str] = None
             if isinstance(node, ast.Call):
-                name = _dotted(node.func, aliases)
+                name = module.resolve(node.func)
                 if name != "os.getenv":
                     continue
             elif isinstance(node, ast.Attribute):
-                name = _dotted(node, aliases)
+                name = module.resolve(node)
                 if name != "os.environ":
                     continue
             else:

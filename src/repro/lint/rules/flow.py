@@ -20,10 +20,9 @@ existing suppression/baseline/report machinery.
 * ``flow.blocking-async`` — a coroutine in ``repro.serve`` transitively
   calls a blocking primitive (``time.sleep``, sync file I/O,
   ``subprocess``).  Anchored at the blocking call.
-* ``flow.spec-pickle`` — a dataclass in the transitive reference
-  closure of ``RunSpec``/``KVSpec``/``ShardSpec`` has a field the
-  process-pool engine cannot ship by value (closes the transitive gap
-  ``frozen.spec-picklable`` leaves open).  Anchored at the field.
+* ``flow.spec-pickle`` — ``RunSpec``/``KVSpec``/``ShardSpec`` or a
+  dataclass in their transitive reference closure has a field the
+  process-pool engine cannot ship by value.  Anchored at the field.
 """
 
 from __future__ import annotations

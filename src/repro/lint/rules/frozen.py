@@ -1,32 +1,29 @@
-"""``frozen.*`` — frozen-dataclass hygiene and process-pool picklability.
+"""``frozen.*`` — frozen-dataclass hygiene.
 
 ``RunConfig``/``RunSpec``/``FaultConfig`` are frozen precisely so one
 instance can be shared across a whole matrix and shipped to worker
-processes.  Two static escapes undo that:
+processes.  ``frozen.setattr`` guards the static escape that undoes
+that: ``object.__setattr__`` is the blessed way for a frozen
+dataclass's ``__post_init__`` to fill derived fields, and the *only*
+place it is tolerated.  Anywhere else it is a mutation of a value other
+code assumes immutable (and shares across threads, caches, and digest
+computations).
 
-* ``frozen.setattr`` — ``object.__setattr__`` is the blessed way for a
-  frozen dataclass's ``__post_init__`` to fill derived fields, and the
-  *only* place it is tolerated.  Anywhere else it is a mutation of a
-  value other code assumes immutable (and shares across threads,
-  caches, and digest computations).
-* ``frozen.spec-picklable`` — the parallel engine pickles ``RunSpec``s
-  into worker processes.  A field whose annotated type is not in the
-  statically-picklable grammar (scalars, Optional/Tuple/List/Dict of
-  picklable, other analyzed dataclasses) fails at fan-out time on the
-  first ``--jobs 2`` run — or worse, pickles by reference and decouples
-  worker state from the parent.  Caught here instead.
+That specs stay picklable is ``flow.spec-pickle``'s job
+(:mod:`repro.lint.flow.safety`): it validates every field in the
+dataclass closure of each spec the process pool ships.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Set, Tuple
+from typing import Iterator
 
 from ..engine import ModuleInfo, Program
-from ..registry import ModuleRule, Rule, register_rule
+from ..registry import ModuleRule, register_rule
 from ..violations import Violation
 
-__all__ = ["FrozenSetattrRule", "SpecPicklableRule"]
+__all__ = ["FrozenSetattrRule"]
 
 
 @register_rule
@@ -63,150 +60,3 @@ class FrozenSetattrRule(ModuleRule):
                 "frozen dataclass other code assumes immutable; build a "
                 "new instance with dataclasses.replace instead",
             )
-
-
-#: Atomic annotation names that always pickle by value.
-_PICKLABLE_ATOMS = frozenset({
-    "int", "float", "str", "bool", "bytes", "None", "NoneType", "complex",
-})
-
-#: Generic containers whose picklability is their parameters'.
-_PICKLABLE_GENERICS = frozenset({
-    "Optional", "Union", "Tuple", "List", "Dict", "FrozenSet", "Set",
-    "Sequence", "Mapping", "tuple", "list", "dict", "frozenset", "set",
-})
-
-
-@register_rule
-class SpecPicklableRule(Rule):
-    """``RunSpec``/``FaultConfig`` field types must be statically picklable."""
-
-    code = "frozen.spec-picklable"
-    summary = "RunSpec/FaultConfig field type not statically picklable"
-
-    #: Dataclasses the process-pool engine ships by value.
-    target_classes: Tuple[str, ...] = ("RunSpec", "FaultConfig")
-
-    def check(self, program: Program) -> Iterator[Violation]:
-        dataclass_names = _dataclass_names(program)
-        for module in program.modules:
-            for node in ast.walk(module.tree):
-                if not (
-                    isinstance(node, ast.ClassDef)
-                    and node.name in self.target_classes
-                    and _is_dataclass(node)
-                ):
-                    continue
-                for stmt in node.body:
-                    if not isinstance(stmt, ast.AnnAssign):
-                        continue
-                    if not isinstance(stmt.target, ast.Name):
-                        continue
-                    bad = _unpicklable_parts(
-                        stmt.annotation, dataclass_names
-                    )
-                    if not bad:
-                        continue
-                    field_name = stmt.target.id
-                    yield self.violation(
-                        module, stmt,
-                        f"{node.name}.{field_name} is annotated with "
-                        f"{', '.join(sorted(bad))}, which the process-"
-                        "pool engine cannot ship by value; use scalars, "
-                        "containers of scalars, or another frozen "
-                        "dataclass",
-                    )
-
-
-def _dataclass_names(program: Program) -> Set[str]:
-    """Names of every @dataclass-decorated class in the analyzed tree.
-
-    Referencing one of these in a spec field is allowed: dataclasses of
-    picklable fields pickle by value, and the targets list pulls the
-    ones the engine actually ships through this same rule.
-    """
-    names: Set[str] = set()
-    for module in program.modules:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                names.add(node.name)
-    return names
-
-
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        name = None
-        if isinstance(target, ast.Name):
-            name = target.id
-        elif isinstance(target, ast.Attribute):
-            name = target.attr
-        if name == "dataclass":
-            return True
-    return False
-
-
-def _unpicklable_parts(
-    annotation: ast.expr, dataclass_names: Set[str]
-) -> Set[str]:
-    """The annotation's atoms that fall outside the picklable grammar."""
-    try:
-        return _validate(annotation, dataclass_names)
-    except _Unparseable as exc:
-        return {str(exc)}
-
-
-class _Unparseable(Exception):
-    pass
-
-
-def _validate(node: ast.expr, dataclass_names: Set[str]) -> Set[str]:
-    # string annotation: "FaultConfig" / "Optional[int]"
-    if isinstance(node, ast.Constant):
-        if node.value is None:
-            return set()
-        if isinstance(node.value, str):
-            try:
-                parsed = ast.parse(node.value, mode="eval").body
-            except SyntaxError:
-                raise _Unparseable(repr(node.value))
-            return _validate(parsed, dataclass_names)
-        if node.value is Ellipsis:  # Tuple[int, ...]
-            return set()
-        raise _Unparseable(repr(node.value))
-    if isinstance(node, ast.Name):
-        if (
-            node.id in _PICKLABLE_ATOMS
-            or node.id in dataclass_names
-        ):
-            return set()
-        return {node.id}
-    if isinstance(node, ast.Attribute):
-        # typing.Optional / faults.FaultConfig — judge by the tail name
-        tail = node.attr
-        if tail in _PICKLABLE_ATOMS or tail in dataclass_names:
-            return set()
-        return {tail}
-    if isinstance(node, ast.Subscript):
-        head = node.value
-        head_name = None
-        if isinstance(head, ast.Name):
-            head_name = head.id
-        elif isinstance(head, ast.Attribute):
-            head_name = head.attr
-        if head_name not in _PICKLABLE_GENERICS:
-            return {head_name or ast.dump(head)}
-        inner = node.slice
-        elements = (
-            inner.elts if isinstance(inner, ast.Tuple) else [inner]
-        )
-        bad: Set[str] = set()
-        for element in elements:
-            bad |= _validate(element, dataclass_names)
-        return bad
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
-        # PEP 604: int | None
-        return _validate(node.left, dataclass_names) | _validate(
-            node.right, dataclass_names
-        )
-    raise _Unparseable(type(node).__name__)

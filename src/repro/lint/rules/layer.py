@@ -20,6 +20,10 @@ layers.  Arrows only point downward:
 * ``layer.cycle`` — no module-level import cycles anywhere.  Lazy
   imports are exempt from *this* rule only, because a function-body
   import genuinely cannot deadlock module initialisation.
+
+The three bans are rows of one table: each is a data-only subclass of
+:class:`ForbiddenImportRule` naming its importers, exemptions,
+forbidden packages and message.
 """
 
 from __future__ import annotations
@@ -30,34 +34,43 @@ from ..engine import Program
 from ..registry import Rule, register_rule
 from ..violations import Violation
 
-__all__ = ["CorePurityRule", "CycleRule", "NoExperimentsRule", "NoServeRule"]
+__all__ = [
+    "CorePurityRule",
+    "CycleRule",
+    "ForbiddenImportRule",
+    "NoExperimentsRule",
+    "NoServeRule",
+]
 
 
 def _in_package(module: str, package: str) -> bool:
     return module == package or module.startswith(package + ".")
 
 
-def _targets_package(target: str, package: str) -> bool:
-    return target == package or target.startswith(package + ".")
+class ForbiddenImportRule(Rule):
+    """One row of the layering table: who may not import what.
 
+    Every import edge, lazy ones included, of every importer module is
+    checked against :attr:`forbidden`.  A module inside a forbidden
+    package may import its own package.  Subclasses are data only.
+    """
 
-@register_rule
-class CorePurityRule(Rule):
-    """``repro.core`` imports nothing from the layers above it."""
-
-    code = "layer.core-purity"
-    summary = "repro.core importing a higher layer (sim/ftl/experiments/...)"
-
-    #: The layers core must never touch, lazily or otherwise.
-    forbidden: Tuple[str, ...] = (
-        "repro.sim", "repro.ftl", "repro.experiments",
-        "repro.perf", "repro.fleet", "repro.check", "repro.faults",
-        "repro.api", "repro.serve", "repro.kv",
-    )
+    #: Packages whose modules are checked (empty: every module).
+    importers: Tuple[str, ...] = ()
+    #: Exact module names never checked.
+    exempt: Tuple[str, ...] = ()
+    #: Packages the importers must not reach, lazily or otherwise.
+    forbidden: Tuple[str, ...] = ()
+    #: ``str.format`` template over ``module``, ``target`` and ``package``.
+    message: str = ""
 
     def check(self, program: Program) -> Iterator[Violation]:
         for module in program.modules:
-            if not _in_package(module.name, "repro.core"):
+            if module.name in self.exempt:
+                continue
+            if self.importers and not any(
+                _in_package(module.name, pkg) for pkg in self.importers
+            ):
                 continue
             for edge in program.import_graph.edges(
                 module.name, include_lazy=True
@@ -65,7 +78,8 @@ class CorePurityRule(Rule):
                 hit = next(
                     (
                         pkg for pkg in self.forbidden
-                        if _targets_package(edge.target, pkg)
+                        if _in_package(edge.target, pkg)
+                        and not _in_package(module.name, pkg)
                     ),
                     None,
                 )
@@ -76,100 +90,73 @@ class CorePurityRule(Rule):
                     line=edge.line,
                     col=edge.col,
                     code=self.code,
-                    message=(
-                        f"repro.core must stay pure but {module.name} "
-                        f"imports {edge.target} ({hit} is a higher "
-                        "layer); move the dependency up or the shared "
-                        "piece down into core"
+                    message=self.message.format(
+                        module=module.name, target=edge.target, package=hit
                     ),
                     context="<module>",
                 )
 
 
 @register_rule
-class NoExperimentsRule(Rule):
+class CorePurityRule(ForbiddenImportRule):
+    """``repro.core`` imports nothing from the layers above it."""
+
+    code = "layer.core-purity"
+    summary = "repro.core importing a higher layer (sim/ftl/experiments/...)"
+
+    importers = ("repro.core",)
+    forbidden = (
+        "repro.sim", "repro.ftl", "repro.experiments",
+        "repro.perf", "repro.fleet", "repro.check", "repro.faults",
+        "repro.api", "repro.serve", "repro.kv",
+    )
+    message = (
+        "repro.core must stay pure but {module} imports {target} "
+        "({package} is a higher layer); move the dependency up or the "
+        "shared piece down into core"
+    )
+
+
+@register_rule
+class NoExperimentsRule(ForbiddenImportRule):
     """The simulator and FTL never import the harness layer."""
 
     code = "layer.no-experiments"
     summary = "repro.sim/repro.ftl importing repro.experiments/repro.fleet"
 
-    #: Device-layer packages barred from the harness.
-    device_packages: Tuple[str, ...] = ("repro.sim", "repro.ftl")
-    #: Harness-layer packages the device layers must never reach into.
+    importers = ("repro.sim", "repro.ftl")
     #: ``repro.fleet`` sits beside ``repro.experiments``: it orchestrates
     #: many devices, so a device importing it would invert the stack.
     #: ``repro.api`` serialises device *results*, so it too sits above
     #: the device layers.  ``repro.kv`` translates keyed workloads into
     #: page requests *for* a device — an orchestrator, never a
     #: dependency of one.
-    harness_packages: Tuple[str, ...] = (
+    forbidden = (
         "repro.experiments", "repro.fleet", "repro.api", "repro.kv",
     )
-
-    def check(self, program: Program) -> Iterator[Violation]:
-        for module in program.modules:
-            if not any(
-                _in_package(module.name, pkg)
-                for pkg in self.device_packages
-            ):
-                continue
-            for edge in program.import_graph.edges(
-                module.name, include_lazy=True
-            ):
-                if not any(
-                    _targets_package(edge.target, pkg)
-                    for pkg in self.harness_packages
-                ):
-                    continue
-                yield Violation(
-                    path=module.path,
-                    line=edge.line,
-                    col=edge.col,
-                    code=self.code,
-                    message=(
-                        f"{module.name} imports {edge.target}: the device "
-                        "layers must not depend on the harness layer "
-                        "(invert via a parameter, callback or a type in "
-                        "repro.core)"
-                    ),
-                    context="<module>",
-                )
+    message = (
+        "{module} imports {target}: the device layers must not depend "
+        "on the harness layer (invert via a parameter, callback or a "
+        "type in repro.core)"
+    )
 
 
 @register_rule
-class NoServeRule(Rule):
+class NoServeRule(ForbiddenImportRule):
     """Only the CLI front-end may import :mod:`repro.serve`."""
 
     code = "layer.no-serve"
     summary = "a lower layer importing repro.serve (the top of the stack)"
 
-    #: The only modules allowed to depend on the service layer: the CLI
-    #: that launches it and the shared flag-group helpers it wires up.
-    allowed_modules: Tuple[str, ...] = ("repro.cli", "repro.cliopts")
-
-    def check(self, program: Program) -> Iterator[Violation]:
-        for module in program.modules:
-            if _in_package(module.name, "repro.serve"):
-                continue
-            if module.name in self.allowed_modules:
-                continue
-            for edge in program.import_graph.edges(
-                module.name, include_lazy=True
-            ):
-                if not _targets_package(edge.target, "repro.serve"):
-                    continue
-                yield Violation(
-                    path=module.path,
-                    line=edge.line,
-                    col=edge.col,
-                    code=self.code,
-                    message=(
-                        f"{module.name} imports {edge.target}: repro.serve "
-                        "is the top of the stack; nothing below the CLI "
-                        "may depend on it (emit repro.api records instead)"
-                    ),
-                    context="<module>",
-                )
+    #: The CLI that launches the service and the shared flag-group
+    #: helpers it wires up.
+    exempt = ("repro.cli", "repro.cliopts")
+    forbidden = ("repro.serve",)
+    message = (
+        "{module} imports {target}: repro.serve is the top of the "
+        "stack; nothing below the CLI may depend on it (emit repro.api "
+        "records instead)"
+    )
 
 
 @register_rule

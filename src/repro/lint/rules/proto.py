@@ -30,7 +30,7 @@ from ..engine import ModuleInfo, Program
 from ..registry import Rule, register_rule
 from ..violations import Violation
 
-__all__ = ["ClassTable", "FtlHooksRule", "PoolSurfaceRule"]
+__all__ = ["ClassTable", "FtlHooksRule", "PoolSurfaceRule", "class_table"]
 
 
 @dataclass
@@ -121,6 +121,16 @@ class ClassTable:
         return names
 
 
+def class_table(program: Program) -> ClassTable:
+    """The program's :class:`ClassTable`, built once and shared by both
+    ``proto.*`` rules (memoised on the program, like ``flow_report``)."""
+    table = getattr(program, "_class_table", None)
+    if table is None:
+        table = ClassTable(program)
+        setattr(program, "_class_table", table)
+    return table
+
+
 def _class_info(module: ModuleInfo, node: ast.ClassDef) -> ClassInfo:
     bases = []
     for base in node.bases:
@@ -169,14 +179,8 @@ def _is_abstract_decorated(func: ast.AST) -> bool:
 
 def _is_concrete(func: ast.AST) -> bool:
     """A real implementation, not a stub or an abstract declaration."""
-    for decorator in getattr(func, "decorator_list", []):
-        name = None
-        if isinstance(decorator, ast.Name):
-            name = decorator.id
-        elif isinstance(decorator, ast.Attribute):
-            name = decorator.attr
-        if name in ("abstractmethod", "abstractproperty"):
-            return False
+    if _is_abstract_decorated(func):
+        return False
     body = list(getattr(func, "body", []))
     if body and isinstance(body[0], ast.Expr) and isinstance(
         body[0].value, ast.Constant
@@ -248,7 +252,7 @@ class PoolSurfaceRule(Rule):
         return all(m in info.methods for m in self.structural_markers)
 
     def check(self, program: Program) -> Iterator[Violation]:
-        table = ClassTable(program)
+        table = class_table(program)
         required = self._required_surface(table)
         for info in table.by_name.values():
             if not self._is_pool(table, info) or info.declared_abstract:
@@ -280,7 +284,7 @@ class FtlHooksRule(Rule):
     content_required: Tuple[str, ...] = ("erase_cleanup", "check_invariants")
 
     def check(self, program: Program) -> Iterator[Violation]:
-        table = ClassTable(program)
+        table = class_table(program)
         for info in table.by_name.values():
             if info.name == self.ftl_base or not table.derives_from(
                 info, self.ftl_base

@@ -2,9 +2,8 @@
 
 ``run_specs`` runs every kind of job the repo fans out — matrix
 :class:`~repro.perf.spec.RunSpec` cells, fleet
-:class:`~repro.fleet.ShardSpec` shards, :class:`~repro.kv.KVSpec` keyed
-runs, lint fact extraction.  A job is any picklable object with two
-methods:
+:class:`~repro.fleet.ShardSpec` shards and :class:`~repro.kv.KVSpec`
+keyed runs.  A job is any picklable object with two methods:
 
 * ``execute()`` — run it and return its result (a pure function of the
   job, so ``jobs=N`` is observably identical to ``jobs=1`` — the

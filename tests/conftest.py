@@ -7,6 +7,19 @@ from repro.traces.profiles import TableIITargets, WorkloadProfile
 
 
 @pytest.fixture
+def scratch_cwd(tmp_path_factory, monkeypatch):
+    """Run from an empty scratch directory.
+
+    ``repro lint`` keeps its flow facts cache in ``./.lint-flow-cache``
+    by default; lint CLI tests use this so facts for their temporary
+    trees never land in the checkout's cache.
+    """
+    path = tmp_path_factory.mktemp("cwd")
+    monkeypatch.chdir(path)
+    return path
+
+
+@pytest.fixture
 def tiny_config() -> SSDConfig:
     """A drive small enough to fill within a test: 2x2 chips, 1 plane each,
     8 blocks of 16 pages per plane -> 1024 raw pages."""

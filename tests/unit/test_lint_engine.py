@@ -27,6 +27,8 @@ from repro.lint import (
     suppressed_codes,
 )
 
+pytestmark = pytest.mark.usefixtures("scratch_cwd")
+
 WALLCLOCK_SOURCE = """
     import time
 
@@ -326,8 +328,20 @@ def test_cli_rules_lists_catalog(capsys):
     rc = cli.main(["lint", "--rules"])
     out = capsys.readouterr().out
     assert rc == 0
-    for code in ("det.wallclock", "layer.cycle", "frozen.spec-picklable"):
+    for code in ("det.wallclock", "layer.cycle", "flow.spec-pickle"):
         assert code in out
+    assert "frozen.spec-picklable" not in out
+
+
+def test_cli_retired_code_exits_two(tmp_path, capsys):
+    """frozen.spec-picklable was folded into flow.spec-pickle; naming
+    it is an error, never a silent no-op."""
+    rc = cli.main([
+        "lint", str(tmp_path), "--select", "frozen.spec-picklable",
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "unknown rule codes frozen.spec-picklable" in err
 
 
 def test_cli_write_baseline_then_clean(tmp_path, capsys, monkeypatch):

@@ -12,16 +12,15 @@ import ast
 import json
 import textwrap
 
+import pytest
+
 import repro.cli as cli
 from repro.lint import LintEngine
 from repro.lint.baseline import Baseline, BaselineEntry
-from repro.lint.flow import (
-    FactsCache,
-    FlowOptions,
-    extract_module_facts,
-    flow_report,
-)
+from repro.lint.flow import FactsCache, extract_module_facts, flow_report
 from repro.lint.flow.cache import content_key
+
+pytestmark = pytest.mark.usefixtures("scratch_cwd")
 
 SOURCE = textwrap.dedent("""
     import time
@@ -110,11 +109,10 @@ def test_second_run_is_all_cache_hits(tmp_path):
         "repro/perf/a.py": SOURCE,
         "repro/perf/b.py": "def quiet(x):\n    return x\n",
     })
-    options = FlowOptions(cache_dir=str(tmp_path / "cache"))
 
     def report():
         engine = LintEngine(
-            package_root=str(tmp_path), flow_options=options
+            package_root=str(tmp_path), cache_dir=str(tmp_path / "cache")
         )
         return flow_report(engine.load_program([str(tmp_path)]))
 

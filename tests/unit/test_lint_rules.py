@@ -13,6 +13,8 @@ import pytest
 
 from repro.lint import LintEngine, all_codes
 
+pytestmark = pytest.mark.usefixtures("scratch_cwd")
+
 
 def lint_sources(tmp_path, files, select=None):
     """Lint an in-memory {relpath: source} tree rooted at ``tmp_path``."""
@@ -41,7 +43,7 @@ WALLCLOCK_BAD = {
     """,
 }
 
-def test_wallclock_fires_outside_obs(tmp_path):
+def test_wallclock_fires_outside_perf(tmp_path):
     result = lint_sources(tmp_path, WALLCLOCK_BAD, select=["det.wallclock"])
     assert codes_of(result) == ["det.wallclock"]
     (violation,) = result.violations
@@ -662,9 +664,11 @@ def test_spec_picklable_fires_on_callable_field(tmp_path):
                 workload: str
                 observer_factory: Optional[Callable[[], object]] = None
         """,
-    }, select=["frozen.spec-picklable"])
-    assert codes_of(result) == ["frozen.spec-picklable"]
-    assert "observer_factory" in result.violations[0].message
+    }, select=["flow.spec-pickle"])
+    assert codes_of(result) == ["flow.spec-pickle"]
+    (violation,) = result.violations
+    assert violation.line == 8
+    assert "observer_factory" in violation.message
 
 
 def test_spec_picklable_accepts_scalars_and_dataclasses(tmp_path):
@@ -688,7 +692,7 @@ def test_spec_picklable_accepts_scalars_and_dataclasses(tmp_path):
                 tags: Tuple[str, ...] = ()
                 extras: Dict[str, int] = None
         """,
-    }, select=["frozen.spec-picklable"])
+    }, select=["flow.spec-pickle"])
     assert result.clean
 
 
@@ -702,9 +706,44 @@ def test_spec_picklable_handles_string_annotations(tmp_path):
                 workload: "str"
                 sampler: "TimeSeriesSampler" = None
         """,
-    }, select=["frozen.spec-picklable"])
-    assert codes_of(result) == ["frozen.spec-picklable"]
-    assert "TimeSeriesSampler" in result.violations[0].message
+    }, select=["flow.spec-pickle"])
+    assert codes_of(result) == ["flow.spec-pickle"]
+    (violation,) = result.violations
+    assert violation.line == 7
+    assert "TimeSeriesSampler" in violation.message
+
+
+def test_spec_pickle_fires_on_fault_config_via_run_spec(tmp_path):
+    """FaultConfig ships inside RunSpec.faults, so its fields are held
+    to the same grammar as the spec's own."""
+    result = lint_sources(tmp_path, {
+        "repro/faults/config.py": """
+            from dataclasses import dataclass
+            from typing import Callable, Optional
+
+            @dataclass(frozen=True)
+            class FaultConfig:
+                seed: int = 0
+                on_fault: Optional[Callable[[int], None]] = None
+        """,
+        "repro/perf/spec.py": """
+            from dataclasses import dataclass
+            from typing import Optional
+
+            from repro.faults.config import FaultConfig
+
+            @dataclass(frozen=True)
+            class RunSpec:
+                workload: str
+                faults: Optional[FaultConfig] = None
+        """,
+    }, select=["flow.spec-pickle"])
+    assert codes_of(result) == ["flow.spec-pickle"]
+    (violation,) = result.violations
+    assert violation.path.endswith("config.py")
+    assert violation.line == 8
+    assert violation.context == "FaultConfig"
+    assert "RunSpec -> FaultConfig" in violation.message
 
 
 # ---------------------------------------------------------------------------
@@ -871,10 +910,9 @@ def test_blocking_async_quiet_outside_serve(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_spec_pickle_fires_transitively(tmp_path):
-    """``frozen.spec-picklable`` validates RunSpec's own fields only;
-    the flow pass walks the reference closure and finds the Callable
-    one dataclass hop away."""
-    sources = {
+    """The pass walks the reference closure and finds the Callable one
+    dataclass hop away from RunSpec."""
+    result = lint_sources(tmp_path, {
         "repro/perf/bad.py": """
             from dataclasses import dataclass
             from typing import Callable
@@ -888,10 +926,7 @@ def test_spec_pickle_fires_transitively(tmp_path):
                 workload: str
                 sampler: Sampler = None
         """,
-    }
-    frozen = lint_sources(tmp_path, sources, select=["frozen.spec-picklable"])
-    assert frozen.clean
-    result = lint_sources(tmp_path, sources, select=["flow.spec-pickle"])
+    }, select=["flow.spec-pickle"])
     assert codes_of(result) == ["flow.spec-pickle"]
     (violation,) = result.violations
     assert violation.context == "Sampler"
@@ -965,7 +1000,7 @@ def test_disable_can_name_several_codes(tmp_path):
 # ---------------------------------------------------------------------------
 
 FIXTURES_BY_CODE = {
-    "det.wallclock": test_wallclock_fires_outside_obs,
+    "det.wallclock": test_wallclock_fires_outside_perf,
     "det.global-random": test_global_random_fires,
     "det.set-iter": test_set_iteration_into_append_fires,
     "det.environ": test_environ_fires_outside_config,
@@ -976,7 +1011,6 @@ FIXTURES_BY_CODE = {
     "proto.pool-surface": test_pool_missing_surface_fires,
     "proto.ftl-hooks": test_ftl_subclass_missing_hooks_fires,
     "frozen.setattr": test_frozen_setattr_outside_post_init_fires,
-    "frozen.spec-picklable": test_spec_picklable_fires_on_callable_field,
     "flow.taint-digest": test_taint_digest_fires_across_calls,
     "flow.hot-effect": test_hot_effect_fires_on_print_under_device_step,
     "flow.blocking-async": test_blocking_async_fires_on_sleep_in_serve_coroutine,
@@ -1042,15 +1076,6 @@ def test_rule_exits_nonzero_on_its_fixture(code, tmp_path, capsys):
                 "class C:\n"
                 "    def poke(self):\n"
                 "        object.__setattr__(self, 'x', 1)\n"
-            ),
-        },
-        "frozen.spec-picklable": {
-            "repro/perf/bad.py": (
-                "from dataclasses import dataclass\n"
-                "from typing import Callable\n"
-                "@dataclass\n"
-                "class RunSpec:\n"
-                "    hook: Callable\n"
             ),
         },
         "flow.taint-digest": {
