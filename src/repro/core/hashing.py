@@ -15,10 +15,15 @@ digest embeds the id.
 Representation: a :class:`Fingerprint` *is* an ``int`` (columnar-state
 rework, ISSUE 6).  A synthetic id is stored as itself; a raw 16-byte
 digest is stored as its 128-bit big-endian value with bit 128 set, which
-keeps the two key spaces disjoint without any per-instance storage.  The
-payoff is on the hot paths: hashing and equality inside the pool, MQ and
-dedup dictionaries run at C speed instead of calling back into Python for
-every probe, and instances carry no ``__dict__``/slot storage at all.
+keeps the two key spaces disjoint; instances carry no ``__dict__``/slot
+storage at all.  Hashing is
+``int.__hash__``, at C speed.  Equality is not: ``Fingerprint.__eq__``
+below is Python code.  A dict probe in the pool, MQ and dedup tables
+stays in C when it meets the very instance it was keyed with (dicts test
+identity before ``__eq__``), which interning makes the common case; an
+explicit ``==`` always runs the Python method, so hot paths compare by
+identity instead (the MQ tracks its hottest entry and queue heads by
+``MQEntry`` identity).
 """
 
 from __future__ import annotations

@@ -28,6 +28,15 @@ Mechanics implemented exactly as the paper describes:
 * on every update the head (LRU end) of each queue is inspected and demoted
   one queue if its expiration time has passed;
 * eviction removes the head of the lowest non-empty queue.
+
+The per-update head inspection reads a head cache instead of the queues:
+each queue's head key, its :class:`MQEntry` and that entry's
+``expire_time`` are kept in three parallel lists, refreshed only when the
+head changes (an append to an empty queue, or the head leaving its
+queue).  An update with no expired head costs one ``min`` over the cached
+expiration times.  The hottest entry and the queue heads are tracked by
+:class:`MQEntry` identity, so the hot path never compares keys with
+``==`` (for fingerprints that is a Python-level ``__eq__``).
 """
 
 from __future__ import annotations
@@ -40,6 +49,11 @@ __all__ = ["MQEntry", "MultiQueue", "queue_index_for_popularity"]
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
+
+#: Cached expiration time of an empty queue's head, and always of ``Q0``'s
+#: (the lowest queue's head is evicted, never demoted): later than any
+#: write timestamp, so ``min`` over the cache skips it.
+_NEVER = float("inf")
 
 #: Fallback expiration interval used before the hottest entry has been
 #: re-accessed at least twice (mirrors the ``lifeTime`` parameter of the
@@ -101,7 +115,13 @@ class MultiQueue(Generic[K, V]):
             OrderedDict() for _ in range(num_queues)
         ]
         self._entries: dict[K, MQEntry[V]] = {}
-        self._hottest_key: Optional[K] = None
+        # Head cache, one slot per queue (see the module docstring).
+        self._head_key: List[Optional[K]] = [None] * num_queues
+        self._head_entry: List[Optional[MQEntry[V]]] = [None] * num_queues
+        self._head_due: List[float] = [_NEVER] * num_queues
+        #: The entry with the largest reference count; always resident or
+        #: ``None``, so identity stands in for key equality.
+        self._hottest: Optional[MQEntry[V]] = None
         self._hottest_interval = default_lifetime
         self._default_lifetime = default_lifetime
         # Counters exposed for tests and the ablation benchmarks.
@@ -177,8 +197,8 @@ class MultiQueue(Generic[K, V]):
         )
         entry.expire_time = now + self._hottest_interval
         self._entries[key] = entry
-        self._queues[0][key] = None
-        self._note_access(key, entry, now)
+        self._append(0, key, entry)
+        self._note_access(entry)
         self._run_demotions(now)
         return evicted
 
@@ -192,7 +212,7 @@ class MultiQueue(Generic[K, V]):
             return None
         entry.popularity += 1
         self._refresh(key, entry, now)
-        self._note_access(key, entry, now)
+        self._note_access(entry)
         self._run_demotions(now)
         return entry.payload
 
@@ -210,64 +230,102 @@ class MultiQueue(Generic[K, V]):
             raise KeyError(key)
         entry.popularity = max(1, popularity)
         target = queue_index_for_popularity(entry.popularity, self._num_queues)
-        if target != entry.queue_index:
-            del self._queues[entry.queue_index][key]
-            if target > entry.queue_index:
-                self.promotions += 1
-            else:
-                self.demotions += 1
-            entry.queue_index = target
-            self._queues[target][key] = None
-        else:
-            # Same queue: refresh recency (move to MRU tail).
-            queue = self._queues[target]
-            del queue[key]
-            queue[key] = None
+        self._unlink(key, entry)
+        if target > entry.queue_index:
+            self.promotions += 1
+        elif target < entry.queue_index:
+            self.demotions += 1
+        # Same queue: the unlink/append pair refreshes recency (MRU tail).
+        entry.queue_index = target
         entry.expire_time = now + self._hottest_interval
-        self._note_access(key, entry, now)
+        self._append(target, key, entry)
+        self._note_access(entry)
         self._run_demotions(now)
 
     def _refresh(self, key: K, entry: MQEntry[V], now: int) -> None:
         """Move ``key`` to the tail of its (possibly promoted) queue."""
         target = queue_index_for_popularity(entry.popularity, self._num_queues)
-        del self._queues[entry.queue_index][key]
-        if target > entry.queue_index:
+        self._unlink(key, entry)
+        index = entry.queue_index
+        if target > index:
             # The paper promotes one queue at a time.
-            entry.queue_index += 1
+            index += 1
+            entry.queue_index = index
             self.promotions += 1
-        self._queues[entry.queue_index][key] = None
         entry.prev_access = entry.last_access
         entry.last_access = now
         entry.expire_time = now + self._hottest_interval
+        self._append(index, key, entry)
 
-    def _note_access(self, key: K, entry: MQEntry[V], now: int) -> None:
+    def _note_access(self, entry: MQEntry[V]) -> None:
         """Update the hottest-entry tracking described in Section IV-C."""
-        hottest = (
-            self._entries.get(self._hottest_key)
-            if self._hottest_key is not None
-            else None
-        )
+        hottest = self._hottest
         if hottest is None or entry.popularity >= hottest.popularity:
-            self._hottest_key = key
-        if key == self._hottest_key and entry.prev_access >= 0:
+            self._hottest = hottest = entry
+        if entry is hottest and entry.prev_access >= 0:
             interval = entry.last_access - entry.prev_access
             if interval > 0:
                 self._hottest_interval = interval
 
     def _run_demotions(self, now: int) -> None:
-        """Check each queue's LRU head and demote it if expired."""
+        """Demote every queue head whose expiration time has passed.
+
+        Reads the head cache, not the queues: returns at once when no head
+        is due, else demotes exactly the due heads in ascending queue order.
+        A demoted head lands in a queue already visited, so no entry moves
+        twice in one pass.
+        """
+        due = self._head_due
+        if min(due) > now:
+            return
         for index in range(1, self._num_queues):
-            queue = self._queues[index]
-            if not queue:
+            if due[index] > now:
                 continue
-            head_key = next(iter(queue))
-            entry = self._entries[head_key]
-            if entry.expire_time <= now:
-                del queue[head_key]
-                entry.queue_index = index - 1
-                self._queues[index - 1][head_key] = None
-                entry.expire_time = now + self._hottest_interval
-                self.demotions += 1
+            key = self._head_key[index]
+            entry = self._head_entry[index]
+            del self._queues[index][key]
+            self._reseat_head(index)
+            entry.queue_index = index - 1
+            entry.expire_time = now + self._hottest_interval
+            self._append(index - 1, key, entry)
+            self.demotions += 1
+
+    # ------------------------------------------------------------------
+    # Head cache
+    # ------------------------------------------------------------------
+
+    def _reseat_head(self, index: int) -> None:
+        """Re-read queue ``index``'s head after the old one left it."""
+        queue = self._queues[index]
+        if queue:
+            key = next(iter(queue))
+            entry = self._entries[key]
+            self._head_key[index] = key
+            self._head_entry[index] = entry
+            if index:
+                self._head_due[index] = entry.expire_time
+        else:
+            self._head_key[index] = None
+            self._head_entry[index] = None
+            self._head_due[index] = _NEVER
+
+    def _append(self, index: int, key: K, entry: MQEntry[V]) -> None:
+        """Add ``key`` at queue ``index``'s MRU tail, seating it as the
+        head when the queue was empty (``expire_time`` already final)."""
+        queue = self._queues[index]
+        if not queue:
+            self._head_key[index] = key
+            self._head_entry[index] = entry
+            if index:
+                self._head_due[index] = entry.expire_time
+        queue[key] = None
+
+    def _unlink(self, key: K, entry: MQEntry[V]) -> None:
+        """Delete resident ``key`` from its queue, keeping the cache."""
+        index = entry.queue_index
+        del self._queues[index][key]
+        if entry is self._head_entry[index]:
+            self._reseat_head(index)
 
     def set_capacity(self, capacity: int) -> List[Tuple[K, V]]:
         """Resize the container; shrinking evicts coldest-first.
@@ -289,24 +347,26 @@ class MultiQueue(Generic[K, V]):
 
     def evict_one(self) -> Optional[Tuple[K, V]]:
         """Evict the LRU head of the lowest non-empty queue."""
-        for queue in self._queues:
+        for index, queue in enumerate(self._queues):
             if queue:
                 key, _ = queue.popitem(last=False)
                 entry = self._entries.pop(key)
-                if key == self._hottest_key:
-                    self._hottest_key = None
+                self._reseat_head(index)
+                if entry is self._hottest:
+                    self._hottest = None
                 self.evictions += 1
                 return key, entry.payload
         return None
 
     def remove(self, key: K) -> Optional[V]:
         """Remove ``key`` outright (reuse by a write, or erased by GC)."""
-        entry = self._entries.pop(key, None)
+        entry = self._entries.get(key)
         if entry is None:
             return None
-        del self._queues[entry.queue_index][key]
-        if key == self._hottest_key:
-            self._hottest_key = None
+        self._unlink(key, entry)
+        del self._entries[key]
+        if entry is self._hottest:
+            self._hottest = None
         return entry.payload
 
     def check_invariants(self) -> None:
@@ -318,3 +378,16 @@ class MultiQueue(Generic[K, V]):
             for key in queue:
                 entry = self._entries[key]
                 assert entry.queue_index == index, f"stale queue index for {key!r}"
+            head = next(iter(queue), None)
+            entry = self._entries[head] if queue else None
+            assert (
+                self._head_key[index] == head
+                and self._head_entry[index] is entry
+            ), f"stale head cache for queue {index}"
+            due = entry.expire_time if entry is not None and index else _NEVER
+            assert self._head_due[index] == due, (
+                f"stale head expiration for queue {index}"
+            )
+        assert self._hottest is None or any(
+            self._hottest is entry for entry in self._entries.values()
+        ), "hottest entry is not resident"

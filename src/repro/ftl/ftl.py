@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from ..core.dvp import DeadValuePool
 from ..core.hashing import Fingerprint
 from ..flash.array import FlashArray
+from ..flash.block import PageState
 from ..flash.config import SSDConfig
 from .allocator import BadBlockManager, PageAllocator
 
@@ -44,6 +45,10 @@ from .mapping import MappingTable, POPULARITY_MAX
 from .wear import WearTracker
 
 __all__ = ["FTLCounters", "WriteOutcome", "ReadOutcome", "BaseFTL"]
+
+#: ``Block.states`` bytes the fused write path tests and sets directly.
+_VALID = PageState.VALID.value
+_INVALID = PageState.INVALID.value
 
 
 @dataclass
@@ -65,10 +70,6 @@ class FTLCounters:
     def total_programs(self) -> int:
         """Host programs plus GC relocation programs (drive write traffic)."""
         return self.programs + self.gc_relocations
-
-    @property
-    def write_reduction_vs(self) -> float:
-        raise AttributeError("use experiments.comparison helpers")
 
 
 @dataclass(slots=True)
@@ -287,7 +288,189 @@ class BaseFTL:
     # ------------------------------------------------------------------
 
     def write(self, lpn: int, fp: Fingerprint) -> WriteOutcome:
-        """Service one 4KB host write of content ``fp`` at ``lpn``."""
+        """Service one 4KB host write of content ``fp`` at ``lpn``.
+
+        The common case runs fused: the popularity bump, old-copy
+        invalidation, pool lookup/revival, allocation, ``map`` and the OOB
+        record happen inline here, with every check the per-call path
+        makes (an illegal state falls back to the method that raises).
+        The pool stays behind its ``lookup_for_write``/``insert_garbage``
+        calls, and GC is entered through ``gc.maybe_collect`` whenever
+        the target plane is below the watermark.  Fault injection, a
+        read-only drive, and an override or ``setattr``-wrap of
+        :meth:`write` or any step it inlines (compared by identity with
+        the functions captured at import) take :meth:`_write_per_call`,
+        so a subclass or probe sees every call.
+        """
+        cls = type(self)
+        mapping = self.mapping
+        l2p = mapping._l2p
+        if not (
+            self.faults is None
+            and not self.read_only
+            and cls.write is _WRITE
+            and cls._handle_write is _HANDLE_WRITE
+            and cls._service_write is _SERVICE_WRITE
+            and cls._invalidate_lpn is _INVALIDATE_LPN
+            and cls._on_page_death is _ON_PAGE_DEATH
+            and cls._program is _PROGRAM
+            and cls._revive is _REVIVE
+            and cls.content_aware is _CONTENT_AWARE
+            and 0 <= lpn < self._logical_pages
+            and lpn < len(l2p)
+        ):
+            return self._write_per_call(lpn, fp)
+        self.write_clock = clock = self.write_clock + 1
+        counters = self.counters
+        counters.host_writes += 1
+        # Saturating popularity bump; the LPN's popularity byte follows.
+        write_pop = self._write_popularity
+        popularity = write_pop.get(fp, 0) + 1
+        if popularity > POPULARITY_MAX:
+            popularity = POPULARITY_MAX
+        write_pop[fp] = popularity
+        mapping._pop[lpn] = popularity
+        pool = self.pool
+        outcome = WriteOutcome(lpn, pool is not None)
+        array = self.array
+        blocks = array.blocks
+        per_block = array._pages_per_block
+        owner = mapping._owner
+        garbage_pop_of_ppn = self._garbage_pop_of_ppn
+        block_garbage_pop = self._block_garbage_pop
+
+        # Out-of-place update: kill the copy previously mapped at ``lpn``
+        # (= _invalidate_lpn + _on_page_death).
+        old_ppn = l2p[lpn]
+        if old_ppn >= 0:
+            if owner[old_ppn] == lpn:
+                l2p[lpn] = -1
+                mapping._mapped -= 1
+                owner[old_ppn] = -1
+                dead = True
+            else:
+                mapping.unmap(lpn)
+                dead = mapping.refcount(old_ppn) == 0
+            if dead:
+                block_index, page = divmod(old_ppn, per_block)
+                block = blocks[block_index]
+                if block.states[page] != _VALID:
+                    array.invalidate(old_ppn)  # raises the state mismatch
+                block.states[page] = _INVALID
+                block.valid_count -= 1
+                block.invalid_count += 1
+                array.valid_pages -= 1
+                array.invalid_pages += 1
+                counters.invalidations += 1
+                old_fp = self._ppn_fp.get(old_ppn)
+                if old_fp is not None and pool is not None:
+                    pool_pop = write_pop.get(old_fp, 1)
+                    if self.combine_read_popularity:
+                        pool_pop = min(
+                            pool_pop + self._read_popularity.get(old_fp, 0),
+                            POPULARITY_MAX,
+                        )
+                    dropped = pool.insert_garbage(
+                        old_fp, old_ppn, clock, popularity=pool_pop, lpn=lpn
+                    )
+                    garbage_pop_of_ppn[old_ppn] = pool_pop
+                    block_garbage_pop[block_index] = (
+                        block_garbage_pop.get(block_index, 0) + pool_pop
+                    )
+                    for dropped_ppn in dropped:
+                        self._clear_garbage_pop(dropped_ppn)
+
+        # Place the new data: revive from the pool (= _revive), or program
+        # a page (= _program).
+        revived = None
+        if pool is not None:
+            revived = pool.lookup_for_write(fp, clock)
+        if revived is not None:
+            if self.verify_hits:
+                outcome.verify_read_ppn = revived
+                counters.flash_reads += 1
+            block_index, page = divmod(revived, per_block)
+            block = blocks[block_index]
+            if block.states[page] != _INVALID:
+                array.revive(revived)  # raises the state mismatch
+            block.states[page] = _VALID
+            block.invalid_count -= 1
+            block.valid_count += 1
+            array.invalid_pages -= 1
+            array.valid_pages += 1
+            garbage_pop = garbage_pop_of_ppn.pop(revived, None)
+            if garbage_pop is not None:
+                remaining = block_garbage_pop.get(block_index, 0) - garbage_pop
+                if remaining > 0:
+                    block_garbage_pop[block_index] = remaining
+                else:
+                    block_garbage_pop.pop(block_index, None)
+            ppn = revived
+        else:
+            allocator = self.allocator
+            plane = allocator._next_plane
+            gc = self.gc
+            # Collect *before* allocating (see _program).  The inlined
+            # watermark test is maybe_collect's own early return.
+            if not (
+                type(gc).maybe_collect is _MAYBE_COLLECT
+                and len(gc.allocator.free_blocks[plane]) >= gc.low_watermark
+            ):
+                work = gc.maybe_collect(plane)
+                if work.erased_blocks or work.relocations or work.retired_blocks:
+                    counters.gc_erases += len(work.erased_blocks)
+                    counters.gc_relocations += len(work.relocations)
+                    outcome.gc = work
+                if self.read_only:
+                    outcome.rejected = True
+                    if self.checker is not None:
+                        self.checker.after_write(self, lpn, fp, outcome)
+                    return outcome
+            # allocate -> allocate_in_plane -> program_in_block
+            allocator._next_plane = (plane + 1) % allocator._planes
+            actives = allocator._active
+            block_index = actives[plane]
+            if (
+                block_index is None
+                or blocks[block_index].write_pointer >= per_block
+            ):
+                block_index = allocator._open_block(plane, actives)
+            block = blocks[block_index]
+            page = block.write_pointer
+            if block.retired or page >= block.pages_per_block:
+                array.program_in_block(block_index)  # raises
+            block.states[page] = _VALID
+            block.write_pointer = page + 1
+            block.valid_count += 1
+            array.free_pages -= 1
+            array.valid_pages += 1
+            array.total_programs += 1
+            if page + 1 >= block.pages_per_block:
+                actives[plane] = None
+            ppn = block_index * per_block + page
+
+        if ppn < len(owner) and owner[ppn] == -1 and l2p[lpn] < 0:
+            l2p[lpn] = ppn
+            mapping._mapped += 1
+            owner[ppn] = lpn
+        else:
+            mapping.map(lpn, ppn)  # grows, shares, or raises "already mapped"
+        self._oob_seq = seq = self._oob_seq + 1
+        self._oob[ppn] = (lpn, seq)
+        if revived is not None:
+            counters.short_circuits += 1
+            outcome.short_circuited = True
+            outcome.revived_ppn = ppn
+        else:
+            self._ppn_fp[ppn] = fp
+            counters.programs += 1
+            outcome.program_ppn = ppn
+        if self.checker is not None:
+            self.checker.after_write(self, lpn, fp, outcome)
+        return outcome
+
+    def _write_per_call(self, lpn: int, fp: Fingerprint) -> WriteOutcome:
+        """The unfused write: one method call per step (see :meth:`write`)."""
         self._check_lpn(lpn)
         self.write_clock += 1
         self.counters.host_writes += 1
@@ -300,8 +483,8 @@ class BaseFTL:
             if self.checker is not None:
                 self.checker.after_write(self, lpn, fp, outcome)
             return outcome
-        # Saturating popularity bump, inlined (= _bump_write_popularity):
-        # two dict ops per host write are measurably cheaper than a call.
+        # Saturating popularity bump, inlined: two dict ops per host write
+        # are measurably cheaper than a call.
         write_pop = self._write_popularity
         popularity = write_pop.get(fp, 0) + 1
         if popularity > POPULARITY_MAX:
@@ -389,11 +572,6 @@ class BaseFTL:
         """Journal (lpn, seq) into ``ppn``'s out-of-band area."""
         self._oob_seq += 1
         self._oob[ppn] = (lpn, self._oob_seq)
-
-    def _bump_write_popularity(self, fp: Fingerprint) -> int:
-        value = min(self._write_popularity.get(fp, 0) + 1, POPULARITY_MAX)
-        self._write_popularity[fp] = value
-        return value
 
     def _pool_popularity(self, fp: Fingerprint) -> int:
         """Popularity degree handed to the pool on insertion."""
@@ -546,10 +724,24 @@ class BaseFTL:
         self.mapping.check_invariants()
         self.allocator.check_invariants()
         for ppn in self.mapping.mapped_ppns():
-            from ..flash.block import PageState
-
             assert self.array.state_of(ppn) is PageState.VALID, (
                 f"mapped PPN {ppn} is not VALID"
             )
             assert ppn in self._ppn_fp, f"mapped PPN {ppn} has no fingerprint"
             assert ppn in self._oob, f"mapped PPN {ppn} has no OOB record"
+
+
+#: The methods the fused :meth:`BaseFTL.write` inlines, captured at import.
+#: ``write`` compares the class attributes against these by identity, so a
+#: subclass override (``DedupFTL``, ``DFTLFtl``) or a probe that
+#: ``setattr``-wraps one sends the write down ``_write_per_call``; a
+#: wrapped ``GarbageCollector.maybe_collect`` is called on every program.
+_WRITE = BaseFTL.write
+_HANDLE_WRITE = BaseFTL._handle_write
+_SERVICE_WRITE = BaseFTL._service_write
+_INVALIDATE_LPN = BaseFTL._invalidate_lpn
+_ON_PAGE_DEATH = BaseFTL._on_page_death
+_PROGRAM = BaseFTL._program
+_REVIVE = BaseFTL._revive
+_CONTENT_AWARE = BaseFTL.content_aware
+_MAYBE_COLLECT = GarbageCollector.maybe_collect

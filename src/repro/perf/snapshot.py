@@ -206,7 +206,10 @@ class PrefillCache:
 
 #: Live-state blobs are version-tagged so a reader refuses a blob from
 #: an incompatible writer instead of grafting mismatched state.
-LIVE_STATE_VERSION = 1
+#: Version 2: ``MultiQueue`` pickles its head cache (``_head_key``/
+#: ``_head_entry``/``_head_due``) and ``_hottest`` entry; a version 1
+#: pool would resume without them.
+LIVE_STATE_VERSION = 2
 
 
 def capture_live_state(ftl: BaseFTL, ssd: "SimulatedSSD") -> bytes:

@@ -4,10 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.adaptive import AdaptiveMQDeadValuePool
+from repro.core.dvp import (
+    InfiniteDeadValuePool,
+    LBARecencyPool,
+    LRUDeadValuePool,
+    MQDeadValuePool,
+)
 from repro.core.hashing import fingerprint_of_value as fp
 from repro.flash.block import PageState
 from repro.flash.config import SSDConfig
 from repro.ftl.dvp_ftl import build_system
+from repro.ftl.ftl import BaseFTL
 
 
 def small_config() -> SSDConfig:
@@ -103,3 +111,149 @@ def test_pool_tracks_only_invalid_pages(operations):
             for ppn in pool.mq.get(key).ppns:
                 assert ftl.array.state_of(ppn) is PageState.INVALID
                 assert ftl.fingerprint_at(ppn) == key
+
+
+# ---------------------------------------------------------------------------
+# Fused write path vs the per-call path
+# ---------------------------------------------------------------------------
+
+
+class PerCallFTL(BaseFTL):
+    """A BaseFTL whose writes take the per-call path: overriding
+    ``_handle_write`` (even with a plain ``super()`` call) turns the fused
+    path off."""
+
+    def _handle_write(self, lpn, fp, outcome):
+        super()._handle_write(lpn, fp, outcome)
+
+
+POOL_FACTORIES = {
+    "none": lambda: None,
+    "mq": lambda: MQDeadValuePool(8),
+    "lru": lambda: LRUDeadValuePool(8),
+    "infinite": InfiniteDeadValuePool,
+    "lba-recency": lambda: LBARecencyPool(8),
+    # Small window and bounds so the pool resizes (and drops PPNs
+    # through its listener) inside one example.
+    "adaptive": lambda: AdaptiveMQDeadValuePool(
+        8, min_entries=4, max_entries=32, window=16
+    ),
+}
+
+#: (op, lpn, value): op 0 writes, 1 trims, 2 reads.  Writes dominate so
+#: the drive stays under GC pressure; the small value space forces deaths
+#: and revivals of the same content.
+fused_ops = st.lists(
+    st.tuples(
+        st.sampled_from([0, 0, 0, 0, 1, 2]),
+        st.integers(min_value=0, max_value=LOGICAL - 1),
+        st.integers(min_value=0, max_value=15),
+    ),
+    min_size=1,
+    max_size=300,
+)
+
+
+def ftl_state(ftl):
+    """Everything a write can touch, in iteration order where it has one."""
+    array = ftl.array
+    allocator = ftl.allocator
+    pool = ftl.pool
+    state = {
+        "counters": ftl.counters,
+        "write_clock": ftl.write_clock,
+        "forward": list(ftl.mapping.forward_items().items()),
+        "popularity_bytes": bytes(ftl.mapping._pop),
+        "mapped": ftl.mapping.mapped_lpn_count(),
+        "blocks": [
+            (bytes(b.states), b.write_pointer, b.valid_count,
+             b.invalid_count, b.erase_count)
+            for b in array.blocks
+        ],
+        "array": (array.free_pages, array.valid_pages, array.invalid_pages,
+                  array.total_programs, array.total_erases),
+        "allocator": (list(allocator._active), list(allocator._active_gc),
+                      [list(q) for q in allocator.free_blocks],
+                      allocator.plane_of_next_write()),
+        "oob": list(ftl._oob.items()),
+        "oob_trims": list(ftl._oob_trims.items()),
+        "oob_seq": ftl._oob_seq,
+        "ppn_fp": list(ftl._ppn_fp.items()),
+        "write_popularity": list(ftl._write_popularity.items()),
+        "read_popularity": list(ftl._read_popularity.items()),
+        "garbage_pop_of_ppn": list(ftl._garbage_pop_of_ppn.items()),
+        "block_garbage_pop": list(ftl._block_garbage_pop.items()),
+        "gc_invocations": ftl.gc.invocations,
+    }
+    if pool is not None:
+        state["pool_stats"] = pool.stats
+        state["tracked"] = list(pool.tracked_items())
+        mq = getattr(pool, "mq", None)
+        if mq is not None:
+            state["mq"] = (
+                [mq.keys_in_queue(i) for i in range(mq.num_queues)],
+                mq.promotions, mq.demotions, mq.evictions,
+                mq.hottest_interval, mq.capacity,
+            )
+    return state
+
+
+def count_unfused_writes(ftl):
+    """Record every write ``ftl`` sends down ``_write_per_call``."""
+    calls = []
+    unfused = ftl._write_per_call
+
+    def counted(lpn, value):
+        calls.append(lpn)
+        return unfused(lpn, value)
+
+    ftl._write_per_call = counted
+    return calls
+
+
+@pytest.mark.parametrize("pool_name", sorted(POOL_FACTORIES))
+@given(
+    operations=fused_ops,
+    popularity_aware_gc=st.booleans(),
+    verify_hits=st.booleans(),
+    combine_read_popularity=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_fused_write_matches_per_call(
+    pool_name, operations, popularity_aware_gc, verify_hits,
+    combine_read_popularity,
+):
+    """The fused ``BaseFTL.write`` and the per-call path stay identical,
+    outcome for outcome and table for table, on write/trim/read streams
+    that keep GC busy."""
+    options = dict(
+        popularity_aware_gc=popularity_aware_gc,
+        verify_hits=verify_hits,
+        combine_read_popularity=combine_read_popularity,
+    )
+    fused = BaseFTL(small_config(), pool=POOL_FACTORIES[pool_name](), **options)
+    per_call = PerCallFTL(
+        small_config(), pool=POOL_FACTORIES[pool_name](), **options
+    )
+    unfused = count_unfused_writes(fused), count_unfused_writes(per_call)
+    # Precondition: every LPN holds a unique value, then one overwrite
+    # pass from the small value space, so GC is already relocating when
+    # the random stream starts.
+    prefill = [(0, lpn, 1000 + lpn) for lpn in range(LOGICAL)]
+    churn = [(0, lpn, lpn % 16) for lpn in range(LOGICAL)]
+    for step, (op, lpn, value) in enumerate(prefill + churn + operations):
+        if op == 0:
+            # Dataclass equality: every WriteOutcome field, GC work included.
+            assert fused.write(lpn, fp(value)) == per_call.write(lpn, fp(value))
+        elif op == 1:
+            fused.trim(lpn)
+            per_call.trim(lpn)
+        else:
+            assert fused.read(lpn) == per_call.read(lpn)
+        assert fused.counters == per_call.counters
+        if step % 50 == 0:
+            assert ftl_state(fused) == ftl_state(per_call)
+    assert ftl_state(fused) == ftl_state(per_call)
+    assert unfused[0] == [] and len(unfused[1]) == per_call.counters.host_writes
+    assert per_call.counters.gc_erases > 0
+    fused.check_invariants()

@@ -109,6 +109,16 @@ class TestMoreCorruptions:
         ftl.pool.discard_ppn(pool_fp, ppn)
         assert "pool.popularity-leak" in kinds_of(audit(ftl))
 
+    def test_stale_mq_head_cache(self, tiny_config):
+        ftl = healthy_ftl(tiny_config)
+        mq = ftl.pool.mq
+        assert audit(ftl) == []
+        # A head cache that missed a change: a non-empty queue whose
+        # cached head is not its real LRU head.
+        index = next(i for i in range(mq.num_queues) if mq.keys_in_queue(i))
+        mq._head_entry[index] = None
+        assert "pool.mq-internal" in kinds_of(audit(ftl))
+
     def test_trim_order_violation(self, tiny_config):
         ftl = healthy_ftl(tiny_config)
         lpn = next(iter(ftl.mapping.forward_items()))

@@ -4,8 +4,12 @@ import pytest
 
 from repro.core.dvp import InfiniteDeadValuePool, MQDeadValuePool
 from repro.core.hashing import fingerprint_of_value as fp
+from repro.faults import FaultConfig, FaultModel
 from repro.flash.block import PageState
+from repro.ftl.dedup import DedupFTL
+from repro.ftl.dftl import DFTLFtl
 from repro.ftl.ftl import BaseFTL
+from repro.ftl.gc import GarbageCollector
 
 
 @pytest.fixture
@@ -181,3 +185,88 @@ class TestReadPopularity:
         dvp_ftl.write(0, fp(1))
         dvp_ftl.read(0)
         assert fp(1) not in dvp_ftl._read_popularity
+
+
+class HashingFTL(BaseFTL):
+    """Hashes every write without a pool: only ``content_aware`` differs."""
+
+    content_aware = property(lambda self: True)
+
+
+class TestWriteRouting:
+    """Plain ``BaseFTL`` writes run fused; anything that overrides or wraps
+    a step the fused path inlines gets every call through the per-call
+    path instead."""
+
+    @staticmethod
+    def _churn(ftl, config):
+        """Three overwrite passes: fresh values force GC, and every fourth
+        LPN flips between two shared values, which revives dead copies."""
+        for rnd in range(3):
+            for lpn in range(config.logical_pages):
+                value = rnd % 2 if lpn % 4 == 0 else 1000 * (rnd + 1) + lpn
+                ftl.write(lpn, fp(value))
+
+    @staticmethod
+    def _count(monkeypatch, owner, attr):
+        calls = []
+        original = owner.__dict__[attr]
+
+        def counted(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(owner, attr, counted)
+        return calls
+
+    @pytest.mark.parametrize("owner, attr, expect", [
+        (BaseFTL, "_handle_write", "host_writes"),
+        (BaseFTL, "_service_write", "host_writes"),
+        (BaseFTL, "_invalidate_lpn", "host_writes"),
+        (BaseFTL, "_on_page_death", "invalidations"),
+        (BaseFTL, "_program", "programs"),
+        (BaseFTL, "_revive", "short_circuits"),
+        (GarbageCollector, "maybe_collect", "programs"),
+    ])
+    @pytest.mark.parametrize("after_construction", [False, True])
+    def test_setattr_wrap_sees_every_call(
+        self, tiny_config, monkeypatch, owner, attr, expect,
+        after_construction,
+    ):
+        if not after_construction:
+            calls = self._count(monkeypatch, owner, attr)
+        ftl = BaseFTL(tiny_config, pool=MQDeadValuePool(64))
+        if after_construction:
+            calls = self._count(monkeypatch, owner, attr)
+        self._churn(ftl, tiny_config)
+        counters = ftl.counters
+        assert counters.gc_erases > 0 and counters.short_circuits > 0
+        assert len(calls) == getattr(counters, expect)
+
+    @pytest.mark.parametrize("system", [
+        "base", "dedup", "dftl", "hashing", "faults", "read-only",
+        "wrapped-write",
+    ])
+    def test_which_writes_run_fused(self, tiny_config, monkeypatch, system):
+        unfused = self._count(monkeypatch, BaseFTL, "_write_per_call")
+        pool = MQDeadValuePool(64)
+        if system == "dedup":
+            ftl = DedupFTL(tiny_config, pool=pool)
+        elif system == "dftl":
+            ftl = DFTLFtl(tiny_config, pool=pool)
+        elif system == "hashing":
+            ftl = HashingFTL(tiny_config)
+        else:
+            ftl = BaseFTL(tiny_config, pool=pool)
+        if system == "faults":
+            ftl.attach_faults(FaultModel(FaultConfig(seed=0)))
+        elif system == "read-only":
+            ftl.enter_read_only()
+        elif system == "wrapped-write":
+            # What a layer probe does: wrap the class attribute in place.
+            self._count(monkeypatch, BaseFTL, "write")
+        outcome = ftl.write(0, fp(1))
+        self._churn(ftl, tiny_config)
+        expected = 0 if system == "base" else ftl.counters.host_writes
+        assert len(unfused) == expected
+        assert outcome.hashed == (ftl.content_aware and not ftl.read_only)

@@ -259,6 +259,33 @@ class TestCheckpointResume:
         with pytest.raises(SessionError, match="corrupt"):
             TenantSession.from_blob(b"garbage")
 
+    def test_live_state_v1_blob_refused(self, tiny_config):
+        """Version 1 live state predates the MQ head cache: restoring it
+        would resume an MQ pool without one.  The reader refuses it."""
+        import pickle
+
+        from repro.core.dvp import MQDeadValuePool
+        from repro.core.hashing import fingerprint_of_value
+        from repro.ftl.ftl import BaseFTL
+        from repro.perf.snapshot import (
+            LIVE_STATE_VERSION,
+            capture_live_state,
+            restore_live_state,
+        )
+        from repro.sim.ssd import SimulatedSSD
+
+        ftl = BaseFTL(tiny_config, pool=MQDeadValuePool(16))
+        for lpn in range(8):
+            ftl.write(lpn, fingerprint_of_value(lpn % 3))
+        state = pickle.loads(capture_live_state(ftl, SimulatedSSD(ftl)))
+        assert state["version"] == LIVE_STATE_VERSION == 2
+        restore_live_state(pickle.dumps(state))
+        state["version"] = 1
+        with pytest.raises(
+            ValueError, match="live-state blob version 1 != supported 2"
+        ):
+            restore_live_state(pickle.dumps(state))
+
     def test_checkpoint_of_closed_session_rejected(self):
         session = TenantSession(session_config())
         session.finalize()
