@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from dataclasses import replace as dataclasses_replace
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Union
 
-from ..sim.metrics import LatencyStats, RunResult
+from ..sim.metrics import LatencyPair, LatencyStats, RunResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..fleet.aggregate import FleetResult
@@ -97,7 +97,9 @@ class LatencySummary:
     max_us: float
 
     @classmethod
-    def from_stats(cls, stats: LatencyStats) -> "LatencySummary":
+    def from_stats(
+        cls, stats: Union[LatencyStats, LatencyPair]
+    ) -> "LatencySummary":
         if stats.count == 0:
             return cls(count=0, mean_us=0.0, p50_us=0.0, p99_us=0.0,
                        max_us=0.0)
@@ -278,7 +280,9 @@ def record_from_run(
         counters=asdict(result.counters),
         reads=LatencySummary.from_stats(result.reads),
         writes=LatencySummary.from_stats(result.writes),
-        requests=LatencySummary.from_stats(result.all_requests),
+        requests=LatencySummary.from_stats(
+            LatencyPair(result.reads, result.writes)
+        ),
         horizon_us=result.horizon_us,
         digest=digest,
         pool=dict(result.pool_stats) if result.pool_stats is not None else None,
@@ -330,7 +334,7 @@ def aggregate_record(
         counters=_summed_counters(results),
         reads=LatencySummary.from_stats(reads),
         writes=LatencySummary.from_stats(writes),
-        requests=LatencySummary.from_stats(reads.merged_with(writes)),
+        requests=LatencySummary.from_stats(LatencyPair(reads, writes)),
         horizon_us=max((r.horizon_us for r in results), default=0.0),
         digest=digest,
         meta=dict(meta) if meta else {},

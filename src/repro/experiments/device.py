@@ -45,12 +45,11 @@ drivers over this class, so their per-drive semantics cannot drift apart.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from ..core.dvp import PoolStats
 from ..flash.config import SSDConfig
 from ..ftl.dvp_ftl import build_system
-from ..ftl.ftl import BaseFTL, FTLCounters
+from ..ftl.ftl import BaseFTL
 from ..sim.metrics import RunResult
 from ..sim.request import IORequest
 from ..sim.ssd import SimulatedSSD
@@ -107,24 +106,23 @@ class Device:
         return self
 
     def precondition_pages(
-        self, fingerprints: Sequence["Fingerprint"]
+        self, fingerprints: Iterable["Fingerprint"]
     ) -> "Device":
         """Precondition with one explicit fingerprint per local page.
 
-        Local page ``i`` is written once with ``fingerprints[i]``; then
-        counters and pool statistics reset, exactly like the profile
-        prefill's epilogue.  This is the fleet shard content model: the
-        fingerprints are the initial values of the global LBAs the shard
-        owns, so cold reads against the shard hit real flash pages.
+        Local page ``i`` is written once with the ``i``-th fingerprint
+        (consumed lazily); then counters and pool statistics reset,
+        exactly like the profile prefill, which shares this loop
+        (:func:`~repro.experiments.runner.preload_pages`).  This is the
+        fleet shard content model: the fingerprints are the initial
+        values of the global LBAs the shard owns, so cold reads against
+        the shard hit real flash pages.
         """
+        from .runner import preload_pages  # runtime: runner imports this module
+
         if self.ftl is None:
             self.build()
-        ftl = self.ftl
-        for lpn, fingerprint in enumerate(fingerprints):
-            ftl.write(lpn, fingerprint)
-        ftl.counters = FTLCounters()
-        if ftl.pool is not None:
-            ftl.pool.stats = PoolStats()
+        preload_pages(self.ftl, fingerprints)
         return self
 
     # -- stage 3: attach -----------------------------------------------

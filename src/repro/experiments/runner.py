@@ -33,12 +33,13 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    Iterable,
     Optional,
     Sequence,
 )
 
 from ..core.dvp import PoolStats
-from ..core.hashing import fingerprint_of_value
+from ..core.hashing import Fingerprint, fingerprint_of_value
 from ..flash.config import SSDConfig, scaled_config
 from ..ftl.ftl import BaseFTL, FTLCounters
 from ..sim.metrics import RunResult
@@ -57,6 +58,7 @@ __all__ = [
     "RunConfig",
     "scaled_pool_entries",
     "prefill",
+    "preload_pages",
     "config_for_profile",
     "run_system",
     "run_matrix",
@@ -90,9 +92,20 @@ def prefill(ftl: BaseFTL, profile: WorkloadProfile) -> int:
     Returns the number of pages written.  Counters and pool statistics are
     reset afterwards so measurements cover only the trace window.
     """
-    pages = profile.total_pages
-    for lpn in range(pages):
-        ftl.write(lpn, fingerprint_of_value(initial_value_of(lpn)))
+    return preload_pages(
+        ftl,
+        map(fingerprint_of_value, map(initial_value_of, range(profile.total_pages))),
+    )
+
+
+def preload_pages(ftl: BaseFTL, fingerprints: Iterable[Fingerprint]) -> int:
+    """Write local page ``i`` with the ``i``-th fingerprint, then reset
+    counters and pool statistics; returns the number of pages written.
+
+    The one preconditioning loop (:meth:`BaseFTL.preload`), shared by
+    :func:`prefill` and :meth:`Device.precondition_pages`.
+    """
+    pages = ftl.preload(fingerprints)
     ftl.counters = FTLCounters()
     if ftl.pool is not None:
         ftl.pool.stats = PoolStats()

@@ -10,19 +10,26 @@ evaluation matrix ships :class:`~repro.perf.spec.RunSpec` cells, and
 
 :func:`execute_shard` is a pure function of its spec:
 
-1. materialise the workload context (trace cache — in the parallel path
-   :meth:`ShardSpec.prewarm` fills it before the pool forks, so workers
-   inherit the trace copy-on-write and never regenerate it);
-2. route the logical space through the :class:`~.ring.HashRing` and take
-   the pages this shard owns, remapped to a dense local address space in
-   global-LBA order;
+1. materialise the workload context (trace cache);
+2. look up the fleet's routing: :meth:`HashRing.assignments
+   <.ring.HashRing.assignments>` runs the ring pass once per fleet and
+   memoises it, so every shard reads the same owner tuple; the shard
+   takes the pages it owns, remapped to a dense local address space in
+   global-LBA order (:func:`shard_local_pages`);
 3. build a drive sized to the shard's footprint (same fill-fraction
    slack rule as the single-drive path) and precondition local page
    ``i`` with the initial value of the *global* LBA it carries, so cold
-   reads against the shard hit real flash pages with the right content;
-4. replay the shard's slice of the trace in chunked batches through the
-   composable :class:`~repro.experiments.device.Device` lifecycle
-   (chunked stepping is observably identical to one whole-trace step).
+   reads against the shard hit real flash pages with the right content
+   (bulk preconditioning, :meth:`~repro.ftl.ftl.BaseFTL.preload`);
+4. stream the shard's slice of the trace, each request rebuilt with its
+   local LPN, in ``chunk_requests`` batches through the composable
+   :class:`~repro.experiments.device.Device` lifecycle (chunked stepping
+   is observably identical to one whole-trace step).
+
+In the parallel path :meth:`ShardSpec.prewarm` does steps 1 and 2's
+shared work in the parent before the pool forks — the trace and the
+ring pass — so workers inherit both copy-on-write; ``jobs=1`` computes
+the ring pass once for all shards through the same memo.
 
 Because every step above depends only on the spec, ``jobs=1`` and
 ``jobs=N`` produce bit-identical per-shard results; :func:`run_fleet`
@@ -56,6 +63,7 @@ from ..experiments.runner import ExperimentContext, scaled_pool_entries
 from ..flash.config import scaled_config
 from ..perf.parallel import resolve_jobs, run_specs
 from ..sim.metrics import RunResult
+from ..sim.request import IORequest
 from ..traces.synthetic import initial_value_of
 from .aggregate import FleetResult, PoolModeComparison, aggregate_fleet
 from .ring import HashRing
@@ -64,6 +72,7 @@ __all__ = [
     "FleetSpec",
     "ShardSpec",
     "build_shard_device",
+    "shard_local_pages",
     "execute_shard",
     "run_fleet",
     "compare_pool_modes",
@@ -161,12 +170,14 @@ class ShardSpec:
         return execute_shard(self)
 
     def prewarm(self) -> None:
-        """Generate the fleet's trace in the parent before forking (the
+        """Generate the fleet's trace and run its ring pass in the parent
+        before forking, so workers inherit both copy-on-write (the
         shards never use the prefill cache)."""
         fleet = self.fleet
-        ExperimentContext.for_workload(
+        context = ExperimentContext.for_workload(
             fleet.workload, fleet.scale, seed=fleet.seed
         )
+        fleet.ring().assignments(context.profile.total_pages)
 
 
 def build_shard_device(
@@ -182,8 +193,7 @@ def build_shard_device(
     (:func:`execute_shard`) and the serve layer's streamed sessions, so
     a streamed shard and a batch shard are built bit-identically.
     """
-    assigned = [lpn for lpn, owner in enumerate(owners) if owner == index]
-    local_of = {lpn: local for local, lpn in enumerate(assigned)}
+    assigned, local_of = shard_local_pages(owners, index)
 
     # Same slack rule as config_for_profile, on the shard's footprint.
     # max(1, ...) keeps a pathological empty shard (possible only with
@@ -196,10 +206,23 @@ def build_shard_device(
     device = Device(fleet.system, shard_config, fleet.shard_pool_entries())
     device.build()
     device.precondition_pages(
-        [fingerprint_of_value(initial_value_of(lpn)) for lpn in assigned]
+        map(fingerprint_of_value, map(initial_value_of, assigned))
     )
     device.attach(fleet.shard_run_config())
     return device, local_of
+
+
+def shard_local_pages(
+    owners: Sequence[int], index: int
+) -> Tuple[List[int], Dict[int, int]]:
+    """The global LPNs shard ``index`` owns, in global order, and the
+    global-LPN → local-page remap over them.
+
+    The one routing-table rule: batch shards, serve sessions and
+    restored serve sessions all derive their remap here.
+    """
+    assigned = [lpn for lpn, owner in enumerate(owners) if owner == index]
+    return assigned, {lpn: local for local, lpn in enumerate(assigned)}
 
 
 def execute_shard(spec: ShardSpec) -> RunResult:
@@ -214,14 +237,18 @@ def execute_shard(spec: ShardSpec) -> RunResult:
         fleet, spec.index, owners, profile.fill_fraction
     )
 
-    chunk: List = []
+    index = spec.index
+    size = fleet.chunk_requests
+    chunk: List[IORequest] = []
     for request in context.trace:
-        if owners[request.lpn] != spec.index:
-            continue
-        chunk.append(replace(request, lpn=local_of[request.lpn]))
-        if len(chunk) >= fleet.chunk_requests:
-            device.step(chunk)
-            chunk = []
+        lpn = request.lpn
+        if owners[lpn] == index:
+            chunk.append(IORequest(
+                request.arrival_us, request.op, local_of[lpn], request.value_id
+            ))
+            if len(chunk) >= size:
+                device.step(chunk)
+                chunk = []
     if chunk:
         device.step(chunk)
 

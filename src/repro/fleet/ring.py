@@ -23,11 +23,21 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import List, Tuple
+import struct
+from typing import Dict, List, Tuple
 
 __all__ = ["HashRing"]
 
 _POINT_BYTES = 8  # 64-bit circle
+_WORD = struct.Struct(">Q")  # the first _POINT_BYTES of a digest
+
+#: Completed ``assignments`` passes, keyed by everything the pass depends
+#: on: ``(shards, replicas, seed, total_pages)``.  Process-wide on purpose,
+#: like the trace cache: workers forked after ``ShardSpec.prewarm``
+#: inherit the parent's pass.  Bounded: a process routes one or two
+#: fleets at a time, so the oldest pass is dropped.
+_ASSIGNMENTS: Dict[Tuple[int, int, int, int], Tuple[int, ...]] = {}
+_ASSIGNMENTS_MAX = 4
 
 
 def _point(label: str) -> int:
@@ -64,6 +74,40 @@ class HashRing:
             index = 0  # wrap past the last point to the first
         return self._owners[index]
 
-    def assignments(self, total_pages: int) -> List[int]:
-        """``shard_of`` for every page in ``range(total_pages)``."""
-        return [self.shard_of(lpn) for lpn in range(total_pages)]
+    def assignments(self, total_pages: int) -> Tuple[int, ...]:
+        """``shard_of`` for every page in ``range(total_pages)``.
+
+        The pass is memoised per ``(shards, replicas, seed, total_pages)``
+        and the result is immutable, so every shard of a fleet (and every
+        worker forked after the parent computed it) shares one tuple.
+        """
+        key = (self.shards, self.replicas, self.seed, total_pages)
+        owners = _ASSIGNMENTS.get(key)
+        if owners is None:
+            owners = self._route(total_pages)
+            if len(_ASSIGNMENTS) >= _ASSIGNMENTS_MAX:
+                del _ASSIGNMENTS[next(iter(_ASSIGNMENTS))]
+            _ASSIGNMENTS[key] = owners
+        return owners
+
+    def _route(self, total_pages: int) -> Tuple[int, ...]:
+        """The ring pass itself: ``shard_of`` with its lookups hoisted.
+
+        The same SHA-256 points as :meth:`shard_of`: ``b"%d" % lpn`` is
+        ``str(lpn)`` in ASCII, and the first 8 digest bytes are read as
+        one big-endian word.  The owner list gets one extra slot holding
+        the first point's shard, so a key past the last point wraps
+        without a branch.
+        """
+        prefix = f"key:{self.seed}:".encode("ascii")
+        sha256 = hashlib.sha256
+        word = _WORD.unpack_from
+        bisect_right = bisect.bisect_right
+        hashes = self._hashes
+        owners = self._owners + self._owners[:1]
+        return tuple([
+            owners[bisect_right(
+                hashes, word(sha256(b"%s%d" % (prefix, lpn)).digest())[0]
+            )]
+            for lpn in range(total_pages)
+        ])

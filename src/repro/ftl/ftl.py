@@ -23,8 +23,9 @@ uses the LBA-recency pool with combined read+write popularity.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..core.dvp import DeadValuePool
 from ..core.hashing import Fingerprint
@@ -521,6 +522,128 @@ class BaseFTL:
             outcome.revived_ppn = revived
         else:
             outcome.program_ppn = self._program(lpn, fp, outcome)
+
+    def preload(self, fingerprints: Iterable[Fingerprint]) -> int:
+        """Write local page ``i`` with the ``i``-th fingerprint; return the
+        page count.
+
+        Equal, state for state, to ``self.write(i, fp)`` over
+        ``enumerate(fingerprints)``, and consumes the iterable lazily.  On
+        a fresh drive (nothing mapped, ``write_clock == 0``, an empty
+        pool, no faults, checker or read-only state) whose write path
+        passes :meth:`write`'s identity guard, pages are programmed by
+        one loop with everything a fresh drive cannot need left out: no
+        old copy, no revival, no collection, no outcome.  The pool still
+        sees every ``lookup_for_write`` (an adaptive pool ticks on each).
+        The first page that could need a skipped step (a repeated
+        fingerprint, an out-of-range LPN, a target plane below the GC low
+        watermark) and every page after it go through :meth:`write`; so
+        does every page of a drive that is not fresh (an already-mapped
+        LPN cannot occur otherwise: each page maps the next LPN of an
+        empty table).
+        """
+        pages = iter(fingerprints)
+        lpn = 0
+        stopped_at: Tuple[Fingerprint, ...] = ()
+        cls = type(self)
+        gc = self.gc
+        pool = self.pool
+        mapping = self.mapping
+        if (
+            self.faults is None
+            and self.checker is None
+            and not self.read_only
+            and self.write_clock == 0
+            and mapping._mapped == 0
+            and (pool is None or len(pool) == 0)
+            and cls.write is _WRITE
+            and cls._handle_write is _HANDLE_WRITE
+            and cls._service_write is _SERVICE_WRITE
+            and cls._invalidate_lpn is _INVALIDATE_LPN
+            and cls._on_page_death is _ON_PAGE_DEATH
+            and cls._program is _PROGRAM
+            and cls._revive is _REVIVE
+            and cls.content_aware is _CONTENT_AWARE
+            and type(gc).maybe_collect is _MAYBE_COLLECT
+        ):
+            lookup = pool.lookup_for_write if pool is not None else None
+            counters = self.counters
+            write_pop = self._write_popularity
+            ppn_fp = self._ppn_fp
+            oob = self._oob
+            l2p = mapping._l2p
+            owner = mapping._owner
+            popularity = mapping._pop
+            limit = min(self._logical_pages, len(l2p))
+            array = self.array
+            blocks = array.blocks
+            per_block = array._pages_per_block
+            allocator = self.allocator
+            actives = allocator._active
+            planes = allocator._planes
+            free_blocks = gc.allocator.free_blocks
+            watermark = gc.low_watermark
+            clock = self.write_clock
+            seq = self._oob_seq
+            try:
+                for fp in pages:
+                    plane = allocator._next_plane
+                    if not (
+                        lpn < limit
+                        and fp not in write_pop
+                        and len(free_blocks[plane]) >= watermark
+                    ):
+                        stopped_at = (fp,)
+                        break
+                    clock += 1
+                    write_pop[fp] = 1
+                    popularity[lpn] = 1
+                    if lookup is not None and lookup(fp, clock) is not None:
+                        raise RuntimeError(
+                            "preload: pool hit on a drive with no garbage"
+                        )
+                    allocator._next_plane = (plane + 1) % planes
+                    block_index = actives[plane]
+                    if (
+                        block_index is None
+                        or blocks[block_index].write_pointer >= per_block
+                    ):
+                        block_index = allocator._open_block(plane, actives)
+                    block = blocks[block_index]
+                    page = block.write_pointer
+                    if block.retired or page >= block.pages_per_block:
+                        array.program_in_block(block_index)  # raises
+                    block.states[page] = _VALID
+                    block.write_pointer = page + 1
+                    block.valid_count += 1
+                    if page + 1 >= block.pages_per_block:
+                        actives[plane] = None
+                    ppn = block_index * per_block + page
+                    if ppn < len(owner) and owner[ppn] == -1:
+                        l2p[lpn] = ppn
+                        mapping._mapped += 1
+                        owner[ppn] = lpn
+                    else:
+                        mapping.map(lpn, ppn)  # grows, or raises
+                    seq += 1
+                    oob[ppn] = (lpn, seq)
+                    ppn_fp[ppn] = fp
+                    lpn += 1
+            finally:
+                # Per-page totals in one add each: nothing the loop calls
+                # reads them.
+                self.write_clock = clock
+                counters.host_writes += lpn
+                counters.programs += lpn
+                array.free_pages -= lpn
+                array.valid_pages += lpn
+                array.total_programs += lpn
+                self._oob_seq = seq
+        write = self.write
+        for fp in itertools.chain(stopped_at, pages):
+            write(lpn, fp)
+            lpn += 1
+        return lpn
 
     def trim(self, lpn: int) -> None:
         """Host discard: drop ``lpn``'s mapping.

@@ -40,7 +40,7 @@ from ..api import ResultRecord, aggregate_record, record_from_run, session_diges
 from ..experiments.config import DEFAULT_SCALE, RunConfig
 from ..experiments.device import Device
 from ..experiments.runner import config_for_profile, scaled_pool_entries
-from ..fleet.fleet import FleetSpec, build_shard_device
+from ..fleet.fleet import FleetSpec, build_shard_device, shard_local_pages
 from ..perf.snapshot import capture_live_state, restore_live_state
 from ..sim.request import IORequest
 from ..traces.profiles import WorkloadProfile, profile_by_name
@@ -267,13 +267,7 @@ class TenantSession:
             # Routing tables are pure functions of the config; recompute
             # instead of checkpointing them.
             self._local_of = [
-                {
-                    lpn: local
-                    for local, lpn in enumerate(
-                        l for l, owner in enumerate(self._owners)
-                        if owner == index
-                    )
-                }
+                shard_local_pages(self._owners, index)[1]
                 for index in range(config.shards)
             ]
         self._buffers = [list(buffered) for buffered in state["buffers"]]
@@ -299,10 +293,12 @@ class TenantSession:
         if self.config.shards == 1:
             self._buffers[0].append(request)
             return
-        shard = self._owners[request.lpn]
-        self._buffers[shard].append(
-            replace(request, lpn=self._local_of[shard][request.lpn])
-        )
+        lpn = request.lpn
+        shard = self._owners[lpn]
+        self._buffers[shard].append(IORequest(
+            request.arrival_us, request.op, self._local_of[shard][lpn],
+            request.value_id,
+        ))
 
     def step_due(self) -> bool:
         """Whether any shard's buffer reached the batching threshold."""

@@ -10,13 +10,14 @@ counters.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..ftl.ftl import FTLCounters
 
-__all__ = ["LatencyStats", "RunResult", "percent_improvement"]
+__all__ = ["LatencyStats", "LatencyPair", "RunResult", "percent_improvement"]
 
 
 class LatencyStats:
@@ -97,7 +98,12 @@ class LatencyStats:
 
     @property
     def maximum(self) -> float:
-        return max(self._samples) if self._samples else 0.0
+        samples = self._samples
+        if not samples:
+            return 0.0
+        if len(self._sorted) < len(samples):
+            return max(samples)  # a stale cache is not worth a sort here
+        return _first_maximum(self._sorted[-1], samples)
 
     def merged_with(self, other: "LatencyStats") -> "LatencyStats":
         """Both sample sets, ``self`` first, with the sort cache built by
@@ -109,6 +115,87 @@ class LatencyStats:
         merged.sort()
         out._sorted = merged
         return out
+
+
+def _first_maximum(top: float, samples: List[float]) -> float:
+    """``max(samples)`` given its value ``top`` (the tail of a sort cache).
+
+    ``max`` keeps the first maximal sample.  Equal non-zero floats have
+    equal bits, so that is ``top`` itself, unless ``top`` is a zero: then
+    every sample is ``0.0`` or ``-0.0`` and the first one wins.
+    """
+    return samples[0] if top == 0 else top
+
+
+class LatencyPair:
+    """The queries of ``first.merged_with(second)`` without the merge.
+
+    ``merged_with`` copies and sorts both sample sets, so summarising a
+    long-lived stream that way on every window costs O(samples) copies
+    per window.  This view reads the two parts' own sort caches instead,
+    and every answer is bit-identical to the merged object's: a
+    percentile is the nearest-rank element of the stable merge of the two
+    sorted runs (``first``'s ties first), found by binary search; the
+    maximum comes from the cache tails; the mean sums both sample lists
+    in arrival order, which is the concatenation's sum.
+    """
+
+    def __init__(self, first: LatencyStats, second: LatencyStats):
+        self._first = first
+        self._second = second
+
+    @property
+    def count(self) -> int:
+        return len(self._first) + len(self._second)
+
+    @property
+    def mean(self) -> float:
+        count = self.count
+        if not count:
+            return 0.0
+        return sum(
+            itertools.chain(self._first._samples, self._second._samples)
+        ) / count
+
+    def percentile(self, p: float) -> float:
+        """Exact percentile via the nearest-rank method."""
+        if not 0 < p <= 100:
+            raise ValueError("percentile must be in (0, 100]")
+        count = self.count
+        if not count:
+            return 0.0
+        first = self._first._sorted_samples()
+        second = self._second._sorted_samples()
+        rank = max(1, math.ceil(p / 100.0 * count))
+        # Take ``taken`` elements from ``first`` and ``rank - taken`` from
+        # ``second``: the largest ``taken`` whose last ``first`` element
+        # still precedes the merge's rank-th slot.
+        low, high = max(0, rank - len(second)), min(rank, len(first))
+        while low < high:
+            taken = (low + high) // 2
+            if first[taken] <= second[rank - taken - 1]:
+                low = taken + 1
+            else:
+                high = taken
+        if low == 0:
+            return second[rank - 1]
+        if low == rank:
+            return first[rank - 1]
+        # The later of the two in merge order (ties: ``second``'s).
+        left, right = first[low - 1], second[rank - low - 1]
+        return left if left > right else right
+
+    @property
+    def p99(self) -> float:
+        return self.percentile(99)
+
+    @property
+    def maximum(self) -> float:
+        first, second = self._first, self._second
+        if not self.count:
+            return 0.0
+        tails = first._sorted_samples()[-1:] + second._sorted_samples()[-1:]
+        return _first_maximum(max(tails), first._samples or second._samples)
 
 
 @dataclass

@@ -12,6 +12,7 @@ import os
 import pytest
 
 import repro.fleet.fleet as fleet_mod
+import repro.fleet.ring as ring_mod
 import repro.perf.spec as perf_spec
 from repro.fleet import FleetSpec, execute_shard, run_fleet
 from repro.fleet.aggregate import aggregate_fleet
@@ -142,3 +143,26 @@ class TestFanOutBinding:
         assert calls == [r.workload for r in fleet.shard_results]
         kv_result_digest(fleet.shard_results[0], {"puts": 1})
         assert len(calls) == SPEC.shards + 1
+
+
+@pytest.mark.fleet_smoke
+class TestRingPassOncePerFleet:
+    """The ring pass runs once per fleet: in-process for ``jobs=1``, in
+    the parent (``ShardSpec.prewarm``) for ``jobs=2`` — forked workers
+    inherit the memoised owners and never route the space again."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_ring_pass_count(self, jobs, monkeypatch, tmp_path):
+        monkeypatch.setattr(ring_mod, "_ASSIGNMENTS", {})
+        log = tmp_path / "passes"
+        original = ring_mod.HashRing._route
+
+        def logged(self, total_pages):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return original(self, total_pages)
+
+        monkeypatch.setattr(ring_mod.HashRing, "_route", logged)
+        fleet = run_fleet(SPEC, jobs=jobs)
+        assert fleet.jobs == jobs
+        assert log.read_text().split() == [str(os.getpid())]

@@ -184,10 +184,19 @@ def ftl_state(ftl):
         "garbage_pop_of_ppn": list(ftl._garbage_pop_of_ppn.items()),
         "block_garbage_pop": list(ftl._block_garbage_pop.items()),
         "gc_invocations": ftl.gc.invocations,
+        "l2p": list(ftl.mapping._l2p),
+        "owner": list(ftl.mapping._owner),
     }
     if pool is not None:
         state["pool_stats"] = pool.stats
+        state["pool_len"] = len(pool)
         state["tracked"] = list(pool.tracked_items())
+        state["adaptive"] = tuple(
+            getattr(pool, name, None)
+            for name in ("_window_events", "_window_insertions",
+                         "_window_evictions", "resizes_up", "resizes_down",
+                         "capacity_high_water")
+        )
         mq = getattr(pool, "mq", None)
         if mq is not None:
             state["mq"] = (
@@ -257,3 +266,154 @@ def test_fused_write_matches_per_call(
     assert unfused[0] == [] and len(unfused[1]) == per_call.counters.host_writes
     assert per_call.counters.gc_erases > 0
     fused.check_invariants()
+
+
+# ---------------------------------------------------------------------------
+# Bulk preconditioning (BaseFTL.preload) vs the per-page write loop
+# ---------------------------------------------------------------------------
+
+
+def count_fallback_writes(ftl):
+    """Record every page ``preload`` hands to ``write``.  The instance
+    attribute leaves the class-level identity guard untouched."""
+    calls = []
+    write = ftl.write
+
+    def counted(lpn, value):
+        calls.append(lpn)
+        return write(lpn, value)
+
+    ftl.write = counted
+    return calls
+
+
+@st.composite
+def preload_cases(draw):
+    """A geometry (some tight enough that preloading crosses the GC low
+    watermark), a page list that may repeat fingerprints, and optional
+    writes that map LPNs before the preload starts."""
+    config = SSDConfig(
+        channels=2, chips_per_channel=1, dies_per_chip=1, planes_per_die=1,
+        blocks_per_plane=draw(st.integers(min_value=4, max_value=12)),
+        pages_per_block=draw(st.sampled_from([4, 8])),
+        overprovision=draw(st.sampled_from([0.05, 0.1, 0.2, 0.3])),
+    )
+    logical = config.logical_pages
+    # Up to two pages past the exported capacity: both sides must raise.
+    pages = draw(st.integers(min_value=0, max_value=logical + 2))
+    values = [1000 + lpn for lpn in range(pages)]
+    if pages > 1:
+        for target, source in draw(st.lists(
+            st.tuples(st.integers(1, pages - 1), st.integers(0, pages - 1)),
+            max_size=3,
+        )):
+            values[target] = values[source]
+    premapped = draw(st.lists(
+        st.tuples(st.integers(0, logical - 1), st.integers(0, 15)),
+        max_size=draw(st.sampled_from([0, 0, 20])),
+    ))
+    return config, values, premapped
+
+
+def _outcome(call):
+    try:
+        return call(), None
+    except Exception as exc:  # both sides must fail the same way
+        return None, (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("pool_name", sorted(POOL_FACTORIES))
+@given(
+    case=preload_cases(),
+    popularity_aware_gc=st.booleans(),
+    combine_read_popularity=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_preload_matches_write_loop(
+    pool_name, case, popularity_aware_gc, combine_read_popularity
+):
+    """``preload`` leaves exactly the state the per-page ``write`` loop
+    leaves: counters, mapping columns, blocks, allocator, OOB journal,
+    content and popularity tables (in order), pool contents and the
+    adaptive window — on fresh drives, across repeated fingerprints, GC
+    watermark crossings and already-mapped drives."""
+    config, values, premapped = case
+    options = dict(
+        popularity_aware_gc=popularity_aware_gc,
+        combine_read_popularity=combine_read_popularity,
+    )
+    bulk = BaseFTL(config, pool=POOL_FACTORIES[pool_name](), **options)
+    loop = BaseFTL(config, pool=POOL_FACTORIES[pool_name](), **options)
+    for lpn, value in premapped:
+        bulk.write(lpn, fp(value))
+        loop.write(lpn, fp(value))
+    fallback = count_fallback_writes(bulk)
+
+    def write_loop():
+        for lpn, value in enumerate(values):
+            loop.write(lpn, fp(value))
+        return len(values)
+
+    outcome = _outcome(lambda: bulk.preload(map(fp, values)))
+    assert outcome == _outcome(write_loop)
+    assert ftl_state(bulk) == ftl_state(loop)
+    # Past the exported capacity the first write raises and ends both.
+    attempted = min(len(values), config.logical_pages + 1)
+    if premapped:
+        assert fallback == list(range(attempted))
+    elif len(set(values)) == len(values) and loop.gc.invocations == 0:
+        # The bulk loop took every in-range page.
+        assert fallback == list(range(config.logical_pages, attempted))
+    assert fallback == list(range(attempted - len(fallback), attempted))
+
+
+class TestPreloadRouting:
+    """Which drives take the bulk loop, and that a fallback is total."""
+
+    def _values(self):
+        return [fp(1000 + lpn) for lpn in range(LOGICAL // 2)]
+
+    def test_fresh_drive_takes_the_bulk_loop(self):
+        ftl = BaseFTL(small_config(), pool=MQDeadValuePool(8))
+        fallback = count_fallback_writes(ftl)
+        assert ftl.preload(iter(self._values())) == LOGICAL // 2
+        assert fallback == []
+        ftl.check_invariants()
+
+    @pytest.mark.parametrize("setup", [
+        "subclass", "wrapped-write", "wrapped-collect", "faults", "checker",
+        "read-only", "clock", "pool-entry",
+    ])
+    def test_guard_sends_every_page_to_write(self, setup, monkeypatch):
+        cls = PerCallFTL if setup == "subclass" else BaseFTL
+        ftl = cls(small_config(), pool=MQDeadValuePool(8))
+        if setup == "wrapped-write":
+            original = BaseFTL.write
+            monkeypatch.setattr(
+                BaseFTL, "write", lambda self, lpn, f: original(self, lpn, f)
+            )
+        elif setup == "wrapped-collect":
+            from repro.ftl.gc import GarbageCollector
+
+            original_collect = GarbageCollector.maybe_collect
+            monkeypatch.setattr(
+                GarbageCollector, "maybe_collect",
+                lambda self, plane: original_collect(self, plane),
+            )
+        elif setup == "faults":
+            from repro.faults import FaultConfig, FaultModel
+
+            ftl.attach_faults(FaultModel(FaultConfig()))
+        elif setup == "checker":
+            from repro.check import InvariantChecker
+
+            ftl.attach_checker(InvariantChecker())
+        elif setup == "read-only":
+            ftl.enter_read_only()
+        elif setup == "clock":
+            ftl.write_clock = 1
+        elif setup == "pool-entry":
+            ftl.pool.insert_garbage(fp(99), 0, 0)
+        fallback = count_fallback_writes(ftl)
+        ftl.preload(self._values())
+        assert fallback == list(range(LOGICAL // 2))

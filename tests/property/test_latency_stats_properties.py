@@ -16,7 +16,8 @@ import pickle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.metrics import LatencyStats
+from repro.api import LatencySummary
+from repro.sim.metrics import LatencyPair, LatencyStats
 
 #: A few repeated values (including a signed-zero pair) make ties common.
 latencies = st.one_of(
@@ -133,3 +134,58 @@ def test_merge_with_stale_caches_equals_sorted_concatenation(
     check_against(merged, left + right)
     merged.record(7.0)
     check_against(merged, left + right + [7.0])
+
+
+@given(
+    left=st.lists(latencies, max_size=40),
+    right=st.lists(latencies, max_size=40),
+    left_cached=st.integers(min_value=0, max_value=40),
+    right_cached=st.integers(min_value=0, max_value=40),
+)
+@settings(max_examples=300, deadline=None)
+def test_pair_summary_equals_merged_summary(
+    left, right, left_cached, right_cached
+):
+    """``LatencyPair`` answers from the two sort caches exactly what the
+    merged object answers: ties (signed zeros among them), all-zero sides
+    and an empty side included, with caches stale or fresh."""
+    parts = []
+    for values, cached in ((left, left_cached), (right, right_cached)):
+        stats = LatencyStats()
+        for index, value in enumerate(values):
+            if index == cached:
+                stats.percentile(50)
+            stats.record(value)
+        parts.append(stats)
+    pair = LatencyPair(*parts)
+    merged = parts[0].merged_with(parts[1])
+    assert LatencySummary.from_stats(pair) == LatencySummary.from_stats(merged)
+    assert bits(pair.mean) == bits(merged.mean)
+    assert bits(pair.maximum) == bits(merged.maximum)
+    for p in (0.5, 1, 25, 50, 75, 99, 99.9, 100):
+        assert bits(pair.percentile(p)) == bits(merged.percentile(p))
+    # The view never disturbs its parts.
+    check_against(parts[0], left)
+    check_against(parts[1], right)
+
+
+@given(
+    zeros=st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=6),
+    other=st.lists(st.sampled_from([0.0, -0.0, 1.0]), max_size=6),
+    zeros_first=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_pair_signed_zero_ties_keep_merge_order(zeros, other, zeros_first):
+    """Dense signed-zero ties: the bits of every answer follow the
+    stable merge, ``first``'s ties before ``second``'s."""
+    first, second = LatencyStats(), LatencyStats()
+    for value in zeros:
+        (first if zeros_first else second).record(value)
+    for value in other:
+        (second if zeros_first else first).record(value)
+    pair = LatencyPair(first, second)
+    merged = first.merged_with(second)
+    assert bits(pair.maximum) == bits(merged.maximum)
+    assert bits(pair.mean) == bits(merged.mean)
+    for p in (1, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100):
+        assert bits(pair.percentile(p)) == bits(merged.percentile(p))

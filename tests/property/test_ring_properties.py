@@ -98,3 +98,27 @@ class TestBalance:
         # Not strictly monotone per-seed, but 256 replicas should never
         # be wildly worse than 4.
         assert spread(256) < 2 * spread(4) + 800
+
+
+class TestAssignmentsPass:
+    """The hoisted ring pass is ``shard_of`` for every page, memoised."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shards=st.integers(min_value=1, max_value=9),
+        replicas=st.integers(min_value=1, max_value=80),
+        seed=st.integers(min_value=0, max_value=2**40),
+        total_pages=st.integers(min_value=0, max_value=1500),
+    )
+    def test_pass_equals_shard_of_for_every_lpn(
+        self, shards, replicas, seed, total_pages
+    ):
+        ring = HashRing(shards, replicas=replicas, seed=seed)
+        owners = ring.assignments(total_pages)
+        assert owners == tuple(ring.shard_of(lpn) for lpn in range(total_pages))
+
+    def test_memo_shares_one_immutable_tuple(self):
+        owners = HashRing(3, seed=11).assignments(700)
+        assert isinstance(owners, tuple)
+        assert HashRing(3, seed=11).assignments(700) is owners
+        assert HashRing(3, seed=12).assignments(700) != owners
