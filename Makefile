@@ -28,16 +28,19 @@ lint:
 # The correctness harness under a tight time budget: seeded-corruption
 # detection, property fuzz (TRIM + faults + crash streams), the
 # timeline-vs-DES differential replay, and the hot-path differentials:
-# the fused BaseFTL.write against the per-call path, bulk preconditioning
-# (BaseFTL.preload) against the per-page write loop, the head-cached
-# MultiQueue against a full-scan reference, and the hoisted ring pass
-# against HashRing.shard_of.  Also part of the plain suite; this target
+# the fused BaseFTL.write and BaseFTL.trim against the per-call path,
+# the flat KVStore.translate against its public per-op generators, bulk
+# preconditioning (BaseFTL.preload) against the per-page write loop, the
+# head-cached MultiQueue against a full-scan reference, and the hoisted
+# ring pass against HashRing.shard_of.  Also part of the plain suite; this target
 # isolates it for quick iteration on FTL hot paths.
 check:
 	$(PYTHON) -m pytest -q tests/unit/test_check.py \
 		tests/property/test_check_fuzz.py \
 		tests/integration/test_differential.py \
 		"tests/property/test_ftl_properties.py::test_fused_write_matches_per_call" \
+		"tests/property/test_ftl_properties.py::test_fused_trim_matches_per_call" \
+		"tests/property/test_kv_properties.py::test_translate_matches_public_ops" \
 		"tests/property/test_ftl_properties.py::test_preload_matches_write_loop" \
 		"tests/property/test_ftl_properties.py::TestPreloadRouting" \
 		"tests/property/test_mq_properties.py::TestMQReference" \

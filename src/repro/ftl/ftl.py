@@ -292,9 +292,10 @@ class BaseFTL:
         """Service one 4KB host write of content ``fp`` at ``lpn``.
 
         The common case runs fused: the popularity bump, old-copy
-        invalidation, pool lookup/revival, allocation, ``map`` and the OOB
-        record happen inline here, with every check the per-call path
-        makes (an illegal state falls back to the method that raises).
+        invalidation (:meth:`_kill_fused`, shared with :meth:`trim`),
+        pool lookup/revival, allocation, ``map`` and the OOB record happen
+        inline here, with every check the per-call path makes (an illegal
+        state falls back to the method that raises).
         The pool stays behind its ``lookup_for_write``/``insert_garbage``
         calls, and GC is entered through ``gc.maybe_collect`` whenever
         the target plane is below the watermark.  Fault injection, a
@@ -340,46 +341,13 @@ class BaseFTL:
         garbage_pop_of_ppn = self._garbage_pop_of_ppn
         block_garbage_pop = self._block_garbage_pop
 
-        # Out-of-place update: kill the copy previously mapped at ``lpn``
-        # (= _invalidate_lpn + _on_page_death).
+        # Out-of-place update: kill the copy previously mapped at ``lpn``.
         old_ppn = l2p[lpn]
         if old_ppn >= 0:
-            if owner[old_ppn] == lpn:
-                l2p[lpn] = -1
-                mapping._mapped -= 1
-                owner[old_ppn] = -1
-                dead = True
-            else:
-                mapping.unmap(lpn)
-                dead = mapping.refcount(old_ppn) == 0
-            if dead:
-                block_index, page = divmod(old_ppn, per_block)
-                block = blocks[block_index]
-                if block.states[page] != _VALID:
-                    array.invalidate(old_ppn)  # raises the state mismatch
-                block.states[page] = _INVALID
-                block.valid_count -= 1
-                block.invalid_count += 1
-                array.valid_pages -= 1
-                array.invalid_pages += 1
-                counters.invalidations += 1
-                old_fp = self._ppn_fp.get(old_ppn)
-                if old_fp is not None and pool is not None:
-                    pool_pop = write_pop.get(old_fp, 1)
-                    if self.combine_read_popularity:
-                        pool_pop = min(
-                            pool_pop + self._read_popularity.get(old_fp, 0),
-                            POPULARITY_MAX,
-                        )
-                    dropped = pool.insert_garbage(
-                        old_fp, old_ppn, clock, popularity=pool_pop, lpn=lpn
-                    )
-                    garbage_pop_of_ppn[old_ppn] = pool_pop
-                    block_garbage_pop[block_index] = (
-                        block_garbage_pop.get(block_index, 0) + pool_pop
-                    )
-                    for dropped_ppn in dropped:
-                        self._clear_garbage_pop(dropped_ppn)
+            self._kill_fused(
+                lpn, old_ppn, mapping, l2p, owner, array, blocks, per_block,
+                counters, pool,
+            )
 
         # Place the new data: revive from the pool (= _revive), or program
         # a page (= _program).
@@ -556,14 +524,7 @@ class BaseFTL:
             and self.write_clock == 0
             and mapping._mapped == 0
             and (pool is None or len(pool) == 0)
-            and cls.write is _WRITE
-            and cls._handle_write is _HANDLE_WRITE
-            and cls._service_write is _SERVICE_WRITE
-            and cls._invalidate_lpn is _INVALIDATE_LPN
-            and cls._on_page_death is _ON_PAGE_DEATH
-            and cls._program is _PROGRAM
-            and cls._revive is _REVIVE
-            and cls.content_aware is _CONTENT_AWARE
+            and _write_steps_intact(cls)
             and type(gc).maybe_collect is _MAYBE_COLLECT
         ):
             lookup = pool.lookup_for_write if pool is not None else None
@@ -652,7 +613,40 @@ class BaseFTL:
         pool, its content stays *revivable*: a later write of the same
         data can still resurrect the trimmed page.  This is TRIM's natural
         interaction with the paper's mechanism (not evaluated there).
+
+        Runs fused (the invalidation and pool insertion through
+        :meth:`_kill_fused`, the write path's own kill block) when
+        :meth:`write` would, with no checker attached and :meth:`trim`
+        itself unwrapped; anything else takes :meth:`_trim_per_call`.
         """
+        cls = type(self)
+        l2p = self.mapping._l2p
+        if not (
+            self.faults is None
+            and self.checker is None
+            and not self.read_only
+            and cls.trim is _TRIM
+            and _write_steps_intact(cls)
+            and 0 <= lpn < self._logical_pages
+            and lpn < len(l2p)
+        ):
+            self._trim_per_call(lpn)
+            return
+        counters = self.counters
+        counters.host_trims += 1
+        old_ppn = l2p[lpn]
+        if old_ppn >= 0:
+            mapping = self.mapping
+            array = self.array
+            self._kill_fused(
+                lpn, old_ppn, mapping, l2p, mapping._owner, array,
+                array.blocks, array._pages_per_block, counters, self.pool,
+            )
+        self._oob_seq = seq = self._oob_seq + 1
+        self._oob_trims[lpn] = seq
+
+    def _trim_per_call(self, lpn: int) -> None:
+        """The unfused trim: one method call per step (see :meth:`trim`)."""
         self._check_lpn(lpn)
         self.counters.host_trims += 1
         self._invalidate_lpn(lpn)
@@ -795,6 +789,59 @@ class BaseFTL:
             # popularity no longer shields its block from GC.
             self._clear_garbage_pop(dropped_ppn)
 
+    def _kill_fused(
+        self, lpn: int, old_ppn: int, mapping: MappingTable,
+        l2p: List[int], owner: List[int], array: FlashArray,
+        blocks: list, per_block: int, counters: FTLCounters,
+        pool: Optional[DeadValuePool],
+    ) -> None:
+        """The fused write and trim paths' out-of-place kill of ``lpn``,
+        mapped at ``old_ppn``: :meth:`_invalidate_lpn` and
+        :meth:`_on_page_death` with the mapping, page-state and pool
+        steps inlined (an illegal state falls back to the method that
+        raises).  The callers pass the tables they already hold, so the
+        write path pays one call and no attribute lookups for it.  Pool
+        insertions are stamped with ``write_clock``."""
+        if owner[old_ppn] == lpn:
+            l2p[lpn] = -1
+            mapping._mapped -= 1
+            owner[old_ppn] = -1
+        else:
+            mapping.unmap(lpn)
+            if mapping.refcount(old_ppn) > 0:
+                return  # deduplicated store: no death
+        block_index, page = divmod(old_ppn, per_block)
+        block = blocks[block_index]
+        if block.states[page] != _VALID:
+            array.invalidate(old_ppn)  # raises the state mismatch
+        block.states[page] = _INVALID
+        block.valid_count -= 1
+        block.invalid_count += 1
+        array.valid_pages -= 1
+        array.invalid_pages += 1
+        counters.invalidations += 1
+        if pool is None:
+            return
+        old_fp = self._ppn_fp.get(old_ppn)
+        if old_fp is None:
+            return
+        pool_pop = self._write_popularity.get(old_fp, 1)
+        if self.combine_read_popularity:
+            pool_pop = min(
+                pool_pop + self._read_popularity.get(old_fp, 0),
+                POPULARITY_MAX,
+            )
+        dropped = pool.insert_garbage(
+            old_fp, old_ppn, self.write_clock, popularity=pool_pop, lpn=lpn
+        )
+        self._garbage_pop_of_ppn[old_ppn] = pool_pop
+        block_garbage_pop = self._block_garbage_pop
+        block_garbage_pop[block_index] = (
+            block_garbage_pop.get(block_index, 0) + pool_pop
+        )
+        for dropped_ppn in dropped:
+            self._clear_garbage_pop(dropped_ppn)
+
     # ------------------------------------------------------------------
     # Popularity mass per block (input to popularity-aware GC)
     # ------------------------------------------------------------------
@@ -859,6 +906,7 @@ class BaseFTL:
 #: subclass override (``DedupFTL``, ``DFTLFtl``) or a probe that
 #: ``setattr``-wraps one sends the write down ``_write_per_call``; a
 #: wrapped ``GarbageCollector.maybe_collect`` is called on every program.
+#: ``trim`` and ``preload`` apply the same guard, plus their own entry.
 _WRITE = BaseFTL.write
 _HANDLE_WRITE = BaseFTL._handle_write
 _SERVICE_WRITE = BaseFTL._service_write
@@ -868,3 +916,20 @@ _PROGRAM = BaseFTL._program
 _REVIVE = BaseFTL._revive
 _CONTENT_AWARE = BaseFTL.content_aware
 _MAYBE_COLLECT = GarbageCollector.maybe_collect
+_TRIM = BaseFTL.trim
+
+
+def _write_steps_intact(cls: type) -> bool:
+    """Whether ``cls`` runs every write step :meth:`BaseFTL.write` inlines
+    unchanged (the identity half of its guard, which ``write`` itself
+    keeps inline)."""
+    return (
+        cls.write is _WRITE
+        and cls._handle_write is _HANDLE_WRITE
+        and cls._service_write is _SERVICE_WRITE
+        and cls._invalidate_lpn is _INVALIDATE_LPN
+        and cls._on_page_death is _ON_PAGE_DEATH
+        and cls._program is _PROGRAM
+        and cls._revive is _REVIVE
+        and cls.content_aware is _CONTENT_AWARE
+    )

@@ -31,7 +31,7 @@ through callbacks the store provides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .requests import Key, mix64
 
@@ -43,28 +43,35 @@ FlashAction = Tuple[str, int, int]
 _PACK_SEED = 0x9E3779B97F4A7C15
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class InlineSlot:
-    """One packed value's identity: what it is, not where it lives."""
+    """One packed value's identity: what it is, not where it lives.
 
-    key_int: int
-    content_id: int
+    Built from the value's key identity, content id and size, a slot
+    keeps only its size and ``term``, its summand of
+    :func:`pack_value_id`: ``mix64(key_int) ^ mix64(2·content_id + 1)
+    ^ size``, folded once here, so sealing (and re-sealing repack
+    survivors) costs one :func:`mix64` per member."""
+
     size: int
+    term: int
+
+    def __init__(self, key_int: int, content_id: int, size: int):
+        self.size = size
+        self.term = mix64(key_int) ^ mix64(content_id * 2 + 1) ^ size
 
 
-def pack_value_id(slots: List[InlineSlot]) -> int:
+def pack_value_id(slots: Iterable[InlineSlot]) -> int:
     """Content identity of a pack page: an order-sensitive deterministic
     fold over its member slots.  Identical ordered membership — including
     after a repack round-trip — yields the identical page content, which
-    is exactly what value-locality revival needs to observe."""
+    is exactly what value-locality revival needs to observe.
+
+    Each step is ``acc = mix64(acc ^ term)``; XOR is associative, so this
+    equals mixing the three summands of :class:`InlineSlot` per member."""
     acc = _PACK_SEED
     for slot in slots:
-        acc = mix64(
-            acc
-            ^ mix64(slot.key_int)
-            ^ mix64(slot.content_id * 2 + 1)
-            ^ slot.size
-        )
+        acc = mix64(acc ^ slot.term)
     return acc
 
 
@@ -142,7 +149,7 @@ class InlinePacker:
                 f"inline value size {slot.size} outside (0, "
                 f"{self.page_bytes}]"
             )
-        if key in self:
+        if key in self._open or key in self._home:
             raise ValueError(f"key {key!r} already packed; kill it first")
         actions: List[FlashAction] = []
         if self._open_bytes + slot.size > self.page_bytes:
@@ -180,16 +187,15 @@ class InlinePacker:
 
     def _seal(self) -> List[FlashAction]:
         lpn = self._alloc()
-        slots = list(self._open.values())
+        members = self._open
         self._sealed[lpn] = _SealedPage(
-            lpn=lpn, members=len(slots), live=self._open
+            lpn=lpn, members=len(members), live=members
         )
-        for key in self._open:
-            self._home[key] = lpn
+        self._home.update(dict.fromkeys(members, lpn))
         self._open = {}
         self._open_bytes = 0
         self.stats.seals += 1
-        return [("write", lpn, pack_value_id(slots))]
+        return [("write", lpn, pack_value_id(members.values()))]
 
     def _repack(self, page: _SealedPage) -> List[FlashAction]:
         """Read a sparse page, re-buffer its survivors (identity and

@@ -48,6 +48,8 @@ def key_to_int(key: Key) -> int:
     Integer keys map through :func:`mix64`; string keys through SHA-256
     (never ``hash()``, which is per-process randomised for strings).
     """
+    if type(key) is int and key >= 0:   # the common case, checked first
+        return mix64(key)
     if isinstance(key, bool) or not isinstance(key, (int, str)):
         raise TypeError(f"keys are int or str, not {type(key).__name__}")
     if isinstance(key, int):

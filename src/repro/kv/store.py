@@ -24,6 +24,17 @@ through without materialising either side — the same contract as the
 trace transforms.  Feeding that stream to a
 :class:`~repro.experiments.device.Device` happens in
 :mod:`repro.kv.scenario`.
+
+Each op's semantics live in exactly one place: a list-returning helper
+(``_put_requests``, ``_get_requests``, ``_delete_requests``,
+``_scan_requests``) that does all of the op's bookkeeping — store,
+packer, allocator and every :class:`KVStats` counter — and builds its
+page requests.  :meth:`KVStore.translate` is one flat loop that
+dispatches each request to its helper, and the public
+:meth:`~KVStore.put`/:meth:`~KVStore.get`/:meth:`~KVStore.delete`/
+:meth:`~KVStore.scan` generators yield the same helpers' output, so the
+two entry points cannot drift apart (a property test pins them
+together).
 """
 
 from __future__ import annotations
@@ -37,6 +48,8 @@ from .inline import FlashAction, InlinePacker, InlineSlot
 from .requests import Key, KVOp, KVRequest, key_to_int, mix64
 
 __all__ = ["KVStats", "KVStore", "page_value_id"]
+
+_WRITE, _READ, _TRIM = OpType.WRITE, OpType.READ, OpType.TRIM
 
 
 def page_value_id(content_id: int, page_index: int) -> int:
@@ -156,69 +169,15 @@ class KVStore:
         self, key: Key, value_bytes: int, content_id: int, arrival_us: float
     ) -> Iterator[IORequest]:
         """(Over)write ``key``; yields this op's page requests."""
-        if value_bytes <= 0:
-            raise ValueError("value_bytes must be positive")
-        self.stats.puts += 1
-        actions: List[FlashAction] = []
-        inline_new = value_bytes < self.inline_threshold
-        old = self._extents.pop(key, None)
-        existed = old is not None
-        if old is not None and inline_new:
-            # extent → inline: the whole old extent is discarded.
-            for lpn in old.lpns:
-                actions.append(("trim", lpn, 0))
-                self._release(lpn)
-            old = None
-        if not existed and key in self._packer:
-            existed = True
-            actions.extend(self._packer.kill(key))
-        if not existed:
-            self.stats.inserts += 1
-        if inline_new:
-            actions.extend(self._packer.add(key, InlineSlot(
-                key_int=key_to_int(key),
-                content_id=content_id,
-                size=value_bytes,
-            )))
-        else:
-            pages = -(-value_bytes // self.page_bytes)
-            reuse = old.lpns[:pages] if old is not None else ()
-            if old is not None:
-                for lpn in old.lpns[pages:]:    # value shrank
-                    actions.append(("trim", lpn, 0))
-                    self._release(lpn)
-            lpns = tuple(reuse) + tuple(
-                self._alloc() for _ in range(pages - len(reuse))
-            )
-            self._extents[key] = _Extent(lpns=lpns, content_id=content_id)
-            actions.extend(
-                ("write", lpn, page_value_id(content_id, index))
-                for index, lpn in enumerate(lpns)
-            )
-        yield from self._emit(arrival_us, actions)
+        yield from self._put_requests(
+            key, value_bytes, content_id, arrival_us
+        )
 
     def get(self, key: Key, arrival_us: float) -> Iterator[IORequest]:
-        self.stats.gets += 1
-        actions = self._read_actions(key)
-        if actions is None:
-            self.stats.get_misses += 1
-            return
-        yield from self._emit(arrival_us, actions)
+        yield from self._get_requests(key, arrival_us)
 
     def delete(self, key: Key, arrival_us: float) -> Iterator[IORequest]:
-        self.stats.deletes += 1
-        extent = self._extents.pop(key, None)
-        if extent is not None:
-            actions: List[FlashAction] = []
-            for lpn in extent.lpns:
-                actions.append(("trim", lpn, 0))
-                self._release(lpn)
-            yield from self._emit(arrival_us, actions)
-            return
-        if key in self._packer:
-            yield from self._emit(arrival_us, self._packer.kill(key))
-            return
-        self.stats.delete_misses += 1
+        yield from self._delete_requests(key, arrival_us)
 
     def scan(
         self, start_key: int, length: int, arrival_us: float
@@ -226,71 +185,185 @@ class KVStore:
         """Read up to ``length`` consecutive integer keys from
         ``start_key`` (missing keys are skipped, like an iterator over a
         sorted store)."""
-        if not isinstance(start_key, int) or isinstance(start_key, bool):
-            raise TypeError("scans require integer keys")
-        if length <= 0:
-            raise ValueError("scan length must be positive")
-        self.stats.scans += 1
-        for key in range(start_key, start_key + length):
-            actions = self._read_actions(key)
-            if actions is not None:
-                self.stats.scanned_keys += 1
-                yield from self._emit(arrival_us, actions)
+        yield from self._scan_requests(start_key, length, arrival_us)
 
     def flush(self, arrival_us: float) -> Iterator[IORequest]:
         """Seal a partially filled pack buffer (load-phase epilogue)."""
-        yield from self._emit(arrival_us, self._packer.flush())
+        yield from self._packed([], self._packer.flush(), arrival_us)
 
     # -- the streaming translator --------------------------------------
 
     def translate(
         self, stream: Iterable[KVRequest]
     ) -> Iterator[IORequest]:
-        """Lazily translate a KV request stream into page requests."""
+        """Lazily translate a KV request stream into page requests: one
+        flat loop over the same per-op helpers the public generators
+        use."""
+        put = self._put_requests
+        get = self._get_requests
+        delete = self._delete_requests
+        scan = self._scan_requests
+        PUT, GET, DELETE = KVOp.PUT, KVOp.GET, KVOp.DELETE
         for request in stream:
-            if request.op is KVOp.PUT:
-                yield from self.put(
-                    request.key, request.value_bytes,
-                    request.content_id, request.arrival_us,
+            op = request.op
+            if op is GET:
+                yield from get(request.key, request.arrival_us)
+            elif op is PUT:
+                yield from put(
+                    request.key, request.value_bytes, request.content_id,
+                    request.arrival_us,
                 )
-            elif request.op is KVOp.GET:
-                yield from self.get(request.key, request.arrival_us)
-            elif request.op is KVOp.DELETE:
-                yield from self.delete(request.key, request.arrival_us)
+            elif op is DELETE:
+                yield from delete(request.key, request.arrival_us)
             else:
-                yield from self.scan(
-                    request.key, request.scan_length, request.arrival_us,
+                yield from scan(
+                    request.key, request.scan_length, request.arrival_us
                 )
+
+    # -- one helper per op ---------------------------------------------
+    #
+    # Each helper does all of its op's bookkeeping (store, packer, every
+    # KVStats counter including the flash_* counts) and returns the op's
+    # page requests in order.  translate() and the public generators only
+    # yield them, so each op's semantics live here and nowhere else.
+
+    def _put_requests(
+        self, key: Key, value_bytes: int, content_id: int, arrival_us: float
+    ) -> List[IORequest]:
+        if value_bytes <= 0:
+            raise ValueError("value_bytes must be positive")
+        stats = self.stats
+        stats.puts += 1
+        requests: List[IORequest] = []
+        inline_new = value_bytes < self.inline_threshold
+        old = self._extents.pop(key, None)
+        if old is None:
+            if key in self._packer:
+                killed = self._packer.kill(key)
+                if killed:
+                    self._packed(requests, killed, arrival_us)
+            else:
+                stats.inserts += 1
+        elif inline_new:
+            # extent → inline: the whole old extent is discarded.
+            self._trim_pages(requests, old.lpns, arrival_us)
+            old = None
+        if inline_new:
+            sealed = self._packer.add(
+                key, InlineSlot(key_to_int(key), content_id, value_bytes)
+            )
+            if sealed:
+                self._packed(requests, sealed, arrival_us)
+            return requests
+        pages = -(-value_bytes // self.page_bytes)
+        if old is None:
+            lpns: Tuple[int, ...] = ()
+        else:
+            lpns = old.lpns[:pages]
+            # The value shrank: discard the excess pages.
+            self._trim_pages(requests, old.lpns[pages:], arrival_us)
+        lpns += tuple(self._alloc() for _ in range(pages - len(lpns)))
+        self._extents[key] = _Extent(lpns, content_id)
+        stats.flash_writes += pages
+        requests += [
+            IORequest(
+                arrival_us, _WRITE, lpn, page_value_id(content_id, index)
+            )
+            for index, lpn in enumerate(lpns)
+        ]
+        return requests
+
+    def _get_requests(self, key: Key, arrival_us: float) -> List[IORequest]:
+        self.stats.gets += 1
+        requests = self._read_requests(key, arrival_us)
+        if requests is None:
+            self.stats.get_misses += 1
+            return []
+        return requests
+
+    def _delete_requests(
+        self, key: Key, arrival_us: float
+    ) -> List[IORequest]:
+        self.stats.deletes += 1
+        requests: List[IORequest] = []
+        extent = self._extents.pop(key, None)
+        if extent is not None:
+            self._trim_pages(requests, extent.lpns, arrival_us)
+        elif key in self._packer:
+            self._packed(requests, self._packer.kill(key), arrival_us)
+        else:
+            self.stats.delete_misses += 1
+        return requests
+
+    def _scan_requests(
+        self, start_key: int, length: int, arrival_us: float
+    ) -> List[IORequest]:
+        if not isinstance(start_key, int) or isinstance(start_key, bool):
+            raise TypeError("scans require integer keys")
+        if length <= 0:
+            raise ValueError("scan length must be positive")
+        stats = self.stats
+        stats.scans += 1
+        requests: List[IORequest] = []
+        read = self._read_requests
+        for key in range(start_key, start_key + length):
+            found = read(key, arrival_us)
+            if found is not None:
+                stats.scanned_keys += 1
+                requests += found
+        return requests
 
     # -- internals -----------------------------------------------------
 
-    def _read_actions(self, key: Key) -> Optional[List[FlashAction]]:
+    def _read_requests(
+        self, key: Key, arrival_us: float
+    ) -> Optional[List[IORequest]]:
         """Flash reads serving ``key``, ``[]`` for a RAM buffer hit,
         ``None`` for a missing key."""
         extent = self._extents.get(key)
         if extent is not None:
-            return [("read", lpn, 0) for lpn in extent.lpns]
+            self.stats.flash_reads += len(extent.lpns)
+            return [
+                IORequest(arrival_us, _READ, lpn, 0) for lpn in extent.lpns
+            ]
+        # The packer rebinds its open buffer on every seal: look keys up
+        # through the packer each time, never through a saved reference.
+        lpn = self._packer.lpn_of(key)
+        if lpn is not None:
+            self.stats.flash_reads += 1
+            return [IORequest(arrival_us, _READ, lpn, 0)]
         if key in self._packer:
-            lpn = self._packer.lpn_of(key)
-            if lpn is None:
-                self.stats.buffer_hits += 1
-                return []
-            return [("read", lpn, 0)]
+            self.stats.buffer_hits += 1
+            return []
         return None
 
-    def _emit(
-        self, arrival_us: float, actions: List[FlashAction]
-    ) -> Iterator[IORequest]:
+    def _trim_pages(
+        self, requests: List[IORequest], lpns: Tuple[int, ...],
+        arrival_us: float,
+    ) -> None:
+        """Discard whole extent pages: TRIM each and free its LPN."""
+        self.stats.flash_trims += len(lpns)
+        release = self._release
+        for lpn in lpns:
+            requests.append(IORequest(arrival_us, _TRIM, lpn, 0))
+            release(lpn)
+
+    def _packed(
+        self, requests: List[IORequest], actions: List[FlashAction],
+        arrival_us: float,
+    ) -> List[IORequest]:
+        """Append the packer's symbolic actions to ``requests`` as page
+        requests, counting each; returns ``requests``."""
+        stats = self.stats
         for kind, lpn, value_id in actions:
             if kind == "write":
-                self.stats.flash_writes += 1
-                op = OpType.WRITE
+                stats.flash_writes += 1
+                op = _WRITE
             elif kind == "read":
-                self.stats.flash_reads += 1
-                op = OpType.READ
+                stats.flash_reads += 1
+                op = _READ
             else:
-                self.stats.flash_trims += 1
-                op = OpType.TRIM
-            yield IORequest(
-                arrival_us=arrival_us, op=op, lpn=lpn, value_id=value_id,
-            )
+                stats.flash_trims += 1
+                op = _TRIM
+            requests.append(IORequest(arrival_us, op, lpn, value_id))
+        return requests

@@ -38,13 +38,15 @@ the transaction phase.
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import itertools
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from ..traces.zipf import zipf_rank
+from ..traces.zipf import zipf_ranker
 from .requests import KVOp, KVRequest, mix64
 
 __all__ = [
@@ -156,10 +158,27 @@ def _rng(workload: KVWorkload, tenant: int, phase: int) -> random.Random:
     ))
 
 
-def _draw_size(workload: KVWorkload, rng: random.Random) -> int:
-    return rng.choices(
-        workload.value_sizes, weights=workload.value_size_weights,
-    )[0]
+def _size_drawer(
+    workload: KVWorkload, rng: random.Random
+) -> Callable[[], int]:
+    """``rng.choices(value_sizes, weights=value_size_weights)[0]`` with
+    the cumulative weights built once per stream instead of per draw.
+
+    The draw is ``choices``' own weighted path (``bisect`` of
+    ``random() * total`` over the running sums, capped at the last
+    index), so it returns the same size and consumes ``rng`` the same."""
+    sizes = workload.value_sizes
+    cum_weights = list(itertools.accumulate(workload.value_size_weights))
+    total = cum_weights[-1] + 0.0
+    if not 0.0 < total < math.inf:
+        raise ValueError("value_size_weights must have a positive, finite sum")
+    hi = len(cum_weights) - 1
+    random_ = rng.random
+
+    def draw() -> int:
+        return sizes[bisect.bisect(cum_weights, random_() * total, 0, hi)]
+
+    return draw
 
 
 class _ContentModel:
@@ -171,110 +190,104 @@ class _ContentModel:
     block generator uses, expressed over KV values.
     """
 
-    __slots__ = ("created", "new_prob", "s")
+    __slots__ = ("created", "new_prob", "_random", "_rank")
 
-    def __init__(self, created: int, new_prob: float, s: float):
+    def __init__(
+        self, created: int, new_prob: float, rng: random.Random, s: float
+    ):
         self.created = created
         self.new_prob = new_prob
-        self.s = s
+        self._random = rng.random
+        self._rank = zipf_ranker(rng, s)
 
-    def draw(self, rng: random.Random) -> int:
-        if self.created == 0 or rng.random() < self.new_prob:
+    def draw(self) -> int:
+        if self.created == 0 or self._random() < self.new_prob:
             content_id = self.created
             self.created += 1
             return content_id
-        return zipf_rank(rng, self.created, self.s) - 1
+        return self._rank(self.created) - 1
 
 
 def _tenant_load(workload: KVWorkload, tenant: int) -> Iterator[KVRequest]:
     """Insert keys ``0..num_keys-1``, each with its own unique content."""
-    rng = _rng(workload, tenant, phase=0)
+    draw_size = _size_drawer(workload, _rng(workload, tenant, phase=0))
+    interarrival = workload.mean_interarrival_us
+    PUT = KVOp.PUT
     clock = 0.0
     for key in range(workload.num_keys):
-        yield KVRequest(
-            arrival_us=clock,
-            op=KVOp.PUT,
-            key=key,
-            value_bytes=_draw_size(workload, rng),
-            content_id=key,
-        )
-        clock += workload.mean_interarrival_us
-
-
-def _pick_index(
-    rng: random.Random, count: int, s: float, latest: bool
-) -> int:
-    """A zipfian index into a live-key list: rank 1 is the oldest key
-    (stable hot set), or the newest when ``latest``."""
-    rank = zipf_rank(rng, count, s)
-    return count - rank if latest else rank - 1
+        yield KVRequest(clock, PUT, key, draw_size(), key)
+        clock += interarrival
 
 
 def _tenant_txns(workload: KVWorkload, tenant: int) -> Iterator[KVRequest]:
     rng = _rng(workload, tenant, phase=1)
-    content = _ContentModel(
+    random_ = rng.random
+    log = math.log
+    randrange = rng.randrange
+    draw_size = _size_drawer(workload, rng)
+    draw_content = _ContentModel(
         created=workload.num_keys,
         new_prob=workload.new_content_prob,
+        rng=rng,
         s=workload.content_zipf_s,
-    )
+    ).draw
+    # Key picks index the live list by zipf rank: rank 1 is the oldest
+    # key (stable hot set), or the newest under favor_latest (deletes
+    # always pick from the old end).
+    key_rank = zipf_ranker(rng, workload.key_zipf_s)
+    latest = workload.favor_latest
     live: List[int] = list(range(workload.num_keys))
     next_key = workload.num_keys
     # Phase-staggered sinusoidal rate: tenants peak at different times,
     # in *simulated* microseconds only (wall clock never enters).
     phase = 2.0 * math.pi * tenant / max(1, workload.tenants)
+    amplitude = workload.diurnal_amplitude
+    period_us = workload.diurnal_period_us
+    interarrival = workload.mean_interarrival_us
+    scan_length_max = workload.scan_length_max
     cum_read = workload.read_prop
     cum_update = cum_read + workload.update_prop
     cum_insert = cum_update + workload.insert_prop
     cum_delete = cum_insert + workload.delete_prop
+    GET, PUT, DELETE, SCAN = KVOp.GET, KVOp.PUT, KVOp.DELETE, KVOp.SCAN
     clock = 0.0
     for _ in range(workload.num_requests):
         rate = 1.0
-        if workload.diurnal_amplitude:
-            rate += workload.diurnal_amplitude * math.sin(
-                2.0 * math.pi * clock / workload.diurnal_period_us + phase
+        if amplitude:
+            rate += amplitude * math.sin(
+                2.0 * math.pi * clock / period_us + phase
             )
-        clock += (
-            rng.expovariate(1.0) * workload.mean_interarrival_us / rate
-        )
-        draw = rng.random()
+        # rng.expovariate(1.0), inlined: its body is -log(1.0 - random())
+        # / lambd, and dividing by 1.0 is exact.
+        clock += -log(1.0 - random_()) * interarrival / rate
+        draw = random_()
         if draw < cum_read and live:
-            key = live[_pick_index(
-                rng, len(live), workload.key_zipf_s, workload.favor_latest
-            )]
-            yield KVRequest(clock, KVOp.GET, key)
+            count = len(live)
+            rank = key_rank(count)
+            key = live[count - rank if latest else rank - 1]
+            yield KVRequest(clock, GET, key)
         elif draw < cum_update and live:
-            key = live[_pick_index(
-                rng, len(live), workload.key_zipf_s, workload.favor_latest
-            )]
-            yield KVRequest(
-                clock, KVOp.PUT, key,
-                value_bytes=_draw_size(workload, rng),
-                content_id=content.draw(rng),
-            )
+            count = len(live)
+            rank = key_rank(count)
+            key = live[count - rank if latest else rank - 1]
+            yield KVRequest(clock, PUT, key, draw_size(), draw_content())
         elif draw < cum_insert or not live:
             key = next_key
             next_key += 1
             live.append(key)
-            yield KVRequest(
-                clock, KVOp.PUT, key,
-                value_bytes=_draw_size(workload, rng),
-                content_id=content.draw(rng),
-            )
+            yield KVRequest(clock, PUT, key, draw_size(), draw_content())
         elif draw < cum_delete:
-            index = _pick_index(
-                rng, len(live), workload.key_zipf_s, latest=False,
-            )
+            index = key_rank(len(live)) - 1
             key = live[index]
             live[index] = live[-1]   # swap-pop: O(1), deterministic
             live.pop()
-            yield KVRequest(clock, KVOp.DELETE, key)
+            yield KVRequest(clock, DELETE, key)
         else:
-            key = live[_pick_index(
-                rng, len(live), workload.key_zipf_s, workload.favor_latest
-            )]
+            count = len(live)
+            rank = key_rank(count)
+            key = live[count - rank if latest else rank - 1]
             yield KVRequest(
-                clock, KVOp.SCAN, key,
-                scan_length=1 + rng.randrange(workload.scan_length_max),
+                clock, SCAN, key, 0, 0, 1 + randrange(scan_length_max)
             )
 
 
@@ -325,7 +338,10 @@ def interleave_kv_tenants(
                         "raise content_space or pass share_contents=True"
                     )
                 content_id = content_id + index * content_space
-            yield replace(request, key=key, content_id=content_id)
+            yield KVRequest(
+                request.arrival_us, request.op, key, request.value_bytes,
+                content_id, request.scan_length,
+            )
 
     return iter(heapq.merge(
         *(shifted(stream, index) for index, stream in enumerate(tenants)),

@@ -16,14 +16,46 @@ control message waits on the ACK of an earlier segment.
 
 from __future__ import annotations
 
+import json
+import math
 import socket
 from typing import Any, Dict, Iterable, Optional
 
-from ..sim.request import IORequest
+from ..sim.request import IORequest, OpType
 from ..traces.jsonl import record_of_request
 from .protocol import SERVER_TYPES, ProtocolError, decode_message, encode_message
 
 __all__ = ["ServeClientError", "ServeClient"]
+
+#: Each op's JSON string literal, for the ``io`` line template.
+_OP_JSON = {op: json.dumps(op.value) for op in OpType}
+
+
+def _io_line(request: IORequest) -> bytes:
+    """The ``io`` wire line for ``request``: byte for byte
+    ``encode_message(dict(record_of_request(request), type="io"))``.
+
+    The common case fills a template with the keys in ``sort_keys``
+    order: a finite ``float`` time prints as its ``repr`` and an exact
+    ``int`` as its ``str`` under both.  Anything else (NaN or infinite
+    times, int times, bools or other number types) goes through
+    ``encode_message``.
+    """
+    t = request.arrival_us
+    lpn = request.lpn
+    value = request.value_id
+    op = _OP_JSON.get(request.op)
+    if (
+        type(t) is float
+        and math.isfinite(t)
+        and type(lpn) is int
+        and type(value) is int
+        and op is not None
+    ):
+        return (
+            f'{{"lpn":{lpn},"op":{op},"t":{t!r},"type":"io","value":{value}}}\n'
+        ).encode("ascii")
+    return encode_message(dict(record_of_request(request), type="io"))
 
 
 class ServeClientError(RuntimeError):
@@ -77,9 +109,7 @@ class ServeClient:
     def send(self, request: IORequest) -> None:
         """Stream one request: unacknowledged and buffered until the next
         control message (``flush`` is the barrier)."""
-        self._fh.write(
-            encode_message(dict(record_of_request(request), type="io"))
-        )
+        self._fh.write(_io_line(request))
 
     def stream(self, requests: Iterable[IORequest]) -> int:
         """Stream a whole request sequence; returns how many were sent."""

@@ -18,10 +18,11 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from typing import List, Sequence
+from typing import Callable, List, Optional, Sequence
 
 __all__ = [
     "zipf_rank",
+    "zipf_ranker",
     "zipf_rank_legacy",
     "ZipfSampler",
     "top_fraction_share",
@@ -50,6 +51,43 @@ def zipf_rank(rng: random.Random, n: int, s: float) -> int:
         top = span ** (1.0 - s) - 1.0
         rank = (1.0 + u * top) ** (1.0 / (1.0 - s))
     return min(n, max(1, int(rank)))
+
+
+def zipf_ranker(rng: random.Random, s: float) -> Callable[[int], int]:
+    """:func:`zipf_rank` bound to one generator and exponent, for hot loops.
+
+    ``draw(n)`` returns exactly ``zipf_rank(rng, n, s)`` and consumes
+    ``rng`` identically: the same float expressions in the same order, with
+    the per-``n`` term (``(n + 1.0) ** (1.0 - s) - 1.0``, or
+    ``log(n + 1.0)`` at ``s == 1``) cached for the last ``n`` drawn over.
+    A live-key count or content universe changes far less often than it
+    is drawn from.
+    """
+    random_ = rng.random
+    harmonic = abs(s - 1.0) < 1e-9
+    exponent = 0.0 if harmonic else 1.0 / (1.0 - s)
+    cached_n: Optional[int] = None   # no n matches: the first draw checks
+    top = 0.0
+
+    def draw(n: int) -> int:
+        nonlocal cached_n, top
+        if n != cached_n:
+            if n <= 0:
+                raise ValueError("n must be positive")
+            span = n + 1.0
+            top = math.log(span) if harmonic else span ** (1.0 - s) - 1.0
+            cached_n = n
+        if n == 1:
+            return 1
+        if harmonic:
+            rank = int(math.exp(random_() * top))
+        else:
+            rank = int((1.0 + random_() * top) ** exponent)
+        if rank > n:
+            return n
+        return rank if rank > 1 else 1
+
+    return draw
 
 
 def zipf_rank_legacy(rng: random.Random, n: int, s: float) -> int:

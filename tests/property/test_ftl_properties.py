@@ -268,6 +268,89 @@ def test_fused_write_matches_per_call(
     fused.check_invariants()
 
 
+def count_unfused_trims(ftl):
+    """Record every trim ``ftl`` sends down ``_trim_per_call``."""
+    calls = []
+    unfused = ftl._trim_per_call
+
+    def counted(lpn):
+        calls.append(lpn)
+        return unfused(lpn)
+
+    ftl._trim_per_call = counted
+    return calls
+
+
+#: (op, lpn, value): op 0 writes, 1 trims, 2 reads.  Trims are a third of
+#: the stream, and LPNs cluster on a few pages so the same LPN is trimmed
+#: again while unmapped and trimmed right after its write revived a page.
+trim_ops = st.lists(
+    st.tuples(
+        st.sampled_from([0, 0, 1, 1, 2, 0]),
+        st.one_of(
+            st.integers(min_value=0, max_value=3),
+            st.integers(min_value=0, max_value=LOGICAL - 1),
+        ),
+        st.integers(min_value=0, max_value=7),
+    ),
+    min_size=1,
+    max_size=300,
+)
+
+
+@pytest.mark.parametrize("pool_name", sorted(POOL_FACTORIES))
+@given(
+    operations=trim_ops,
+    popularity_aware_gc=st.booleans(),
+    combine_read_popularity=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_fused_trim_matches_per_call(
+    pool_name, operations, popularity_aware_gc, combine_read_popularity,
+):
+    """The fused ``BaseFTL.trim`` and the per-call path stay identical,
+    table for table: counters, L2P/owner columns, block states, the OOB
+    trim journal and sequence, garbage-popularity mass and pool contents,
+    on streams that trim unmapped LPNs and pages revived from the pool."""
+    options = dict(
+        popularity_aware_gc=popularity_aware_gc,
+        combine_read_popularity=combine_read_popularity,
+    )
+    fused = BaseFTL(small_config(), pool=POOL_FACTORIES[pool_name](), **options)
+    per_call = PerCallFTL(
+        small_config(), pool=POOL_FACTORIES[pool_name](), **options
+    )
+    unfused = count_unfused_trims(fused), count_unfused_trims(per_call)
+    # Every LPN holds a value from a small space, then one overwrite pass:
+    # GC is busy and the pool holds revivable garbage before the stream.
+    prefill = [(0, lpn, lpn % 8) for lpn in range(LOGICAL)]
+    churn = [(0, lpn, (lpn + 3) % 8) for lpn in range(LOGICAL)]
+    # Always cover both edge cases: a revival, its trim, and a trim of
+    # the now unmapped LPN.
+    edge = [(0, 0, 5), (1, 0, 0), (0, 1, 5), (1, 1, 0), (1, 1, 0)]
+    trims = 0
+    for step, (op, lpn, value) in enumerate(
+        prefill + churn + edge + operations
+    ):
+        if op == 0:
+            assert fused.write(lpn, fp(value)) == per_call.write(lpn, fp(value))
+        elif op == 1:
+            trims += 1
+            fused.trim(lpn)
+            per_call.trim(lpn)
+        else:
+            assert fused.read(lpn) == per_call.read(lpn)
+        assert fused.counters == per_call.counters
+        if op == 1 or step % 50 == 0:
+            assert ftl_state(fused) == ftl_state(per_call)
+    assert ftl_state(fused) == ftl_state(per_call)
+    assert unfused[0] == [] and len(unfused[1]) == trims
+    assert per_call.counters.host_trims == trims
+    if pool_name != "none":
+        assert per_call.counters.short_circuits > 0
+    fused.check_invariants()
+
+
 # ---------------------------------------------------------------------------
 # Bulk preconditioning (BaseFTL.preload) vs the per-page write loop
 # ---------------------------------------------------------------------------
@@ -348,17 +431,20 @@ def test_preload_matches_write_loop(
         bulk.write(lpn, fp(value))
         loop.write(lpn, fp(value))
     fallback = count_fallback_writes(bulk)
+    attempts = []
 
     def write_loop():
         for lpn, value in enumerate(values):
+            attempts.append(lpn)
             loop.write(lpn, fp(value))
         return len(values)
 
     outcome = _outcome(lambda: bulk.preload(map(fp, values)))
     assert outcome == _outcome(write_loop)
     assert ftl_state(bulk) == ftl_state(loop)
-    # Past the exported capacity the first write raises and ends both.
-    attempted = min(len(values), config.logical_pages + 1)
+    # The first write that raises ends both: past the exported capacity,
+    # or where a tight drive has no room left for GC to relocate into.
+    attempted = len(attempts)
     if premapped:
         assert fallback == list(range(attempted))
     elif len(set(values)) == len(values) and loop.gc.invocations == 0:

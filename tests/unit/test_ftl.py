@@ -270,3 +270,60 @@ class TestWriteRouting:
         expected = 0 if system == "base" else ftl.counters.host_writes
         assert len(unfused) == expected
         assert outcome.hashed == (ftl.content_aware and not ftl.read_only)
+
+
+class TestTrimRouting:
+    """Plain ``BaseFTL`` trims run fused; a subclass, a wrapped write step
+    or ``trim`` itself, faults, a checker or a read-only drive send every
+    trim through ``_trim_per_call``."""
+
+    @pytest.mark.parametrize("system", [
+        "base", "dedup", "dftl", "faults", "checker", "read-only",
+        "wrapped-trim", "wrapped-write", "wrapped-invalidate",
+    ])
+    def test_which_trims_run_fused(self, tiny_config, monkeypatch, system):
+        unfused = TestWriteRouting._count(
+            monkeypatch, BaseFTL, "_trim_per_call"
+        )
+        pool = MQDeadValuePool(64)
+        if system == "dedup":
+            ftl = DedupFTL(tiny_config, pool=pool)
+        elif system == "dftl":
+            ftl = DFTLFtl(tiny_config, pool=pool)
+        else:
+            ftl = BaseFTL(tiny_config, pool=pool)
+        for lpn in range(0, tiny_config.logical_pages, 3):
+            ftl.write(lpn, fp(lpn % 5))
+        if system == "faults":
+            ftl.attach_faults(FaultModel(FaultConfig(seed=0)))
+        elif system == "checker":
+            from repro.check import InvariantChecker
+
+            ftl.attach_checker(InvariantChecker())
+        elif system == "read-only":
+            ftl.enter_read_only()
+        elif system.startswith("wrapped-"):
+            attr = {"wrapped-trim": "trim", "wrapped-write": "write",
+                    "wrapped-invalidate": "_invalidate_lpn"}[system]
+            TestWriteRouting._count(monkeypatch, BaseFTL, attr)
+        for lpn in range(0, tiny_config.logical_pages, 2):
+            ftl.trim(lpn)
+        trims = ftl.counters.host_trims
+        assert trims == len(range(0, tiny_config.logical_pages, 2))
+        assert len(unfused) == (0 if system == "base" else trims)
+
+    def test_fused_trim_keeps_content_revivable(self, tiny_config):
+        ftl = BaseFTL(tiny_config, pool=MQDeadValuePool(64))
+        ppn = ftl.write(7, fp(42)).program_ppn
+        ftl.trim(7)
+        ftl.trim(7)   # already unmapped: journalled, nothing dies twice
+        assert ftl.mapping.lookup(7) is None
+        assert ftl.counters.invalidations == 1
+        assert ftl._oob_trims[7] == ftl._oob_seq
+        assert ftl.write(9, fp(42)).revived_ppn == ppn
+        ftl.check_invariants()
+
+    def test_out_of_range_trim_raises(self, tiny_config):
+        ftl = BaseFTL(tiny_config)
+        with pytest.raises(ValueError, match="outside exported capacity"):
+            ftl.trim(tiny_config.logical_pages)

@@ -4,12 +4,15 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.traces.zipf import (
     ZipfSampler,
     top_fraction_share,
     zipf_rank,
     zipf_rank_legacy,
+    zipf_ranker,
 )
 
 
@@ -97,6 +100,39 @@ class TestZipfRankTruncationFix:
                 assert 1 <= zipf_rank_legacy(rng, n, 1.1) <= n
         with pytest.raises(ValueError):
             zipf_rank_legacy(random.Random(1), 0, 1.0)
+
+
+class TestZipfRanker:
+    """``zipf_ranker(rng, s)(n)`` is ``zipf_rank(rng, n, s)``, draw for draw."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        s=st.sampled_from([0.0, 0.5, 0.99, 1.0, 1.0 + 1e-12, 1.15, 2.5]),
+        # Runs of one n (the cached term) and changes of n, including the
+        # n == 1 case that consumes no randomness.
+        ns=st.lists(
+            st.tuples(st.integers(min_value=1, max_value=10**6),
+                      st.integers(min_value=1, max_value=5)),
+            min_size=1, max_size=30,
+        ),
+    )
+    def test_matches_zipf_rank(self, seed, s, ns):
+        cached, reference = random.Random(seed), random.Random(seed)
+        draw = zipf_ranker(cached, s)
+        for n, repeats in ns:
+            for _ in range(repeats):
+                assert draw(n) == zipf_rank(reference, n, s)
+        assert cached.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("s", [1.0, 1.1])
+    def test_invalid_n(self, s):
+        for first in (True, False):
+            draw = zipf_ranker(random.Random(1), s)
+            if not first:
+                assert draw(3) >= 1
+            for n in (0, -1):
+                with pytest.raises(ValueError):
+                    draw(n)
 
 
 class TestZipfSampler:
