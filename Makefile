@@ -31,9 +31,14 @@ lint:
 # the fused BaseFTL.write and BaseFTL.trim against the per-call path,
 # the flat KVStore.translate against its public per-op generators, bulk
 # preconditioning (BaseFTL.preload) against the per-page write loop, the
-# head-cached MultiQueue against a full-scan reference, and the hoisted
-# ring pass against HashRing.shard_of.  Also part of the plain suite; this target
-# isolates it for quick iteration on FTL hot paths.
+# head-cached MultiQueue against a full-scan reference, the hoisted
+# ring pass against HashRing.shard_of, and the per-PPN OOB columns
+# against a dict journal (fused and per-call paths, trims, GC, crash
+# recovery).  Also the set-up path: the flat synthetic generator against
+# its trace goldens (and the cached legacy Zipf ranker draw for draw),
+# and prefill snapshots that share no table with the systems they were
+# captured from or restored into.  Also part of the plain suite; this
+# target isolates it for quick iteration on FTL hot paths.
 check:
 	$(PYTHON) -m pytest -q tests/unit/test_check.py \
 		tests/property/test_check_fuzz.py \
@@ -44,7 +49,10 @@ check:
 		"tests/property/test_ftl_properties.py::test_preload_matches_write_loop" \
 		"tests/property/test_ftl_properties.py::TestPreloadRouting" \
 		"tests/property/test_mq_properties.py::TestMQReference" \
-		"tests/property/test_ring_properties.py::TestAssignmentsPass"
+		"tests/property/test_ring_properties.py::TestAssignmentsPass" \
+		"tests/property/test_ftl_properties.py::test_oob_columns_match_dict_model" \
+		tests/perf/test_trace_goldens.py \
+		"tests/perf/test_caches.py::TestPrefillCache::test_restored_systems_do_not_share_state"
 
 # Tiny parallel-engine smoke: process-pool round trip, caches, bench
 # harness shape.  Part of the plain suite too; this target isolates it.

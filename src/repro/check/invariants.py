@@ -158,6 +158,7 @@ def _mapping_violations(ftl: "BaseFTL", out: List[InvariantViolation]) -> None:
             {"forward_entries": forward_total,
              "mapped_lpn_count": mapping.mapped_lpn_count()},
         ))
+    oob = dict(ftl.oob_records())
     for ppn in mapping.mapped_ppns():
         state = ftl.array.state_of(ppn)
         if state is not PageState.VALID:
@@ -173,7 +174,7 @@ def _mapping_violations(ftl: "BaseFTL", out: List[InvariantViolation]) -> None:
                 f"mapped PPN {ppn} has no content fingerprint",
                 {"ppn": ppn},
             ))
-        if ppn not in ftl._oob:
+        if ppn not in oob:
             out.append(InvariantViolation(
                 "mapping.no-oob",
                 f"mapped PPN {ppn} has no OOB journal record",
@@ -413,7 +414,8 @@ def _gc_violations(ftl: "BaseFTL", out: List[InvariantViolation]) -> None:
 def _oob_violations(ftl: "BaseFTL", out: List[InvariantViolation]) -> None:
     seqs: Dict[int, str] = {}
     clock = ftl._oob_seq
-    for ppn, (lpn, seq) in ftl._oob.items():
+    oob = dict(ftl.oob_records())
+    for ppn, (lpn, seq) in oob.items():
         record = f"oob[{ppn}]=(lpn {lpn}, seq {seq})"
         if seq in seqs or seq > clock:
             out.append(InvariantViolation(
@@ -449,7 +451,7 @@ def _oob_violations(ftl: "BaseFTL", out: List[InvariantViolation]) -> None:
         return
     trims = ftl._oob_trims
     for lpn, ppn in ftl.mapping.forward_items().items():
-        entry = ftl._oob.get(ppn)
+        entry = oob.get(ppn)
         if entry is None:
             continue  # already reported as mapping.no-oob
         oob_lpn, seq = entry

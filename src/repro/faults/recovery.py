@@ -5,7 +5,7 @@ Section IV-C puts the whole MQ-DVP in controller RAM): the LPN→PPN table,
 the dead-value pool, and every popularity counter.  What survives is the
 flash itself — and, as on a real drive, the out-of-band spare area of each
 programmed page, which the FTL journals with ``(lpn, seq)`` on every
-program, revival and relocation (see ``BaseFTL._record_oob``).
+program, revival and relocation (see ``BaseFTL.oob_records``).
 
 Recovery replays what real page-mapping FTLs do after an unclean
 shutdown: scan every programmed page's OOB area and keep, per LPN, the
@@ -64,7 +64,7 @@ def rebuild_mapping(ftl: "BaseFTL") -> MappingTable:
     old copy invalidated with no successor).
     """
     best: Dict[int, Tuple[int, int]] = {}
-    for ppn, (lpn, seq) in ftl._oob.items():
+    for ppn, (lpn, seq) in ftl.oob_records():
         current = best.get(lpn)
         if current is None or seq > current[1]:
             best[lpn] = (ppn, seq)

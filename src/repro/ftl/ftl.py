@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple,
+)
 
 from ..core.dvp import DeadValuePool
 from ..core.hashing import Fingerprint
@@ -42,7 +44,7 @@ from .gc import (
     GreedyVictimPolicy,
     PopularityAwareVictimPolicy,
 )
-from .mapping import MappingTable, POPULARITY_MAX
+from .mapping import MappingTable, POPULARITY_MAX, _unmapped_column
 from .wear import WearTracker
 
 __all__ = ["FTLCounters", "WriteOutcome", "ReadOutcome", "BaseFTL"]
@@ -196,12 +198,16 @@ class BaseFTL:
         #: Spare-block pool exhausted: every further host write is rejected.
         self.read_only = False
         # Out-of-band metadata journal: what a real FTL writes into each
-        # page's spare area.  ``_oob[ppn] = (lpn, seq)`` records which LPN
-        # the page was written for and a monotonic sequence number, and
-        # ``_oob_trims[lpn]`` the seq at which the LPN was last trimmed.
-        # Crash recovery (repro.faults.recovery) rebuilds the L2P mapping
-        # purely from this journal: newest VALID copy per LPN wins.
-        self._oob: Dict[int, Tuple[int, int]] = {}
+        # page's spare area.  Two per-PPN ``array('q')`` columns record
+        # which LPN the page was written for and a monotonic sequence
+        # number (-1 in both: no record), and ``_oob_trims[lpn]`` the seq
+        # at which the LPN was last trimmed.  Flat int columns leave no
+        # object behind per program (DESIGN.md §10); readers outside this
+        # class go through :meth:`oob_records`.  Crash recovery
+        # (repro.faults.recovery) rebuilds the L2P mapping purely from
+        # this journal: newest VALID copy per LPN wins.
+        self._oob_lpns = _unmapped_column(config.total_pages)
+        self._oob_seqs = _unmapped_column(config.total_pages)
         self._oob_trims: Dict[int, int] = {}
         self._oob_seq = 0
         # Content bookkeeping: fingerprint stored at each programmed PPN.
@@ -231,6 +237,14 @@ class BaseFTL:
 
     def _block_garbage_popularity(self, block_global: int) -> int:
         return self._block_garbage_pop.get(block_global, 0)
+
+    def oob_records(self) -> Iterator[Tuple[int, Tuple[int, int]]]:
+        """The OOB journal's page records, ``(ppn, (lpn, seq))`` in PPN
+        order: the one reader of the per-PPN columns outside this class."""
+        lpns = self._oob_lpns
+        for ppn, seq in enumerate(self._oob_seqs):
+            if seq >= 0:
+                yield ppn, (lpns[ppn], seq)
 
     # ------------------------------------------------------------------
     # Fault injection (repro.faults)
@@ -425,7 +439,8 @@ class BaseFTL:
         else:
             mapping.map(lpn, ppn)  # grows, shares, or raises "already mapped"
         self._oob_seq = seq = self._oob_seq + 1
-        self._oob[ppn] = (lpn, seq)
+        self._oob_lpns[ppn] = lpn
+        self._oob_seqs[ppn] = seq
         if revived is not None:
             counters.short_circuits += 1
             outcome.short_circuited = True
@@ -531,7 +546,8 @@ class BaseFTL:
             counters = self.counters
             write_pop = self._write_popularity
             ppn_fp = self._ppn_fp
-            oob = self._oob
+            oob_lpns = self._oob_lpns
+            oob_seqs = self._oob_seqs
             l2p = mapping._l2p
             owner = mapping._owner
             popularity = mapping._pop
@@ -587,7 +603,8 @@ class BaseFTL:
                     else:
                         mapping.map(lpn, ppn)  # grows, or raises
                     seq += 1
-                    oob[ppn] = (lpn, seq)
+                    oob_lpns[ppn] = lpn
+                    oob_seqs[ppn] = seq
                     ppn_fp[ppn] = fp
                     lpn += 1
             finally:
@@ -688,7 +705,8 @@ class BaseFTL:
     def _record_oob(self, ppn: int, lpn: int) -> None:
         """Journal (lpn, seq) into ``ppn``'s out-of-band area."""
         self._oob_seq += 1
-        self._oob[ppn] = (lpn, self._oob_seq)
+        self._oob_lpns[ppn] = lpn
+        self._oob_seqs[ppn] = self._oob_seq
 
     def _pool_popularity(self, fp: Fingerprint) -> int:
         """Popularity degree handed to the pool on insertion."""
@@ -873,10 +891,11 @@ class BaseFTL:
         fp = self._ppn_fp.pop(old_ppn, None)
         if fp is not None:
             self._ppn_fp[new_ppn] = fp
-        entry = self._oob.pop(old_ppn, None)
-        if entry is not None:
-            # GC rewrote the page, so its OOB area is rewritten too.
-            self._record_oob(new_ppn, entry[0])
+        if self._oob_seqs[old_ppn] >= 0:
+            # GC rewrote the page, so its OOB area is rewritten too; the
+            # old copy's record goes with the victim's erase
+            # (:meth:`erase_cleanup`).
+            self._record_oob(new_ppn, self._oob_lpns[old_ppn])
 
     def erase_cleanup(self, block_global: int, invalid_ppns: List[int]) -> None:
         for ppn in invalid_ppns:
@@ -884,7 +903,13 @@ class BaseFTL:
             if fp is not None and self.pool is not None:
                 self.pool.discard_ppn(fp, ppn)
             self._clear_garbage_pop(ppn)
-            self._oob.pop(ppn, None)
+        # The erase takes the whole block's OOB area with it: garbage
+        # pages and the old copies of the pages just relocated.
+        per_block = self.array._pages_per_block
+        start = block_global * per_block
+        cleared = _unmapped_column(per_block)
+        self._oob_lpns[start:start + per_block] = cleared
+        self._oob_seqs[start:start + per_block] = cleared
 
     # ------------------------------------------------------------------
 
@@ -898,7 +923,9 @@ class BaseFTL:
                 f"mapped PPN {ppn} is not VALID"
             )
             assert ppn in self._ppn_fp, f"mapped PPN {ppn} has no fingerprint"
-            assert ppn in self._oob, f"mapped PPN {ppn} has no OOB record"
+            assert self._oob_seqs[ppn] >= 0, (
+                f"mapped PPN {ppn} has no OOB record"
+            )
 
 
 #: The methods the fused :meth:`BaseFTL.write` inlines, captured at import.

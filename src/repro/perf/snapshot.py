@@ -14,21 +14,31 @@ state) cannot influence the outcome.  A pool-size sweep such as the
 Figure 5/9 cells trivially shares one family too.
 
 :class:`PrefillCache` exploits this: the first run of a (family, config,
-profile) triple prefills normally and pickles the content-independent
-state — flash array, allocator, mapping table, fingerprint and popularity
-indexes, write clock, plus the dedup live index when applicable.  Sibling
-runs build their own system (pool, GC policy and all) and rehydrate that
-snapshot by copy, skipping the per-page write loop entirely.  Restores are
-``pickle.loads`` of an immutable byte string, so runs can never leak state
-into each other — the basis of the bit-identical guarantee the
-determinism tests enforce.
+profile) triple prefills normally and captures the content-independent
+state — flash array, allocator, mapping table, OOB journal, fingerprint
+and popularity indexes, write clock, plus the dedup live index when
+applicable.  Sibling runs build their own system (pool, GC policy and
+all) and rehydrate that snapshot, skipping the per-page write loop
+entirely.
+
+A snapshot is two parts.  The mutable object graph (array, allocator,
+mapping, the OOB columns and trims) is pickled into an immutable byte
+string, and every restore is a fresh ``pickle.loads`` of it.  The
+content tables (``_ppn_fp``, ``_write_popularity`` and the dedup
+``_live_index``) are held as ``dict`` copies instead, because pickling
+them is a ``Fingerprint.__reduce__`` per page each way.  Their keys and
+values are immutable fingerprints and ints, so a shallow copy is already
+a deep one: the capture copies the live FTL's dicts, and every restore
+hands out a new copy, never the cache's own.  Runs therefore still
+cannot leak state into each other — the basis of the bit-identical
+guarantee the determinism tests enforce.
 """
 
 from __future__ import annotations
 
 import pickle
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..core.dvp import PoolStats
 from ..flash.config import SSDConfig
@@ -49,55 +59,62 @@ __all__ = [
 ]
 
 #: FTL attributes that fully determine the shared post-prefill state.
-#: ``array``/``allocator``/``mapping`` carry the drive; ``_ppn_fp`` and
-#: ``_write_popularity`` the content bookkeeping; ``write_clock`` the
-#: logical time prefill advanced to; ``_oob``/``_oob_seq``/``_oob_trims``
-#: the out-of-band journal crash recovery scans.
-_SHARED_ATTRS = (
+#: ``_PICKLED_ATTRS`` is the mutable object graph: ``array``/``allocator``/
+#: ``mapping`` carry the drive, ``write_clock`` the logical time prefill
+#: advanced to, and ``_oob_lpns``/``_oob_seqs``/``_oob_seq``/``_oob_trims``
+#: the out-of-band journal crash recovery scans.  ``_COPIED_ATTRS`` are
+#: the content tables (fingerprint and int keys and values), held as
+#: ``dict`` copies.
+_PICKLED_ATTRS = (
     "array",
     "allocator",
     "mapping",
     "write_clock",
-    "_ppn_fp",
-    "_write_popularity",
-    "_oob",
+    "_oob_lpns",
+    "_oob_seqs",
     "_oob_seq",
     "_oob_trims",
 )
+_COPIED_ATTRS = ("_ppn_fp", "_write_popularity")
 
 #: Families eligible for snapshot sharing.  Exact classes only: a subclass
 #: may carry extra state this module does not know how to capture, so it
 #: silently falls back to a direct prefill.
 _FAMILIES = (BaseFTL, DedupFTL)
 
+#: A captured prefill: the pickled object graph, and the copied content
+#: tables by attribute name.
+_Snapshot = Tuple[bytes, Dict[str, dict]]
 
-def _capture(ftl: BaseFTL) -> bytes:
-    """Pickle the shareable post-prefill state of ``ftl``.
 
-    Cross-references (``allocator.array``) survive because everything is
-    pickled as one object graph.
+def _capture(ftl: BaseFTL) -> _Snapshot:
+    """Capture the shareable post-prefill state of ``ftl``.
+
+    Cross-references (``allocator.array``) survive because the object
+    graph is pickled in one piece.
     """
-    state = {name: getattr(ftl, name) for name in _SHARED_ATTRS}
+    state = {name: getattr(ftl, name) for name in _PICKLED_ATTRS}
     state["gc_invocations"] = ftl.gc.invocations
+    tables = {name: dict(getattr(ftl, name)) for name in _COPIED_ATTRS}
     if isinstance(ftl, DedupFTL):
-        state["_live_index"] = ftl._live_index
-    return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        tables["_live_index"] = dict(ftl._live_index)
+    return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL), tables
 
 
-def _restore(ftl: BaseFTL, snapshot: bytes) -> None:
+def _restore(ftl: BaseFTL, snapshot: _Snapshot) -> None:
     """Graft a captured prefill state onto a freshly built system."""
-    state = pickle.loads(snapshot)
-    live_index = state.pop("_live_index", None)
+    graph, tables = snapshot
+    state = pickle.loads(graph)
     ftl.gc.invocations = state.pop("gc_invocations")
     for name, value in state.items():
         setattr(ftl, name, value)
+    for name, table in tables.items():
+        setattr(ftl, name, dict(table))
     # The collector and wear tracker hold direct references to the array
     # and allocator they were built with; point them at the grafted copies.
     ftl.gc.array = ftl.array
     ftl.gc.allocator = ftl.allocator
     ftl.wear.array = ftl.array
-    if live_index is not None:
-        ftl._live_index = live_index
     # Mirror prefill's epilogue: measurements cover only the trace window.
     ftl.counters = FTLCounters()
     if ftl.pool is not None:
@@ -111,7 +128,7 @@ class PrefillCache:
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self._snaps: "OrderedDict[Tuple[str, SSDConfig, str], bytes]" = (
+        self._snaps: "OrderedDict[Tuple[str, SSDConfig, str], _Snapshot]" = (
             OrderedDict()
         )
         self.hits = 0
@@ -201,15 +218,17 @@ class PrefillCache:
 # built FTL), a live checkpoint pickles the whole (ftl, ssd) object
 # graph in one piece, so every cross-reference (gc→array, timelines,
 # host queue heap, accumulated samples) survives by construction.
-# Restores are ``pickle.loads`` of an immutable byte string, the same
-# no-leak guarantee the prefill cache gives.
+# Restores are ``pickle.loads`` of an immutable byte string, so no two
+# restores share state.
 
 #: Live-state blobs are version-tagged so a reader refuses a blob from
 #: an incompatible writer instead of grafting mismatched state.
 #: Version 2: ``MultiQueue`` pickles its head cache (``_head_key``/
 #: ``_head_entry``/``_head_due``) and ``_hottest`` entry; a version 1
-#: pool would resume without them.
-LIVE_STATE_VERSION = 2
+#: pool would resume without them.  Version 3: ``BaseFTL`` keeps its
+#: OOB journal as per-PPN columns (``_oob_lpns``/``_oob_seqs``); a
+#: version 2 FTL would resume with the old ``_oob`` dict and no columns.
+LIVE_STATE_VERSION = 3
 
 
 def capture_live_state(ftl: BaseFTL, ssd: "SimulatedSSD") -> bytes:

@@ -28,6 +28,7 @@ Generation is fully deterministic given the profile (its seed included).
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Dict, Iterator, List
 
@@ -35,9 +36,9 @@ from ..sim.request import IORequest, OpType
 from .profiles import WorkloadProfile
 # The block profiles' Table II knobs were calibrated under the legacy
 # (truncating) sampler and the perf goldens pin the traces it produces,
-# so this generator keeps it deliberately; new generators (repro.kv
-# zoo) use the corrected ``zipf_rank``.
-from .zipf import zipf_rank_legacy
+# so this generator keeps it deliberately (through its cached twin);
+# new generators (repro.kv zoo) use the corrected ``zipf_rank``.
+from .zipf import zipf_legacy_ranker
 
 __all__ = [
     "INITIAL_VALUE_BASE",
@@ -66,9 +67,45 @@ class SyntheticTraceGenerator:
         return self.stream()
 
     def stream(self) -> Iterator[IORequest]:
-        """Yield the trace lazily (one pass, O(written-set) memory)."""
+        """Yield the trace lazily (one pass, O(written-set) memory).
+
+        One flat loop: the profile's fields are hoisted, and
+        ``expovariate`` and the three draws below are inlined, with Zipf
+        ranks from :func:`~repro.traces.zipf.zipf_legacy_ranker`.  The
+        order of the ``rng`` calls fixes the trace byte for byte; the
+        trace goldens pin it.
+
+        * **Value** — a fresh value id with probability
+          ``new_value_prob``, else an existing value redrawn Zipf over
+          creation rank (rank 1 = oldest).
+        * **Write target** — with probability ``placement_corr`` the
+          page's heat matches the value's popularity rank (popular value
+          -> hot page), which couples value popularity to update rate and
+          reproduces Figure 4a's "highly popular values are invalidated
+          more quickly".  Otherwise the page is an independent Zipf draw.
+        * **Read target** — with probability ``cold_read_frac`` a cold
+          uniform read over the full cold region (which extends past the
+          write working set, holding only pre-existing unique content);
+          else a hot read skewed like the writes.
+        """
         profile = self.profile
         rng = random.Random(profile.seed)
+        random_ = rng.random
+        randrange = rng.randrange
+        log = math.log
+        draw_value = zipf_legacy_ranker(rng, profile.value_zipf_s)
+        draw_write_page = zipf_legacy_ranker(rng, profile.lpn_zipf_s)
+        draw_read_page = zipf_legacy_ranker(rng, profile.read_zipf_s)
+        rate = 1.0 / profile.mean_interarrival_us
+        write_ratio = profile.targets.write_ratio
+        new_value_prob = profile.new_value_prob
+        placement_corr = profile.placement_corr
+        cold_read_frac = profile.cold_read_frac
+        pages = profile.working_set_pages
+        total_pages = profile.total_pages
+        scan_every = profile.scan_every_writes
+        scan_length = profile.scan_length
+        write, read = OpType.WRITE, OpType.READ
         clock_us = 0.0
         values_created = 0
         writes_done = 0
@@ -78,80 +115,49 @@ class SyntheticTraceGenerator:
         content: Dict[int, int] = {}
 
         for _ in range(profile.num_requests):
-            clock_us += rng.expovariate(1.0 / profile.mean_interarrival_us)
-            if rng.random() < profile.targets.write_ratio:
+            clock_us += -log(1.0 - random_()) / rate
+            if random_() < write_ratio:
                 writes_done += 1
                 if (
-                    profile.scan_every_writes
+                    scan_every
                     and scan_remaining == 0
-                    and writes_done % profile.scan_every_writes == 0
+                    and writes_done % scan_every == 0
                 ):
                     # A background job starts sweeping fresh content
                     # sequentially through a random stretch of the space.
-                    scan_remaining = profile.scan_length
-                    scan_lpn = rng.randrange(profile.working_set_pages)
+                    scan_remaining = scan_length
+                    scan_lpn = randrange(pages)
                 if scan_remaining > 0:
                     scan_remaining -= 1
                     value_id = values_created
                     values_created += 1
                     lpn = scan_lpn
-                    scan_lpn = (scan_lpn + 1) % profile.working_set_pages
+                    scan_lpn = (scan_lpn + 1) % pages
                 else:
-                    value_id = self._draw_value(rng, values_created)
-                    if value_id == values_created:
+                    if values_created == 0 or random_() < new_value_prob:
+                        value_id = values_created
                         values_created += 1
-                    lpn = self._draw_write_lpn(rng, value_id, values_created)
+                    else:
+                        value_id = draw_value(values_created) - 1
+                    if random_() < placement_corr:
+                        # value_id is its creation rank (0 = oldest = most
+                        # popular); the jitter is a +/- 2x spread.
+                        fraction = (value_id + 1) / values_created
+                        rank = int(fraction * pages * (0.5 + random_()))
+                        lpn = min(pages - 1, max(0, rank - 1))
+                    else:
+                        lpn = draw_write_page(pages) - 1
                 content[lpn] = value_id
-                yield IORequest(
-                    arrival_us=clock_us, op=OpType.WRITE,
-                    lpn=lpn, value_id=value_id,
-                )
+                yield IORequest(clock_us, write, lpn, value_id)
             else:
-                lpn = self._draw_read_lpn(rng)
+                if random_() < cold_read_frac:
+                    lpn = randrange(total_pages)
+                else:
+                    lpn = draw_read_page(pages) - 1
                 yield IORequest(
-                    arrival_us=clock_us, op=OpType.READ, lpn=lpn,
-                    value_id=content.get(lpn, initial_value_of(lpn)),
+                    clock_us, read, lpn,
+                    content.get(lpn, INITIAL_VALUE_BASE + lpn),
                 )
-
-    def _draw_value(self, rng: random.Random, values_created: int) -> int:
-        """A fresh value id with probability ``new_value_prob``, else an
-        existing value redrawn Zipf over creation rank (rank 1 = oldest)."""
-        profile = self.profile
-        if values_created == 0 or rng.random() < profile.new_value_prob:
-            return values_created
-        return zipf_rank_legacy(rng, values_created, profile.value_zipf_s) - 1
-
-    def _draw_write_lpn(
-        self, rng: random.Random, value_id: int, values_created: int
-    ) -> int:
-        """Target page for a write.
-
-        With probability ``placement_corr`` the page's heat matches the
-        value's popularity rank (popular value -> hot page), which couples
-        value popularity to update rate and reproduces Figure 4a's
-        "highly popular values are invalidated more quickly".  Otherwise
-        the page is an independent Zipf draw.
-        """
-        profile = self.profile
-        pages = profile.working_set_pages
-        if rng.random() < profile.placement_corr:
-            # value_id is its creation rank (0 = oldest = most popular).
-            fraction = (value_id + 1) / max(1, values_created)
-            jitter = 0.5 + rng.random()          # +/- 2x spread
-            rank = int(fraction * pages * jitter)
-            return min(pages - 1, max(0, rank - 1))
-        return zipf_rank_legacy(rng, pages, profile.lpn_zipf_s) - 1
-
-    def _draw_read_lpn(self, rng: random.Random) -> int:
-        """Cold uniform read over the full cold region (which extends past
-        the write working set, holding only pre-existing unique content)
-        with probability ``cold_read_frac``; else a hot read skewed like
-        the writes."""
-        profile = self.profile
-        if rng.random() < profile.cold_read_frac:
-            return rng.randrange(profile.total_pages)
-        return zipf_rank_legacy(rng, profile.working_set_pages,
-                         profile.read_zipf_s) - 1
 
     def generate(self) -> List[IORequest]:
         """Materialise the whole trace (convenient for repeated replays)."""

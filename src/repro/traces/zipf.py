@@ -23,6 +23,7 @@ from typing import Callable, List, Optional, Sequence
 __all__ = [
     "zipf_rank",
     "zipf_ranker",
+    "zipf_legacy_ranker",
     "zipf_rank_legacy",
     "ZipfSampler",
     "top_fraction_share",
@@ -63,6 +64,27 @@ def zipf_ranker(rng: random.Random, s: float) -> Callable[[int], int]:
     A live-key count or content universe changes far less often than it
     is drawn from.
     """
+    return _cached_ranker(rng, s, 1.0)
+
+
+def zipf_legacy_ranker(rng: random.Random, s: float) -> Callable[[int], int]:
+    """:func:`zipf_rank_legacy` bound to one generator and exponent: the
+    per-``n`` twin :func:`zipf_ranker` is of :func:`zipf_rank`.
+
+    ``draw(n)`` returns exactly ``zipf_rank_legacy(rng, n, s)`` and
+    consumes ``rng`` identically, with ``n ** (1.0 - s) - 1.0`` (or
+    ``log(n)`` at ``s == 1``) cached for the last ``n`` drawn over.
+    """
+    return _cached_ranker(rng, s, 0.0)
+
+
+def _cached_ranker(
+    rng: random.Random, s: float, span_offset: float
+) -> Callable[[int], int]:
+    """The draw both rankers share: the continuous inverse over
+    ``[1, n + span_offset)``, floored and clamped to ``[1, n]``.
+    ``n + 0.0`` is ``float(n)``, which is what ``n ** x`` and ``log(n)``
+    convert an int to, so the legacy terms come out bit-identical."""
     random_ = rng.random
     harmonic = abs(s - 1.0) < 1e-9
     exponent = 0.0 if harmonic else 1.0 / (1.0 - s)
@@ -74,7 +96,7 @@ def zipf_ranker(rng: random.Random, s: float) -> Callable[[int], int]:
         if n != cached_n:
             if n <= 0:
                 raise ValueError("n must be positive")
-            span = n + 1.0
+            span = n + span_offset
             top = math.log(span) if harmonic else span ** (1.0 - s) - 1.0
             cached_n = n
         if n == 1:
@@ -97,7 +119,8 @@ def zipf_rank_legacy(rng: random.Random, n: int, s: float) -> int:
     (it receives the whole ``[1, 2)`` interval's mass).  Kept verbatim
     because the block-level synthetic profiles (Table II knobs) were
     calibrated under this sampler and the perf goldens pin the traces it
-    produces; new code should use :func:`zipf_rank`.
+    produces (the generator draws it through :func:`zipf_legacy_ranker`);
+    new code should use :func:`zipf_rank`.
     """
     if n <= 0:
         raise ValueError("n must be positive")

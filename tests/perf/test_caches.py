@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.hashing import fingerprint_of_value
 from repro.experiments.runner import (
     config_for_profile,
     prefill,
@@ -79,6 +80,42 @@ def _prefilled_directly(system, profile):
     return ftl
 
 
+def _churn(ftl):
+    """Touch every table a snapshot holds: writes of new content (mapping,
+    array, OOB columns, fingerprint, popularity and dedup live index),
+    trims, then in-place edits of the content tables themselves."""
+    for lpn in range(0, 120, 3):
+        ftl.write(lpn, fingerprint_of_value(10**9 + lpn))
+        ftl.trim(lpn + 1)
+    ftl._ppn_fp.clear()
+    ftl._write_popularity.clear()
+    ftl._oob_trims.clear()
+    ftl._oob_lpns[0] = ftl._oob_seqs[0] = 12345
+    if hasattr(ftl, "_live_index"):
+        ftl._live_index.clear()
+
+
+def _prefill_state(ftl):
+    """Every table a prefill snapshot captures, by value."""
+    return {
+        "forward": ftl.mapping.forward_items(),
+        "l2p": list(ftl.mapping._l2p),
+        "owner": list(ftl.mapping._owner),
+        "popularity_bytes": bytes(ftl.mapping._pop),
+        "blocks": [(bytes(b.states), b.write_pointer, b.valid_count,
+                    b.invalid_count) for b in ftl.array.blocks],
+        "free_blocks": [list(q) for q in ftl.allocator.free_blocks],
+        "write_clock": ftl.write_clock,
+        "oob": list(ftl.oob_records()),
+        "oob_seq": ftl._oob_seq,
+        "oob_trims": dict(ftl._oob_trims),
+        "ppn_fp": dict(ftl._ppn_fp),
+        "write_popularity": dict(ftl._write_popularity),
+        "live_index": dict(getattr(ftl, "_live_index", {})),
+        "counters": ftl.counters,
+    }
+
+
 class TestPrefillCache:
     PROFILE = make_profile(working_set_pages=300, num_requests=1000)
 
@@ -117,12 +154,27 @@ class TestPrefillCache:
         restored.check_invariants()
 
     def test_restored_systems_do_not_share_state(self):
-        cache = PrefillCache()
-        self._system(cache, "baseline")
-        a = self._system(cache, "mq-dvp")
-        b = self._system(cache, "mq-dvp")
-        assert a.mapping is not b.mapping
-        assert a.array is not b.array
+        """Neither a restored system nor the FTL that was captured shares a
+        table with the snapshot: mutating either leaves the next restore
+        equal to a direct prefill.  Both families: dedup adds its live
+        index."""
+        for family in ("baseline", "dedup"):
+            cache = PrefillCache()
+            captured = self._system(cache, family)   # prefills, captures
+            _churn(captured)                         # mutate after capture
+            a = self._system(cache, family)
+            b = self._system(cache, family)
+            for name in ("mapping", "array", "_ppn_fp", "_write_popularity",
+                         "_oob_lpns", "_oob_seqs", "_oob_trims"):
+                assert getattr(a, name) is not getattr(b, name), name
+            if family == "dedup":
+                assert a._live_index is not b._live_index
+            _churn(a)
+            direct = _prefilled_directly(family, self.PROFILE)
+            assert _prefill_state(self._system(cache, family)) == (
+                _prefill_state(direct)
+            ), family
+            assert _prefill_state(b) == _prefill_state(direct), family
 
     def test_gc_rebound_to_restored_array(self):
         cache = PrefillCache()

@@ -59,7 +59,7 @@ def ftl_state_digest(ftl) -> str:
         list(allocator._active),
         [list(q) for q in allocator.free_blocks],
         allocator.plane_of_next_write(),
-        sorted(ftl._oob.items()),
+        list(ftl.oob_records()),
         ftl._oob_seq,
         sorted((ppn, int(fp)) for ppn, fp in ftl._ppn_fp.items()),
         [(int(fp), pop) for fp, pop in ftl._write_popularity.items()],

@@ -139,6 +139,8 @@ def corrupt_forge_trim(ftl):
         return None
     ftl._oob_seq += 1
     ftl._oob_trims[lpn] = ftl._oob_seq
+    copy = dict(ftl.oob_records())[ftl.mapping.lookup(lpn)]
+    assert copy[1] < ftl._oob_trims[lpn]
     return "oob.trim-order"
 
 

@@ -12,6 +12,7 @@ from repro.core.dvp import (
     MQDeadValuePool,
 )
 from repro.core.hashing import fingerprint_of_value as fp
+from repro.faults.recovery import crash_and_recover
 from repro.flash.block import PageState
 from repro.flash.config import SSDConfig
 from repro.ftl.dvp_ftl import build_system
@@ -175,7 +176,7 @@ def ftl_state(ftl):
         "allocator": (list(allocator._active), list(allocator._active_gc),
                       [list(q) for q in allocator.free_blocks],
                       allocator.plane_of_next_write()),
-        "oob": list(ftl._oob.items()),
+        "oob": list(ftl.oob_records()),
         "oob_trims": list(ftl._oob_trims.items()),
         "oob_seq": ftl._oob_seq,
         "ppn_fp": list(ftl._ppn_fp.items()),
@@ -349,6 +350,98 @@ def test_fused_trim_matches_per_call(
     if pool_name != "none":
         assert per_call.counters.short_circuits > 0
     fused.check_invariants()
+
+
+# ---------------------------------------------------------------------------
+# The per-PPN OOB columns vs a dict-of-tuples journal
+# ---------------------------------------------------------------------------
+
+
+class OOBModel:
+    """The OOB journal as a ``{ppn: (lpn, seq)}`` dict, advanced from what
+    each operation reports: a program or revival records its page, a trim
+    takes a sequence number, a relocation moves its record to the new
+    page, and an erase drops its block's records."""
+
+    def __init__(self, pages_per_block):
+        self.pages_per_block = pages_per_block
+        self.records = {}
+        self.seq = 0
+
+    def record(self, ppn, lpn):
+        self.seq += 1
+        self.records[ppn] = (lpn, self.seq)
+
+    def write(self, lpn, outcome):
+        work = outcome.gc
+        if work is not None:
+            # One pass may collect several victims: each victim's
+            # relocations, then its erase (an erased block can receive
+            # the next victim's relocations).
+            per_block = self.pages_per_block
+            moves = work.relocations
+            index = 0
+            for victim in work.erased_blocks:
+                while index < len(moves) and moves[index][0] // per_block == victim:
+                    old, new = moves[index]
+                    entry = self.records.pop(old, None)
+                    if entry is not None:
+                        self.record(new, entry[0])
+                    index += 1
+                for ppn in range(victim * per_block, (victim + 1) * per_block):
+                    self.records.pop(ppn, None)
+            assert index == len(moves)
+        ppn = outcome.program_ppn
+        if ppn is None:
+            ppn = outcome.revived_ppn
+        if ppn is not None:
+            self.record(ppn, lpn)
+
+    def trim(self):
+        self.seq += 1
+
+
+#: (op, lpn, value): op 0 writes, 1 trims, 2 reads, 3 crashes the drive
+#: and recovers it from the journal.
+oob_ops = st.lists(
+    st.tuples(
+        st.sampled_from([0, 0, 0, 0, 1, 2, 3]),
+        st.integers(min_value=0, max_value=LOGICAL - 1),
+        st.integers(min_value=0, max_value=15),
+    ),
+    min_size=1,
+    max_size=200,
+)
+
+
+@pytest.mark.parametrize("per_call", [False, True], ids=["fused", "per-call"])
+@pytest.mark.parametrize("pool_name", ["none", "mq", "infinite"])
+@given(operations=oob_ops)
+@settings(max_examples=25, deadline=None)
+def test_oob_columns_match_dict_model(pool_name, per_call, operations):
+    """``BaseFTL.oob_records`` equals a dict-of-tuples journal after every
+    operation, on the fused and the per-call path, through trims, GC
+    relocations and erases, and crash recovery (which rebuilds the L2P
+    table from the journal and must leave the journal itself alone)."""
+    cls = PerCallFTL if per_call else BaseFTL
+    ftl = cls(small_config(), pool=POOL_FACTORIES[pool_name]())
+    model = OOBModel(small_config().pages_per_block)
+    prefill = [(0, lpn, 1000 + lpn) for lpn in range(LOGICAL)]
+    churn = [(0, lpn, lpn % 16) for lpn in range(LOGICAL)]
+    for op, lpn, value in prefill + churn + operations:
+        if op == 0:
+            model.write(lpn, ftl.write(lpn, fp(value)))
+        elif op == 1:
+            ftl.trim(lpn)
+            model.trim()
+        elif op == 2:
+            ftl.read(lpn)
+        else:
+            crash_and_recover(ftl)
+        assert list(ftl.oob_records()) == sorted(model.records.items())
+        assert ftl._oob_seq == model.seq
+    assert ftl.counters.gc_relocations > 0
+    ftl.check_invariants()
 
 
 # ---------------------------------------------------------------------------

@@ -121,10 +121,12 @@ class TestMoreCorruptions:
 
     def test_trim_order_violation(self, tiny_config):
         ftl = healthy_ftl(tiny_config)
-        lpn = next(iter(ftl.mapping.forward_items()))
+        lpn, ppn = next(iter(ftl.mapping.forward_items().items()))
         # Journal a trim newer than the LPN's live copy.
         ftl._oob_seq += 1
         ftl._oob_trims[lpn] = ftl._oob_seq
+        record_lpn, seq = dict(ftl.oob_records())[ppn]
+        assert record_lpn == lpn and seq < ftl._oob_seq
         found = kinds_of(audit(ftl))
         assert "oob.trim-order" in found
         # Recovery replay would now drop the live copy too.

@@ -59,7 +59,7 @@ class TestEqualSequenceTieBreak:
         ftl = BaseFTL(tiny_config)
         ftl.write(5, fp(1))
         ppn = ftl.mapping.lookup(5)
-        _, seq = ftl._oob[ppn]
+        _, seq = dict(ftl.oob_records())[ppn]
         ftl._oob_trims[5] = seq      # malformed: same clock value
         assert rebuild_mapping(ftl).lookup(5) is None
 
@@ -67,6 +67,6 @@ class TestEqualSequenceTieBreak:
         ftl = BaseFTL(tiny_config)
         ftl.write(5, fp(1))
         ppn = ftl.mapping.lookup(5)
-        _, seq = ftl._oob[ppn]
+        _, seq = dict(ftl.oob_records())[ppn]
         ftl._oob_trims[5] = seq - 1  # trim strictly older than the copy
         assert rebuild_mapping(ftl).lookup(5) == ppn

@@ -260,8 +260,10 @@ class TestCheckpointResume:
             TenantSession.from_blob(b"garbage")
 
     def test_live_state_v1_blob_refused(self, tiny_config):
-        """Version 1 live state predates the MQ head cache: restoring it
-        would resume an MQ pool without one.  The reader refuses it."""
+        """Version 1 live state predates the MQ head cache, and version 2
+        the per-PPN OOB columns: restoring either would resume an MQ pool
+        without its head cache or an FTL with a tuple-dict journal.  The
+        reader refuses both with the named error."""
         import pickle
 
         from repro.core.dvp import MQDeadValuePool
@@ -278,13 +280,20 @@ class TestCheckpointResume:
         for lpn in range(8):
             ftl.write(lpn, fingerprint_of_value(lpn % 3))
         state = pickle.loads(capture_live_state(ftl, SimulatedSSD(ftl)))
-        assert state["version"] == LIVE_STATE_VERSION == 2
+        assert state["version"] == LIVE_STATE_VERSION == 3
         restore_live_state(pickle.dumps(state))
-        state["version"] = 1
-        with pytest.raises(
-            ValueError, match="live-state blob version 1 != supported 2"
-        ):
-            restore_live_state(pickle.dumps(state))
+        # What a version 2 writer pickled: the journal as a dict of
+        # ``(lpn, seq)`` tuples, no columns.
+        old = state["ftl"]
+        old._oob = dict(old.oob_records())
+        del old._oob_lpns, old._oob_seqs
+        for version in (2, 1):
+            state["version"] = version
+            with pytest.raises(
+                ValueError,
+                match=f"live-state blob version {version} != supported 3",
+            ):
+                restore_live_state(pickle.dumps(state))
 
     def test_checkpoint_of_closed_session_rejected(self):
         session = TenantSession(session_config())
