@@ -34,7 +34,11 @@ lint:
 # head-cached MultiQueue against a full-scan reference, the hoisted
 # ring pass against HashRing.shard_of, and the per-PPN OOB columns
 # against a dict journal (fused and per-call paths, trims, GC, crash
-# recovery).  Also the set-up path: the flat synthetic generator against
+# recovery).  The FTL differentials run on plain BaseFTL, on dedup with
+# and without a pool, and on DFTL, so the live index and the CMT are
+# compared too.  Two routing tests check that every in-tree system stays
+# on the fused path and that the checker sees each outcome's CMT
+# traffic.  Also the set-up path: the flat synthetic generator against
 # its trace goldens (and the cached legacy Zipf ranker draw for draw),
 # and prefill snapshots that share no table with the systems they were
 # captured from or restored into.  Also part of the plain suite; this
@@ -51,6 +55,8 @@ check:
 		"tests/property/test_mq_properties.py::TestMQReference" \
 		"tests/property/test_ring_properties.py::TestAssignmentsPass" \
 		"tests/property/test_ftl_properties.py::test_oob_columns_match_dict_model" \
+		"tests/unit/test_ftl.py::TestWriteRouting::test_every_system_runs_fused" \
+		"tests/unit/test_dftl.py::TestDFTLFtl::test_checker_sees_translation_traffic" \
 		tests/perf/test_trace_goldens.py \
 		"tests/perf/test_caches.py::TestPrefillCache::test_restored_systems_do_not_share_state"
 

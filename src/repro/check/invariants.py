@@ -445,9 +445,7 @@ def _oob_violations(ftl: "BaseFTL", out: List[InvariantViolation]) -> None:
     # Recovery semantics only hold for one-to-one mappings; a dedup FTL's
     # many-to-one table is explicitly unrecoverable from single-LPN OOB
     # records (see repro.faults.recovery).
-    from ..ftl.dedup import DedupFTL
-
-    if isinstance(ftl, DedupFTL):
+    if ftl._live_index is not None:
         return
     trims = ftl._oob_trims
     for lpn, ppn in ftl.mapping.forward_items().items():

@@ -102,9 +102,7 @@ def crash_and_recover(
     Returns a :class:`RecoveryReport`; the recovery time models one OOB
     read per programmed page, parallelised over all chips.
     """
-    from ..ftl.dedup import DedupFTL
-
-    if isinstance(ftl, DedupFTL):
+    if ftl._live_index is not None:
         raise RecoveryError(
             "OOB-scan recovery cannot rebuild a deduplicated (many-to-one) "
             "mapping; dedup FTLs need a separately journaled fingerprint "

@@ -38,6 +38,7 @@ from .allocator import BadBlockManager, PageAllocator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
     from ..faults.model import FaultModel
+    from .dftl import CachedMappingTable
 from .gc import (
     GarbageCollector,
     GCWork,
@@ -219,6 +220,11 @@ class BaseFTL:
         # Popularity mass of pool-tracked garbage, per block (GC metric).
         self._block_garbage_pop: Dict[int, int] = {}
         self._garbage_pop_of_ppn: Dict[int, int] = {}
+        #: Dedup's live store, value -> the one PPN holding it (``DedupFTL``
+        #: sets it), and DFTL's cached mapping table (``DFTLFtl``): data
+        #: every path tests with ``is None``, not overrides.
+        self._live_index: Optional[Dict[Fingerprint, int]] = None
+        self.translation: Optional["CachedMappingTable"] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -227,7 +233,7 @@ class BaseFTL:
     @property
     def content_aware(self) -> bool:
         """Whether writes pay the hashing latency (any content machinery)."""
-        return self.pool is not None
+        return self.pool is not None or self._live_index is not None
 
     def fingerprint_at(self, ppn: int) -> Optional[Fingerprint]:
         return self._ppn_fp.get(ppn)
@@ -305,7 +311,8 @@ class BaseFTL:
     def write(self, lpn: int, fp: Fingerprint) -> WriteOutcome:
         """Service one 4KB host write of content ``fp`` at ``lpn``.
 
-        The common case runs fused: the popularity bump, old-copy
+        The common case runs fused: the CMT access (``translation``), the
+        popularity bump, the live-index test (``_live_index``), old-copy
         invalidation (:meth:`_kill_fused`, shared with :meth:`trim`),
         pool lookup/revival, allocation, ``map`` and the OOB record happen
         inline here, with every check the per-call path makes (an illegal
@@ -336,6 +343,15 @@ class BaseFTL:
             and lpn < len(l2p)
         ):
             return self._write_per_call(lpn, fp)
+        pool = self.pool
+        live_index = self._live_index
+        outcome = WriteOutcome(lpn, pool is not None or live_index is not None)
+        translation = self.translation
+        if translation is not None:
+            # The guard only reads: the CMT is still touched first.
+            outcome.translation_reads, outcome.translation_writes = (
+                translation.access(lpn, dirty=True)
+            )
         self.write_clock = clock = self.write_clock + 1
         counters = self.counters
         counters.host_writes += 1
@@ -346,8 +362,13 @@ class BaseFTL:
             popularity = POPULARITY_MAX
         write_pop[fp] = popularity
         mapping._pop[lpn] = popularity
-        pool = self.pool
-        outcome = WriteOutcome(lpn, pool is not None)
+        if live_index is not None:
+            live = live_index.get(fp)
+            if live is not None:
+                self._dedup_hit(lpn, live, outcome)
+                if self.checker is not None:
+                    self.checker.after_write(self, lpn, fp, outcome)
+                return outcome
         array = self.array
         blocks = array.blocks
         per_block = array._pages_per_block
@@ -360,7 +381,7 @@ class BaseFTL:
         if old_ppn >= 0:
             self._kill_fused(
                 lpn, old_ppn, mapping, l2p, owner, array, blocks, per_block,
-                counters, pool,
+                counters, pool, live_index,
             )
 
         # Place the new data: revive from the pool (= _revive), or program
@@ -449,12 +470,19 @@ class BaseFTL:
             self._ppn_fp[ppn] = fp
             counters.programs += 1
             outcome.program_ppn = ppn
+        if live_index is not None:
+            live_index[fp] = ppn
         if self.checker is not None:
             self.checker.after_write(self, lpn, fp, outcome)
         return outcome
 
     def _write_per_call(self, lpn: int, fp: Fingerprint) -> WriteOutcome:
         """The unfused write: one method call per step (see :meth:`write`)."""
+        outcome = WriteOutcome(lpn)
+        if self.translation is not None:
+            outcome.translation_reads, outcome.translation_writes = (
+                self.translation.access(lpn, dirty=True)
+            )
         self._check_lpn(lpn)
         self.write_clock += 1
         self.counters.host_writes += 1
@@ -463,7 +491,7 @@ class BaseFTL:
             # any state (the old copy at ``lpn`` survives).
             if self.faults is not None:
                 self.faults.stats.rejected_writes += 1
-            outcome = WriteOutcome(lpn=lpn, rejected=True)
+            outcome.rejected = True
             if self.checker is not None:
                 self.checker.after_write(self, lpn, fp, outcome)
             return outcome
@@ -475,7 +503,7 @@ class BaseFTL:
             popularity = POPULARITY_MAX
         write_pop[fp] = popularity
         self.mapping.set_popularity(lpn, popularity)
-        outcome = WriteOutcome(lpn=lpn, hashed=self.content_aware)
+        outcome.hashed = self.content_aware
         self._handle_write(lpn, fp, outcome)
         if self.checker is not None:
             self.checker.after_write(self, lpn, fp, outcome)
@@ -484,18 +512,41 @@ class BaseFTL:
     def _handle_write(
         self, lpn: int, fp: Fingerprint, outcome: WriteOutcome
     ) -> None:
-        """Invalidate the old copy, then place the new data.  The dedup FTL
-        overrides this to consult its live fingerprint store first."""
+        """Invalidate the old copy, place the new data and store its home
+        in the live index; a live-index hit is :meth:`_dedup_hit`."""
+        live_index = self._live_index
+        if live_index is not None:
+            live = live_index.get(fp)
+            if live is not None:
+                self._dedup_hit(lpn, live, outcome)
+                return
         self._invalidate_lpn(lpn)
         self._service_write(lpn, fp, outcome)
+        if live_index is not None:
+            home = outcome.revived_ppn
+            if home is None:
+                home = outcome.program_ppn
+            if home is not None:
+                live_index[fp] = home
+
+    def _dedup_hit(self, lpn: int, live: int, outcome: WriteOutcome) -> None:
+        """Live-value dedup hit, on either write path: point ``lpn`` at
+        ``live``, the page already holding the value, without a program.
+        It runs *before* the old copy dies, so rewriting identical
+        content in place is a pure no-op."""
+        if self.verify_hits:
+            outcome.verify_read_ppn = live
+            self.counters.flash_reads += 1
+        if self.mapping.lookup(lpn) != live:
+            self._invalidate_lpn(lpn)
+            self.mapping.map(lpn, live)
+        self.counters.dedup_hits += 1
+        outcome.dedup_hit = True
 
     def _service_write(
         self, lpn: int, fp: Fingerprint, outcome: WriteOutcome
     ) -> None:
-        """Place the new data: revive from the pool, or program a page.
-
-        Subclasses (the dedup FTL) extend this with a live-value check.
-        """
+        """Place the new data: revive from the pool, or program a page."""
         revived = None
         if self.pool is not None:
             revived = self.pool.lookup_for_write(fp, self.write_clock)
@@ -517,7 +568,8 @@ class BaseFTL:
         passes :meth:`write`'s identity guard, pages are programmed by
         one loop with everything a fresh drive cannot need left out: no
         old copy, no revival, no collection, no outcome.  The pool still
-        sees every ``lookup_for_write`` (an adaptive pool ticks on each).
+        sees every ``lookup_for_write`` (an adaptive pool ticks on each),
+        the CMT every access, and the live index every new home.
         The first page that could need a skipped step (a repeated
         fingerprint, an out-of-range LPN, a target plane below the GC low
         watermark) and every page after it go through :meth:`write`; so
@@ -543,6 +595,9 @@ class BaseFTL:
             and type(gc).maybe_collect is _MAYBE_COLLECT
         ):
             lookup = pool.lookup_for_write if pool is not None else None
+            translation = self.translation
+            access = translation.access if translation is not None else None
+            live_index = self._live_index
             counters = self.counters
             write_pop = self._write_popularity
             ppn_fp = self._ppn_fp
@@ -572,6 +627,8 @@ class BaseFTL:
                     ):
                         stopped_at = (fp,)
                         break
+                    if access is not None:
+                        access(lpn, dirty=True)
                     clock += 1
                     write_pop[fp] = 1
                     popularity[lpn] = 1
@@ -606,6 +663,8 @@ class BaseFTL:
                     oob_lpns[ppn] = lpn
                     oob_seqs[ppn] = seq
                     ppn_fp[ppn] = fp
+                    if live_index is not None:
+                        live_index[fp] = ppn
                     lpn += 1
             finally:
                 # Per-page totals in one add each: nothing the loop calls
@@ -658,6 +717,7 @@ class BaseFTL:
             self._kill_fused(
                 lpn, old_ppn, mapping, l2p, mapping._owner, array,
                 array.blocks, array._pages_per_block, counters, self.pool,
+                self._live_index,
             )
         self._oob_seq = seq = self._oob_seq + 1
         self._oob_trims[lpn] = seq
@@ -675,7 +735,9 @@ class BaseFTL:
             self.checker.after_trim(self, lpn)
 
     def read(self, lpn: int) -> ReadOutcome:
-        """Service one 4KB host read."""
+        """Service one 4KB host read (after the CMT access, with DFTL)."""
+        translation = self.translation
+        cost = () if translation is None else translation.access(lpn, dirty=False)
         self._check_lpn(lpn)
         self.counters.host_reads += 1
         ppn = self.mapping.lookup(lpn)
@@ -686,7 +748,7 @@ class BaseFTL:
                 if fp is not None:
                     count = self._read_popularity.get(fp, 0) + 1
                     self._read_popularity[fp] = min(count, POPULARITY_MAX)
-        outcome = ReadOutcome(lpn=lpn, ppn=ppn)
+        outcome = ReadOutcome(lpn, ppn, *cost)
         if self.checker is not None:
             self.checker.after_read(self, lpn, outcome)
         return outcome
@@ -794,7 +856,11 @@ class BaseFTL:
             self._on_page_death(old_ppn, fp, lpn)
 
     def _on_page_death(self, ppn: int, fp: Fingerprint, lpn: int) -> None:
-        """A physical page just became garbage: offer it to the pool."""
+        """A physical page just became garbage: drop its live-index entry
+        and offer it to the pool."""
+        live_index = self._live_index
+        if live_index is not None and live_index.get(fp) == ppn:
+            del live_index[fp]
         if self.pool is None:
             return
         popularity = self._pool_popularity(fp)
@@ -812,14 +878,14 @@ class BaseFTL:
         l2p: List[int], owner: List[int], array: FlashArray,
         blocks: list, per_block: int, counters: FTLCounters,
         pool: Optional[DeadValuePool],
+        live_index: Optional[Dict[Fingerprint, int]],
     ) -> None:
         """The fused write and trim paths' out-of-place kill of ``lpn``,
         mapped at ``old_ppn``: :meth:`_invalidate_lpn` and
-        :meth:`_on_page_death` with the mapping, page-state and pool
-        steps inlined (an illegal state falls back to the method that
-        raises).  The callers pass the tables they already hold, so the
-        write path pays one call and no attribute lookups for it.  Pool
-        insertions are stamped with ``write_clock``."""
+        :meth:`_on_page_death` with the mapping, page-state, live-index
+        and pool steps inlined (an illegal state falls back to the method
+        that raises).  Callers pass the tables and slots they hold: one
+        call, no attribute lookups.  Pool insertions carry ``write_clock``."""
         if owner[old_ppn] == lpn:
             l2p[lpn] = -1
             mapping._mapped -= 1
@@ -838,6 +904,10 @@ class BaseFTL:
         array.valid_pages -= 1
         array.invalid_pages += 1
         counters.invalidations += 1
+        if live_index is not None:
+            old_fp = self._ppn_fp.get(old_ppn)
+            if old_fp is not None and live_index.get(old_fp) == old_ppn:
+                del live_index[old_fp]
         if pool is None:
             return
         old_fp = self._ppn_fp.get(old_ppn)
@@ -887,10 +957,19 @@ class BaseFTL:
     # ------------------------------------------------------------------
 
     def relocate_page(self, old_ppn: int, new_ppn: int) -> None:
+        if self.translation is not None:
+            # Cached translations of the moved data are dirtied in place,
+            # with no MRU promotion or host hit (uncached ones are updated
+            # lazily on the next miss, as real DFTL does via the GTD).
+            for lpn in self.mapping.lpns_of(old_ppn):
+                self.translation.update_in_place(lpn)
         self.mapping.remap_ppn(old_ppn, new_ppn)
         fp = self._ppn_fp.pop(old_ppn, None)
         if fp is not None:
             self._ppn_fp[new_ppn] = fp
+            live_index = self._live_index
+            if live_index is not None and live_index.get(fp) == old_ppn:
+                live_index[fp] = new_ppn
         if self._oob_seqs[old_ppn] >= 0:
             # GC rewrote the page, so its OOB area is rewritten too; the
             # old copy's record goes with the victim's erase
@@ -926,14 +1005,19 @@ class BaseFTL:
             assert self._oob_seqs[ppn] >= 0, (
                 f"mapped PPN {ppn} has no OOB record"
             )
+        for fp, ppn in (self._live_index or {}).items():
+            assert self._ppn_fp.get(ppn) == fp, f"stale live entry at PPN {ppn}"
+            state = self.array.state_of(ppn)
+            assert state is PageState.VALID, f"live index PPN {ppn} is {state}"
 
 
 #: The methods the fused :meth:`BaseFTL.write` inlines, captured at import.
 #: ``write`` compares the class attributes against these by identity, so a
-#: subclass override (``DedupFTL``, ``DFTLFtl``) or a probe that
-#: ``setattr``-wraps one sends the write down ``_write_per_call``; a
-#: wrapped ``GarbageCollector.maybe_collect`` is called on every program.
-#: ``trim`` and ``preload`` apply the same guard, plus their own entry.
+#: subclass override or a probe that ``setattr``-wraps one sends the write
+#: down ``_write_per_call``; a wrapped ``GarbageCollector.maybe_collect`` is
+#: called on every program.  ``trim`` and ``preload`` apply the same guard,
+#: plus their own entry.  No in-tree FTL overrides a step: faults, a
+#: read-only drive and the e2e probes take the per-call path.
 _WRITE = BaseFTL.write
 _HANDLE_WRITE = BaseFTL._handle_write
 _SERVICE_WRITE = BaseFTL._service_write

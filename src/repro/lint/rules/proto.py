@@ -13,11 +13,12 @@ time someone runs ``--check``.  These rules close that gap statically:
   rule.
 * ``proto.ftl-hooks`` — an FTL subclass keeps auxiliary state keyed by
   physical page; GC moves and erases physical pages behind its back.
-  Every ``BaseFTL`` subclass must therefore override ``relocate_page``,
-  and one that hooks the content paths (``_on_page_death`` /
-  ``_handle_write``) must also override ``erase_cleanup`` and
-  ``check_invariants`` — the exact trio that silently desyncs when
-  forgotten.
+  Every ``BaseFTL`` subclass that stores an attribute ``BaseFTL`` does
+  not must therefore override ``relocate_page`` (filling the base's own
+  slots, as ``DedupFTL`` does, needs no hook), and one that hooks the
+  content paths (``_on_page_death`` / ``_handle_write``) must override
+  it, ``erase_cleanup`` and ``check_invariants`` — the exact trio that
+  silently desyncs when forgotten.
 """
 
 from __future__ import annotations
@@ -277,8 +278,8 @@ class FtlHooksRule(Rule):
     summary = "BaseFTL subclass missing a required GC/consistency hook"
 
     ftl_base = "BaseFTL"
-    #: Every subclass must handle GC page movement.
-    always_required: Tuple[str, ...] = ("relocate_page",)
+    #: Every subclass with state of its own must handle GC page movement.
+    state_required: Tuple[str, ...] = ("relocate_page",)
     #: Hooking content bookkeeping obliges the erase/audit pair too.
     content_triggers: Tuple[str, ...] = ("_on_page_death", "_handle_write")
     content_required: Tuple[str, ...] = ("erase_cleanup", "check_invariants")
@@ -293,8 +294,14 @@ class FtlHooksRule(Rule):
             if info.declared_abstract:
                 continue
             below_base = table.concrete_methods(info, stop_at=self.ftl_base)
-            required = list(self.always_required)
-            if any(t in below_base for t in self.content_triggers):
+            chain = table.mro_candidates(info)
+            cut = [c.name for c in chain].index(self.ftl_base)
+            hooks_content = any(t in below_base for t in self.content_triggers)
+            own_state = _stored_attrs(chain[:cut]) - _stored_attrs(chain[cut:])
+            required: List[str] = []
+            if hooks_content or own_state:
+                required.extend(self.state_required)
+            if hooks_content:
                 required.extend(self.content_required)
             missing = [name for name in required if name not in below_base]
             if missing:
@@ -305,3 +312,12 @@ class FtlHooksRule(Rule):
                     "physical page desyncs when GC relocates or erases "
                     "pages without these hooks",
                 )
+
+
+def _stored_attrs(classes: List[ClassInfo]) -> Set[str]:
+    """The ``self.<name>`` attributes any method of ``classes`` stores."""
+    return {
+        node.attr for info in classes for node in ast.walk(info.node)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+    }

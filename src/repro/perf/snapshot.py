@@ -96,7 +96,7 @@ def _capture(ftl: BaseFTL) -> _Snapshot:
     state = {name: getattr(ftl, name) for name in _PICKLED_ATTRS}
     state["gc_invocations"] = ftl.gc.invocations
     tables = {name: dict(getattr(ftl, name)) for name in _COPIED_ATTRS}
-    if isinstance(ftl, DedupFTL):
+    if ftl._live_index is not None:
         tables["_live_index"] = dict(ftl._live_index)
     return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL), tables
 
@@ -228,7 +228,9 @@ class PrefillCache:
 #: pool would resume without them.  Version 3: ``BaseFTL`` keeps its
 #: OOB journal as per-PPN columns (``_oob_lpns``/``_oob_seqs``); a
 #: version 2 FTL would resume with the old ``_oob`` dict and no columns.
-LIVE_STATE_VERSION = 3
+#: Version 4: every ``BaseFTL`` carries the ``_live_index`` and
+#: ``translation`` slots; a version 3 FTL would resume without them.
+LIVE_STATE_VERSION = 4
 
 
 def capture_live_state(ftl: BaseFTL, ssd: "SimulatedSSD") -> bytes:

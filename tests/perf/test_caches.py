@@ -91,7 +91,7 @@ def _churn(ftl):
     ftl._write_popularity.clear()
     ftl._oob_trims.clear()
     ftl._oob_lpns[0] = ftl._oob_seqs[0] = 12345
-    if hasattr(ftl, "_live_index"):
+    if ftl._live_index is not None:
         ftl._live_index.clear()
 
 
@@ -111,7 +111,9 @@ def _prefill_state(ftl):
         "oob_trims": dict(ftl._oob_trims),
         "ppn_fp": dict(ftl._ppn_fp),
         "write_popularity": dict(ftl._write_popularity),
-        "live_index": dict(getattr(ftl, "_live_index", {})),
+        "live_index": (
+            None if ftl._live_index is None else dict(ftl._live_index)
+        ),
         "counters": ftl.counters,
     }
 

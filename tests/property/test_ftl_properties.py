@@ -12,9 +12,11 @@ from repro.core.dvp import (
     MQDeadValuePool,
 )
 from repro.core.hashing import fingerprint_of_value as fp
-from repro.faults.recovery import crash_and_recover
+from repro.faults.recovery import RecoveryError, crash_and_recover
 from repro.flash.block import PageState
 from repro.flash.config import SSDConfig
+from repro.ftl.dedup import DedupFTL
+from repro.ftl.dftl import DFTLFtl
 from repro.ftl.dvp_ftl import build_system
 from repro.ftl.ftl import BaseFTL
 
@@ -119,13 +121,44 @@ def test_pool_tracks_only_invalid_pages(operations):
 # ---------------------------------------------------------------------------
 
 
-class PerCallFTL(BaseFTL):
-    """A BaseFTL whose writes take the per-call path: overriding
-    ``_handle_write`` (even with a plain ``super()`` call) turns the fused
-    path off."""
+class PerCall:
+    """Mixed in before an FTL class, sends its writes down the per-call
+    path: overriding ``_handle_write`` (even with a plain ``super()``
+    call) turns the fused path off."""
 
     def _handle_write(self, lpn, fp, outcome):
         super()._handle_write(lpn, fp, outcome)
+
+
+class PerCallFTL(PerCall, BaseFTL):
+    pass
+
+
+class PerCallDedupFTL(PerCall, DedupFTL):
+    pass
+
+
+class PerCallDFTLFtl(PerCall, DFTLFtl):
+    pass
+
+
+#: (fused class, per-call class, extra constructor arguments) per FTL
+#: family.  The CMT is small enough to evict (and write back) often.
+FAMILIES = {
+    "base": (BaseFTL, PerCallFTL, {}),
+    "dedup": (DedupFTL, PerCallDedupFTL, {}),
+    "dftl": (DFTLFtl, PerCallDFTLFtl, {"cmt_entries": 16}),
+}
+
+
+def build(family, pool_name, config=None, per_call=False, **options):
+    """A ``family`` FTL over a fresh ``pool_name`` pool."""
+    fused_cls, per_call_cls, extra = FAMILIES[family]
+    cls = per_call_cls if per_call else fused_cls
+    return cls(
+        config or small_config(), pool=POOL_FACTORIES[pool_name](),
+        **extra, **options,
+    )
 
 
 POOL_FACTORIES = {
@@ -140,6 +173,17 @@ POOL_FACTORIES = {
         8, min_entries=4, max_entries=32, window=16
     ),
 }
+
+#: (family, pool) cells of the fused-vs-per-call differentials: dedup and
+#: DFTL with no pool and with the MQ pool, and every pool on plain
+#: ``BaseFTL`` (ids are the pool names).
+SLOT_CASES = [
+    pytest.param(family, name, id=f"{family}-{name}")
+    for family in ("dedup", "dftl") for name in ("none", "mq")
+]
+FAMILY_CASES = [
+    pytest.param("base", name, id=name) for name in sorted(POOL_FACTORIES)
+] + SLOT_CASES
 
 #: (op, lpn, value): op 0 writes, 1 trims, 2 reads.  Writes dominate so
 #: the drive stays under GC pressure; the small value space forces deaths
@@ -187,7 +231,20 @@ def ftl_state(ftl):
         "gc_invocations": ftl.gc.invocations,
         "l2p": list(ftl.mapping._l2p),
         "owner": list(ftl.mapping._owner),
+        "shared": sorted(
+            (ppn, sorted(lpns)) for ppn, lpns in ftl.mapping._shared.items()
+        ),
     }
+    if ftl._live_index is not None:
+        state["live_index"] = list(ftl._live_index.items())
+    translation = ftl.translation
+    if translation is not None:
+        state["cmt"] = (
+            list(translation._entries.items()),
+            [(page, sorted(lpns))
+             for page, lpns in translation._dirty_pages.items()],
+            translation.stats,
+        )
     if pool is not None:
         state["pool_stats"] = pool.stats
         state["pool_len"] = len(pool)
@@ -208,6 +265,16 @@ def ftl_state(ftl):
     return state
 
 
+def overwrite_pass(family, value_of, unique_base=2000):
+    """Write every LPN once, with ``value_of(lpn)``.  A dedup drive gets
+    unique values instead: one fed a small value space keeps each value
+    live on one shared page, so nothing would die, revive or need
+    collecting before the random stream."""
+    if family == "dedup":
+        return [(0, lpn, unique_base + lpn) for lpn in range(LOGICAL)]
+    return [(0, lpn, value_of(lpn)) for lpn in range(LOGICAL)]
+
+
 def count_unfused_writes(ftl):
     """Record every write ``ftl`` sends down ``_write_per_call``."""
     calls = []
@@ -221,7 +288,7 @@ def count_unfused_writes(ftl):
     return calls
 
 
-@pytest.mark.parametrize("pool_name", sorted(POOL_FACTORIES))
+@pytest.mark.parametrize("family, pool_name", FAMILY_CASES)
 @given(
     operations=fused_ops,
     popularity_aware_gc=st.booleans(),
@@ -230,31 +297,32 @@ def count_unfused_writes(ftl):
 )
 @settings(max_examples=40, deadline=None)
 def test_fused_write_matches_per_call(
-    pool_name, operations, popularity_aware_gc, verify_hits,
+    family, pool_name, operations, popularity_aware_gc, verify_hits,
     combine_read_popularity,
 ):
     """The fused ``BaseFTL.write`` and the per-call path stay identical,
-    outcome for outcome and table for table, on write/trim/read streams
-    that keep GC busy."""
+    outcome for outcome and table for table (live index and CMT
+    included), on write/trim/read streams that keep GC busy."""
     options = dict(
         popularity_aware_gc=popularity_aware_gc,
         verify_hits=verify_hits,
         combine_read_popularity=combine_read_popularity,
     )
-    fused = BaseFTL(small_config(), pool=POOL_FACTORIES[pool_name](), **options)
-    per_call = PerCallFTL(
-        small_config(), pool=POOL_FACTORIES[pool_name](), **options
-    )
+    fused = build(family, pool_name, **options)
+    per_call = build(family, pool_name, per_call=True, **options)
+    hashed = pool_name != "none" or family == "dedup"
     unfused = count_unfused_writes(fused), count_unfused_writes(per_call)
     # Precondition: every LPN holds a unique value, then one overwrite
     # pass from the small value space, so GC is already relocating when
     # the random stream starts.
     prefill = [(0, lpn, 1000 + lpn) for lpn in range(LOGICAL)]
-    churn = [(0, lpn, lpn % 16) for lpn in range(LOGICAL)]
+    churn = overwrite_pass(family, lambda lpn: lpn % 16)
     for step, (op, lpn, value) in enumerate(prefill + churn + operations):
         if op == 0:
             # Dataclass equality: every WriteOutcome field, GC work included.
-            assert fused.write(lpn, fp(value)) == per_call.write(lpn, fp(value))
+            outcome = fused.write(lpn, fp(value))
+            assert outcome == per_call.write(lpn, fp(value))
+            assert outcome.hashed == hashed
         elif op == 1:
             fused.trim(lpn)
             per_call.trim(lpn)
@@ -299,7 +367,7 @@ trim_ops = st.lists(
 )
 
 
-@pytest.mark.parametrize("pool_name", sorted(POOL_FACTORIES))
+@pytest.mark.parametrize("family, pool_name", FAMILY_CASES)
 @given(
     operations=trim_ops,
     popularity_aware_gc=st.booleans(),
@@ -307,7 +375,8 @@ trim_ops = st.lists(
 )
 @settings(max_examples=40, deadline=None)
 def test_fused_trim_matches_per_call(
-    pool_name, operations, popularity_aware_gc, combine_read_popularity,
+    family, pool_name, operations, popularity_aware_gc,
+    combine_read_popularity,
 ):
     """The fused ``BaseFTL.trim`` and the per-call path stay identical,
     table for table: counters, L2P/owner columns, block states, the OOB
@@ -317,15 +386,13 @@ def test_fused_trim_matches_per_call(
         popularity_aware_gc=popularity_aware_gc,
         combine_read_popularity=combine_read_popularity,
     )
-    fused = BaseFTL(small_config(), pool=POOL_FACTORIES[pool_name](), **options)
-    per_call = PerCallFTL(
-        small_config(), pool=POOL_FACTORIES[pool_name](), **options
-    )
+    fused = build(family, pool_name, **options)
+    per_call = build(family, pool_name, per_call=True, **options)
     unfused = count_unfused_trims(fused), count_unfused_trims(per_call)
     # Every LPN holds a value from a small space, then one overwrite pass:
     # GC is busy and the pool holds revivable garbage before the stream.
-    prefill = [(0, lpn, lpn % 8) for lpn in range(LOGICAL)]
-    churn = [(0, lpn, (lpn + 3) % 8) for lpn in range(LOGICAL)]
+    prefill = overwrite_pass(family, lambda lpn: lpn % 8, unique_base=1000)
+    churn = overwrite_pass(family, lambda lpn: (lpn + 3) % 8)
     # Always cover both edge cases: a revival, its trim, and a trim of
     # the now unmapped LPN.
     edge = [(0, 0, 5), (1, 0, 0), (0, 1, 5), (1, 1, 0), (1, 1, 0)]
@@ -415,19 +482,21 @@ oob_ops = st.lists(
 
 
 @pytest.mark.parametrize("per_call", [False, True], ids=["fused", "per-call"])
-@pytest.mark.parametrize("pool_name", ["none", "mq", "infinite"])
+@pytest.mark.parametrize("family, pool_name", [
+    pytest.param("base", name, id=name) for name in ("none", "mq", "infinite")
+] + SLOT_CASES)
 @given(operations=oob_ops)
 @settings(max_examples=25, deadline=None)
-def test_oob_columns_match_dict_model(pool_name, per_call, operations):
+def test_oob_columns_match_dict_model(family, pool_name, per_call, operations):
     """``BaseFTL.oob_records`` equals a dict-of-tuples journal after every
     operation, on the fused and the per-call path, through trims, GC
     relocations and erases, and crash recovery (which rebuilds the L2P
-    table from the journal and must leave the journal itself alone)."""
-    cls = PerCallFTL if per_call else BaseFTL
-    ftl = cls(small_config(), pool=POOL_FACTORIES[pool_name]())
+    table from the journal and must leave the journal itself alone; a
+    dedup drive refuses it untouched)."""
+    ftl = build(family, pool_name, per_call=per_call)
     model = OOBModel(small_config().pages_per_block)
     prefill = [(0, lpn, 1000 + lpn) for lpn in range(LOGICAL)]
-    churn = [(0, lpn, lpn % 16) for lpn in range(LOGICAL)]
+    churn = overwrite_pass(family, lambda lpn: lpn % 16)
     for op, lpn, value in prefill + churn + operations:
         if op == 0:
             model.write(lpn, ftl.write(lpn, fp(value)))
@@ -436,6 +505,9 @@ def test_oob_columns_match_dict_model(pool_name, per_call, operations):
             model.trim()
         elif op == 2:
             ftl.read(lpn)
+        elif family == "dedup":
+            with pytest.raises(RecoveryError):
+                crash_and_recover(ftl)
         else:
             crash_and_recover(ftl)
         assert list(ftl.oob_records()) == sorted(model.records.items())
@@ -498,7 +570,7 @@ def _outcome(call):
         return None, (type(exc), str(exc))
 
 
-@pytest.mark.parametrize("pool_name", sorted(POOL_FACTORIES))
+@pytest.mark.parametrize("family, pool_name", FAMILY_CASES)
 @given(
     case=preload_cases(),
     popularity_aware_gc=st.booleans(),
@@ -506,7 +578,7 @@ def _outcome(call):
 )
 @settings(max_examples=40, deadline=None)
 def test_preload_matches_write_loop(
-    pool_name, case, popularity_aware_gc, combine_read_popularity
+    family, pool_name, case, popularity_aware_gc, combine_read_popularity
 ):
     """``preload`` leaves exactly the state the per-page ``write`` loop
     leaves: counters, mapping columns, blocks, allocator, OOB journal,
@@ -518,8 +590,8 @@ def test_preload_matches_write_loop(
         popularity_aware_gc=popularity_aware_gc,
         combine_read_popularity=combine_read_popularity,
     )
-    bulk = BaseFTL(config, pool=POOL_FACTORIES[pool_name](), **options)
-    loop = BaseFTL(config, pool=POOL_FACTORIES[pool_name](), **options)
+    bulk = build(family, pool_name, config, **options)
+    loop = build(family, pool_name, config, **options)
     for lpn, value in premapped:
         bulk.write(lpn, fp(value))
         loop.write(lpn, fp(value))

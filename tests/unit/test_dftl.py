@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check import InvariantChecker
 from repro.core.dvp import InfiniteDeadValuePool
 from repro.core.hashing import fingerprint_of_value as fp
 from repro.ftl.dftl import (
@@ -112,7 +113,54 @@ class TestCachedMappingTable:
         assert cmt.stats.misses == 0
 
 
+class PerCallDFTL(DFTLFtl):
+    """Overriding a step the fused write inlines sends every write down
+    the per-call path."""
+
+    def _handle_write(self, lpn, fp, outcome):
+        super()._handle_write(lpn, fp, outcome)
+
+
+class RecordingChecker(InvariantChecker):
+    """Notes each outcome's translation traffic as the checker sees it."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def after_write(self, ftl, lpn, fp, outcome):
+        self.seen.append(
+            (outcome.translation_reads, outcome.translation_writes)
+        )
+        super().after_write(ftl, lpn, fp, outcome)
+
+    def after_read(self, ftl, lpn, outcome):
+        self.seen.append(
+            (outcome.translation_reads, outcome.translation_writes)
+        )
+        super().after_read(ftl, lpn, outcome)
+
+
 class TestDFTLFtl:
+    @pytest.mark.parametrize(
+        "cls", [DFTLFtl, PerCallDFTL], ids=["fused", "per-call"]
+    )
+    def test_checker_sees_translation_traffic(self, tiny_config, cls):
+        """The CMT is touched before the write or read runs, so the
+        checker already sees the traffic the outcome reports."""
+        ftl = cls(tiny_config, cmt_entries=4)
+        ftl.attach_checker(RecordingChecker())
+        returned = []
+        for i in range(40):
+            lpn = (i * 7) % 24
+            out = ftl.write(lpn, fp(i))
+            returned.append((out.translation_reads, out.translation_writes))
+            out = ftl.read(lpn + 1)
+            returned.append((out.translation_reads, out.translation_writes))
+        assert ftl.checker.seen == returned
+        assert any(reads for reads, _ in returned)
+        assert any(writes for _, writes in returned)
+
     def test_write_reports_translation_traffic(self, tiny_config):
         ftl = DFTLFtl(tiny_config, cmt_entries=4)
         outcome = ftl.write(0, fp(1))

@@ -8,6 +8,7 @@ from repro.faults import FaultConfig, FaultModel
 from repro.flash.block import PageState
 from repro.ftl.dedup import DedupFTL
 from repro.ftl.dftl import DFTLFtl
+from repro.ftl.dvp_ftl import SYSTEMS, build_system
 from repro.ftl.ftl import BaseFTL
 from repro.ftl.gc import GarbageCollector
 
@@ -194,9 +195,10 @@ class HashingFTL(BaseFTL):
 
 
 class TestWriteRouting:
-    """Plain ``BaseFTL`` writes run fused; anything that overrides or wraps
-    a step the fused path inlines gets every call through the per-call
-    path instead."""
+    """Plain ``BaseFTL`` writes run fused, and so do dedup and DFTL (data
+    slots, not overrides); anything that overrides or wraps a step the
+    fused path inlines gets every call through the per-call path
+    instead."""
 
     @staticmethod
     def _churn(ftl, config):
@@ -267,15 +269,43 @@ class TestWriteRouting:
             self._count(monkeypatch, BaseFTL, "write")
         outcome = ftl.write(0, fp(1))
         self._churn(ftl, tiny_config)
-        expected = 0 if system == "base" else ftl.counters.host_writes
+        fused = system in ("base", "dedup", "dftl")
+        expected = 0 if fused else ftl.counters.host_writes
         assert len(unfused) == expected
         assert outcome.hashed == (ftl.content_aware and not ftl.read_only)
 
 
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    def test_every_system_runs_fused(self, tiny_config, monkeypatch, system):
+        """No in-tree system takes a per-call path on a fault-free drive
+        without probes: its preload runs the bulk loop, and its writes
+        and trims run fused."""
+        unfused = (
+            self._count(monkeypatch, BaseFTL, "_write_per_call"),
+            self._count(monkeypatch, BaseFTL, "_trim_per_call"),
+        )
+        preloaded = build_system(system, tiny_config, 64)
+        fallback = []
+        preloaded.write = lambda lpn, value: fallback.append(lpn)
+        pages = tiny_config.logical_pages // 2
+        assert preloaded.preload(
+            fp(1000 + lpn) for lpn in range(pages)
+        ) == pages
+        assert fallback == []
+        preloaded.check_invariants()
+        ftl = build_system(system, tiny_config, 64)
+        self._churn(ftl, tiny_config)
+        for lpn in range(0, tiny_config.logical_pages, 3):
+            ftl.trim(lpn)
+        assert ftl.counters.gc_erases > 0 and ftl.counters.host_trims > 0
+        assert unfused == ([], [])
+        ftl.check_invariants()
+
+
 class TestTrimRouting:
-    """Plain ``BaseFTL`` trims run fused; a subclass, a wrapped write step
-    or ``trim`` itself, faults, a checker or a read-only drive send every
-    trim through ``_trim_per_call``."""
+    """Plain ``BaseFTL``, dedup and DFTL trims run fused; a wrapped write
+    step or ``trim`` itself, faults, a checker or a read-only drive send
+    every trim through ``_trim_per_call``."""
 
     @pytest.mark.parametrize("system", [
         "base", "dedup", "dftl", "faults", "checker", "read-only",
@@ -310,7 +340,8 @@ class TestTrimRouting:
             ftl.trim(lpn)
         trims = ftl.counters.host_trims
         assert trims == len(range(0, tiny_config.logical_pages, 2))
-        assert len(unfused) == (0 if system == "base" else trims)
+        fused = system in ("base", "dedup", "dftl")
+        assert len(unfused) == (0 if fused else trims)
 
     def test_fused_trim_keeps_content_revivable(self, tiny_config):
         ftl = BaseFTL(tiny_config, pool=MQDeadValuePool(64))

@@ -616,6 +616,40 @@ def test_ftl_subclass_with_hooks_passes(tmp_path):
     assert result.clean
 
 
+def test_ftl_subclass_filling_base_slots_needs_no_hooks(tmp_path):
+    """State the base class declares is kept by the base hooks; a subclass
+    adding an attribute of its own must handle relocation itself."""
+    base = """
+        class BaseFTL:
+            def __init__(self):
+                self._live_index = None
+
+            def relocate_page(self, old_ppn, new_ppn):
+                return None
+
+        class SlotFTL(BaseFTL):
+            def __init__(self):
+                super().__init__()
+                self._live_index = {}
+
+            def live_value_count(self):
+                return len(self._live_index)
+    """
+    result = lint_sources(tmp_path, {"repro/ftl/good.py": base},
+                          select=["proto.ftl-hooks"])
+    assert result.clean
+    result = lint_sources(tmp_path, {
+        "repro/ftl/good.py": base + """
+        class ExtraFTL(SlotFTL):
+            def note(self, ppn):
+                self.last_ppn = ppn
+    """}, select=["proto.ftl-hooks"])
+    assert codes_of(result) == ["proto.ftl-hooks"]
+    (violation,) = result.violations
+    assert "ExtraFTL" in violation.message
+    assert "relocate_page" in violation.message
+
+
 # ---------------------------------------------------------------------------
 # frozen.*
 # ---------------------------------------------------------------------------
@@ -1068,7 +1102,7 @@ def test_rule_exits_nonzero_on_its_fixture(code, tmp_path, capsys):
                 "        return None\n"
                 "class F(BaseFTL):\n"
                 "    def write(self, lpn, fp):\n"
-                "        return None\n"
+                "        self.last_lpn = lpn\n"
             ),
         },
         "frozen.setattr": {

@@ -260,10 +260,11 @@ class TestCheckpointResume:
             TenantSession.from_blob(b"garbage")
 
     def test_live_state_v1_blob_refused(self, tiny_config):
-        """Version 1 live state predates the MQ head cache, and version 2
-        the per-PPN OOB columns: restoring either would resume an MQ pool
-        without its head cache or an FTL with a tuple-dict journal.  The
-        reader refuses both with the named error."""
+        """Version 1 live state predates the MQ head cache, version 2 the
+        per-PPN OOB columns, and version 3 the dedup/DFTL slots: restoring
+        any would resume an MQ pool without its head cache, an FTL with a
+        tuple-dict journal, or an FTL without ``_live_index`` and
+        ``translation``.  The reader refuses each with the named error."""
         import pickle
 
         from repro.core.dvp import MQDeadValuePool
@@ -280,18 +281,24 @@ class TestCheckpointResume:
         for lpn in range(8):
             ftl.write(lpn, fingerprint_of_value(lpn % 3))
         state = pickle.loads(capture_live_state(ftl, SimulatedSSD(ftl)))
-        assert state["version"] == LIVE_STATE_VERSION == 3
+        assert state["version"] == LIVE_STATE_VERSION == 4
         restore_live_state(pickle.dumps(state))
-        # What a version 2 writer pickled: the journal as a dict of
-        # ``(lpn, seq)`` tuples, no columns.
+        # What a version 3 writer pickled: no slots; and a version 2 one:
+        # the journal as a dict of ``(lpn, seq)`` tuples, no columns.
         old = state["ftl"]
+        del old._live_index, old.translation
+        state["version"] = 3
+        with pytest.raises(
+            ValueError, match="live-state blob version 3 != supported 4"
+        ):
+            restore_live_state(pickle.dumps(state))
         old._oob = dict(old.oob_records())
         del old._oob_lpns, old._oob_seqs
         for version in (2, 1):
             state["version"] = version
             with pytest.raises(
                 ValueError,
-                match=f"live-state blob version {version} != supported 3",
+                match=f"live-state blob version {version} != supported 4",
             ):
                 restore_live_state(pickle.dumps(state))
 
