@@ -41,7 +41,9 @@ lint:
 # traffic.  Also the set-up path: the flat synthetic generator against
 # its trace goldens (and the cached legacy Zipf ranker draw for draw),
 # and prefill snapshots that share no table with the systems they were
-# captured from or restored into.  Also part of the plain suite; this
+# captured from or restored into: every system restored from a snapshot
+# another captured must equal a direct prefill (live index, CMT, adaptive
+# window) and give the same run digest.  Also part of the plain suite; this
 # target isolates it for quick iteration on FTL hot paths.
 check:
 	$(PYTHON) -m pytest -q tests/unit/test_check.py \
@@ -58,7 +60,8 @@ check:
 		"tests/unit/test_ftl.py::TestWriteRouting::test_every_system_runs_fused" \
 		"tests/unit/test_dftl.py::TestDFTLFtl::test_checker_sees_translation_traffic" \
 		tests/perf/test_trace_goldens.py \
-		"tests/perf/test_caches.py::TestPrefillCache::test_restored_systems_do_not_share_state"
+		"tests/perf/test_caches.py::TestPrefillCache::test_restored_systems_do_not_share_state" \
+		"tests/perf/test_determinism.py::TestRunDeterminism::test_prefill_cache_does_not_change_results"
 
 # Tiny parallel-engine smoke: process-pool round trip, caches, bench
 # harness shape.  Part of the plain suite too; this target isolates it.

@@ -126,6 +126,17 @@ class AdaptiveMQDeadValuePool(MQDeadValuePool):
         self._window_insertions = 0
         self._window_evictions = 0
 
+    def skip_missed_lookups(self, count: int) -> None:
+        """Advance the adaptation window as ``count`` write lookups that
+        all miss would, given no insertion in the window: the lookups
+        preconditioning makes, one per page, on an empty pool.
+
+        Each window they close adapts on zero insertions, a no-op, so only
+        the window's phase moves.  ``stats`` are left alone: the caller
+        resets them, as preconditioning does.
+        """
+        self._window_events = (self._window_events + count) % self.window
+
     # ------------------------------------------------------------------
 
     def _tick(self) -> None:

@@ -29,12 +29,13 @@ identity instead (the MQ tracks its hottest entry and queue heads by
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache
-from typing import Union
+from functools import lru_cache, partial
+from typing import Iterator, Sequence, Union
 
 __all__ = [
     "Fingerprint",
     "fingerprint_of_value",
+    "fingerprints_of_values",
     "fingerprint_of_bytes",
     "DIGEST_SIZE",
 ]
@@ -118,9 +119,11 @@ class Fingerprint(int):
 
 
 #: Interning bound for synthetic-id fingerprints.  Hot value ids (popular
-#: rewrites, the per-LPN initial values every prefill touches) repeat
-#: millions of times across a matrix; interning returns one shared
-#: immutable instance instead of re-allocating per request.
+#: rewrites) repeat millions of times across a matrix; interning returns
+#: one shared immutable instance instead of re-allocating per request.
+#: The per-LPN initial values preconditioning writes are *not* interned
+#: (:func:`fingerprints_of_values`): no trace re-derives one, so they
+#: would only push the trace's hot values out of the cache.
 INTERN_CACHE_SIZE = 1 << 18
 
 
@@ -143,10 +146,37 @@ def fingerprint_of_value(value_id: int) -> Fingerprint:
     Synthetic traces number every distinct 4KB content with an integer; two
     requests carry the same ``value_id`` exactly when the paper's traces
     would carry the same MD5.  Instances are interned (LRU-bounded), so hot
-    ids — including the ``initial_value_of`` ids prefill writes — reuse one
-    shared immutable object.
+    ids reuse one shared immutable object.
     """
     return _interned(value_id)
+
+
+#: ``Fingerprint(value_id)`` without the per-call validation, for ids
+#: :func:`fingerprints_of_values` has already checked in bulk.
+_unchecked_fingerprint = partial(int.__new__, Fingerprint)
+
+
+def fingerprints_of_values(value_ids: Sequence[int]) -> Iterator[Fingerprint]:
+    """Fingerprints of many one-shot synthetic value ids, not interned.
+
+    Equal to ``map(fingerprint_of_value, value_ids)``, for ids no trace
+    ever repeats: the ``initial_value_of`` ids preconditioning writes once
+    per page.  The ids are checked once up front (plain ints in the
+    synthetic range; a ``range`` by its ends) and the fingerprints are
+    built lazily, each a fresh instance that never enters the intern
+    cache.
+    """
+    if isinstance(value_ids, range):
+        ends = (value_ids[0], value_ids[-1]) if value_ids else ()
+    else:
+        if set(map(type, value_ids)) - {int}:
+            raise TypeError("synthetic value ids must be ints")
+        ends = (min(value_ids), max(value_ids)) if value_ids else ()
+    if ends and (min(ends) < 0 or max(ends) >= _BYTES_TAG):
+        raise ValueError(
+            f"synthetic value ids must lie in [0, 2**{8 * DIGEST_SIZE})"
+        )
+    return map(_unchecked_fingerprint, value_ids)
 
 
 def fingerprint_of_bytes(data: bytes) -> Fingerprint:

@@ -39,8 +39,9 @@ from typing import (
 )
 
 from ..core.dvp import PoolStats
-from ..core.hashing import Fingerprint, fingerprint_of_value
+from ..core.hashing import Fingerprint, fingerprints_of_values
 from ..flash.config import SSDConfig, scaled_config
+from ..ftl.dftl import TranslationStats
 from ..ftl.ftl import BaseFTL, FTLCounters
 from ..sim.metrics import RunResult
 from ..sim.request import IORequest
@@ -59,6 +60,7 @@ __all__ = [
     "scaled_pool_entries",
     "prefill",
     "preload_pages",
+    "reset_measurements",
     "config_for_profile",
     "run_system",
     "run_matrix",
@@ -89,27 +91,35 @@ def config_for_profile(profile: WorkloadProfile) -> SSDConfig:
 def prefill(ftl: BaseFTL, profile: WorkloadProfile) -> int:
     """Precondition the drive: write every page's initial unique value.
 
-    Returns the number of pages written.  Counters and pool statistics are
-    reset afterwards so measurements cover only the trace window.
+    Returns the number of pages written.  Measurements are reset
+    afterwards (:func:`reset_measurements`) so they cover only the trace
+    window.
     """
-    return preload_pages(
-        ftl,
-        map(fingerprint_of_value, map(initial_value_of, range(profile.total_pages))),
-    )
+    values = range(initial_value_of(0), initial_value_of(profile.total_pages))
+    return preload_pages(ftl, fingerprints_of_values(values))
 
 
 def preload_pages(ftl: BaseFTL, fingerprints: Iterable[Fingerprint]) -> int:
     """Write local page ``i`` with the ``i``-th fingerprint, then reset
-    counters and pool statistics; returns the number of pages written.
+    the measurements; returns the number of pages written.
 
     The one preconditioning loop (:meth:`BaseFTL.preload`), shared by
     :func:`prefill` and :meth:`Device.precondition_pages`.
     """
     pages = ftl.preload(fingerprints)
+    reset_measurements(ftl)
+    return pages
+
+
+def reset_measurements(ftl: BaseFTL) -> None:
+    """Zero the FTL counters, pool statistics and CMT statistics, so
+    measurements cover only what follows (every preconditioning path's
+    epilogue: prefill, a restored snapshot, the KV load phase)."""
     ftl.counters = FTLCounters()
     if ftl.pool is not None:
         ftl.pool.stats = PoolStats()
-    return pages
+    if ftl.translation is not None:
+        ftl.translation.stats = TranslationStats()
 
 
 @dataclass
@@ -187,8 +197,9 @@ def run_system(
     post-precondition, so the prefill snapshot cache stays fault-free.
 
     With ``config.reuse_prefill`` (the default) preconditioning goes
-    through the process prefill cache: the first run of an FTL family
-    pays the per-page write loop, siblings restore the snapshot by copy.
+    through the process prefill cache: the first run on a drive config
+    and profile pays the per-page write loop, every later run of any
+    system restores the snapshot by copy.
     The restored state is bit-identical to a direct prefill (the
     determinism tests enforce this).
     """

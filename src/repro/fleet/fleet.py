@@ -56,7 +56,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.hashing import fingerprint_of_value
+from ..core.hashing import fingerprints_of_values
 from ..experiments.config import DEFAULT_SCALE, RunConfig
 from ..experiments.device import Device
 from ..experiments.runner import ExperimentContext, scaled_pool_entries
@@ -206,7 +206,7 @@ def build_shard_device(
     device = Device(fleet.system, shard_config, fleet.shard_pool_entries())
     device.build()
     device.precondition_pages(
-        map(fingerprint_of_value, map(initial_value_of, assigned))
+        fingerprints_of_values(list(map(initial_value_of, assigned)))
     )
     device.attach(fleet.shard_run_config())
     return device, local_of

@@ -32,14 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
-from ..core.dvp import PoolStats
 from ..core.hashing import fingerprint_of_value
 from ..experiments.config import DEFAULT_SCALE, RunConfig
 from ..experiments.device import Device
-from ..experiments.runner import scaled_pool_entries
+from ..experiments.runner import reset_measurements, scaled_pool_entries
 from ..flash.config import scaled_config
 from ..ftl.dvp_ftl import POOL_OFF_SYSTEM, SYSTEMS
-from ..ftl.ftl import FTLCounters
 from ..perf.parallel import run_specs
 from ..perf.spec import kv_result_digest
 from ..sim.metrics import RunResult
@@ -176,9 +174,7 @@ def execute_kv_spec(spec: KVSpec) -> KVRunResult:
     _apply_untimed(ftl, store, load_stream(workload))
     for request in store.flush(arrival_us=0.0):
         ftl.write(request.lpn, fingerprint_of_value(request.value_id))
-    ftl.counters = FTLCounters()
-    if ftl.pool is not None:
-        ftl.pool.stats = PoolStats()
+    reset_measurements(ftl)
     store.stats = KVStats()
     store.packer.stats = PackerStats()
 

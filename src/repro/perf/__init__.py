@@ -7,7 +7,7 @@ into a parallel one without changing a single result bit:
   materialised trace, in-memory LRU + optional disk tier), so each
   workload's trace is generated once per matrix instead of once per cell.
 - :mod:`.snapshot` — prefill snapshot/restore: precondition once per
-  (FTL family, config, profile), then rehydrate sibling runs by copy.
+  (config, profile), then rehydrate every system's run by copy.
 - :mod:`.spec` / :mod:`.parallel` — picklable :class:`RunSpec` cells,
   the run digests, and the repo's one ``ProcessPoolExecutor`` fan-out
   over any job with ``execute()``/``prewarm()``, with ordered

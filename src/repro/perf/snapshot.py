@@ -1,37 +1,45 @@
-"""Prefill snapshot/restore: precondition once per FTL family, reuse by copy.
+"""Prefill snapshot/restore: precondition once per drive, reuse by copy.
 
 Every experiment run starts from a preconditioned drive — ``prefill``
 writes each exported logical page once with its unique initial value, which
 for short traces costs more simulator work than the trace replay itself.
 
-The post-prefill state is *identical* across studied systems that share an
-FTL class: prefill writes are all-unique values into an empty drive, so
-pool lookups all miss, nothing is invalidated, no garbage exists and no GC
-runs.  The pool stays empty and the pool/GC-policy differences between
-``baseline``/``mq-dvp``/``lru-dvp``/``ideal``/``lxssd`` (one family) or
-``dedup``/``dvp+dedup`` (the other — its live-value index is part of the
-state) cannot influence the outcome.  A pool-size sweep such as the
-Figure 5/9 cells trivially shares one family too.
+The post-prefill drive is the same for every studied system: prefill
+writes all-unique values into an empty drive, so pool lookups all miss,
+nothing is invalidated, no garbage exists and no GC runs.  Pools, GC
+policies, dedup and the demand-paged mapping cannot influence the flash
+array, allocator, mapping table, OOB journal or content tables.  What a
+system adds on top of that shared state follows from it and the page
+count, exactly as a direct prefill leaves it:
 
-:class:`PrefillCache` exploits this: the first run of a (family, config,
-profile) triple prefills normally and captures the content-independent
-state — flash array, allocator, mapping table, OOB journal, fingerprint
-and popularity indexes, write clock, plus the dedup live index when
-applicable.  Sibling runs build their own system (pool, GC policy and
-all) and rehydrate that snapshot, skipping the per-page write loop
-entirely.
+* dedup's live index maps each page's value to its home, in program
+  order: ``_ppn_fp`` inverted;
+* DFTL's cached mapping table (CMT) is what ``access(lpn, dirty=True)``
+  over every prefilled LPN leaves, so a restore replays those accesses;
+* an adaptive pool's window has advanced one event per missed prefill
+  lookup.
+
+:class:`PrefillCache` exploits this: the first run of a (config,
+profile) pair prefills directly and captures the shared state — flash
+array, allocator, mapping table, OOB journal, fingerprint and popularity
+indexes, write clock.  Every later run, whatever its system, builds that
+system (pool, GC policy and all), rehydrates the snapshot and rebuilds
+its extras, skipping the per-page write loop entirely.  A prefill that
+ran GC is not captured (its moves would break the program-order rule
+above), and an FTL class this module does not know always prefills
+directly: it may carry state a restore cannot rebuild.
 
 A snapshot is two parts.  The mutable object graph (array, allocator,
 mapping, the OOB columns and trims) is pickled into an immutable byte
 string, and every restore is a fresh ``pickle.loads`` of it.  The
-content tables (``_ppn_fp``, ``_write_popularity`` and the dedup
-``_live_index``) are held as ``dict`` copies instead, because pickling
-them is a ``Fingerprint.__reduce__`` per page each way.  Their keys and
-values are immutable fingerprints and ints, so a shallow copy is already
-a deep one: the capture copies the live FTL's dicts, and every restore
-hands out a new copy, never the cache's own.  Runs therefore still
-cannot leak state into each other — the basis of the bit-identical
-guarantee the determinism tests enforce.
+content tables (``_ppn_fp`` and ``_write_popularity``) are held as
+``dict`` copies instead, because pickling them is a
+``Fingerprint.__reduce__`` per page each way.  Their keys and values are
+immutable fingerprints and ints, so a shallow copy is already a deep
+one: the capture copies the live FTL's dicts, and every restore hands
+out a new copy, never the cache's own.  Runs therefore still cannot leak
+state into each other — the basis of the bit-identical guarantee the
+determinism tests enforce.
 """
 
 from __future__ import annotations
@@ -40,11 +48,12 @@ import pickle
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from ..core.dvp import PoolStats
+from ..core.adaptive import AdaptiveMQDeadValuePool
 from ..flash.config import SSDConfig
 from ..ftl.dedup import DedupFTL
+from ..ftl.dftl import DFTLFtl
 from ..ftl.dvp_ftl import build_system
-from ..ftl.ftl import BaseFTL, FTLCounters
+from ..ftl.ftl import BaseFTL
 from ..traces.profiles import WorkloadProfile
 from .trace_cache import profile_cache_key
 
@@ -77,36 +86,36 @@ _PICKLED_ATTRS = (
 )
 _COPIED_ATTRS = ("_ppn_fp", "_write_popularity")
 
-#: Families eligible for snapshot sharing.  Exact classes only: a subclass
-#: may carry extra state this module does not know how to capture, so it
-#: silently falls back to a direct prefill.
-_FAMILIES = (BaseFTL, DedupFTL)
+#: FTL classes whose prefill state is ``BaseFTL``'s attributes plus the
+#: slots a restore rebuilds (``DedupFTL`` fills ``_live_index``,
+#: ``DFTLFtl`` fills ``translation``).  Exact classes only: any other
+#: subclass may carry state a restore cannot rebuild, so it prefills
+#: directly.
+_RESTORABLE = (BaseFTL, DedupFTL, DFTLFtl)
 
-#: A captured prefill: the pickled object graph, and the copied content
-#: tables by attribute name.
-_Snapshot = Tuple[bytes, Dict[str, dict]]
+#: A captured prefill: the pickled object graph, the copied content
+#: tables by attribute name, and the number of pages prefill wrote.
+_Snapshot = Tuple[bytes, Dict[str, dict], int]
 
 
-def _capture(ftl: BaseFTL) -> _Snapshot:
-    """Capture the shareable post-prefill state of ``ftl``.
+def _capture(ftl: BaseFTL, pages: int) -> _Snapshot:
+    """Capture the shared post-prefill state of ``ftl``.
 
     Cross-references (``allocator.array``) survive because the object
     graph is pickled in one piece.
     """
     state = {name: getattr(ftl, name) for name in _PICKLED_ATTRS}
-    state["gc_invocations"] = ftl.gc.invocations
     tables = {name: dict(getattr(ftl, name)) for name in _COPIED_ATTRS}
-    if ftl._live_index is not None:
-        tables["_live_index"] = dict(ftl._live_index)
-    return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL), tables
+    return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL), tables, pages
 
 
 def _restore(ftl: BaseFTL, snapshot: _Snapshot) -> None:
-    """Graft a captured prefill state onto a freshly built system."""
-    graph, tables = snapshot
-    state = pickle.loads(graph)
-    ftl.gc.invocations = state.pop("gc_invocations")
-    for name, value in state.items():
+    """Graft a captured prefill state onto a freshly built system, then
+    rebuild what the system adds on top, as a direct prefill leaves it."""
+    from ..experiments.runner import reset_measurements  # avoids a cycle
+
+    graph, tables, pages = snapshot
+    for name, value in pickle.loads(graph).items():
         setattr(ftl, name, value)
     for name, table in tables.items():
         setattr(ftl, name, dict(table))
@@ -115,20 +124,25 @@ def _restore(ftl: BaseFTL, snapshot: _Snapshot) -> None:
     ftl.gc.array = ftl.array
     ftl.gc.allocator = ftl.allocator
     ftl.wear.array = ftl.array
-    # Mirror prefill's epilogue: measurements cover only the trace window.
-    ftl.counters = FTLCounters()
-    if ftl.pool is not None:
-        ftl.pool.stats = PoolStats()
+    if ftl._live_index is not None:
+        ftl._live_index = {fp: ppn for ppn, fp in ftl._ppn_fp.items()}
+    if ftl.translation is not None:
+        access = ftl.translation.access
+        for lpn in range(pages):
+            access(lpn, dirty=True)
+    if isinstance(ftl.pool, AdaptiveMQDeadValuePool):
+        ftl.pool.skip_missed_lookups(pages)
+    reset_measurements(ftl)
 
 
 class PrefillCache:
-    """Bounded LRU of prefill snapshots keyed by (family, config, profile)."""
+    """Bounded LRU of prefill snapshots keyed by (config, profile)."""
 
     def __init__(self, max_entries: int = 4):
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self._snaps: "OrderedDict[Tuple[str, SSDConfig, str], _Snapshot]" = (
+        self._snaps: "OrderedDict[Tuple[SSDConfig, str], _Snapshot]" = (
             OrderedDict()
         )
         self.hits = 0
@@ -147,30 +161,23 @@ class PrefillCache:
         profile: WorkloadProfile,
         pool_entries: int,
     ) -> bool:
-        """Ensure the family snapshot for this cell exists, without
-        building a restored system.
+        """Ensure the snapshot for this cell exists, without building a
+        restored system.
 
         The parallel engine calls this in the *parent* process before the
         worker pool forks: children inherit the warm snapshot copy-on-
         write, so no worker ever repeats the per-page prefill loop.
-        Returns ``False`` for systems outside the shareable families.
+        Returns ``False`` when no snapshot serves the cell: the system's
+        FTL class is not restorable, or its prefill ran GC.
         """
-        from ..experiments.runner import prefill  # runtime: avoids a cycle
-
         ftl = build_system(system, config, pool_entries)
-        if type(ftl) not in _FAMILIES:
+        if type(ftl) not in _RESTORABLE:
             return False
-        key = (type(ftl).__name__, config, profile_cache_key(profile))
+        key = (config, profile_cache_key(profile))
         if key in self._snaps:
             self._snaps.move_to_end(key)
             return True
-        self.misses += 1
-        prefill(ftl, profile)
-        self._snaps[key] = _capture(ftl)
-        self._snaps.move_to_end(key)
-        while len(self._snaps) > self.max_entries:
-            self._snaps.popitem(last=False)
-        return True
+        return self._prefill(ftl, key, profile)
 
     def prefilled_system(
         self,
@@ -181,30 +188,42 @@ class PrefillCache:
     ) -> BaseFTL:
         """Build ``system`` and precondition it for ``profile``.
 
-        The first call for a family prefills directly (and captures the
-        snapshot); subsequent calls restore by copy.  Either way the
-        returned FTL is indistinguishable from a freshly prefilled one.
+        The first call for a (config, profile) pair prefills directly
+        (and captures the snapshot); later calls for any system restore
+        by copy.  Either way the returned FTL is indistinguishable from a
+        freshly prefilled one.
         """
         from ..experiments.runner import prefill  # runtime: avoids a cycle
 
         ftl = build_system(system, config, pool_entries)
-        if type(ftl) not in _FAMILIES:
+        if type(ftl) not in _RESTORABLE:
             prefill(ftl, profile)
             return ftl
-        key = (type(ftl).__name__, config, profile_cache_key(profile))
+        key = (config, profile_cache_key(profile))
         snapshot = self._snaps.get(key)
         if snapshot is None:
-            self.misses += 1
-            prefill(ftl, profile)
-            self._snaps[key] = _capture(ftl)
-            self._snaps.move_to_end(key)
-            while len(self._snaps) > self.max_entries:
-                self._snaps.popitem(last=False)
+            self._prefill(ftl, key, profile)
         else:
             self.hits += 1
             self._snaps.move_to_end(key)
             _restore(ftl, snapshot)
         return ftl
+
+    def _prefill(
+        self, ftl: BaseFTL, key: Tuple[SSDConfig, str], profile: WorkloadProfile
+    ) -> bool:
+        """Prefill ``ftl`` directly and capture it under ``key``; returns
+        whether it was captured."""
+        from ..experiments.runner import prefill  # runtime: avoids a cycle
+
+        self.misses += 1
+        pages = prefill(ftl, profile)
+        if ftl.gc.invocations:
+            return False
+        self._snaps[key] = _capture(ftl, pages)
+        while len(self._snaps) > self.max_entries:
+            self._snaps.popitem(last=False)
+        return True
 
 
 # -- live mid-run state ------------------------------------------------

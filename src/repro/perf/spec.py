@@ -122,7 +122,7 @@ class RunSpec:
         return execute_spec(self)
 
     def prewarm(self) -> None:
-        """Generate the trace and capture the family prefill snapshot.
+        """Generate the trace and capture the prefill snapshot.
 
         Forked workers inherit both caches copy-on-write and restore by
         copy instead of each repeating the per-page prefill loop.

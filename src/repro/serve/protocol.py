@@ -40,6 +40,7 @@ from typing import Any, Dict, Optional, Sequence
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "MAX_LINE_BYTES",
     "CLIENT_TYPES",
     "SERVER_TYPES",
     "ProtocolError",
@@ -49,6 +50,11 @@ __all__ = [
 
 #: Carried in ``opened`` replies; readers refuse unknown versions.
 PROTOCOL_VERSION = 1
+
+#: The longest message line the server reads, not counting its newline
+#: (asyncio's default stream limit).  A longer line is discarded whole and answered
+#: with an ``error``; the connection keeps serving.
+MAX_LINE_BYTES = 1 << 16
 
 CLIENT_TYPES = (
     "open", "io", "flush", "close", "detach", "ping", "shutdown",

@@ -39,6 +39,7 @@ from .config import ServeSettings
 from .manager import SessionManager
 from .protocol import (
     CLIENT_TYPES,
+    MAX_LINE_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
     decode_message,
@@ -90,7 +91,10 @@ class ServeServer:
         loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.settings.host, self.settings.port
+            self._handle_connection,
+            self.settings.host,
+            self.settings.port,
+            limit=MAX_LINE_BYTES,
         )
         try:
             loop.add_signal_handler(signal.SIGTERM, self.request_stop)
@@ -167,7 +171,14 @@ class ServeServer:
         session: Optional[TenantSession] = None
         try:
             while True:
-                line = await reader.readline()
+                line = await _read_line(reader)
+                if line is None:
+                    await self._reply(writer, {
+                        "type": "error",
+                        "error": f"message line exceeds {MAX_LINE_BYTES} "
+                                 "bytes; discarded",
+                    })
+                    continue
                 if not line:
                     break
                 try:
@@ -265,6 +276,24 @@ class ServeServer:
             if task is not None:
                 self._handlers.discard(task)
             writer.close()
+
+
+async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next message line, ``b""`` at EOF (a final unterminated line
+    is returned as is, like ``readline``), or ``None`` for a line over the
+    reader's limit, which is consumed up to and including its newline."""
+    oversized = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial
+        except asyncio.LimitOverrunError as exc:
+            # Drop what was scanned and keep looking for the newline.
+            await reader.readexactly(exc.consumed)
+            oversized = True
+            continue
+        return None if oversized else line
 
 
 async def run_server(settings: ServeSettings) -> int:

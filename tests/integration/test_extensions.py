@@ -39,7 +39,9 @@ class TestKitchenSinkFTL:
             pool=AdaptiveMQDeadValuePool(
                 256, min_entries=64, max_entries=1024, window=512,
             ),
-            cmt_entries=1024,
+            # Below the 900-page footprint: the trace itself must miss
+            # (preconditioning zeroes the CMT statistics).
+            cmt_entries=512,
             popularity_aware_gc=True,
             wear_levelling=True,
             verify_hits=True,

@@ -377,3 +377,28 @@ def test_error_replies_keep_the_connection_alive():
             assert b"error" in reply
             client.ping()
             client.close_session()
+
+
+def test_over_long_line_gets_an_error_and_the_connection_serves_on():
+    """A line past the reader's limit is discarded whole with an ``error``
+    reply naming the limit; the next message is served as usual."""
+    from repro.serve.protocol import MAX_LINE_BYTES
+
+    with ServerThread() as server:
+        with ServeClient("127.0.0.1", server.port) as client:
+            padding = "x" * (MAX_LINE_BYTES + 4_000)
+            long_ping = ('{"type": "ping", "pad": "%s"}\n' % padding).encode()
+            # All of the line in one write (the newline may already be
+            # buffered when the limit trips), then in pieces (it is not).
+            client._fh.write(long_ping)
+            client._fh.flush()
+            reply = client._fh.readline()
+            assert b'"error"' in reply and str(MAX_LINE_BYTES).encode() in reply
+            client.ping()
+            for start in range(0, len(long_ping), 20_000):
+                client._fh.write(long_ping[start:start + 20_000])
+                client._fh.flush()
+                time.sleep(0.01)
+            reply = client._fh.readline()
+            assert b'"error"' in reply
+            client.ping()

@@ -4,16 +4,19 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.hashing import fingerprint_of_value
+from repro.core.adaptive import AdaptiveMQDeadValuePool
+from repro.core.hashing import _interned, fingerprint_of_value
 from repro.experiments.runner import (
     config_for_profile,
     prefill,
     scaled_pool_entries,
 )
-from repro.ftl.dvp_ftl import build_system
+from repro.ftl.dftl import TranslationStats
+from repro.ftl.dvp_ftl import SYSTEMS, build_system
+from repro.ftl.ftl import BaseFTL
 from repro.perf.snapshot import PrefillCache
 from repro.perf.trace_cache import TraceCache, profile_cache_key
-from repro.traces.synthetic import generate_trace
+from repro.traces.synthetic import generate_trace, initial_value_of
 
 from ..conftest import make_profile
 
@@ -112,10 +115,35 @@ def _prefill_state(ftl):
         "ppn_fp": dict(ftl._ppn_fp),
         "write_popularity": dict(ftl._write_popularity),
         "live_index": (
-            None if ftl._live_index is None else dict(ftl._live_index)
+            None if ftl._live_index is None else list(ftl._live_index.items())
         ),
+        "cmt": _cmt_state(ftl.translation),
+        "pool": _pool_state(ftl.pool),
         "counters": ftl.counters,
     }
+
+
+def _cmt_state(translation):
+    """DFTL's cached mapping table: entry order with dirty flags, the
+    dirty set per translation page, and the statistics."""
+    if translation is None:
+        return None
+    return (
+        list(translation._entries.items()),
+        list(translation._dirty_pages.items()),
+        translation.stats,
+    )
+
+
+def _pool_state(pool):
+    """A pool's size and statistics, plus an adaptive pool's window."""
+    if pool is None:
+        return None
+    window = None
+    if isinstance(pool, AdaptiveMQDeadValuePool):
+        window = (pool._window_events, pool._window_insertions,
+                  pool._window_evictions, pool.capacity)
+    return len(pool), pool.stats, window
 
 
 class TestPrefillCache:
@@ -136,13 +164,14 @@ class TestPrefillCache:
         self._system(cache, "lru-dvp")
         assert (cache.hits, cache.misses) == (2, 1)
 
-    def test_dedup_is_a_separate_family(self):
+    def test_every_system_shares_one_snapshot(self):
+        """The key is (config, profile) only: every FTL family restores
+        the one snapshot the first prefill captured."""
         cache = PrefillCache()
-        self._system(cache, "baseline")
-        self._system(cache, "dedup")
-        assert cache.misses == 2
-        self._system(cache, "dvp+dedup")
-        assert cache.hits == 1
+        for system in SYSTEMS:
+            self._system(cache, system)
+        assert (cache.hits, cache.misses) == (len(SYSTEMS) - 1, 1)
+        assert len(cache) == 1
 
     def test_restored_state_matches_direct_prefill(self):
         cache = PrefillCache()
@@ -156,27 +185,42 @@ class TestPrefillCache:
         restored.check_invariants()
 
     def test_restored_systems_do_not_share_state(self):
-        """Neither a restored system nor the FTL that was captured shares a
-        table with the snapshot: mutating either leaves the next restore
-        equal to a direct prefill.  Both families: dedup adds its live
-        index."""
-        for family in ("baseline", "dedup"):
+        """Every system restored from a snapshot another system captured
+        equals a direct prefill: FTL tables, dedup live index, CMT order,
+        dirty set and stats, adaptive window.  Neither a restored system
+        nor the captured FTL shares a table with the snapshot: mutating
+        either leaves the next restore equal to a direct prefill."""
+        names = sorted(SYSTEMS)
+        for system, captor in zip(names, names[1:] + names[:1]):
             cache = PrefillCache()
-            captured = self._system(cache, family)   # prefills, captures
+            captured = self._system(cache, captor)   # prefills, captures
             _churn(captured)                         # mutate after capture
-            a = self._system(cache, family)
-            b = self._system(cache, family)
+            a = self._system(cache, system)
+            b = self._system(cache, system)
+            assert cache.hits == 2, system
             for name in ("mapping", "array", "_ppn_fp", "_write_popularity",
                          "_oob_lpns", "_oob_seqs", "_oob_trims"):
-                assert getattr(a, name) is not getattr(b, name), name
-            if family == "dedup":
-                assert a._live_index is not b._live_index
+                assert getattr(a, name) is not getattr(b, name), (system, name)
+            if a._live_index is not None:
+                assert a._live_index is not b._live_index, system
+            if a.translation is not None:
+                assert a.translation._entries is not b.translation._entries
             _churn(a)
-            direct = _prefilled_directly(family, self.PROFILE)
-            assert _prefill_state(self._system(cache, family)) == (
-                _prefill_state(direct)
-            ), family
-            assert _prefill_state(b) == _prefill_state(direct), family
+            direct = _prefill_state(_prefilled_directly(system, self.PROFILE))
+            assert _prefill_state(self._system(cache, system)) == direct, system
+            assert _prefill_state(b) == direct, system
+
+    @pytest.mark.parametrize("system", ["dftl-baseline", "dftl-mq-dvp"])
+    def test_preconditioning_zeroes_cmt_stats(self, system):
+        """Direct and restored prefills both leave the CMT holding the
+        prefill's entries with zeroed statistics, so a run's hit rate
+        covers only the trace."""
+        cache = PrefillCache()
+        direct = self._system(cache, system)
+        restored = self._system(cache, system)
+        for ftl in (direct, restored):
+            assert len(ftl.translation) > 0
+            assert ftl.translation.stats == TranslationStats()
 
     def test_gc_rebound_to_restored_array(self):
         cache = PrefillCache()
@@ -186,10 +230,50 @@ class TestPrefillCache:
         assert restored.gc.allocator is restored.allocator
         assert restored.wear.array is restored.array
 
+    def test_unknown_subclass_prefills_directly(self, monkeypatch):
+        """A BaseFTL subclass the cache cannot vouch for is never captured
+        nor restored: it may carry state a restore cannot rebuild."""
+
+        class CustomFTL(BaseFTL):
+            pass
+
+        monkeypatch.setitem(SYSTEMS, "custom", lambda cfg, n: CustomFTL(cfg))
+        cache = PrefillCache()
+        self._system(cache, "baseline")
+        ftl = self._system(cache, "custom")
+        assert type(ftl) is CustomFTL
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert _prefill_state(ftl) == _prefill_state(
+            _prefilled_directly("baseline", self.PROFILE)
+        )
+        assert not cache.warm(
+            "custom", config_for_profile(self.PROFILE), self.PROFILE, 0
+        )
+
     def test_lru_eviction_bound(self):
+        other = make_profile(working_set_pages=300, num_requests=1000, seed=8)
         cache = PrefillCache(max_entries=1)
         self._system(cache, "baseline")
-        self._system(cache, "dedup")     # evicts the BaseFTL snapshot
+        cache.prefilled_system(       # another profile evicts the first
+            "dedup", config_for_profile(other), other,
+            scaled_pool_entries(200_000, 0.02),
+        )
         assert len(cache) == 1
-        self._system(cache, "baseline")  # must re-prefill
-        assert cache.misses == 3
+        self._system(cache, "dedup")  # must re-prefill
+        assert (cache.hits, cache.misses) == (0, 3)
+
+
+def test_prefill_skips_the_intern_cache():
+    """Prefill's one-shot initial values never enter the fingerprint
+    intern LRU, and equal the interned fingerprints of the same ids."""
+    profile = make_profile(working_set_pages=300, num_requests=1000)
+    ftl = build_system("baseline", config_for_profile(profile), 0)
+    # Every profile's initial values are the same ids, so an earlier
+    # interning prefill would hide a new one: start from an empty cache.
+    _interned.cache_clear()
+    pages = prefill(ftl, profile)
+    assert _interned.cache_info().currsize == 0
+    assert pages == profile.total_pages
+    assert [ftl._ppn_fp[ftl.mapping.lookup(lpn)] for lpn in range(pages)] == [
+        fingerprint_of_value(initial_value_of(lpn)) for lpn in range(pages)
+    ]

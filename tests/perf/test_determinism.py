@@ -15,6 +15,7 @@ from repro.experiments.runner import (
     run_system,
 )
 from repro.fleet import FleetSpec
+from repro.ftl.dvp_ftl import SYSTEMS as ALL_SYSTEMS
 from repro.kv import KVSpec
 from repro.perf.parallel import run_specs
 from repro.perf.spec import RunSpec, execute_spec, result_digest
@@ -65,17 +66,18 @@ class TestRunDeterminism:
             execute_spec(spec)
         )
 
-    def test_prefill_cache_does_not_change_results(self):
-        spec = RunSpec("web", "mq-dvp", scale=SCALE)
+    @pytest.mark.parametrize("system", sorted(ALL_SYSTEMS))
+    def test_prefill_cache_does_not_change_results(self, system):
         cold = run_system(
-            "mq-dvp",
+            system,
             ExperimentContext.for_workload("web", SCALE),
             RunConfig(scale=SCALE, reuse_prefill=False),
         )
-        # Prime the family snapshot via baseline, then run the real cell
+        # Prime the snapshot via another system, then run the real cell
         # through the restore path.
-        execute_spec(RunSpec("web", "baseline", scale=SCALE))
-        warm = execute_spec(spec)
+        primer = "dedup" if system == "baseline" else "baseline"
+        execute_spec(RunSpec("web", primer, scale=SCALE))
+        warm = execute_spec(RunSpec("web", system, scale=SCALE))
         assert result_digest(cold) == result_digest(warm)
 
     def test_seed_override_changes_results(self):

@@ -122,6 +122,24 @@ class TestAdaptation:
         assert pool.capacity_high_water >= pool.capacity
         assert pool.capacity_high_water > 128
 
+    @pytest.mark.parametrize("count", [0, 5, 256, 700])
+    def test_skip_missed_lookups_matches_missing_lookups(self, count):
+        """Skipping ``count`` misses on an empty pool leaves the window, the
+        capacity and the resize telemetry as ``count`` real misses do."""
+        def state(pool):
+            return (pool._window_events, pool._window_insertions,
+                    pool._window_evictions, pool.capacity,
+                    pool.resizes_up, pool.resizes_down)
+
+        looked, skipped = (
+            AdaptiveMQDeadValuePool(128, min_entries=64, window=256)
+            for _ in range(2)
+        )
+        for i in range(count):
+            assert looked.lookup_for_write(fp(i), now=i) is None
+        skipped.skip_missed_lookups(count)
+        assert state(skipped) == state(looked)
+
 
 class TestFactoryIntegration:
     def test_adaptive_system_runs(self, tiny_config):

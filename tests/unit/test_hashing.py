@@ -7,6 +7,7 @@ from repro.core.hashing import (
     Fingerprint,
     fingerprint_of_bytes,
     fingerprint_of_value,
+    fingerprints_of_values,
 )
 
 
@@ -90,3 +91,29 @@ class TestInterning:
     def test_negative_id_still_rejected_through_factory(self):
         with pytest.raises(ValueError):
             fingerprint_of_value(-3)
+
+
+class TestBulkFingerprints:
+    def test_equal_to_the_interned_factory(self):
+        for ids in (range(1 << 40, (1 << 40) + 50), [7, 0, 1 << 40, 7]):
+            bulk = list(fingerprints_of_values(ids))
+            assert bulk == [fingerprint_of_value(i) for i in ids]
+            assert all(type(fp) is Fingerprint for fp in bulk)
+            assert [fp.key for fp in bulk] == list(ids)
+
+    def test_empty(self):
+        assert list(fingerprints_of_values(range(0))) == []
+        assert list(fingerprints_of_values([])) == []
+
+    @pytest.mark.parametrize("ids", [
+        range(-1, 5), range(5, -2, -1), [3, -1],
+        range((1 << 128) - 1, (1 << 128) + 1), [1 << 128],
+    ])
+    def test_out_of_range_rejected_up_front(self, ids):
+        with pytest.raises(ValueError):
+            fingerprints_of_values(ids)
+
+    @pytest.mark.parametrize("ids", [[1, 2.0], [True], ["5"]])
+    def test_non_int_rejected(self, ids):
+        with pytest.raises(TypeError):
+            fingerprints_of_values(ids)
