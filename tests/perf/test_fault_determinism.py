@@ -37,6 +37,17 @@ FAULTS = FaultConfig(
     read_error_prob=0.02,
 )
 
+#: Digests of ``FAULTS`` runs, minted while fault-injected writes and
+#: trims still ran the FTL's per-call copy of the write path.
+FAULTED_GOLDEN = {
+    ("web", "baseline"): "387ac5c41a49e22ffc06700a0e00165e44a071c9ce9754cbcdc6c60be82a0cea",
+    ("web", "mq-dvp"): "eed13c9572e8349dfbd7f0925a3d33159048267801e9ecbf27f3ec04b80f199a",
+    ("web", "dedup"): "13e93c07d4254890d6b8df8e64deeaa5d70e58ebaad506803cf5f0a01ec15b70",
+    ("trans", "baseline"): "995e3522461096833d9ea8a7d524cc5808bfd535877fa004be90dde93a1bc892",
+    ("trans", "mq-dvp"): "cb4fc3b253078d579724856ec26d4928ca2887b10428d815fc78225f0d67c770",
+    ("trans", "dedup"): "295a491995cb5bd64204dabd7b88367049dcaef89eb729a479f4c6512ab07633",
+}
+
 
 def _digests(results):
     return {
@@ -58,6 +69,15 @@ class TestFaultFreeCompatibility:
 
 
 class TestFaultDeterminism:
+    @pytest.mark.parametrize("workload,system", sorted(FAULTED_GOLDEN))
+    def test_faulted_digest_matches_golden(self, workload, system):
+        context = ExperimentContext.for_workload(workload, SCALE)
+        result = run_system(
+            system, context, config=RunConfig(scale=SCALE, faults=FAULTS)
+        )
+        assert result.fault_stats["program_failures"] > 0
+        assert result_digest(result) == FAULTED_GOLDEN[(workload, system)]
+
     def test_same_seed_same_digest_across_jobs(self):
         cfg = RunConfig(scale=SCALE, faults=FAULTS)
         serial = _digests(
@@ -92,6 +112,8 @@ class TestFaultDeterminism:
 
 class TestCrashRecoveryDeterminism:
     CRASH = FaultConfig(seed=0, crash_after_requests=1000)
+    #: web mq-dvp under ``CRASH``, minted on the per-request replay path.
+    GOLDEN = "8f3567c57876ae93a75c1ade60fa1d6b82beca039c5ae5ebc5e269652a796c12"
 
     def test_crash_run_recovers_and_is_reproducible(self):
         context = ExperimentContext.for_workload("web", SCALE)
@@ -104,7 +126,7 @@ class TestCrashRecoveryDeterminism:
         assert first.fault_stats["crashes"] == 1
         assert first.fault_stats["recoveries"] == 1
         assert first.fault_stats["mean_recovery_us"] > 0
-        assert result_digest(first) == result_digest(second)
+        assert result_digest(first) == result_digest(second) == self.GOLDEN
 
     def test_crash_digest_stable_across_jobs(self):
         cfg = RunConfig(scale=SCALE, faults=self.CRASH)
