@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: test lint check perf-smoke fleet-smoke serve-smoke kv-smoke bench figures
 
-test: lint check
+test: lint
 	$(PYTHON) -m pytest -q
 
 # Static gate, three tools over all of src/repro:
@@ -28,29 +28,36 @@ lint:
 # The correctness harness under a tight time budget: seeded-corruption
 # detection, property fuzz (TRIM + faults + crash streams), the
 # timeline-vs-DES differential replay, and the hot-path differentials:
-# the fused BaseFTL.write and BaseFTL.trim against the per-call path,
-# the flat KVStore.translate against its public per-op generators, bulk
-# preconditioning (BaseFTL.preload) against the per-page write loop, the
-# head-cached MultiQueue against a full-scan reference, the hoisted
-# ring pass against HashRing.shard_of, and the per-PPN OOB columns
-# against a dict journal (fused and per-call paths, trims, GC, crash
-# recovery).  The FTL differentials run on plain BaseFTL, on dedup with
-# and without a pool, and on DFTL, so the live index and the CMT are
-# compared too.  Two routing tests check that every in-tree system stays
-# on the fused path and that the checker sees each outcome's CMT
-# traffic.  Also the set-up path: the flat synthetic generator against
-# its trace goldens (and the cached legacy Zipf ranker draw for draw),
-# and prefill snapshots that share no table with the systems they were
-# captured from or restored into: every system restored from a snapshot
-# another captured must equal a direct prefill (live index, CMT, adaptive
-# window) and give the same run digest.  Also part of the plain suite; this
-# target isolates it for quick iteration on FTL hot paths.
+# BaseFTL.write and BaseFTL.trim against the frozen per-call reference
+# model in tests/reference.py (also with a fault model attached and on a
+# drive turned read-only: fault counters and bad-block state included),
+# SimulatedSSD.service against the per-request reference chain (with and
+# without background GC and faults), the flat KVStore.translate against
+# its public per-op generators, bulk preconditioning (BaseFTL.preload)
+# against the per-page write loop, the head-cached MultiQueue against a
+# full-scan reference, the hoisted ring pass against HashRing.shard_of,
+# and the per-PPN OOB columns against a dict journal (one path and
+# reference model, trims, GC, crash recovery).  The FTL differentials
+# run on plain BaseFTL, on dedup with and without a pool, and on DFTL,
+# so the live index and the CMT are compared too.  Two tests check that
+# every in-tree system preloads in the bulk loop and that the checker
+# sees each outcome's CMT traffic.  Also the set-up path: the flat
+# synthetic generator against its trace goldens (and the cached legacy
+# Zipf ranker draw for draw), and prefill snapshots that share no table
+# with the systems they were captured from or restored into: every
+# system restored from a snapshot another captured must equal a direct
+# prefill (live index, CMT, adaptive window) and give the same run
+# digest.  The plain suite (make test) runs all of these too; this
+# target isolates them for quick iteration on FTL and replay hot paths.
 check:
 	$(PYTHON) -m pytest -q tests/unit/test_check.py \
 		tests/property/test_check_fuzz.py \
 		tests/integration/test_differential.py \
 		"tests/property/test_ftl_properties.py::test_fused_write_matches_per_call" \
 		"tests/property/test_ftl_properties.py::test_fused_trim_matches_per_call" \
+		"tests/property/test_ftl_properties.py::test_faulted_writes_and_trims_match_per_call" \
+		"tests/property/test_sim_properties.py::test_batched_service_matches_per_request" \
+		"tests/property/test_sim_properties.py::test_batched_service_matches_per_request_under_faults" \
 		"tests/property/test_kv_properties.py::test_translate_matches_public_ops" \
 		"tests/property/test_ftl_properties.py::test_preload_matches_write_loop" \
 		"tests/property/test_ftl_properties.py::TestPreloadRouting" \
@@ -60,6 +67,7 @@ check:
 		"tests/unit/test_ftl.py::TestWriteRouting::test_every_system_runs_fused" \
 		"tests/unit/test_dftl.py::TestDFTLFtl::test_checker_sees_translation_traffic" \
 		tests/perf/test_trace_goldens.py \
+		tests/perf/test_replay_goldens.py \
 		"tests/perf/test_caches.py::TestPrefillCache::test_restored_systems_do_not_share_state" \
 		"tests/perf/test_determinism.py::TestRunDeterminism::test_prefill_cache_does_not_change_results"
 

@@ -190,10 +190,10 @@ class BaseFTL:
         self.write_clock = 0
         #: Optional :class:`~repro.check.InvariantChecker`
         #: (``attach_checker`` sets it).  ``None`` keeps the hot paths to
-        #: one identity check per operation.
+        #: one ``is None`` test per operation.
         self.checker = None
         #: Fault layer (``attach_faults`` sets these).  ``None`` keeps the
-        #: fault-free path to one identity check per operation.
+        #: fault-free path to one ``is None`` test per program.
         self.faults: Optional["FaultModel"] = None
         self.badblocks: Optional[BadBlockManager] = None
         #: Spare-block pool exhausted: every further host write is rejected.
@@ -311,50 +311,38 @@ class BaseFTL:
     def write(self, lpn: int, fp: Fingerprint) -> WriteOutcome:
         """Service one 4KB host write of content ``fp`` at ``lpn``.
 
-        The common case runs fused: the CMT access (``translation``), the
+        One method runs the whole protocol: the CMT access
+        (``translation``), the range check, the read-only rejection, the
         popularity bump, the live-index test (``_live_index``), old-copy
         invalidation (:meth:`_kill_fused`, shared with :meth:`trim`),
-        pool lookup/revival, allocation, ``map`` and the OOB record happen
-        inline here, with every check the per-call path makes (an illegal
-        state falls back to the method that raises).
+        pool lookup/revival, allocation with the fault layer's retries
+        (``faults``), ``map`` and the OOB record, with every check an
+        illegal state needs (it falls back to the method that raises).
         The pool stays behind its ``lookup_for_write``/``insert_garbage``
         calls, and GC is entered through ``gc.maybe_collect`` whenever
-        the target plane is below the watermark.  Fault injection, a
-        read-only drive, and an override or ``setattr``-wrap of
-        :meth:`write` or any step it inlines (compared by identity with
-        the functions captured at import) take :meth:`_write_per_call`,
-        so a subclass or probe sees every call.
+        the target plane is below the watermark.  Each optional layer is a
+        slot tested with ``is None``.
         """
-        cls = type(self)
-        mapping = self.mapping
-        l2p = mapping._l2p
-        if not (
-            self.faults is None
-            and not self.read_only
-            and cls.write is _WRITE
-            and cls._handle_write is _HANDLE_WRITE
-            and cls._service_write is _SERVICE_WRITE
-            and cls._invalidate_lpn is _INVALIDATE_LPN
-            and cls._on_page_death is _ON_PAGE_DEATH
-            and cls._program is _PROGRAM
-            and cls._revive is _REVIVE
-            and cls.content_aware is _CONTENT_AWARE
-            and 0 <= lpn < self._logical_pages
-            and lpn < len(l2p)
-        ):
-            return self._write_per_call(lpn, fp)
         pool = self.pool
         live_index = self._live_index
-        outcome = WriteOutcome(lpn, pool is not None or live_index is not None)
+        outcome = WriteOutcome(lpn)
         translation = self.translation
         if translation is not None:
-            # The guard only reads: the CMT is still touched first.
+            # Touched before anything else, even by a write that fails.
             outcome.translation_reads, outcome.translation_writes = (
                 translation.access(lpn, dirty=True)
             )
+        if not 0 <= lpn < self._logical_pages:
+            self._check_lpn(lpn)  # raises
         self.write_clock = clock = self.write_clock + 1
         counters = self.counters
         counters.host_writes += 1
+        if self.read_only:
+            # End-of-life degradation: the write fails before it touches
+            # any state (the old copy at ``lpn`` survives).
+            return self._reject(lpn, fp, outcome)
+        outcome.hashed = pool is not None or live_index is not None
+        mapping = self.mapping
         # Saturating popularity bump; the LPN's popularity byte follows.
         write_pop = self._write_popularity
         popularity = write_pop.get(fp, 0) + 1
@@ -369,12 +357,11 @@ class BaseFTL:
                 if self.checker is not None:
                     self.checker.after_write(self, lpn, fp, outcome)
                 return outcome
+        l2p = mapping._l2p
         array = self.array
         blocks = array.blocks
         per_block = array._pages_per_block
         owner = mapping._owner
-        garbage_pop_of_ppn = self._garbage_pop_of_ppn
-        block_garbage_pop = self._block_garbage_pop
 
         # Out-of-place update: kill the copy previously mapped at ``lpn``.
         old_ppn = l2p[lpn]
@@ -384,13 +371,15 @@ class BaseFTL:
                 counters, pool, live_index,
             )
 
-        # Place the new data: revive from the pool (= _revive), or program
-        # a page (= _program).
+        # Place the new data: revive a dead copy from the pool, or program
+        # a page.
         revived = None
         if pool is not None:
             revived = pool.lookup_for_write(fp, clock)
         if revived is not None:
             if self.verify_hits:
+                # CAFTL-style collision safety: read the page back and
+                # byte-compare before trusting the 16B hash match.
                 outcome.verify_read_ppn = revived
                 counters.flash_reads += 1
             block_index, page = divmod(revived, per_block)
@@ -402,8 +391,9 @@ class BaseFTL:
             block.valid_count += 1
             array.invalid_pages -= 1
             array.valid_pages += 1
-            garbage_pop = garbage_pop_of_ppn.pop(revived, None)
+            garbage_pop = self._garbage_pop_of_ppn.pop(revived, None)
             if garbage_pop is not None:
+                block_garbage_pop = self._block_garbage_pop
                 remaining = block_garbage_pop.get(block_index, 0) - garbage_pop
                 if remaining > 0:
                     block_garbage_pop[block_index] = remaining
@@ -414,23 +404,21 @@ class BaseFTL:
             allocator = self.allocator
             plane = allocator._next_plane
             gc = self.gc
-            # Collect *before* allocating (see _program).  The inlined
-            # watermark test is maybe_collect's own early return.
-            if not (
-                type(gc).maybe_collect is _MAYBE_COLLECT
-                and len(gc.allocator.free_blocks[plane]) >= gc.low_watermark
-            ):
+            # Collect *before* allocating, so the target plane always has
+            # room for this write and for any relocations GC itself needs.
+            # The watermark test is maybe_collect's own early return.
+            if len(allocator.free_blocks[plane]) < gc.low_watermark:
                 work = gc.maybe_collect(plane)
                 if work.erased_blocks or work.relocations or work.retired_blocks:
                     counters.gc_erases += len(work.erased_blocks)
                     counters.gc_relocations += len(work.relocations)
                     outcome.gc = work
                 if self.read_only:
-                    outcome.rejected = True
-                    if self.checker is not None:
-                        self.checker.after_write(self, lpn, fp, outcome)
-                    return outcome
-            # allocate -> allocate_in_plane -> program_in_block
+                    # The pass just degraded the drive (spare pool
+                    # exhausted, or a retirement would have stranded the
+                    # plane): reject before touching allocator state.
+                    return self._reject(lpn, fp, outcome)
+            # Program the next page of the plane's active block.
             allocator._next_plane = (plane + 1) % allocator._planes
             actives = allocator._active
             block_index = actives[plane]
@@ -452,13 +440,32 @@ class BaseFTL:
             if page + 1 >= block.pages_per_block:
                 actives[plane] = None
             ppn = block_index * per_block + page
+            faults = self.faults
+            if faults is not None and faults.injects_program_failures:
+                attempts = 1
+                while faults.program_fails():
+                    # The page is burned: it becomes garbage for GC to
+                    # reclaim (not a value death, no pool insertion), and
+                    # its block takes a strike toward retirement.
+                    array.invalidate(ppn)
+                    if outcome.failed_program_ppns is None:
+                        outcome.failed_program_ppns = []
+                    outcome.failed_program_ppns.append(ppn)
+                    self.badblocks.note_program_failure(ppn // per_block)
+                    if attempts >= faults.config.max_program_retries:
+                        return self._reject(lpn, fp, outcome)
+                    attempts += 1
+                    # Retry within the same plane; the collection above
+                    # left it a free block, so a few retries cannot
+                    # strand it.
+                    ppn = allocator.allocate_in_plane(plane)
 
-        if ppn < len(owner) and owner[ppn] == -1 and l2p[lpn] < 0:
+        if owner[ppn] == -1 and l2p[lpn] < 0:
             l2p[lpn] = ppn
             mapping._mapped += 1
             owner[ppn] = lpn
         else:
-            mapping.map(lpn, ppn)  # grows, shares, or raises "already mapped"
+            mapping.map(lpn, ppn)  # shares, or raises "already mapped"
         self._oob_seq = seq = self._oob_seq + 1
         self._oob_lpns[ppn] = lpn
         self._oob_seqs[ppn] = seq
@@ -476,86 +483,41 @@ class BaseFTL:
             self.checker.after_write(self, lpn, fp, outcome)
         return outcome
 
-    def _write_per_call(self, lpn: int, fp: Fingerprint) -> WriteOutcome:
-        """The unfused write: one method call per step (see :meth:`write`)."""
-        outcome = WriteOutcome(lpn)
-        if self.translation is not None:
-            outcome.translation_reads, outcome.translation_writes = (
-                self.translation.access(lpn, dirty=True)
-            )
-        self._check_lpn(lpn)
-        self.write_clock += 1
-        self.counters.host_writes += 1
-        if self.read_only:
-            # End-of-life degradation: the write fails before it touches
-            # any state (the old copy at ``lpn`` survives).
-            if self.faults is not None:
-                self.faults.stats.rejected_writes += 1
-            outcome.rejected = True
-            if self.checker is not None:
-                self.checker.after_write(self, lpn, fp, outcome)
-            return outcome
-        # Saturating popularity bump, inlined: two dict ops per host write
-        # are measurably cheaper than a call.
-        write_pop = self._write_popularity
-        popularity = write_pop.get(fp, 0) + 1
-        if popularity > POPULARITY_MAX:
-            popularity = POPULARITY_MAX
-        write_pop[fp] = popularity
-        self.mapping.set_popularity(lpn, popularity)
-        outcome.hashed = self.content_aware
-        self._handle_write(lpn, fp, outcome)
+    def _reject(
+        self, lpn: int, fp: Fingerprint, outcome: WriteOutcome
+    ) -> WriteOutcome:
+        """Drop a write the drive cannot take: read-only, or every program
+        attempt failed.  Counted, never raised."""
+        if self.faults is not None:
+            self.faults.stats.rejected_writes += 1
+        outcome.rejected = True
         if self.checker is not None:
             self.checker.after_write(self, lpn, fp, outcome)
         return outcome
 
-    def _handle_write(
-        self, lpn: int, fp: Fingerprint, outcome: WriteOutcome
-    ) -> None:
-        """Invalidate the old copy, place the new data and store its home
-        in the live index; a live-index hit is :meth:`_dedup_hit`."""
-        live_index = self._live_index
-        if live_index is not None:
-            live = live_index.get(fp)
-            if live is not None:
-                self._dedup_hit(lpn, live, outcome)
-                return
-        self._invalidate_lpn(lpn)
-        self._service_write(lpn, fp, outcome)
-        if live_index is not None:
-            home = outcome.revived_ppn
-            if home is None:
-                home = outcome.program_ppn
-            if home is not None:
-                live_index[fp] = home
-
     def _dedup_hit(self, lpn: int, live: int, outcome: WriteOutcome) -> None:
-        """Live-value dedup hit, on either write path: point ``lpn`` at
-        ``live``, the page already holding the value, without a program.
-        It runs *before* the old copy dies, so rewriting identical
-        content in place is a pure no-op."""
+        """Live-value dedup hit: point ``lpn`` at ``live``, the page
+        already holding the value, without a program.  It runs *before*
+        the old copy dies, so rewriting identical content in place is a
+        pure no-op."""
+        counters = self.counters
         if self.verify_hits:
             outcome.verify_read_ppn = live
-            self.counters.flash_reads += 1
-        if self.mapping.lookup(lpn) != live:
-            self._invalidate_lpn(lpn)
-            self.mapping.map(lpn, live)
-        self.counters.dedup_hits += 1
+            counters.flash_reads += 1
+        mapping = self.mapping
+        l2p = mapping._l2p
+        old_ppn = l2p[lpn]
+        if old_ppn != live:
+            if old_ppn >= 0:
+                array = self.array
+                self._kill_fused(
+                    lpn, old_ppn, mapping, l2p, mapping._owner, array,
+                    array.blocks, array._pages_per_block, counters,
+                    self.pool, self._live_index,
+                )
+            mapping.map(lpn, live)
+        counters.dedup_hits += 1
         outcome.dedup_hit = True
-
-    def _service_write(
-        self, lpn: int, fp: Fingerprint, outcome: WriteOutcome
-    ) -> None:
-        """Place the new data: revive from the pool, or program a page."""
-        revived = None
-        if self.pool is not None:
-            revived = self.pool.lookup_for_write(fp, self.write_clock)
-        if revived is not None:
-            self._revive(lpn, revived, outcome)
-            outcome.short_circuited = True
-            outcome.revived_ppn = revived
-        else:
-            outcome.program_ppn = self._program(lpn, fp, outcome)
 
     def preload(self, fingerprints: Iterable[Fingerprint]) -> int:
         """Write local page ``i`` with the ``i``-th fingerprint; return the
@@ -564,12 +526,11 @@ class BaseFTL:
         Equal, state for state, to ``self.write(i, fp)`` over
         ``enumerate(fingerprints)``, and consumes the iterable lazily.  On
         a fresh drive (nothing mapped, ``write_clock == 0``, an empty
-        pool, no faults, checker or read-only state) whose write path
-        passes :meth:`write`'s identity guard, pages are programmed by
-        one loop with everything a fresh drive cannot need left out: no
-        old copy, no revival, no collection, no outcome.  The pool still
-        sees every ``lookup_for_write`` (an adaptive pool ticks on each),
-        the CMT every access, and the live index every new home.
+        pool, no faults, checker or read-only state), pages are
+        programmed by one loop with everything a fresh drive cannot need
+        left out: no old copy, no revival, no collection, no outcome.  The
+        pool still sees every ``lookup_for_write`` (an adaptive pool ticks
+        on each), the CMT every access, and the live index every new home.
         The first page that could need a skipped step (a repeated
         fingerprint, an out-of-range LPN, a target plane below the GC low
         watermark) and every page after it go through :meth:`write`; so
@@ -580,7 +541,6 @@ class BaseFTL:
         pages = iter(fingerprints)
         lpn = 0
         stopped_at: Tuple[Fingerprint, ...] = ()
-        cls = type(self)
         gc = self.gc
         pool = self.pool
         mapping = self.mapping
@@ -591,8 +551,6 @@ class BaseFTL:
             and self.write_clock == 0
             and mapping._mapped == 0
             and (pool is None or len(pool) == 0)
-            and _write_steps_intact(cls)
-            and type(gc).maybe_collect is _MAYBE_COLLECT
         ):
             lookup = pool.lookup_for_write if pool is not None else None
             translation = self.translation
@@ -689,48 +647,27 @@ class BaseFTL:
         pool, its content stays *revivable*: a later write of the same
         data can still resurrect the trimmed page.  This is TRIM's natural
         interaction with the paper's mechanism (not evaluated there).
-
-        Runs fused (the invalidation and pool insertion through
-        :meth:`_kill_fused`, the write path's own kill block) when
-        :meth:`write` would, with no checker attached and :meth:`trim`
-        itself unwrapped; anything else takes :meth:`_trim_per_call`.
+        The invalidation and pool insertion are :meth:`_kill_fused`, the
+        write path's own kill block.
         """
-        cls = type(self)
-        l2p = self.mapping._l2p
-        if not (
-            self.faults is None
-            and self.checker is None
-            and not self.read_only
-            and cls.trim is _TRIM
-            and _write_steps_intact(cls)
-            and 0 <= lpn < self._logical_pages
-            and lpn < len(l2p)
-        ):
-            self._trim_per_call(lpn)
-            return
+        if not 0 <= lpn < self._logical_pages:
+            self._check_lpn(lpn)  # raises
         counters = self.counters
         counters.host_trims += 1
+        mapping = self.mapping
+        l2p = mapping._l2p
         old_ppn = l2p[lpn]
         if old_ppn >= 0:
-            mapping = self.mapping
             array = self.array
             self._kill_fused(
                 lpn, old_ppn, mapping, l2p, mapping._owner, array,
                 array.blocks, array._pages_per_block, counters, self.pool,
                 self._live_index,
             )
-        self._oob_seq = seq = self._oob_seq + 1
-        self._oob_trims[lpn] = seq
-
-    def _trim_per_call(self, lpn: int) -> None:
-        """The unfused trim: one method call per step (see :meth:`trim`)."""
-        self._check_lpn(lpn)
-        self.counters.host_trims += 1
-        self._invalidate_lpn(lpn)
         # Journal the trim so crash recovery does not resurrect the LPN
         # from its (still newest) dead copy.
-        self._oob_seq += 1
-        self._oob_trims[lpn] = self._oob_seq
+        self._oob_seq = seq = self._oob_seq + 1
+        self._oob_trims[lpn] = seq
         if self.checker is not None:
             self.checker.after_trim(self, lpn)
 
@@ -770,109 +707,6 @@ class BaseFTL:
         self._oob_lpns[ppn] = lpn
         self._oob_seqs[ppn] = self._oob_seq
 
-    def _pool_popularity(self, fp: Fingerprint) -> int:
-        """Popularity degree handed to the pool on insertion."""
-        pop = self._write_popularity.get(fp, 1)
-        if self.combine_read_popularity:
-            pop = min(pop + self._read_popularity.get(fp, 0), POPULARITY_MAX)
-        return pop
-
-    def _program(
-        self, lpn: int, fp: Fingerprint, outcome: WriteOutcome
-    ) -> Optional[int]:
-        # Collect *before* allocating, so the target plane always has room
-        # for this write and for any relocations GC itself needs.
-        plane = self.allocator.plane_of_next_write()
-        work = self.gc.maybe_collect(plane)
-        if work.erased_blocks or work.relocations or work.retired_blocks:
-            self.counters.gc_erases += len(work.erased_blocks)
-            self.counters.gc_relocations += len(work.relocations)
-            # ``work`` is freshly built by maybe_collect — adopt it.
-            outcome.gc = work
-        if self.read_only:
-            # The collection pass just degraded the drive (spare pool
-            # exhausted, or a retirement would have stranded the plane):
-            # reject the in-flight write before touching allocator state.
-            if self.faults is not None:
-                self.faults.stats.rejected_writes += 1
-            outcome.rejected = True
-            return None
-        ppn = self.allocator.allocate()
-        faults = self.faults
-        if faults is not None and faults.injects_program_failures:
-            attempts = 1
-            while faults.program_fails():
-                # The page is burned: it becomes garbage for GC to reclaim
-                # (not a value death — no pool insertion), and the block
-                # takes a strike toward retirement.
-                self.array.invalidate(ppn)
-                if outcome.failed_program_ppns is None:
-                    outcome.failed_program_ppns = []
-                outcome.failed_program_ppns.append(ppn)
-                if self.badblocks is not None:
-                    self.badblocks.note_program_failure(
-                        self.array.geometry.block_of_ppn(ppn)
-                    )
-                if attempts >= faults.config.max_program_retries:
-                    faults.stats.rejected_writes += 1
-                    outcome.rejected = True
-                    return None
-                attempts += 1
-                # Retry within the same plane; the collection above left it
-                # at least one free block, so a handful of retries cannot
-                # strand it.
-                ppn = self.allocator.allocate_in_plane(plane)
-        self.mapping.map(lpn, ppn)
-        self._ppn_fp[ppn] = fp
-        self._record_oob(ppn, lpn)
-        self.counters.programs += 1
-        return ppn
-
-    def _revive(self, lpn: int, ppn: int, outcome: WriteOutcome) -> None:
-        """Dead-value-pool hit: garbage page back to life, no program."""
-        if self.verify_hits:
-            # CAFTL-style collision safety: read the page back and
-            # byte-compare before trusting the 16B hash match.
-            outcome.verify_read_ppn = ppn
-            self.counters.flash_reads += 1
-        self.array.revive(ppn)
-        self._clear_garbage_pop(ppn)
-        self.mapping.map(lpn, ppn)
-        self._record_oob(ppn, lpn)
-        self.counters.short_circuits += 1
-
-    def _invalidate_lpn(self, lpn: int) -> None:
-        """Out-of-place update: kill the copy previously mapped at ``lpn``."""
-        old_ppn = self.mapping.unmap(lpn)
-        if old_ppn is None:
-            return
-        if self.mapping.refcount(old_ppn) > 0:
-            # Deduplicated store: other LPNs still point here — no death.
-            return
-        self.array.invalidate(old_ppn)
-        self.counters.invalidations += 1
-        fp = self._ppn_fp.get(old_ppn)
-        if fp is not None:
-            self._on_page_death(old_ppn, fp, lpn)
-
-    def _on_page_death(self, ppn: int, fp: Fingerprint, lpn: int) -> None:
-        """A physical page just became garbage: drop its live-index entry
-        and offer it to the pool."""
-        live_index = self._live_index
-        if live_index is not None and live_index.get(fp) == ppn:
-            del live_index[fp]
-        if self.pool is None:
-            return
-        popularity = self._pool_popularity(fp)
-        dropped = self.pool.insert_garbage(
-            fp, ppn, self.write_clock, popularity=popularity, lpn=lpn
-        )
-        self._add_garbage_pop(ppn, popularity)
-        for dropped_ppn in dropped:
-            # Evicted from the pool: the page stays garbage but its
-            # popularity no longer shields its block from GC.
-            self._clear_garbage_pop(dropped_ppn)
-
     def _kill_fused(
         self, lpn: int, old_ppn: int, mapping: MappingTable,
         l2p: List[int], owner: List[int], array: FlashArray,
@@ -880,12 +714,13 @@ class BaseFTL:
         pool: Optional[DeadValuePool],
         live_index: Optional[Dict[Fingerprint, int]],
     ) -> None:
-        """The fused write and trim paths' out-of-place kill of ``lpn``,
-        mapped at ``old_ppn``: :meth:`_invalidate_lpn` and
-        :meth:`_on_page_death` with the mapping, page-state, live-index
-        and pool steps inlined (an illegal state falls back to the method
-        that raises).  Callers pass the tables and slots they hold: one
-        call, no attribute lookups.  Pool insertions carry ``write_clock``."""
+        """The out-of-place kill of ``lpn``, mapped at ``old_ppn``, shared
+        by :meth:`write`, :meth:`trim` and :meth:`_dedup_hit`: unmap it,
+        and unless other LPNs still share the page (dedup), turn the page
+        to garbage, drop its live-index entry and offer it to the pool
+        (an illegal state falls back to the method that raises).  Callers
+        pass the tables and slots they hold: one call, no attribute
+        lookups.  Pool insertions carry ``write_clock``."""
         if owner[old_ppn] == lpn:
             l2p[lpn] = -1
             mapping._mapped -= 1
@@ -933,13 +768,6 @@ class BaseFTL:
     # ------------------------------------------------------------------
     # Popularity mass per block (input to popularity-aware GC)
     # ------------------------------------------------------------------
-
-    def _add_garbage_pop(self, ppn: int, popularity: int) -> None:
-        block = self.array.geometry.block_of_ppn(ppn)
-        self._garbage_pop_of_ppn[ppn] = popularity
-        self._block_garbage_pop[block] = (
-            self._block_garbage_pop.get(block, 0) + popularity
-        )
 
     def _clear_garbage_pop(self, ppn: int) -> None:
         popularity = self._garbage_pop_of_ppn.pop(ppn, None)
@@ -1009,38 +837,3 @@ class BaseFTL:
             assert self._ppn_fp.get(ppn) == fp, f"stale live entry at PPN {ppn}"
             state = self.array.state_of(ppn)
             assert state is PageState.VALID, f"live index PPN {ppn} is {state}"
-
-
-#: The methods the fused :meth:`BaseFTL.write` inlines, captured at import.
-#: ``write`` compares the class attributes against these by identity, so a
-#: subclass override or a probe that ``setattr``-wraps one sends the write
-#: down ``_write_per_call``; a wrapped ``GarbageCollector.maybe_collect`` is
-#: called on every program.  ``trim`` and ``preload`` apply the same guard,
-#: plus their own entry.  No in-tree FTL overrides a step: faults, a
-#: read-only drive and the e2e probes take the per-call path.
-_WRITE = BaseFTL.write
-_HANDLE_WRITE = BaseFTL._handle_write
-_SERVICE_WRITE = BaseFTL._service_write
-_INVALIDATE_LPN = BaseFTL._invalidate_lpn
-_ON_PAGE_DEATH = BaseFTL._on_page_death
-_PROGRAM = BaseFTL._program
-_REVIVE = BaseFTL._revive
-_CONTENT_AWARE = BaseFTL.content_aware
-_MAYBE_COLLECT = GarbageCollector.maybe_collect
-_TRIM = BaseFTL.trim
-
-
-def _write_steps_intact(cls: type) -> bool:
-    """Whether ``cls`` runs every write step :meth:`BaseFTL.write` inlines
-    unchanged (the identity half of its guard, which ``write`` itself
-    keeps inline)."""
-    return (
-        cls.write is _WRITE
-        and cls._handle_write is _HANDLE_WRITE
-        and cls._service_write is _SERVICE_WRITE
-        and cls._invalidate_lpn is _INVALIDATE_LPN
-        and cls._on_page_death is _ON_PAGE_DEATH
-        and cls._program is _PROGRAM
-        and cls._revive is _REVIVE
-        and cls.content_aware is _CONTENT_AWARE
-    )

@@ -49,7 +49,7 @@ from .requests import Key, KVOp, KVRequest, key_to_int, mix64
 
 __all__ = ["KVStats", "KVStore", "page_value_id"]
 
-_WRITE, _READ, _TRIM = OpType.WRITE, OpType.READ, OpType.TRIM
+_OP_WRITE, _OP_READ, _OP_TRIM = OpType.WRITE, OpType.READ, OpType.TRIM
 
 
 def page_value_id(content_id: int, page_index: int) -> int:
@@ -267,7 +267,7 @@ class KVStore:
         stats.flash_writes += pages
         requests += [
             IORequest(
-                arrival_us, _WRITE, lpn, page_value_id(content_id, index)
+                arrival_us, _OP_WRITE, lpn, page_value_id(content_id, index)
             )
             for index, lpn in enumerate(lpns)
         ]
@@ -324,14 +324,14 @@ class KVStore:
         if extent is not None:
             self.stats.flash_reads += len(extent.lpns)
             return [
-                IORequest(arrival_us, _READ, lpn, 0) for lpn in extent.lpns
+                IORequest(arrival_us, _OP_READ, lpn, 0) for lpn in extent.lpns
             ]
         # The packer rebinds its open buffer on every seal: look keys up
         # through the packer each time, never through a saved reference.
         lpn = self._packer.lpn_of(key)
         if lpn is not None:
             self.stats.flash_reads += 1
-            return [IORequest(arrival_us, _READ, lpn, 0)]
+            return [IORequest(arrival_us, _OP_READ, lpn, 0)]
         if key in self._packer:
             self.stats.buffer_hits += 1
             return []
@@ -345,7 +345,7 @@ class KVStore:
         self.stats.flash_trims += len(lpns)
         release = self._release
         for lpn in lpns:
-            requests.append(IORequest(arrival_us, _TRIM, lpn, 0))
+            requests.append(IORequest(arrival_us, _OP_TRIM, lpn, 0))
             release(lpn)
 
     def _packed(
@@ -358,12 +358,12 @@ class KVStore:
         for kind, lpn, value_id in actions:
             if kind == "write":
                 stats.flash_writes += 1
-                op = _WRITE
+                op = _OP_WRITE
             elif kind == "read":
                 stats.flash_reads += 1
-                op = _READ
+                op = _OP_READ
             else:
                 stats.flash_trims += 1
-                op = _TRIM
+                op = _OP_TRIM
             requests.append(IORequest(arrival_us, op, lpn, value_id))
         return requests

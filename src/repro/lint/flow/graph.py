@@ -160,6 +160,14 @@ class SymbolTable:
             fn = self.methods.get((sub, attr))
             if fn is not None and fn not in out:
                 out.append(fn)
+        entry = self.classes.get(cls_fq)
+        if entry is not None and any(
+            base.rsplit(".", 1)[-1] == "Protocol" for base in entry[1].bases
+        ):
+            # Structural typing: implementations need not subclass it.
+            for fn in self._protocol_fallback(attr):
+                if fn not in out:
+                    out.append(fn)
         return out
 
     def attr_type(self, cls_fq: str, attr: str) -> Optional[str]:

@@ -16,7 +16,7 @@ time someone runs ``--check``.  These rules close that gap statically:
   Every ``BaseFTL`` subclass that stores an attribute ``BaseFTL`` does
   not must therefore override ``relocate_page`` (filling the base's own
   slots, as ``DedupFTL`` does, needs no hook), and one that hooks the
-  content paths (``_on_page_death`` / ``_handle_write``) must override
+  content paths (``write`` / ``trim`` / ``_kill_fused``) must override
   it, ``erase_cleanup`` and ``check_invariants`` — the exact trio that
   silently desyncs when forgotten.
 """
@@ -281,7 +281,7 @@ class FtlHooksRule(Rule):
     #: Every subclass with state of its own must handle GC page movement.
     state_required: Tuple[str, ...] = ("relocate_page",)
     #: Hooking content bookkeeping obliges the erase/audit pair too.
-    content_triggers: Tuple[str, ...] = ("_on_page_death", "_handle_write")
+    content_triggers: Tuple[str, ...] = ("write", "trim", "_kill_fused")
     content_required: Tuple[str, ...] = ("erase_cleanup", "check_invariants")
 
     def check(self, program: Program) -> Iterator[Violation]:

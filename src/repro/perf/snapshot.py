@@ -249,7 +249,9 @@ class PrefillCache:
 #: version 2 FTL would resume with the old ``_oob`` dict and no columns.
 #: Version 4: every ``BaseFTL`` carries the ``_live_index`` and
 #: ``translation`` slots; a version 3 FTL would resume without them.
-LIVE_STATE_VERSION = 4
+#: Version 5: every ``SimulatedSSD`` carries the ``background`` slot its
+#: replay loop tests; a version 4 device would resume without it.
+LIVE_STATE_VERSION = 5
 
 
 def capture_live_state(ftl: BaseFTL, ssd: "SimulatedSSD") -> bytes:

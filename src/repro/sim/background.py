@@ -6,7 +6,8 @@ foreground and every queued request eats the erase latency.  Real drives
 hide much of this by collecting while the device is idle.
 
 :class:`BackgroundGCSSD` approximates idle-time GC within the trace-driven
-timeline model: before servicing each request it probes a few planes in
+timeline model: before servicing each request (the simulator's
+``background`` slot, which it fills) it probes a few planes in
 round-robin order, and any plane below the *background* watermark gets one
 block collected, with the flash operations charged to the plane's chip
 starting at the current arrival time.  When the drive is genuinely idle
@@ -29,7 +30,6 @@ from typing import Optional
 
 from ..ftl.ftl import BaseFTL
 from .logging import CompletionLog
-from .request import CompletedRequest, IORequest
 from .ssd import SimulatedSSD
 
 __all__ = ["BackgroundGCSSD"]
@@ -68,12 +68,12 @@ class BackgroundGCSSD(SimulatedSSD):
         self._probe_cursor = 0
         self.background_erases = 0
         self.background_relocations = 0
-
-    def submit(self, request: IORequest) -> CompletedRequest:
-        self._background_pass(request.arrival_us)
-        return super().submit(request)
+        self.background = self._background_pass
 
     def _background_pass(self, now_us: float) -> None:
+        """Probe the next ``planes_per_probe`` planes at ``now_us`` (a
+        request's arrival) and collect one block in each idle one below
+        the background watermark."""
         geometry = self.ftl.array.geometry
         total_planes = geometry.total_planes
         planes_per_chip = geometry.planes_per_chip

@@ -201,7 +201,7 @@ class EventDrivenSSD:
         if self.observer is not None:
             self.observer.on_request(finish_us)
 
-    def _handle_write(self, request: IORequest) -> None:
+    def _on_write(self, request: IORequest) -> None:
         outcome = self.ftl.write(request.lpn, request.fingerprint)
 
         def place() -> None:
@@ -242,7 +242,7 @@ class EventDrivenSSD:
         else:
             after_hash(self.engine.now)
 
-    def _handle_read(self, request: IORequest) -> None:
+    def _on_read(self, request: IORequest) -> None:
         outcome = self.ftl.read(request.lpn)
         if outcome.ppn is None:
             self._finish(request, self.engine.now + self.timing.mapping_us)
@@ -258,7 +258,7 @@ class EventDrivenSSD:
 
         self.engine.schedule_in(self.timing.mapping_us, after_mapping)
 
-    def _handle_trim(self, request: IORequest) -> None:
+    def _on_trim(self, request: IORequest) -> None:
         self.ftl.trim(request.lpn)
         self._finish(request, self.engine.now + self.timing.mapping_us)
 
@@ -272,9 +272,9 @@ class EventDrivenSSD:
     ) -> RunResult:
         """Replay a whole trace through the event loop."""
         handlers = {
-            OpType.WRITE: self._handle_write,
-            OpType.READ: self._handle_read,
-            OpType.TRIM: self._handle_trim,
+            OpType.WRITE: self._on_write,
+            OpType.READ: self._on_read,
+            OpType.TRIM: self._on_trim,
         }
         for request in requests:
             self.engine.schedule(

@@ -24,7 +24,7 @@ host queue depth.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
 
 from ..core.hashing import fingerprint_of_value
 from ..flash.timing import TimelineSet
@@ -69,11 +69,16 @@ class SimulatedSSD:
         self.writes = LatencyStats()
         self._horizon_us = 0.0
         #: Host requests serviced so far (across every :meth:`service`
-        #: batch) — the global index crash injection counts against.
+        #: batch and :meth:`submit`) — the global index crash injection
+        #: counts against.
         self.requests_served = 0
         #: :class:`~repro.faults.recovery.RecoveryReport` per power-loss
         #: event injected during :meth:`run`.
         self.recovery_reports: list = []
+        #: Work run before each request at its arrival time, given that
+        #: time (:class:`~repro.sim.background.BackgroundGCSSD` sets its
+        #: idle-time collection pass); ``None`` runs nothing.
+        self.background: Optional[Callable[[float], None]] = None
 
     # ------------------------------------------------------------------
 
@@ -83,101 +88,21 @@ class SimulatedSSD:
         return self._horizon_us
 
     def submit(self, request: IORequest) -> CompletedRequest:
-        """Service one request; returns its completion record."""
-        start = self.host_queue.admit(request.arrival_us)
-        if request.op is OpType.TRIM:
-            completed = self._submit_trim(request, start)
-        elif request.is_write:
-            completed = self._submit_write(request, start)
-            self.writes.record(completed.latency_us)
-        else:
-            completed = self._submit_read(request, start)
-            self.reads.record(completed.latency_us)
-        self.host_queue.register(completed.finish_us)
-        if self.log is not None:
-            self.log.record(completed)
-        if completed.finish_us > self._horizon_us:
-            self._horizon_us = completed.finish_us
-        if self.observer is not None:
-            self.observer.on_request(completed.finish_us)
-        return completed
+        """Service one request; returns its completion record.
 
-    def _submit_write(self, request: IORequest, start: float) -> CompletedRequest:
-        outcome = self.ftl.write(request.lpn, request.fingerprint)
-        now = start
-        if outcome.hashed:
-            now = self.timelines.hash_op(now, self.timing.hash_us)
-        now += self.timing.mapping_us
-        now = self._charge_translation(request.lpn, outcome, now)
-        if outcome.verify_read_ppn is not None:
-            # Hit verification: the matching page is read back and
-            # byte-compared before the tables are updated.
-            chip = self.geometry.chip_of_ppn(outcome.verify_read_ppn)
-            now = self.timelines.chip_op(
-                chip, now, self.timing.read_us, self.timing.channel_xfer_us
-            )
-        if outcome.program_ppn is not None or outcome.failed_program_ppns:
-            # GC ran before the allocation, so its reads/programs/erase
-            # occupy the chip first and this write queues behind them —
-            # "any requests that come during GC are queued up" (Section I).
-            if outcome.gc is not None:
-                self._charge_gc(outcome.gc, now)
-            finish = now
-            if outcome.failed_program_ppns:
-                # Fault layer: every failed attempt still paid the full
-                # program latency before the status came back bad.
-                for ppn in outcome.failed_program_ppns:
-                    chip = self.geometry.chip_of_ppn(ppn)
-                    finish = self.timelines.chip_op(
-                        chip,
-                        finish,
-                        self.timing.program_us,
-                        self.timing.channel_xfer_us,
-                    )
-            if outcome.program_ppn is not None:
-                chip = self.geometry.chip_of_ppn(outcome.program_ppn)
-                finish = self.timelines.chip_op(
-                    chip,
-                    finish,
-                    self.timing.program_us,
-                    self.timing.channel_xfer_us,
-                )
-        else:
-            # Revived garbage page, dedup pointer or rejected write:
-            # tables only, no flash.
-            finish = now
-        return CompletedRequest(
-            request=request,
-            start_us=start,
-            finish_us=finish,
-            short_circuited=outcome.short_circuited,
-            dedup_hit=outcome.dedup_hit,
-        )
+        The :meth:`service` loop over one request, so it counts toward
+        ``requests_served`` (and crash injection) like any other.
+        """
+        log = self.log
+        completed: List[CompletedRequest] = []
 
-    def _submit_trim(self, request: IORequest, start: float) -> CompletedRequest:
-        """TRIM is a metadata operation: table updates only."""
-        self.ftl.trim(request.lpn)
-        finish = start + self.timing.mapping_us
-        return CompletedRequest(request=request, start_us=start, finish_us=finish)
+        def record(done: CompletedRequest) -> None:
+            completed.append(done)
+            if log is not None:
+                log.record(done)
 
-    def _submit_read(self, request: IORequest, start: float) -> CompletedRequest:
-        outcome = self.ftl.read(request.lpn)
-        now = start + self.timing.mapping_us
-        now = self._charge_translation(request.lpn, outcome, now)
-        if outcome.flash_read:
-            read_us = self.timing.read_us
-            faults = self.ftl.faults
-            if faults is not None:
-                # ECC read-retry: extra sensing rounds at shifted reference
-                # voltages, all serialised on the page's chip.
-                read_us = self.timing.read_service_us(faults.read_retry_rounds())
-            chip = self.geometry.chip_of_ppn(outcome.ppn)
-            finish = self.timelines.chip_op(
-                chip, now, read_us, self.timing.channel_xfer_us
-            )
-        else:
-            finish = now
-        return CompletedRequest(request=request, start_us=start, finish_us=finish)
+        self._replay((request,), None, record)
+        return completed[0]
 
     def _charge_translation(self, lpn: int, outcome, now: float) -> float:
         """Price DFTL translation-page traffic, if the FTL produced any.
@@ -236,52 +161,30 @@ class SimulatedSSD:
         progress cadence count from the start of the *run*, not the
         batch.  This is what lets the fleet layer stream chunked request
         batches through a long-lived device without perturbing digests.
-
-        The batch runs as one inlined loop (:meth:`_service_batched`)
-        unless :meth:`submit` or the timing model's ``chip_op``/
-        ``hash_op`` is overridden or wrapped; then every request goes
-        through ``self.submit`` so the override sees each one.
         """
-        timeline_cls = type(self.timelines)
-        if (
-            type(self).submit is _SUBMIT
-            and timeline_cls.chip_op is _CHIP_OP
-            and timeline_cls.hash_op is _HASH_OP
-        ):
-            return self._service_batched(requests, progress)
-        faults = self.ftl.faults
-        crash_after = (
-            faults.config.crash_after_requests if faults is not None else None
+        log = self.log
+        return self._replay(
+            requests, progress, log.record if log is not None else None
         )
-        count = 0
-        for request in requests:
-            self.submit(request)
-            index = self.requests_served
-            self.requests_served += 1
-            count += 1
-            if crash_after is not None and self.requests_served == crash_after:
-                self.power_loss()
-            if progress is not None and index % 10000 == 0:
-                progress(index)
-        return count
 
-    def _service_batched(
+    def _replay(
         self,
         requests: Iterable[IORequest],
         progress: Optional[Callable[[int], None]],
+        record: Optional[Callable[[CompletedRequest], None]],
     ) -> int:
-        """:meth:`service` as one loop, with :meth:`submit`, the timeline
-        charging (``chip_op``/``hash_op``/``schedule``), host-queue
-        admission and latency recording inlined and every constant
-        hoisted once per batch.
+        """The replay loop behind :meth:`service` and :meth:`submit`:
+        host-queue admission, the FTL operation, the timeline charging
+        (``chip_op``/``hash_op``/``schedule`` inlined) and latency
+        recording, with every constant hoisted once per batch.
 
-        Every timeline gets the same ``busy_until``/``busy_time``/
-        ``op_count`` updates in the same float operation order as the
-        per-request path (``max(a, b)`` is ``b if b > a else a``), so
-        results are bit-identical.  Rare work (GC, DFTL translation
-        traffic, hit verification, failed programs) still goes through
-        the methods.  A :class:`CompletedRequest` is built only for the
-        completion log.
+        Every timeline gets its ``busy_until``/``busy_time``/``op_count``
+        updates in :class:`~repro.flash.timing.TimelineSet`'s float
+        operation order (``max(a, b)`` is ``b if b > a else a``).  Rare
+        work (GC, DFTL translation traffic, hit verification, failed
+        programs) goes through the methods.  The ``background`` slot, when
+        set, runs before each request at its arrival time.  A
+        :class:`CompletedRequest` is built only for ``record``.
         """
         ftl = self.ftl
         ftl_write, ftl_read, ftl_trim = ftl.write, ftl.read, ftl.trim
@@ -313,13 +216,15 @@ class SimulatedSSD:
         max_observed = host_queue.max_observed
         write_samples = self.writes._samples
         read_samples = self.reads._samples
-        log = self.log
+        background = self.background
         observer = self.observer
         horizon = self._horizon_us
         first = served = self.requests_served
         WRITE, TRIM = OpType.WRITE, OpType.TRIM
         for request in requests:
             arrival = request.arrival_us
+            if background is not None:
+                background(arrival)
             while heap and heap[0] <= arrival:
                 heappop(heap)
             if depth is None or len(heap) < depth:
@@ -409,14 +314,14 @@ class SimulatedSSD:
             heappush(heap, finish)
             if len(heap) > max_observed:
                 max_observed = host_queue.max_observed = len(heap)
-            if log is not None:
+            if record is not None:
                 if op is WRITE:
-                    log.record(CompletedRequest(
+                    record(CompletedRequest(
                         request, start, finish,
                         outcome.short_circuited, outcome.dedup_hit,
                     ))
                 else:
-                    log.record(CompletedRequest(request, start, finish))
+                    record(CompletedRequest(request, start, finish))
             if finish > horizon:
                 horizon = self._horizon_us = finish
             if observer is not None:
@@ -481,15 +386,6 @@ class SimulatedSSD:
         self.timelines.stall_all(self._horizon_us + report.recovery_us)
         self.recovery_reports.append(report)
         return report
-
-
-#: The methods :meth:`SimulatedSSD._service_batched` inlines, captured
-#: at import.  ``service`` compares the class attributes against these by
-#: identity, so a subclass override or a probe that ``setattr``-wraps one
-#: sends the batch through ``submit`` instead.
-_SUBMIT = SimulatedSSD.submit
-_CHIP_OP = TimelineSet.chip_op
-_HASH_OP = TimelineSet.hash_op
 
 
 def replay(

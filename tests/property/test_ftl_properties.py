@@ -12,6 +12,7 @@ from repro.core.dvp import (
     MQDeadValuePool,
 )
 from repro.core.hashing import fingerprint_of_value as fp
+from repro.faults import FaultConfig, FaultModel
 from repro.faults.recovery import RecoveryError, crash_and_recover
 from repro.flash.block import PageState
 from repro.flash.config import SSDConfig
@@ -19,6 +20,8 @@ from repro.ftl.dedup import DedupFTL
 from repro.ftl.dftl import DFTLFtl
 from repro.ftl.dvp_ftl import build_system
 from repro.ftl.ftl import BaseFTL
+
+from ..reference import ReferenceDedupFTL, ReferenceDFTLFtl, ReferenceFTL
 
 
 def small_config() -> SSDConfig:
@@ -117,42 +120,22 @@ def test_pool_tracks_only_invalid_pages(operations):
 
 
 # ---------------------------------------------------------------------------
-# Fused write path vs the per-call path
+# Fused write path vs the per-call reference model
 # ---------------------------------------------------------------------------
 
 
-class PerCall:
-    """Mixed in before an FTL class, sends its writes down the per-call
-    path: overriding ``_handle_write`` (even with a plain ``super()``
-    call) turns the fused path off."""
-
-    def _handle_write(self, lpn, fp, outcome):
-        super()._handle_write(lpn, fp, outcome)
-
-
-class PerCallFTL(PerCall, BaseFTL):
-    pass
-
-
-class PerCallDedupFTL(PerCall, DedupFTL):
-    pass
-
-
-class PerCallDFTLFtl(PerCall, DFTLFtl):
-    pass
-
-
-#: (fused class, per-call class, extra constructor arguments) per FTL
-#: family.  The CMT is small enough to evict (and write back) often.
+#: (fused class, per-call reference class, extra constructor arguments)
+#: per FTL family.  The CMT is small enough to evict (and write back) often.
 FAMILIES = {
-    "base": (BaseFTL, PerCallFTL, {}),
-    "dedup": (DedupFTL, PerCallDedupFTL, {}),
-    "dftl": (DFTLFtl, PerCallDFTLFtl, {"cmt_entries": 16}),
+    "base": (BaseFTL, ReferenceFTL, {}),
+    "dedup": (DedupFTL, ReferenceDedupFTL, {}),
+    "dftl": (DFTLFtl, ReferenceDFTLFtl, {"cmt_entries": 16}),
 }
 
 
 def build(family, pool_name, config=None, per_call=False, **options):
-    """A ``family`` FTL over a fresh ``pool_name`` pool."""
+    """A ``family`` FTL over a fresh ``pool_name`` pool; ``per_call``
+    builds the frozen per-call reference model instead."""
     fused_cls, per_call_cls, extra = FAMILIES[family]
     cls = per_call_cls if per_call else fused_cls
     return cls(
@@ -174,7 +157,7 @@ POOL_FACTORIES = {
     ),
 }
 
-#: (family, pool) cells of the fused-vs-per-call differentials: dedup and
+#: (family, pool) cells of the fused-vs-reference differentials: dedup and
 #: DFTL with no pool and with the MQ pool, and every pool on plain
 #: ``BaseFTL`` (ids are the pool names).
 SLOT_CASES = [
@@ -275,19 +258,6 @@ def overwrite_pass(family, value_of, unique_base=2000):
     return [(0, lpn, value_of(lpn)) for lpn in range(LOGICAL)]
 
 
-def count_unfused_writes(ftl):
-    """Record every write ``ftl`` sends down ``_write_per_call``."""
-    calls = []
-    unfused = ftl._write_per_call
-
-    def counted(lpn, value):
-        calls.append(lpn)
-        return unfused(lpn, value)
-
-    ftl._write_per_call = counted
-    return calls
-
-
 @pytest.mark.parametrize("family, pool_name", FAMILY_CASES)
 @given(
     operations=fused_ops,
@@ -300,7 +270,7 @@ def test_fused_write_matches_per_call(
     family, pool_name, operations, popularity_aware_gc, verify_hits,
     combine_read_popularity,
 ):
-    """The fused ``BaseFTL.write`` and the per-call path stay identical,
+    """``BaseFTL.write`` and the per-call reference model stay identical,
     outcome for outcome and table for table (live index and CMT
     included), on write/trim/read streams that keep GC busy."""
     options = dict(
@@ -311,7 +281,6 @@ def test_fused_write_matches_per_call(
     fused = build(family, pool_name, **options)
     per_call = build(family, pool_name, per_call=True, **options)
     hashed = pool_name != "none" or family == "dedup"
-    unfused = count_unfused_writes(fused), count_unfused_writes(per_call)
     # Precondition: every LPN holds a unique value, then one overwrite
     # pass from the small value space, so GC is already relocating when
     # the random stream starts.
@@ -332,22 +301,8 @@ def test_fused_write_matches_per_call(
         if step % 50 == 0:
             assert ftl_state(fused) == ftl_state(per_call)
     assert ftl_state(fused) == ftl_state(per_call)
-    assert unfused[0] == [] and len(unfused[1]) == per_call.counters.host_writes
     assert per_call.counters.gc_erases > 0
     fused.check_invariants()
-
-
-def count_unfused_trims(ftl):
-    """Record every trim ``ftl`` sends down ``_trim_per_call``."""
-    calls = []
-    unfused = ftl._trim_per_call
-
-    def counted(lpn):
-        calls.append(lpn)
-        return unfused(lpn)
-
-    ftl._trim_per_call = counted
-    return calls
 
 
 #: (op, lpn, value): op 0 writes, 1 trims, 2 reads.  Trims are a third of
@@ -378,7 +333,7 @@ def test_fused_trim_matches_per_call(
     family, pool_name, operations, popularity_aware_gc,
     combine_read_popularity,
 ):
-    """The fused ``BaseFTL.trim`` and the per-call path stay identical,
+    """``BaseFTL.trim`` and the per-call reference model stay identical,
     table for table: counters, L2P/owner columns, block states, the OOB
     trim journal and sequence, garbage-popularity mass and pool contents,
     on streams that trim unmapped LPNs and pages revived from the pool."""
@@ -388,7 +343,6 @@ def test_fused_trim_matches_per_call(
     )
     fused = build(family, pool_name, **options)
     per_call = build(family, pool_name, per_call=True, **options)
-    unfused = count_unfused_trims(fused), count_unfused_trims(per_call)
     # Every LPN holds a value from a small space, then one overwrite pass:
     # GC is busy and the pool holds revivable garbage before the stream.
     prefill = overwrite_pass(family, lambda lpn: lpn % 8, unique_base=1000)
@@ -412,11 +366,106 @@ def test_fused_trim_matches_per_call(
         if op == 1 or step % 50 == 0:
             assert ftl_state(fused) == ftl_state(per_call)
     assert ftl_state(fused) == ftl_state(per_call)
-    assert unfused[0] == [] and len(unfused[1]) == trims
     assert per_call.counters.host_trims == trims
     if pool_name != "none":
         assert per_call.counters.short_circuits > 0
     fused.check_invariants()
+
+
+def fault_state(ftl):
+    """:func:`ftl_state` plus the fault counters and the bad-block state."""
+    badblocks = ftl.badblocks
+    return {
+        **ftl_state(ftl),
+        "read_only": ftl.read_only,
+        "fault_stats": ftl.faults.stats.summary(),
+        "badblocks": (
+            sorted(badblocks.retired), sorted(badblocks._retired_in_plane.items()),
+            sorted(badblocks._program_failures.items()),
+            sorted(badblocks._marked),
+        ),
+        "retired": [b.retired for b in ftl.array.blocks],
+    }
+
+
+#: (op, lpn, value): op 0 writes, 1 trims, 2 reads, 3 turns the drive
+#: read-only (rare, so most examples fail programs and retire blocks
+#: first).
+fault_ops = st.lists(
+    st.tuples(
+        st.sampled_from([0] * 12 + [1] * 4 + [2] * 3 + [3]),
+        st.integers(min_value=0, max_value=LOGICAL - 1),
+        st.integers(min_value=0, max_value=15),
+    ),
+    min_size=1,
+    max_size=300,
+)
+
+
+@pytest.mark.parametrize("family, pool_name", [
+    pytest.param("base", name, id=name) for name in ("none", "mq", "adaptive")
+] + SLOT_CASES)
+@given(
+    operations=fault_ops,
+    seed=st.integers(min_value=0, max_value=10_000),
+    program_failure_prob=st.sampled_from([0.1, 0.3]),
+    erase_failure_prob=st.sampled_from([0.0, 0.1, 0.3]),
+    retire_threshold=st.integers(min_value=1, max_value=3),
+    max_program_retries=st.integers(min_value=1, max_value=4),
+    verify_hits=st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_faulted_writes_and_trims_match_per_call(
+    family, pool_name, operations, seed, program_failure_prob,
+    erase_failure_prob, retire_threshold, max_program_retries, verify_hits,
+):
+    """With a fault model attached (failed programs retried in the plane,
+    bad-block strikes and retirements, writes rejected when retries run
+    out) and on a drive that turns read-only, ``write`` and ``trim`` leave
+    exactly the per-call reference model's outcomes, tables, fault
+    counters and bad-block state."""
+    faults = FaultConfig(
+        seed=seed,
+        program_failure_prob=program_failure_prob,
+        erase_failure_prob=erase_failure_prob,
+        program_failure_retire_threshold=retire_threshold,
+        max_program_retries=max_program_retries,
+        spare_block_fraction=0.0,
+    )
+    drives = []
+    for per_call in (False, True):
+        ftl = build(family, pool_name, per_call=per_call,
+                    verify_hits=verify_hits)
+        for lpn in range(LOGICAL):
+            ftl.write(lpn, fp(1000 + lpn))
+        drives.append(ftl.attach_faults(FaultModel(faults)))
+    fused, per_call = drives
+    # Fresh values program every page once (failures, strikes, GC), then
+    # a small value space kills and revives.
+    churn = overwrite_pass(family, lambda lpn: 3000 + lpn) + overwrite_pass(
+        family, lambda lpn: lpn % 16
+    )
+    for step, (op, lpn, value) in enumerate(churn + operations):
+        if op == 0:
+            outcome = _outcome(lambda: fused.write(lpn, fp(value)))
+            assert outcome == _outcome(lambda: per_call.write(lpn, fp(value)))
+        elif op == 1:
+            outcome = _outcome(lambda: fused.trim(lpn))
+            assert outcome == _outcome(lambda: per_call.trim(lpn))
+        elif op == 2:
+            outcome = _outcome(lambda: fused.read(lpn))
+            assert outcome == _outcome(lambda: per_call.read(lpn))
+        else:
+            fused.enter_read_only()
+            per_call.enter_read_only()
+            outcome = None, None
+        assert fused.counters == per_call.counters
+        if outcome[1] is not None:
+            break  # both raised alike: a drive too worn to collect
+        if op == 3 or step % 50 == 0:
+            assert fault_state(fused) == fault_state(per_call)
+    assert fault_state(fused) == fault_state(per_call)
+    assert per_call.faults.stats.program_failures > 0 or per_call.read_only
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +538,10 @@ oob_ops = st.lists(
 @settings(max_examples=25, deadline=None)
 def test_oob_columns_match_dict_model(family, pool_name, per_call, operations):
     """``BaseFTL.oob_records`` equals a dict-of-tuples journal after every
-    operation, on the fused and the per-call path, through trims, GC
-    relocations and erases, and crash recovery (which rebuilds the L2P
-    table from the journal and must leave the journal itself alone; a
-    dedup drive refuses it untouched)."""
+    operation, on the fused path and the per-call reference model, through
+    trims, GC relocations and erases, and crash recovery (which rebuilds
+    the L2P table from the journal and must leave the journal itself
+    alone; a dedup drive refuses it untouched)."""
     ftl = build(family, pool_name, per_call=per_call)
     model = OOBModel(small_config().pages_per_block)
     prefill = [(0, lpn, 1000 + lpn) for lpn in range(LOGICAL)]
@@ -632,26 +681,11 @@ class TestPreloadRouting:
         ftl.check_invariants()
 
     @pytest.mark.parametrize("setup", [
-        "subclass", "wrapped-write", "wrapped-collect", "faults", "checker",
-        "read-only", "clock", "pool-entry",
+        "faults", "checker", "read-only", "clock", "pool-entry",
     ])
-    def test_guard_sends_every_page_to_write(self, setup, monkeypatch):
-        cls = PerCallFTL if setup == "subclass" else BaseFTL
-        ftl = cls(small_config(), pool=MQDeadValuePool(8))
-        if setup == "wrapped-write":
-            original = BaseFTL.write
-            monkeypatch.setattr(
-                BaseFTL, "write", lambda self, lpn, f: original(self, lpn, f)
-            )
-        elif setup == "wrapped-collect":
-            from repro.ftl.gc import GarbageCollector
-
-            original_collect = GarbageCollector.maybe_collect
-            monkeypatch.setattr(
-                GarbageCollector, "maybe_collect",
-                lambda self, plane: original_collect(self, plane),
-            )
-        elif setup == "faults":
+    def test_guard_sends_every_page_to_write(self, setup):
+        ftl = BaseFTL(small_config(), pool=MQDeadValuePool(8))
+        if setup == "faults":
             from repro.faults import FaultConfig, FaultModel
 
             ftl.attach_faults(FaultModel(FaultConfig()))

@@ -10,10 +10,13 @@ from repro.flash.timing import ResourceTimeline
 from repro.ftl.dedup import DedupFTL
 from repro.ftl.dvp_ftl import build_system
 from repro.obs import TimeSeriesSampler
+from repro.sim.background import BackgroundGCSSD
 from repro.sim.logging import CompletionLog
 from repro.sim.request import IORequest, OpType
 from repro.sim.ssd import SimulatedSSD
 from repro.traces.transforms import with_trims
+
+from ..reference import ReferenceBackgroundGCSSD, ReferenceSSD, as_reference
 
 
 def config() -> SSDConfig:
@@ -97,16 +100,8 @@ def test_timeline_fifo_no_overlap(jobs):
 
 
 # ----------------------------------------------------------------------
-# Batched service loop vs the per-request submit path
+# The one service loop vs the per-request reference model
 # ----------------------------------------------------------------------
-
-
-class PerRequestSSD(SimulatedSSD):
-    """Any ``submit`` override sends ``service`` down the per-request
-    path, which is the reference the batched loop must reproduce."""
-
-    def submit(self, request):
-        return super().submit(request)
 
 
 #: FTLs whose outcomes exercise every pricing branch: plain programs and
@@ -138,25 +133,44 @@ replay_traces = st.lists(
 
 
 def replay_pair(make_ftl, trace, chunk, queue_depth=None, faults=None,
-                log=False, observer=False):
-    """Prefill, then replay ``trace`` through the batched ``service`` and
-    the per-request path, ``chunk`` requests per call (``None``: whole)."""
+                log=False, observer=False, background=False):
+    """Prefill, then replay ``trace`` through ``service`` on the shipped
+    device and on the per-request reference model (whose FTL runs the
+    per-call reference writes and trims), ``chunk`` requests per call
+    (``None``: whole).  ``background`` replays on ``BackgroundGCSSD``,
+    with arrivals spread 20x so chips go idle between requests."""
+    if background:
+        trace = [
+            IORequest(r.arrival_us * 20, r.op, r.lpn, r.value_id)
+            for r in trace
+        ]
     devices = []
-    for cls in (SimulatedSSD, PerRequestSSD):
+    for reference in (False, True):
         ftl = make_ftl()
         for lpn in range(REPLAY_LPNS):
             ftl.write(lpn, fingerprint_of_value(1000 + lpn))
+        if reference:
+            as_reference(ftl)
         if faults is not None:
             ftl.attach_faults(FaultModel(faults))
-        device = cls(
-            ftl,
-            queue_depth=queue_depth,
-            log=CompletionLog() if log else None,
-            observer=(
-                TimeSeriesSampler(interval_requests=7, interval_us=700.0)
-                if observer else None
-            ),
-        )
+        log_of = CompletionLog() if log else None
+        if background:
+            cls = ReferenceBackgroundGCSSD if reference else BackgroundGCSSD
+            device = cls(
+                ftl, queue_depth=queue_depth, log=log_of,
+                background_watermark=7,
+            )
+        else:
+            cls = ReferenceSSD if reference else SimulatedSSD
+            device = cls(
+                ftl,
+                queue_depth=queue_depth,
+                log=log_of,
+                observer=(
+                    TimeSeriesSampler(interval_requests=7, interval_us=700.0)
+                    if observer else None
+                ),
+            )
         step = chunk or len(trace)
         for start in range(0, len(trace), step):
             batch = trace[start:start + step]
@@ -191,6 +205,12 @@ def assert_identical(batched, reference):
             batched.ftl.faults.stats.summary()
             == reference.ftl.faults.stats.summary()
         )
+    if isinstance(reference, BackgroundGCSSD):
+        assert batched.background_erases == reference.background_erases
+        assert (
+            batched.background_relocations
+            == reference.background_relocations
+        )
 
 
 @given(
@@ -201,19 +221,22 @@ def assert_identical(batched, reference):
     chunk=st.one_of(st.none(), st.integers(min_value=1, max_value=64)),
     log=st.booleans(),
     observer=st.booleans(),
+    background=st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
 def test_batched_service_matches_per_request(
-    raw, system, queue_depth, trim_every, chunk, log, observer
+    raw, system, queue_depth, trim_every, chunk, log, observer, background
 ):
-    """The inlined batch loop charges every timeline, queue and latency
-    sample exactly as a per-request loop over ``submit`` does."""
+    """The one service loop charges every timeline, queue and latency
+    sample exactly as the reference loop over ``submit`` does, with and
+    without background collection before each request."""
     trace = to_trace(raw)
     if trim_every is not None:
         trace = list(with_trims(trace, trim_every))
     batched, reference = replay_pair(
         FTL_FACTORIES[system], trace, chunk,
-        queue_depth=queue_depth, log=log, observer=observer,
+        queue_depth=queue_depth, log=log, observer=observer and not background,
+        background=background,
     )
     assert_identical(batched, reference)
 
@@ -224,13 +247,14 @@ def test_batched_service_matches_per_request(
     seed=st.integers(min_value=0, max_value=1000),
     crash_frac=st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
     chunk=st.one_of(st.none(), st.integers(min_value=1, max_value=64)),
+    background=st.booleans(),
 )
 @settings(max_examples=30, deadline=None)
 def test_batched_service_matches_per_request_under_faults(
-    raw, system, seed, crash_frac, chunk
+    raw, system, seed, crash_frac, chunk, background
 ):
-    """Read-retry rounds, failed programs and a power loss at a global
-    request index land identically on both paths."""
+    """Read-retry rounds, failed programs, retirements and a power loss at
+    a global request index land identically on both paths."""
     trace = to_trace(raw)
     crash_after = None
     if crash_frac is not None:
@@ -239,10 +263,12 @@ def test_batched_service_matches_per_request_under_faults(
         seed=seed,
         read_error_prob=0.3,
         program_failure_prob=0.05,
+        erase_failure_prob=0.05,
         crash_after_requests=crash_after,
     )
     batched, reference = replay_pair(
-        FTL_FACTORIES[system], trace, chunk, faults=faults
+        FTL_FACTORIES[system], trace, chunk, faults=faults,
+        background=background,
     )
     assert_identical(batched, reference)
     assert len(batched.recovery_reports) == (crash_after is not None)

@@ -13,6 +13,8 @@ from repro.ftl.dftl import (
 from repro.sim.request import IORequest, OpType
 from repro.sim.ssd import SimulatedSSD
 
+from ..reference import ReferenceDFTLFtl
+
 
 class TestCachedMappingTable:
     def test_first_access_misses(self):
@@ -113,14 +115,6 @@ class TestCachedMappingTable:
         assert cmt.stats.misses == 0
 
 
-class PerCallDFTL(DFTLFtl):
-    """Overriding a step the fused write inlines sends every write down
-    the per-call path."""
-
-    def _handle_write(self, lpn, fp, outcome):
-        super()._handle_write(lpn, fp, outcome)
-
-
 class RecordingChecker(InvariantChecker):
     """Notes each outcome's translation traffic as the checker sees it."""
 
@@ -143,7 +137,7 @@ class RecordingChecker(InvariantChecker):
 
 class TestDFTLFtl:
     @pytest.mark.parametrize(
-        "cls", [DFTLFtl, PerCallDFTL], ids=["fused", "per-call"]
+        "cls", [DFTLFtl, ReferenceDFTLFtl], ids=["fused", "per-call"]
     )
     def test_checker_sees_translation_traffic(self, tiny_config, cls):
         """The CMT is touched before the write or read runs, so the

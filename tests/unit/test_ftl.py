@@ -10,7 +10,8 @@ from repro.ftl.dedup import DedupFTL
 from repro.ftl.dftl import DFTLFtl
 from repro.ftl.dvp_ftl import SYSTEMS, build_system
 from repro.ftl.ftl import BaseFTL
-from repro.ftl.gc import GarbageCollector
+
+from ..reference import as_reference
 
 
 @pytest.fixture
@@ -188,26 +189,55 @@ class TestReadPopularity:
         assert fp(1) not in dvp_ftl._read_popularity
 
 
-class HashingFTL(BaseFTL):
-    """Hashes every write without a pool: only ``content_aware`` differs."""
+def twin_drives(tiny_config, system, setup):
+    """A ``system`` drive (base, dedup or dftl over an MQ pool) and its
+    per-call reference model, each passed through ``setup``."""
+    drives = []
+    for make in (lambda ftl: ftl, as_reference):
+        pool = MQDeadValuePool(64)
+        if system == "dedup":
+            ftl = DedupFTL(tiny_config, pool=pool)
+        elif system == "dftl":
+            ftl = DFTLFtl(tiny_config, pool=pool)
+        else:
+            ftl = BaseFTL(tiny_config, pool=pool)
+        drives.append(setup(make(ftl)))
+    return drives
 
-    content_aware = property(lambda self: True)
+
+def arm(system):
+    """The drive setup of ``system``: faults, a checker or read-only."""
+    def setup(ftl):
+        if system == "faults":
+            ftl.attach_faults(FaultModel(FaultConfig(
+                seed=0, program_failure_prob=0.05, erase_failure_prob=0.05,
+            )))
+        elif system == "checker":
+            from repro.check import InvariantChecker
+
+            ftl.attach_checker(InvariantChecker())
+        elif system == "read-only":
+            ftl.enter_read_only()
+        return ftl
+    return setup
 
 
 class TestWriteRouting:
-    """Plain ``BaseFTL`` writes run fused, and so do dedup and DFTL (data
-    slots, not overrides); anything that overrides or wraps a step the
-    fused path inlines gets every call through the per-call path
-    instead."""
+    """Every write runs the one fused path: plain ``BaseFTL``, dedup and
+    DFTL (data slots, not overrides), a fault-injected or read-only
+    drive, and a ``setattr``-wrapped ``write`` (which sees every call)
+    all leave exactly what the per-call reference model leaves."""
 
     @staticmethod
     def _churn(ftl, config):
         """Three overwrite passes: fresh values force GC, and every fourth
         LPN flips between two shared values, which revives dead copies."""
+        outcomes = []
         for rnd in range(3):
             for lpn in range(config.logical_pages):
                 value = rnd % 2 if lpn % 4 == 0 else 1000 * (rnd + 1) + lpn
-                ftl.write(lpn, fp(value))
+                outcomes.append(ftl.write(lpn, fp(value)))
+        return outcomes
 
     @staticmethod
     def _count(monkeypatch, owner, attr):
@@ -221,69 +251,38 @@ class TestWriteRouting:
         monkeypatch.setattr(owner, attr, counted)
         return calls
 
-    @pytest.mark.parametrize("owner, attr, expect", [
-        (BaseFTL, "_handle_write", "host_writes"),
-        (BaseFTL, "_service_write", "host_writes"),
-        (BaseFTL, "_invalidate_lpn", "host_writes"),
-        (BaseFTL, "_on_page_death", "invalidations"),
-        (BaseFTL, "_program", "programs"),
-        (BaseFTL, "_revive", "short_circuits"),
-        (GarbageCollector, "maybe_collect", "programs"),
-    ])
-    @pytest.mark.parametrize("after_construction", [False, True])
-    def test_setattr_wrap_sees_every_call(
-        self, tiny_config, monkeypatch, owner, attr, expect,
-        after_construction,
-    ):
-        if not after_construction:
-            calls = self._count(monkeypatch, owner, attr)
-        ftl = BaseFTL(tiny_config, pool=MQDeadValuePool(64))
-        if after_construction:
-            calls = self._count(monkeypatch, owner, attr)
-        self._churn(ftl, tiny_config)
-        counters = ftl.counters
-        assert counters.gc_erases > 0 and counters.short_circuits > 0
-        assert len(calls) == getattr(counters, expect)
-
     @pytest.mark.parametrize("system", [
-        "base", "dedup", "dftl", "hashing", "faults", "read-only",
-        "wrapped-write",
+        "base", "dedup", "dftl", "faults", "read-only", "wrapped-write",
     ])
     def test_which_writes_run_fused(self, tiny_config, monkeypatch, system):
-        unfused = self._count(monkeypatch, BaseFTL, "_write_per_call")
-        pool = MQDeadValuePool(64)
-        if system == "dedup":
-            ftl = DedupFTL(tiny_config, pool=pool)
-        elif system == "dftl":
-            ftl = DFTLFtl(tiny_config, pool=pool)
-        elif system == "hashing":
-            ftl = HashingFTL(tiny_config)
-        else:
-            ftl = BaseFTL(tiny_config, pool=pool)
-        if system == "faults":
-            ftl.attach_faults(FaultModel(FaultConfig(seed=0)))
-        elif system == "read-only":
-            ftl.enter_read_only()
-        elif system == "wrapped-write":
+        ftl, reference = twin_drives(tiny_config, system, arm(system))
+        calls = None
+        if system == "wrapped-write":
             # What a layer probe does: wrap the class attribute in place.
-            self._count(monkeypatch, BaseFTL, "write")
+            calls = self._count(monkeypatch, BaseFTL, "write")
+        hashed = ftl.content_aware and not ftl.read_only
         outcome = ftl.write(0, fp(1))
-        self._churn(ftl, tiny_config)
-        fused = system in ("base", "dedup", "dftl")
-        expected = 0 if fused else ftl.counters.host_writes
-        assert len(unfused) == expected
-        assert outcome.hashed == (ftl.content_aware and not ftl.read_only)
-
+        assert outcome == reference.write(0, fp(1))
+        assert self._churn(ftl, tiny_config) == self._churn(
+            reference, tiny_config
+        )
+        assert ftl.counters == reference.counters
+        assert list(ftl.mapping.forward_items().items()) == list(
+            reference.mapping.forward_items().items()
+        )
+        assert outcome.hashed == hashed
+        if system == "faults":
+            assert ftl.faults.stats.summary() == (
+                reference.faults.stats.summary()
+            )
+            assert ftl.faults.stats.program_failures > 0
+        if calls is not None:
+            assert len(calls) == ftl.counters.host_writes
 
     @pytest.mark.parametrize("system", sorted(SYSTEMS))
-    def test_every_system_runs_fused(self, tiny_config, monkeypatch, system):
-        """No in-tree system takes a per-call path on a fault-free drive
-        without probes: its preload runs the bulk loop, and its writes
-        and trims run fused."""
-        unfused = (
-            self._count(monkeypatch, BaseFTL, "_write_per_call"),
-            self._count(monkeypatch, BaseFTL, "_trim_per_call"),
-        )
+    def test_every_system_runs_fused(self, tiny_config, system):
+        """Every in-tree system preloads in the bulk loop on a fault-free
+        drive, and its writes and trims keep the drive consistent."""
         preloaded = build_system(system, tiny_config, 64)
         fallback = []
         preloaded.write = lambda lpn, value: fallback.append(lpn)
@@ -298,50 +297,51 @@ class TestWriteRouting:
         for lpn in range(0, tiny_config.logical_pages, 3):
             ftl.trim(lpn)
         assert ftl.counters.gc_erases > 0 and ftl.counters.host_trims > 0
-        assert unfused == ([], [])
         ftl.check_invariants()
 
 
 class TestTrimRouting:
-    """Plain ``BaseFTL``, dedup and DFTL trims run fused; a wrapped write
-    step or ``trim`` itself, faults, a checker or a read-only drive send
-    every trim through ``_trim_per_call``."""
+    """Every trim runs the one fused path: plain ``BaseFTL``, dedup and
+    DFTL, with faults, a checker or a read-only drive, and a wrapped
+    ``trim`` or ``write``; each leaves what the per-call reference model
+    leaves."""
 
     @pytest.mark.parametrize("system", [
         "base", "dedup", "dftl", "faults", "checker", "read-only",
         "wrapped-trim", "wrapped-write", "wrapped-invalidate",
     ])
     def test_which_trims_run_fused(self, tiny_config, monkeypatch, system):
-        unfused = TestWriteRouting._count(
-            monkeypatch, BaseFTL, "_trim_per_call"
-        )
-        pool = MQDeadValuePool(64)
-        if system == "dedup":
-            ftl = DedupFTL(tiny_config, pool=pool)
-        elif system == "dftl":
-            ftl = DFTLFtl(tiny_config, pool=pool)
-        else:
-            ftl = BaseFTL(tiny_config, pool=pool)
-        for lpn in range(0, tiny_config.logical_pages, 3):
-            ftl.write(lpn, fp(lpn % 5))
-        if system == "faults":
-            ftl.attach_faults(FaultModel(FaultConfig(seed=0)))
-        elif system == "checker":
-            from repro.check import InvariantChecker
-
-            ftl.attach_checker(InvariantChecker())
-        elif system == "read-only":
-            ftl.enter_read_only()
-        elif system.startswith("wrapped-"):
+        ftl, reference = twin_drives(tiny_config, system, lambda ftl: ftl)
+        for drive in (ftl, reference):
+            for lpn in range(0, tiny_config.logical_pages, 3):
+                drive.write(lpn, fp(lpn % 5))
+            arm(system)(drive)
+        calls = None
+        if system.startswith("wrapped-"):
             attr = {"wrapped-trim": "trim", "wrapped-write": "write",
-                    "wrapped-invalidate": "_invalidate_lpn"}[system]
-            TestWriteRouting._count(monkeypatch, BaseFTL, attr)
-        for lpn in range(0, tiny_config.logical_pages, 2):
-            ftl.trim(lpn)
+                    "wrapped-invalidate": "_kill_fused"}[system]
+            calls = TestWriteRouting._count(monkeypatch, BaseFTL, attr)
+        invalidations = ftl.counters.invalidations
+        for drive in (ftl, reference):
+            for lpn in range(0, tiny_config.logical_pages, 2):
+                drive.trim(lpn)
         trims = ftl.counters.host_trims
         assert trims == len(range(0, tiny_config.logical_pages, 2))
-        fused = system in ("base", "dedup", "dftl")
-        assert len(unfused) == (0 if fused else trims)
+        assert ftl.counters == reference.counters
+        assert ftl._oob_trims == reference._oob_trims
+        assert ftl._oob_seq == reference._oob_seq
+        assert list(ftl.pool.tracked_items()) == list(
+            reference.pool.tracked_items()
+        )
+        if system == "wrapped-trim":
+            assert len(calls) == trims
+        elif system == "wrapped-invalidate":
+            # One kill per trimmed LPN that was mapped: the LPNs that are
+            # multiples of both 2 and 3.
+            kills = ftl.counters.invalidations - invalidations
+            assert len(calls) == kills == len(
+                range(0, tiny_config.logical_pages, 6)
+            )
 
     def test_fused_trim_keeps_content_revivable(self, tiny_config):
         ftl = BaseFTL(tiny_config, pool=MQDeadValuePool(64))

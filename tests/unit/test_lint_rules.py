@@ -582,8 +582,8 @@ def test_ftl_subclass_missing_hooks_fires(tmp_path):
                     return None
 
             class LeakyFTL(BaseFTL):
-                def _on_page_death(self, ppn, fp, lpn):
-                    self.extra = ppn
+                def _kill_fused(self, lpn, old_ppn, *tables):
+                    self.extra = old_ppn
         """,
     }, select=["proto.ftl-hooks"])
     assert codes_of(result) == ["proto.ftl-hooks"]
@@ -600,8 +600,8 @@ def test_ftl_subclass_with_hooks_passes(tmp_path):
                     return None
 
             class CarefulFTL(BaseFTL):
-                def _on_page_death(self, ppn, fp, lpn):
-                    self.extra = ppn
+                def write(self, lpn, fp):
+                    self.extra = lpn
 
                 def relocate_page(self, old_ppn, new_ppn):
                     return None
@@ -903,6 +903,33 @@ def test_hot_effect_quiet_outside_the_hot_cone_and_in_obs(tmp_path):
         """,
     }, select=["flow.hot-effect"])
     assert result.clean
+
+
+def test_hot_effect_follows_a_protocol_typed_receiver(tmp_path):
+    """A call through a parameter typed with a ``Protocol`` reaches every
+    class defining the method: implementations need not subclass it."""
+    result = lint_sources(tmp_path, {
+        "repro/ftl/bad.py": """
+            from typing import Optional, Protocol
+
+            class DeadValuePool(Protocol):
+                def insert_garbage(self, fp, ppn): ...
+
+            class LoudPool:
+                def insert_garbage(self, fp, ppn):
+                    print("insert", ppn)
+
+            class BaseFTL:
+                def write(self, lpn, fp):
+                    self._kill(lpn, None)
+
+                def _kill(self, lpn, pool: Optional[DeadValuePool]):
+                    pool.insert_garbage(lpn, lpn)
+        """,
+    }, select=["flow.hot-effect"])
+    assert codes_of(result) == ["flow.hot-effect"]
+    (violation,) = result.violations
+    assert violation.context == "LoudPool.insert_garbage"
 
 
 # ---------------------------------------------------------------------------

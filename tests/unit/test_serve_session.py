@@ -261,10 +261,12 @@ class TestCheckpointResume:
 
     def test_live_state_v1_blob_refused(self, tiny_config):
         """Version 1 live state predates the MQ head cache, version 2 the
-        per-PPN OOB columns, and version 3 the dedup/DFTL slots: restoring
-        any would resume an MQ pool without its head cache, an FTL with a
-        tuple-dict journal, or an FTL without ``_live_index`` and
-        ``translation``.  The reader refuses each with the named error."""
+        per-PPN OOB columns, version 3 the dedup/DFTL slots and version 4
+        the simulator's ``background`` slot: restoring any would resume an
+        MQ pool without its head cache, an FTL with a tuple-dict journal,
+        an FTL without ``_live_index`` and ``translation``, or a device
+        whose replay loop finds no ``background``.  The reader refuses
+        each with the named error."""
         import pickle
 
         from repro.core.dvp import MQDeadValuePool
@@ -281,15 +283,22 @@ class TestCheckpointResume:
         for lpn in range(8):
             ftl.write(lpn, fingerprint_of_value(lpn % 3))
         state = pickle.loads(capture_live_state(ftl, SimulatedSSD(ftl)))
-        assert state["version"] == LIVE_STATE_VERSION == 4
+        assert state["version"] == LIVE_STATE_VERSION == 5
         restore_live_state(pickle.dumps(state))
-        # What a version 3 writer pickled: no slots; and a version 2 one:
-        # the journal as a dict of ``(lpn, seq)`` tuples, no columns.
+        # What a version 4 writer pickled: no ``background`` slot.
+        del state["ssd"].background
+        state["version"] = 4
+        with pytest.raises(
+            ValueError, match="live-state blob version 4 != supported 5"
+        ):
+            restore_live_state(pickle.dumps(state))
+        # A version 3 one: no FTL slots either; and a version 2 one: the
+        # journal as a dict of ``(lpn, seq)`` tuples, no columns.
         old = state["ftl"]
         del old._live_index, old.translation
         state["version"] = 3
         with pytest.raises(
-            ValueError, match="live-state blob version 3 != supported 4"
+            ValueError, match="live-state blob version 3 != supported 5"
         ):
             restore_live_state(pickle.dumps(state))
         old._oob = dict(old.oob_records())
@@ -298,7 +307,7 @@ class TestCheckpointResume:
             state["version"] = version
             with pytest.raises(
                 ValueError,
-                match=f"live-state blob version {version} != supported 4",
+                match=f"live-state blob version {version} != supported 5",
             ):
                 restore_live_state(pickle.dumps(state))
 
