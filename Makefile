@@ -47,8 +47,13 @@ lint:
 # with the systems they were captured from or restored into: every
 # system restored from a snapshot another captured must equal a direct
 # prefill (live index, CMT, adaptive window) and give the same run
-# digest.  The plain suite (make test) runs all of these too; this
-# target isolates them for quick iteration on FTL and replay hot paths.
+# digest; and the planned prefill cache: a run_specs batch captures a
+# snapshot only while a planned cell will restore it and releases it at
+# the last planned restore (serial and pool paths), while unplanned
+# run_system calls keep capture-on-miss.  Also GC's victim screening
+# against the room relocation can reach.  The plain suite (make test)
+# runs all of these too; this target isolates them for quick iteration
+# on FTL and replay hot paths.
 check:
 	$(PYTHON) -m pytest -q tests/unit/test_check.py \
 		tests/property/test_check_fuzz.py \
@@ -69,6 +74,8 @@ check:
 		tests/perf/test_trace_goldens.py \
 		tests/perf/test_replay_goldens.py \
 		"tests/perf/test_caches.py::TestPrefillCache::test_restored_systems_do_not_share_state" \
+		"tests/perf/test_caches.py::TestPlannedPrefill" \
+		"tests/unit/test_gc.py::TestRelocationRoom" \
 		"tests/perf/test_determinism.py::TestRunDeterminism::test_prefill_cache_does_not_change_results"
 
 # Tiny parallel-engine smoke: process-pool round trip, caches, bench

@@ -59,11 +59,17 @@ class PageAllocator:
     def writable_pages(self, plane: int) -> int:
         """Pages still programmable in ``plane`` without reclaiming space:
         both active blocks' free tails plus all free-listed blocks."""
+        block = self._active[plane]
+        host_tail = 0 if block is None else self.array.block(block).free_pages
+        return host_tail + self.relocatable_pages(plane)
+
+    def relocatable_pages(self, plane: int) -> int:
+        """Pages GC relocation can reach in ``plane``: the relocation
+        block's free tail plus all free-listed blocks (not the host's)."""
         pages = len(self.free_blocks[plane]) * self.array.config.pages_per_block
-        for actives in (self._active, self._active_gc):
-            block = actives[plane]
-            if block is not None:
-                pages += self.array.block(block).free_pages
+        block = self._active_gc[plane]
+        if block is not None:
+            pages += self.array.block(block).free_pages
         return pages
 
     def plane_of_next_write(self) -> int:

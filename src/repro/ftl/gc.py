@@ -191,10 +191,18 @@ class GarbageCollector:
     def needs_collection(self, plane: int) -> bool:
         return self.allocator.free_block_count(plane) < self.low_watermark
 
-    def _candidates(self, plane: int, capacity: int) -> List[int]:
+    def _victim(self, plane: int) -> Optional[int]:
+        """The policy's pick among the plane's collectible blocks."""
+        return self.policy.select(
+            self._candidates(plane), self.array, self.garbage_popularity_of
+        )
+
+    def _candidates(self, plane: int) -> List[int]:
         """Collectible blocks: full, non-active, with garbage to reclaim,
-        and whose valid pages fit in the plane's remaining writable space
-        (so relocation can never strand the plane)."""
+        and whose valid pages fit in the room relocation can reach (the
+        relocation block's tail and the free blocks, not the host block's
+        tail), so relocation can never strand the plane."""
+        capacity = self.allocator.relocatable_pages(plane)
         blocks_per_plane = self.array.geometry.blocks_per_plane
         base = plane * blocks_per_plane
         blocks = self.array.blocks
@@ -243,12 +251,7 @@ class GarbageCollector:
                 self.delegate, "read_only", False
             ):
                 break
-            capacity = self.allocator.writable_pages(plane)
-            victim = self.policy.select(
-                self._candidates(plane, capacity),
-                self.array,
-                self.garbage_popularity_of,
-            )
+            victim = self._victim(plane)
             if victim is None:
                 break
             work.merge(self._collect_block(victim, plane))
@@ -263,12 +266,7 @@ class GarbageCollector:
             self.allocator.free_block_count(plane) == 0
             and not getattr(self.delegate, "read_only", False)
         ):
-            capacity = self.allocator.writable_pages(plane)
-            victim = self.policy.select(
-                self._candidates(plane, capacity),
-                self.array,
-                self.garbage_popularity_of,
-            )
+            victim = self._victim(plane)
             if victim is None:
                 break
             work.merge(self._collect_block(victim, plane))
@@ -287,12 +285,7 @@ class GarbageCollector:
         work = GCWork()
         if self.allocator.free_block_count(plane) >= watermark:
             return work
-        capacity = self.allocator.writable_pages(plane)
-        victim = self.policy.select(
-            self._candidates(plane, capacity),
-            self.array,
-            self.garbage_popularity_of,
-        )
+        victim = self._victim(plane)
         if victim is not None:
             work.merge(self._collect_block(victim, plane))
         if self.checker is not None:

@@ -9,8 +9,8 @@ keyed runs.  A job is any picklable object with two methods:
   job, so ``jobs=N`` is observably identical to ``jobs=1`` — the
   determinism tests compare digests across both paths);
 * ``prewarm()`` — fill the parent's shared caches before the pool forks
-  (a matrix cell generates its trace and captures its family prefill
-  snapshot, a shard generates the fleet trace, the rest do nothing).
+  (a matrix cell generates its trace and captures any prefill snapshot a
+  sibling cell shares, a shard generates the fleet trace, the rest nothing).
 
 Results come back **in job order** regardless of which worker finished
 first (``Executor.map`` preserves input order).  ``prewarm`` runs only on
@@ -32,6 +32,9 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, List, Optional, Sequence
+
+from .snapshot import default_prefill_cache
+from .spec import RunSpec
 
 __all__ = ["pool_chunksize", "resolve_jobs", "run_specs"]
 
@@ -81,16 +84,19 @@ def run_specs(specs: Sequence[Any], jobs: Optional[int] = 1) -> List[Any]:
     pool, no pickling, observability intact.  ``jobs=None``/``0`` uses
     every core.  An explicit ``jobs>1`` always uses the pool (the
     determinism tests rely on ``jobs=2`` actually exercising the
-    parallel path); workers are capped at the spec count.
+    parallel path); workers are capped at the spec count.  Both paths
+    first plan the batch's matrix cells with the prefill cache.
     """
     jobs = resolve_jobs(jobs, tasks=len(specs))
-    if jobs == 1 or len(specs) <= 1:
-        return [spec.execute() for spec in specs]
-    for spec in specs:
-        spec.prewarm()
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(
-            pool.map(
-                _execute, specs, chunksize=pool_chunksize(len(specs), jobs)
+    plan = (spec.prefill_key() for spec in specs if isinstance(spec, RunSpec))
+    with default_prefill_cache().planned(plan):
+        if jobs == 1 or len(specs) <= 1:
+            return [spec.execute() for spec in specs]
+        for spec in specs:
+            spec.prewarm()
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(
+                pool.map(
+                    _execute, specs, chunksize=pool_chunksize(len(specs), jobs)
+                )
             )
-        )

@@ -20,14 +20,18 @@ count, exactly as a direct prefill leaves it:
   lookup.
 
 :class:`PrefillCache` exploits this: the first run of a (config,
-profile) pair prefills directly and captures the shared state — flash
-array, allocator, mapping table, OOB journal, fingerprint and popularity
-indexes, write clock.  Every later run, whatever its system, builds that
-system (pool, GC policy and all), rehydrates the snapshot and rebuilds
-its extras, skipping the per-page write loop entirely.  A prefill that
-ran GC is not captured (its moves would break the program-order rule
-above), and an FTL class this module does not know always prefills
-directly: it may carry state a restore cannot rebuild.
+profile) pair prefills directly and, if a later cell may restore it,
+captures the shared state — flash array, allocator, mapping table, OOB
+journal, fingerprint and popularity indexes, write clock.  Every later
+run, whatever its system, builds that system (pool, GC policy and all),
+rehydrates the snapshot and rebuilds its extras, skipping the per-page
+write loop entirely.  ``run_specs`` plans each batch, so a miss captures
+only while planned cells for its key remain and the last planned restore
+drops it; unplanned keys (direct ``run_system`` calls) keep LRU
+retention.  A prefill that ran GC is not captured (its moves would break
+the program-order rule above), and an FTL class this module does not
+know always prefills directly: it may carry state a restore cannot
+rebuild.
 
 A snapshot is two parts.  The mutable object graph (array, allocator,
 mapping, the OOB columns and trims) is pickled into an immutable byte
@@ -36,8 +40,8 @@ content tables (``_ppn_fp`` and ``_write_popularity``) are held as
 ``dict`` copies instead, because pickling them is a
 ``Fingerprint.__reduce__`` per page each way.  Their keys and values are
 immutable fingerprints and ints, so a shallow copy is already a deep
-one: the capture copies the live FTL's dicts, and every restore hands
-out a new copy, never the cache's own.  Runs therefore still cannot leak
+one: the capture copies the live FTL's dicts, and every restore but the
+last planned one (which takes them) hands out a new copy.  Runs cannot leak
 state into each other — the basis of the bit-identical guarantee the
 determinism tests enforce.
 """
@@ -45,8 +49,9 @@ determinism tests enforce.
 from __future__ import annotations
 
 import pickle
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from collections import Counter, OrderedDict
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Tuple
 
 from ..core.adaptive import AdaptiveMQDeadValuePool
 from ..flash.config import SSDConfig
@@ -63,6 +68,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "PrefillCache",
     "default_prefill_cache",
+    "prefill_key",
     "capture_live_state",
     "restore_live_state",
 ]
@@ -96,6 +102,8 @@ _RESTORABLE = (BaseFTL, DedupFTL, DFTLFtl)
 #: A captured prefill: the pickled object graph, the copied content
 #: tables by attribute name, and the number of pages prefill wrote.
 _Snapshot = Tuple[bytes, Dict[str, dict], int]
+#: A snapshot's key: the drive config and the profile's cache key.
+_Key = Tuple[SSDConfig, str]
 
 
 def _capture(ftl: BaseFTL, pages: int) -> _Snapshot:
@@ -109,16 +117,17 @@ def _capture(ftl: BaseFTL, pages: int) -> _Snapshot:
     return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL), tables, pages
 
 
-def _restore(ftl: BaseFTL, snapshot: _Snapshot) -> None:
+def _restore(ftl: BaseFTL, snapshot: _Snapshot, last: bool = False) -> None:
     """Graft a captured prefill state onto a freshly built system, then
-    rebuild what the system adds on top, as a direct prefill leaves it."""
+    rebuild what the system adds on top, as a direct prefill leaves it.
+    The ``last`` restore of a snapshot takes its tables without a copy."""
     from ..experiments.runner import reset_measurements  # avoids a cycle
 
     graph, tables, pages = snapshot
     for name, value in pickle.loads(graph).items():
         setattr(ftl, name, value)
     for name, table in tables.items():
-        setattr(ftl, name, dict(table))
+        setattr(ftl, name, table if last else dict(table))
     # The collector and wear tracker hold direct references to the array
     # and allocator they were built with; point them at the grafted copies.
     ftl.gc.array = ftl.array
@@ -135,6 +144,11 @@ def _restore(ftl: BaseFTL, snapshot: _Snapshot) -> None:
     reset_measurements(ftl)
 
 
+def prefill_key(config: SSDConfig, profile: WorkloadProfile) -> _Key:
+    """The (drive config, profile) key one snapshot serves."""
+    return config, profile_cache_key(profile)
+
+
 class PrefillCache:
     """Bounded LRU of prefill snapshots keyed by (config, profile)."""
 
@@ -142,9 +156,9 @@ class PrefillCache:
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self._snaps: "OrderedDict[Tuple[SSDConfig, str], _Snapshot]" = (
-            OrderedDict()
-        )
+        self._snaps: "OrderedDict[_Key, _Snapshot]" = OrderedDict()
+        #: Planned cells not yet preconditioned, per key (see ``planned``).
+        self._planned: "Counter[_Key]" = Counter()
         self.hits = 0
         self.misses = 0
 
@@ -153,6 +167,16 @@ class PrefillCache:
 
     def clear(self) -> None:
         self._snaps.clear()
+
+    @contextmanager
+    def planned(self, keys: Iterable[_Key]) -> Iterator[None]:
+        """Plan a batch: one key per cell that will precondition from it;
+        inside the block each key captures only while planned cells remain."""
+        self._planned.update(keys)
+        try:
+            yield
+        finally:
+            self._planned.clear()
 
     def warm(
         self,
@@ -168,16 +192,17 @@ class PrefillCache:
         worker pool forks: children inherit the warm snapshot copy-on-
         write, so no worker ever repeats the per-page prefill loop.
         Returns ``False`` when no snapshot serves the cell: the system's
-        FTL class is not restorable, or its prefill ran GC.
+        FTL class is not restorable, its prefill ran GC, or the plan has
+        only this cell for the key (it prefills in its own worker).
         """
         ftl = build_system(system, config, pool_entries)
         if type(ftl) not in _RESTORABLE:
             return False
-        key = (config, profile_cache_key(profile))
+        key = prefill_key(config, profile)
         if key in self._snaps:
             self._snaps.move_to_end(key)
             return True
-        return self._prefill(ftl, key, profile)
+        return self._planned[key] != 1 and self._prefill(ftl, key, profile)
 
     def prefilled_system(
         self,
@@ -189,36 +214,40 @@ class PrefillCache:
         """Build ``system`` and precondition it for ``profile``.
 
         The first call for a (config, profile) pair prefills directly
-        (and captures the snapshot); later calls for any system restore
-        by copy.  Either way the returned FTL is indistinguishable from a
-        freshly prefilled one.
+        (capturing if a later cell may restore); later calls for any
+        system restore by copy.  Either way the returned FTL is
+        indistinguishable from a freshly prefilled one.
         """
         from ..experiments.runner import prefill  # runtime: avoids a cycle
 
         ftl = build_system(system, config, pool_entries)
+        key = prefill_key(config, profile)
+        left = self._planned[key]  # planned cells still to come, 0: unplanned
+        if left:
+            self._planned[key] = left - 1
+        later = left != 1  # a later cell may restore the snapshot
         if type(ftl) not in _RESTORABLE:
             prefill(ftl, profile)
-            return ftl
-        key = (config, profile_cache_key(profile))
-        snapshot = self._snaps.get(key)
-        if snapshot is None:
-            self._prefill(ftl, key, profile)
+        elif key not in self._snaps:
+            self._prefill(ftl, key, profile, capture=later)
         else:
             self.hits += 1
             self._snaps.move_to_end(key)
-            _restore(ftl, snapshot)
+            _restore(ftl, self._snaps[key], last=not later)
+        if not later:
+            self._snaps.pop(key, None)
         return ftl
 
     def _prefill(
-        self, ftl: BaseFTL, key: Tuple[SSDConfig, str], profile: WorkloadProfile
+        self, ftl: BaseFTL, key: _Key, profile: WorkloadProfile, capture: bool = True
     ) -> bool:
-        """Prefill ``ftl`` directly and capture it under ``key``; returns
-        whether it was captured."""
+        """Prefill ``ftl`` directly and, with ``capture``, capture it under
+        ``key``; returns whether it was captured."""
         from ..experiments.runner import prefill  # runtime: avoids a cycle
 
         self.misses += 1
         pages = prefill(ftl, profile)
-        if ftl.gc.invocations:
+        if ftl.gc.invocations or not capture:
             return False
         self._snaps[key] = _capture(ftl, pages)
         while len(self._snaps) > self.max_entries:

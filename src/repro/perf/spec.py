@@ -28,14 +28,15 @@ from __future__ import annotations
 import hashlib
 import pickle
 from dataclasses import asdict, dataclass, replace
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..experiments.config import DEFAULT_SCALE, RunConfig
-from ..experiments.runner import ExperimentContext, run_system
+from ..experiments.runner import ExperimentContext, config_for_profile, run_system
 from ..faults.model import FaultConfig
+from ..flash.config import SSDConfig
 from ..sim.metrics import RunResult
 from ..traces.profiles import WorkloadProfile, profile_by_name
-from .snapshot import default_prefill_cache
+from .snapshot import default_prefill_cache, prefill_key
 
 __all__ = [
     "RunSpec",
@@ -118,11 +119,16 @@ class RunSpec:
             self.workload, self.scale, seed=self.seed
         )
 
+    def prefill_key(self) -> Tuple[SSDConfig, str]:
+        """This cell's prefill snapshot key, without generating its trace."""
+        profile = self.profile()
+        return prefill_key(config_for_profile(profile), profile)
+
     def execute(self) -> RunResult:
         return execute_spec(self)
 
     def prewarm(self) -> None:
-        """Generate the trace and capture the prefill snapshot.
+        """Generate the trace and capture any prefill snapshot it shares.
 
         Forked workers inherit both caches copy-on-write and restore by
         copy instead of each repeating the per-page prefill loop.

@@ -7,14 +7,19 @@ import pytest
 from repro.core.adaptive import AdaptiveMQDeadValuePool
 from repro.core.hashing import _interned, fingerprint_of_value
 from repro.experiments.runner import (
+    ExperimentContext,
     config_for_profile,
     prefill,
+    run_system,
     scaled_pool_entries,
 )
 from repro.ftl.dftl import TranslationStats
 from repro.ftl.dvp_ftl import SYSTEMS, build_system
 from repro.ftl.ftl import BaseFTL
-from repro.perf.snapshot import PrefillCache
+from repro.perf import snapshot
+from repro.perf.parallel import run_specs
+from repro.perf.snapshot import PrefillCache, default_prefill_cache, prefill_key
+from repro.perf.spec import RunSpec, execute_spec, result_digest
 from repro.perf.trace_cache import TraceCache, profile_cache_key
 from repro.traces.synthetic import generate_trace, initial_value_of
 
@@ -261,6 +266,107 @@ class TestPrefillCache:
         assert len(cache) == 1
         self._system(cache, "dedup")  # must re-prefill
         assert (cache.hits, cache.misses) == (0, 3)
+
+
+class TestPlannedPrefill:
+    """``run_specs`` plans each batch: a snapshot is captured only while a
+    planned cell will restore it and leaves the cache at its last planned
+    restore.  Direct ``run_system`` calls stay unplanned."""
+
+    SCALE = 0.02
+    DESKTOP = ("baseline", "mq-dvp", "dedup")
+
+    @pytest.fixture(autouse=True)
+    def captures(self, monkeypatch):
+        """A fresh process cache; returns the list of this process's
+        snapshot captures (a forked worker appends to its own copy)."""
+        monkeypatch.setattr(snapshot, "_default", PrefillCache())
+        calls = []
+        capture = snapshot._capture
+
+        def counted(ftl, pages):
+            calls.append(pages)
+            return capture(ftl, pages)
+
+        monkeypatch.setattr(snapshot, "_capture", counted)
+        return calls
+
+    def _specs(self, cells):
+        return [RunSpec(workload, system, scale=self.SCALE)
+                for workload, system in cells]
+
+    @staticmethod
+    def _state():
+        cache = default_prefill_cache()
+        return len(cache), cache.hits, cache.misses
+
+    def test_single_cell_batch_captures_nothing(self, captures):
+        (spec,) = self._specs([("mail", "mq-dvp")])
+        (result,) = run_specs([spec], jobs=1)
+        assert captures == []
+        assert self._state() == (0, 0, 1)
+        assert result_digest(result) == result_digest(
+            execute_spec(spec, reuse_prefill=False)
+        )
+
+    def test_shared_key_released_at_last_restore(self, captures):
+        run_specs(self._specs(("desktop", s) for s in self.DESKTOP), jobs=1)
+        assert len(captures) == 1
+        assert self._state() == (0, 2, 1)
+
+    def test_last_restore_takes_the_tables(self):
+        """The last planned restore owns the snapshot's content tables:
+        no other FTL shares them, and churning the others leaves it equal
+        to a direct prefill."""
+        profile = TestPrefillCache.PROFILE
+        config = config_for_profile(profile)
+        entries = scaled_pool_entries(200_000, 0.02)
+        cache = PrefillCache()
+        key = prefill_key(config, profile)
+        ftls = []
+        with cache.planned([key] * len(self.DESKTOP)):
+            for system in self.DESKTOP:
+                tables = cache._snaps[key][1] if key in cache._snaps else None
+                ftls.append(
+                    cache.prefilled_system(system, config, profile, entries)
+                )
+        assert len(cache) == 0
+        last = ftls[-1]
+        for name in ("_ppn_fp", "_write_popularity"):
+            assert getattr(last, name) is tables[name]
+            assert len({id(getattr(ftl, name)) for ftl in ftls}) == 3
+        for ftl in ftls[:-1]:
+            _churn(ftl)
+        assert _prefill_state(last) == _prefill_state(
+            _prefilled_directly(self.DESKTOP[2], profile)
+        )
+
+    def test_unplanned_runs_keep_the_snapshot(self, captures):
+        context = ExperimentContext.for_workload("mail", self.SCALE)
+        for system in ("baseline", "mq-dvp"):
+            run_system(system, context)
+        assert len(captures) == 1
+        assert self._state() == (1, 1, 1)
+
+    def test_pool_single_cell_keys_prefill_in_workers(self, captures):
+        specs = self._specs([("mail", "mq-dvp"), ("web", "baseline")])
+        parallel = run_specs(specs, jobs=2)
+        assert captures == []
+        assert self._state() == (0, 0, 0)
+        serial = run_specs(specs, jobs=1)
+        assert [result_digest(r) for r in parallel] == [
+            result_digest(r) for r in serial
+        ]
+
+    def test_pool_shared_key_warms_once(self, captures):
+        specs = self._specs([("mail", "baseline"), ("mail", "mq-dvp")])
+        parallel = run_specs(specs, jobs=2)
+        assert len(captures) == 1
+        assert self._state() == (1, 0, 1)
+        serial = run_specs(specs, jobs=1)
+        assert [result_digest(r) for r in parallel] == [
+            result_digest(r) for r in serial
+        ]
 
 
 def test_prefill_skips_the_intern_cache():

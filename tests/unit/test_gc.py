@@ -12,6 +12,7 @@ from repro.ftl.gc import (
     GreedyVictimPolicy,
     PopularityAwareVictimPolicy,
 )
+from repro.ftl.mapping import POPULARITY_MAX
 
 
 class RecordingDelegate:
@@ -169,3 +170,49 @@ class TestCollectionLoop:
         assert a.relocation_count == 2
         assert a.erase_count == 2
         assert a.reclaimed_pages == 6
+
+
+class TestRelocationRoom:
+    """Victims are screened against the room relocation can reach: the
+    relocation block's tail and the free blocks.  The host block's free
+    tail is writable but out of GC's reach."""
+
+    def _plane_with_host_room(self, array, allocator, victims):
+        """Fill plane 0 with ``victims`` (invalid page counts) and fully
+        valid blocks, then open a relocation block with a 12-page tail and
+        a host block with a 14-page tail: no free block is left."""
+        ppb = array.config.pages_per_block
+        blocks = [fill_block(array, allocator, 0, n) for n in victims]
+        while allocator.free_block_count(0) > 2:
+            fill_block(array, allocator, 0, invalid_pages=0)
+        for _ in range(ppb - 12):
+            allocator.allocate_in_plane(0, for_gc=True)
+        for _ in range(ppb - 14):
+            allocator.allocate_in_plane(0)
+        assert allocator.free_block_count(0) == 0
+        assert allocator.relocatable_pages(0) == 12
+        assert allocator.writable_pages(0) == 26
+        return blocks
+
+    def test_declines_a_victim_it_cannot_move(self, setup):
+        array, allocator, delegate, collector, _ = setup
+        (victim,) = self._plane_with_host_room(array, allocator, [3])
+        assert array.block(victim).valid_count == 13
+        work = collector.maybe_collect(0)   # used to raise OutOfSpaceError
+        assert work.erase_count == 0
+        assert delegate.relocations == []
+
+    def test_moves_the_best_victim_that_fits(self, setup):
+        array, allocator, delegate, _, pop = setup
+        collector = GarbageCollector(
+            array, allocator, PopularityAwareVictimPolicy(), delegate,
+            garbage_popularity_of=lambda b: pop.get(b, 0),
+        )
+        best, movable = self._plane_with_host_room(array, allocator, [3, 5])
+        pop[movable] = 3 * POPULARITY_MAX   # scores 2 against best's 3
+        assert PopularityAwareVictimPolicy().select(
+            [best, movable], array, collector.garbage_popularity_of
+        ) == best
+        work = collector.maybe_collect(0)
+        assert work.erased_blocks == [movable]
+        assert work.relocation_count == 11
