@@ -33,24 +33,26 @@ lint:
 # drive turned read-only: fault counters and bad-block state included),
 # SimulatedSSD.service against the per-request reference chain (with and
 # without background GC and faults), the flat KVStore.translate against
-# its public per-op generators, bulk preconditioning (BaseFTL.preload)
-# against the per-page write loop, the head-cached MultiQueue against a
-# full-scan reference, the hoisted ring pass against HashRing.shard_of,
-# and the per-PPN OOB columns against a dict journal (one path and
-# reference model, trims, GC, crash recovery).  The FTL differentials
+# its public per-op generators, preconditioning (BaseFTL.preload's
+# closed-form column fill on a fresh drive) against the per-page write
+# loop and the pre-minted prefill-state goldens, the head-cached
+# MultiQueue against a full-scan reference, the hoisted ring pass
+# against HashRing.shard_of, and the per-PPN OOB columns against a dict
+# journal (one path and reference model, trims, GC, crash recovery).  The FTL differentials
 # run on plain BaseFTL, on dedup with and without a pool, and on DFTL,
 # so the live index and the CMT are compared too.  Two tests check that
-# every in-tree system preloads in the bulk loop and that the checker
+# every in-tree system preloads in the column fill and that the checker
 # sees each outcome's CMT traffic.  Also the set-up path: the flat
 # synthetic generator against its trace goldens (and the cached legacy
 # Zipf ranker draw for draw), and prefill snapshots that share no table
 # with the systems they were captured from or restored into: every
 # system restored from a snapshot another captured must equal a direct
 # prefill (live index, CMT, adaptive window) and give the same run
-# digest; and the planned prefill cache: a run_specs batch captures a
-# snapshot only while a planned cell will restore it and releases it at
-# the last planned restore (serial and pool paths), while unplanned
-# run_system calls keep capture-on-miss.  Also GC's victim screening
+# digest; and the planned prefill cache: a run_specs batch, a serial
+# run_matrix or a one-cell repro run captures a snapshot only while a
+# planned cell will restore it and releases it at the last planned
+# restore (serial and pool paths), while unplanned run_system calls keep
+# capture-on-miss.  Also GC's victim screening
 # against the room relocation can reach.  The plain suite (make test)
 # runs all of these too; this target isolates them for quick iteration
 # on FTL and replay hot paths.
@@ -66,6 +68,7 @@ check:
 		"tests/property/test_kv_properties.py::test_translate_matches_public_ops" \
 		"tests/property/test_ftl_properties.py::test_preload_matches_write_loop" \
 		"tests/property/test_ftl_properties.py::TestPreloadRouting" \
+		tests/perf/test_precondition_goldens.py \
 		"tests/property/test_mq_properties.py::TestMQReference" \
 		"tests/property/test_ring_properties.py::TestAssignmentsPass" \
 		"tests/property/test_ftl_properties.py::test_oob_columns_match_dict_model" \

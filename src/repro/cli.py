@@ -375,6 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .perf.snapshot import default_prefill_cache, prefill_key
+
     context = ExperimentContext.for_workload(args.workload, args.scale)
     try:
         faults = fault_config_or_none(args)
@@ -389,13 +391,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         observer=obs.observer, faults=faults, **check_kwargs(args),
     )
     profiler = cProfile.Profile() if args.profile else None
+    # One planned cell: no snapshot is captured that nothing restores.
+    plan = [prefill_key(context.config, context.profile)]
     try:
-        if profiler is not None:
-            result = profiler.runcall(
-                run_system, args.system, context, config=config
-            )
-        else:
-            result = run_system(args.system, context, config=config)
+        with default_prefill_cache().planned(plan):
+            if profiler is not None:
+                result = profiler.runcall(
+                    run_system, args.system, context, config=config
+                )
+            else:
+                result = run_system(args.system, context, config=config)
     finally:
         obs.close()
     if args.json:

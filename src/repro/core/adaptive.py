@@ -127,14 +127,14 @@ class AdaptiveMQDeadValuePool(MQDeadValuePool):
         self._window_evictions = 0
 
     def skip_missed_lookups(self, count: int) -> None:
-        """Advance the adaptation window as ``count`` write lookups that
-        all miss would, given no insertion in the window: the lookups
-        preconditioning makes, one per page, on an empty pool.
-
-        Each window they close adapts on zero insertions, a no-op, so only
-        the window's phase moves.  ``stats`` are left alone: the caller
-        resets them, as preconditioning does.
-        """
+        """Also move the adaptation window as ``count`` misses would."""
+        super().skip_missed_lookups(count)
+        closing = self.window - self._window_events
+        if count >= closing:  # the open window closes on what it holds
+            self._window_events = self.window - 1
+            self._tick()
+            count -= closing
+        # Later windows close on zero insertions, a no-op: only the phase moves.
         self._window_events = (self._window_events + count) % self.window
 
     # ------------------------------------------------------------------

@@ -83,6 +83,11 @@ class DeadValuePool(Protocol):
         """
         ...
 
+    def skip_missed_lookups(self, count: int) -> None:
+        """Leave the pool as ``count`` missed write lookups would, without
+        making them (a fresh drive's fill makes one per page)."""
+        ...
+
     def insert_garbage(
         self,
         fp: Fingerprint,
@@ -216,6 +221,11 @@ class PoolBase(ABC):
         (the FTL revives it).  On a miss returns ``None``.  ``now`` is the
         write-request timestamp (the i-th write has timestamp i).
         """
+
+    def skip_missed_lookups(self, count: int) -> None:
+        """Count ``count`` missed write lookups (see the Protocol)."""
+        self.stats.lookups += count
+        self.stats.misses += count
 
     @abstractmethod
     def insert_garbage(

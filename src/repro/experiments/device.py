@@ -110,9 +110,9 @@ class Device:
     ) -> "Device":
         """Precondition with one explicit fingerprint per local page.
 
-        Local page ``i`` is written once with the ``i``-th fingerprint
-        (consumed lazily); then counters and pool statistics reset,
-        exactly like the profile prefill, which shares this loop
+        Local page ``i`` is written once with the ``i``-th fingerprint;
+        then counters and pool statistics reset, exactly like the
+        profile prefill, which shares this path
         (:func:`~repro.experiments.runner.preload_pages`).  This is the
         fleet shard content model: the fingerprints are the initial
         values of the global LBAs the shard owns, so cold reads against

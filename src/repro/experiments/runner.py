@@ -103,7 +103,7 @@ def preload_pages(ftl: BaseFTL, fingerprints: Iterable[Fingerprint]) -> int:
     """Write local page ``i`` with the ``i``-th fingerprint, then reset
     the measurements; returns the number of pages written.
 
-    The one preconditioning loop (:meth:`BaseFTL.preload`), shared by
+    The one preconditioning path (:meth:`BaseFTL.preload`), shared by
     :func:`prefill` and :meth:`Device.precondition_pages`.
     """
     pages = ftl.preload(fingerprints)
@@ -198,7 +198,8 @@ def run_system(
 
     With ``config.reuse_prefill`` (the default) preconditioning goes
     through the process prefill cache: the first run on a drive config
-    and profile pays the per-page write loop, every later run of any
+    and profile prefills (:meth:`~repro.ftl.ftl.BaseFTL.preload`, a
+    closed-form column fill on a fresh drive), every later run of any
     system restores the snapshot by copy.
     The restored state is bit-identical to a direct prefill (the
     determinism tests enforce this).
@@ -246,36 +247,38 @@ def run_matrix(
             "observer_factory requires jobs=1: samplers are attached to "
             "the live device and cannot be shipped to worker processes"
         )
+    from ..perf.parallel import run_specs
+    from ..perf.snapshot import default_prefill_cache
+    from ..perf.spec import RunSpec
+
+    specs = [
+        RunSpec.from_config(workload, system, cfg)
+        for workload in workloads
+        for system in systems
+    ]
     if cfg.jobs != 1:
         if not cfg.picklable:
             raise ValueError(
                 "a RunConfig carrying an observer cannot "
                 "fan out to worker processes; use jobs=1"
             )
-        from ..perf.parallel import run_specs
-        from ..perf.spec import RunSpec
-
-        specs = [
-            RunSpec.from_config(workload, system, cfg)
-            for workload in workloads
-            for system in systems
-        ]
         flat = iter(run_specs(specs, jobs=cfg.jobs))
         return {
             workload: {system: next(flat) for system in systems}
             for workload in workloads
         }
     results: Dict[str, Dict[str, RunResult]] = {}
-    for workload in workloads:
-        context = ExperimentContext.for_workload(workload, cfg.scale)
-        results[workload] = {}
-        for system in systems:
-            cell_cfg = cfg
-            if observer_factory is not None:
-                cell_cfg = cfg.replace(
-                    observer=observer_factory(workload, system)
+    with default_prefill_cache().planned(spec.prefill_key() for spec in specs):
+        for workload in workloads:
+            context = ExperimentContext.for_workload(workload, cfg.scale)
+            results[workload] = {}
+            for system in systems:
+                cell_cfg = cfg
+                if observer_factory is not None:
+                    cell_cfg = cfg.replace(
+                        observer=observer_factory(workload, system)
+                    )
+                results[workload][system] = run_system(
+                    system, context, config=cell_cfg
                 )
-            results[workload][system] = run_system(
-                system, context, config=cell_cfg
-            )
     return results

@@ -24,7 +24,8 @@ uses the LBA-recency pool with combined read+write popularity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from array import array as _array
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple,
 )
@@ -524,121 +525,122 @@ class BaseFTL:
         page count.
 
         Equal, state for state, to ``self.write(i, fp)`` over
-        ``enumerate(fingerprints)``, and consumes the iterable lazily.  On
-        a fresh drive (nothing mapped, ``write_clock == 0``, an empty
-        pool, no faults, checker or read-only state), pages are
-        programmed by one loop with everything a fresh drive cannot need
-        left out: no old copy, no revival, no collection, no outcome.  The
-        pool still sees every ``lookup_for_write`` (an adaptive pool ticks
-        on each), the CMT every access, and the live index every new home.
-        The first page that could need a skipped step (a repeated
-        fingerprint, an out-of-range LPN, a target plane below the GC low
-        watermark) and every page after it go through :meth:`write`; so
-        does every page of a drive that is not fresh (an already-mapped
-        LPN cannot occur otherwise: each page maps the next LPN of an
-        empty table).
+        ``enumerate(fingerprints)``.  On a fresh drive (nothing ever
+        programmed, nothing mapped, ``write_clock == 0``, an empty pool,
+        no faults, checker or read-only state) :meth:`_fill` writes a bulk
+        prefix in closed form.  Every later page, and every page of a
+        drive that is not fresh, goes through :meth:`write`, lazily.
         """
-        pages = iter(fingerprints)
+        pages: Iterator[Fingerprint] = iter(fingerprints)
         lpn = 0
-        stopped_at: Tuple[Fingerprint, ...] = ()
-        gc = self.gc
         pool = self.pool
-        mapping = self.mapping
         if (
             self.faults is None
             and self.checker is None
             and not self.read_only
             and self.write_clock == 0
-            and mapping._mapped == 0
+            and self.mapping._mapped == 0
+            and self.array.total_programs == 0
             and (pool is None or len(pool) == 0)
         ):
-            lookup = pool.lookup_for_write if pool is not None else None
-            translation = self.translation
-            access = translation.access if translation is not None else None
-            live_index = self._live_index
-            counters = self.counters
-            write_pop = self._write_popularity
-            ppn_fp = self._ppn_fp
-            oob_lpns = self._oob_lpns
-            oob_seqs = self._oob_seqs
-            l2p = mapping._l2p
-            owner = mapping._owner
-            popularity = mapping._pop
-            limit = min(self._logical_pages, len(l2p))
-            array = self.array
-            blocks = array.blocks
-            per_block = array._pages_per_block
-            allocator = self.allocator
-            actives = allocator._active
-            planes = allocator._planes
-            free_blocks = gc.allocator.free_blocks
-            watermark = gc.low_watermark
-            clock = self.write_clock
-            seq = self._oob_seq
-            try:
-                for fp in pages:
-                    plane = allocator._next_plane
-                    if not (
-                        lpn < limit
-                        and fp not in write_pop
-                        and len(free_blocks[plane]) >= watermark
-                    ):
-                        stopped_at = (fp,)
-                        break
-                    if access is not None:
-                        access(lpn, dirty=True)
-                    clock += 1
-                    write_pop[fp] = 1
-                    popularity[lpn] = 1
-                    if lookup is not None and lookup(fp, clock) is not None:
-                        raise RuntimeError(
-                            "preload: pool hit on a drive with no garbage"
-                        )
-                    allocator._next_plane = (plane + 1) % planes
-                    block_index = actives[plane]
-                    if (
-                        block_index is None
-                        or blocks[block_index].write_pointer >= per_block
-                    ):
-                        block_index = allocator._open_block(plane, actives)
-                    block = blocks[block_index]
-                    page = block.write_pointer
-                    if block.retired or page >= block.pages_per_block:
-                        array.program_in_block(block_index)  # raises
-                    block.states[page] = _VALID
-                    block.write_pointer = page + 1
-                    block.valid_count += 1
-                    if page + 1 >= block.pages_per_block:
-                        actives[plane] = None
-                    ppn = block_index * per_block + page
-                    if ppn < len(owner) and owner[ppn] == -1:
-                        l2p[lpn] = ppn
-                        mapping._mapped += 1
-                        owner[ppn] = lpn
-                    else:
-                        mapping.map(lpn, ppn)  # grows, or raises
-                    seq += 1
-                    oob_lpns[ppn] = lpn
-                    oob_seqs[ppn] = seq
-                    ppn_fp[ppn] = fp
-                    if live_index is not None:
-                        live_index[fp] = ppn
-                    lpn += 1
-            finally:
-                # Per-page totals in one add each: nothing the loop calls
-                # reads them.
-                self.write_clock = clock
-                counters.host_writes += lpn
-                counters.programs += lpn
-                array.free_pages -= lpn
-                array.valid_pages += lpn
-                array.total_programs += lpn
-                self._oob_seq = seq
+            lpn, pages = self._fill(pages)
         write = self.write
-        for fp in itertools.chain(stopped_at, pages):
+        for fp in pages:
             write(lpn, fp)
             lpn += 1
         return lpn
+
+    def _fill(
+        self, pages: Iterator[Fingerprint]
+    ) -> Tuple[int, Iterator[Fingerprint]]:
+        """Write a fresh drive's bulk prefix of ``pages`` at LPNs ``0..n-1``
+        in closed form; return ``n`` and the pages left for :meth:`write`.
+
+        The prefix is read up front and ends at the first of: the exported
+        capacity, the first page whose plane fails the pre-write watermark
+        check (a plane with ``F`` free blocks passes it for
+        ``(F - low_watermark) * pages_per_block + 1`` pages) and the first
+        repeated fingerprint.  Page ``k`` lands on plane ``(start + k) % P``
+        at that plane's next page, so each plane fills whole blocks off its
+        free list in order: every table is written by column slices once
+        per block, or in one call (the dicts in LPN order, as the FTL's own).
+        """
+        mapping = self.mapping
+        l2p = mapping._l2p
+        flash = self.array
+        per_block = flash._pages_per_block
+        allocator = self.allocator
+        planes = allocator._planes
+        start = allocator._next_plane
+        limit = min(self._logical_pages, len(l2p))
+        for plane, free in enumerate(allocator.free_blocks):
+            passes = max(0, (len(free) - self.gc.low_watermark) * per_block + 1)
+            limit = min(limit, (plane - start) % planes + passes * planes)
+        fps = list(itertools.islice(pages, limit))
+        write_pop = dict.fromkeys(fps, 1)
+        if len(write_pop) < len(fps):
+            # A repeat needs a write's popularity bump and live-index test:
+            # the prefix ends where the first-seen order breaks.
+            cut = next(
+                (i for i, (fp, first) in enumerate(zip(fps, write_pop))
+                 if fp != first),
+                len(write_pop),
+            )
+            pages = itertools.chain(fps[cut:], pages)
+            write_pop = dict.fromkeys(itertools.islice(fps, cut), 1)
+        del fps  # freed early: ``write_pop`` holds the prefix, in order
+        n = len(write_pop)
+        seq = self._oob_seq + 1  # LPN k's journal record is seq + k
+        valid = bytes([_VALID]) * per_block
+        # Every column slice is a slice of one ramp 0, 1, 2, ...
+        ramp = _array("q", range(max(len(mapping._owner), seq + n)))
+        for plane, free in enumerate(allocator.free_blocks):
+            lpn = (plane - start) % planes  # the plane's first LPN
+            taken = len(range(lpn, n, planes))
+            for done in range(0, taken, per_block):
+                block_index = free.popleft()
+                count = min(per_block, taken - done)
+                block = flash.blocks[block_index]
+                block.states[:count] = valid[:count]
+                block.write_pointer = block.valid_count = count
+                first = block_index * per_block
+                ppns = slice(first, first + count)
+                end = lpn + count * planes
+                l2p[lpn:end:planes] = ramp[ppns]
+                mapping._owner[ppns] = self._oob_lpns[ppns] = ramp[lpn:end:planes]
+                self._oob_seqs[ppns] = ramp[seq + lpn:seq + end:planes]
+                lpn = end
+            if taken % per_block:
+                # A partly written last block stays the plane's append point.
+                allocator._active[plane] = block_index
+        allocator._next_plane = (start + n) % planes
+        mapping._pop[:n] = bytes([1]) * n
+        mapping._mapped += n
+        flash.free_pages -= n
+        flash.valid_pages += n
+        flash.total_programs += n
+        self.counters.host_writes += n
+        self.counters.programs += n
+        self.write_clock += n
+        self._oob_seq += n
+        self._write_popularity = write_pop
+        self._ppn_fp = dict(zip(l2p, write_pop))
+        self._fill_slots(n)
+        return n, pages
+
+    def _fill_slots(self, pages: int) -> None:
+        """Bring the slots in step with a fill of ``pages`` fresh pages (a
+        prefill-cache restore calls this too): dedup's live index is
+        ``_ppn_fp`` inverted, the CMT sees every access, and the pool
+        counts one missed lookup per page."""
+        if self._live_index is not None:
+            self._live_index = dict(zip(self._ppn_fp.values(), self._ppn_fp))
+        if self.translation is not None:
+            access = self.translation.access
+            for lpn in range(pages):
+                access(lpn, dirty=True)
+        if self.pool is not None:
+            self.pool.skip_missed_lookups(pages)
 
     def trim(self, lpn: int) -> None:
         """Host discard: drop ``lpn``'s mapping.

@@ -34,8 +34,8 @@ __all__ = ["CallGraph", "SymbolTable", "build_symbol_table"]
 #: which on an untyped receiver would wire half the project together.
 PROTOCOL_METHODS = frozenset({
     # DeadValuePool implementations
-    "lookup_for_write", "insert_garbage", "discard_ppn",
-    "clear_volatile", "tracked_ppn_count", "tracked_items",
+    "lookup_for_write", "skip_missed_lookups", "insert_garbage",
+    "discard_ppn", "clear_volatile", "tracked_ppn_count", "tracked_items",
     # BaseFTL / GC delegate hooks
     "relocate_page", "erase_cleanup", "maybe_collect",
     "background_collect",

@@ -214,6 +214,7 @@ def _raises_not_implemented(stmt: ast.Raise) -> bool:
 #: sync by test_lint_clean's surface-extraction assertion.
 _FALLBACK_POOL_SURFACE: Tuple[str, ...] = (
     "lookup_for_write",
+    "skip_missed_lookups",
     "insert_garbage",
     "discard_ppn",
     "clear_volatile",

@@ -16,7 +16,7 @@ Results come back **in job order** regardless of which worker finished
 first (``Executor.map`` preserves input order).  ``prewarm`` runs only on
 the pool path: under the default ``fork`` start method on Linux the
 children inherit the warm caches copy-on-write and skip generation *and*
-the per-page prefill loop entirely.  (Under ``spawn`` each worker redoes
+the prefill entirely.  (Under ``spawn`` each worker redoes
 the work — results are identical either way, it only costs time; this is
 why the first fan-out used to run *slower* than serial: every worker paid
 the prefill that the serial path amortised across cells.)

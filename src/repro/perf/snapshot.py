@@ -16,16 +16,16 @@ count, exactly as a direct prefill leaves it:
   order: ``_ppn_fp`` inverted;
 * DFTL's cached mapping table (CMT) is what ``access(lpn, dirty=True)``
   over every prefilled LPN leaves, so a restore replays those accesses;
-* an adaptive pool's window has advanced one event per missed prefill
-  lookup.
+* every pool has counted one missed lookup per prefilled page, and an
+  adaptive pool's window has advanced one event per miss.
 
 :class:`PrefillCache` exploits this: the first run of a (config,
 profile) pair prefills directly and, if a later cell may restore it,
 captures the shared state — flash array, allocator, mapping table, OOB
 journal, fingerprint and popularity indexes, write clock.  Every later
 run, whatever its system, builds that system (pool, GC policy and all),
-rehydrates the snapshot and rebuilds its extras, skipping the per-page
-write loop entirely.  ``run_specs`` plans each batch, so a miss captures
+rehydrates the snapshot and rebuilds its extras, skipping the prefill
+entirely.  ``run_specs`` plans each batch, so a miss captures
 only while planned cells for its key remain and the last planned restore
 drops it; unplanned keys (direct ``run_system`` calls) keep LRU
 retention.  A prefill that ran GC is not captured (its moves would break
@@ -53,7 +53,6 @@ from collections import Counter, OrderedDict
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Tuple
 
-from ..core.adaptive import AdaptiveMQDeadValuePool
 from ..flash.config import SSDConfig
 from ..ftl.dedup import DedupFTL
 from ..ftl.dftl import DFTLFtl
@@ -133,15 +132,14 @@ def _restore(ftl: BaseFTL, snapshot: _Snapshot, last: bool = False) -> None:
     ftl.gc.array = ftl.array
     ftl.gc.allocator = ftl.allocator
     ftl.wear.array = ftl.array
-    if ftl._live_index is not None:
-        ftl._live_index = {fp: ppn for ppn, fp in ftl._ppn_fp.items()}
-    if ftl.translation is not None:
-        access = ftl.translation.access
-        for lpn in range(pages):
-            access(lpn, dirty=True)
-    if isinstance(ftl.pool, AdaptiveMQDeadValuePool):
-        ftl.pool.skip_missed_lookups(pages)
+    ftl._fill_slots(pages)
     reset_measurements(ftl)
+
+
+def _build(system: str, config: SSDConfig, entries: int) -> Tuple[BaseFTL, bool]:
+    """Build ``system``'s FTL, and whether a snapshot can serve it."""
+    ftl = build_system(system, config, entries)
+    return ftl, type(ftl) in _RESTORABLE
 
 
 def prefill_key(config: SSDConfig, profile: WorkloadProfile) -> _Key:
@@ -190,13 +188,13 @@ class PrefillCache:
 
         The parallel engine calls this in the *parent* process before the
         worker pool forks: children inherit the warm snapshot copy-on-
-        write, so no worker ever repeats the per-page prefill loop.
+        write, so no worker ever repeats the prefill.
         Returns ``False`` when no snapshot serves the cell: the system's
         FTL class is not restorable, its prefill ran GC, or the plan has
         only this cell for the key (it prefills in its own worker).
         """
-        ftl = build_system(system, config, pool_entries)
-        if type(ftl) not in _RESTORABLE:
+        ftl, restorable = _build(system, config, pool_entries)
+        if not restorable:
             return False
         key = prefill_key(config, profile)
         if key in self._snaps:
@@ -220,13 +218,13 @@ class PrefillCache:
         """
         from ..experiments.runner import prefill  # runtime: avoids a cycle
 
-        ftl = build_system(system, config, pool_entries)
+        ftl, restorable = _build(system, config, pool_entries)
         key = prefill_key(config, profile)
         left = self._planned[key]  # planned cells still to come, 0: unplanned
         if left:
             self._planned[key] = left - 1
         later = left != 1  # a later cell may restore the snapshot
-        if type(ftl) not in _RESTORABLE:
+        if not restorable:
             prefill(ftl, profile)
         elif key not in self._snaps:
             self._prefill(ftl, key, profile, capture=later)

@@ -131,7 +131,7 @@ class RunSpec:
         """Generate the trace and capture any prefill snapshot it shares.
 
         Forked workers inherit both caches copy-on-write and restore by
-        copy instead of each repeating the per-page prefill loop.
+        copy instead of each repeating the prefill.
         """
         context = self.context()
         default_prefill_cache().warm(

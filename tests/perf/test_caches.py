@@ -6,10 +6,12 @@ import pytest
 
 from repro.core.adaptive import AdaptiveMQDeadValuePool
 from repro.core.hashing import _interned, fingerprint_of_value
+from repro.experiments.config import RunConfig
 from repro.experiments.runner import (
     ExperimentContext,
     config_for_profile,
     prefill,
+    run_matrix,
     run_system,
     scaled_pool_entries,
 )
@@ -347,6 +349,29 @@ class TestPlannedPrefill:
             run_system(system, context)
         assert len(captures) == 1
         assert self._state() == (1, 1, 1)
+
+    def test_one_cell_cli_run_captures_nothing(self, captures, capsys):
+        from repro.cli import main
+
+        assert main([
+            "run", "--workload", "mail", "--system", "mq-dvp",
+            "--scale", str(self.SCALE), "--json",
+        ]) == 0
+        assert captures == []
+        assert self._state() == (0, 0, 1)
+
+    def test_serial_matrix_releases_each_snapshot(self, captures):
+        serial = run_matrix(
+            ["web"], self.DESKTOP, config=RunConfig(scale=self.SCALE, jobs=1)
+        )
+        assert len(captures) == 1
+        assert self._state() == (0, 2, 1)
+        parallel = run_matrix(
+            ["web"], self.DESKTOP, config=RunConfig(scale=self.SCALE, jobs=2)
+        )
+        assert [result_digest(r) for r in serial["web"].values()] == [
+            result_digest(r) for r in parallel["web"].values()
+        ]
 
     def test_pool_single_cell_keys_prefill_in_workers(self, captures):
         specs = self._specs([("mail", "mq-dvp"), ("web", "baseline")])

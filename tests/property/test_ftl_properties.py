@@ -133,14 +133,25 @@ FAMILIES = {
 }
 
 
-def build(family, pool_name, config=None, per_call=False, **options):
-    """A ``family`` FTL over a fresh ``pool_name`` pool; ``per_call``
-    builds the frozen per-call reference model instead."""
+def build(family, pool_name, config=None, per_call=False, window=16,
+          **options):
+    """A ``family`` FTL over a fresh ``pool_name`` pool (an adaptive one
+    closes a window every ``window`` events); ``per_call`` builds the
+    frozen per-call reference model instead."""
     fused_cls, per_call_cls, extra = FAMILIES[family]
     cls = per_call_cls if per_call else fused_cls
-    return cls(
-        config or small_config(), pool=POOL_FACTORIES[pool_name](),
-        **extra, **options,
+    pool = (
+        adaptive_pool(window) if pool_name == "adaptive"
+        else POOL_FACTORIES[pool_name]()
+    )
+    return cls(config or small_config(), pool=pool, **extra, **options)
+
+
+def adaptive_pool(window=16):
+    # Small window and bounds so the pool resizes (and drops PPNs
+    # through its listener) inside one example.
+    return AdaptiveMQDeadValuePool(
+        8, min_entries=4, max_entries=32, window=window
     )
 
 
@@ -150,11 +161,7 @@ POOL_FACTORIES = {
     "lru": lambda: LRUDeadValuePool(8),
     "infinite": InfiniteDeadValuePool,
     "lba-recency": lambda: LBARecencyPool(8),
-    # Small window and bounds so the pool resizes (and drops PPNs
-    # through its listener) inside one example.
-    "adaptive": lambda: AdaptiveMQDeadValuePool(
-        8, min_entries=4, max_entries=32, window=16
-    ),
+    "adaptive": adaptive_pool,
 }
 
 #: (family, pool) cells of the fused-vs-reference differentials: dedup and
@@ -566,13 +573,13 @@ def test_oob_columns_match_dict_model(family, pool_name, per_call, operations):
 
 
 # ---------------------------------------------------------------------------
-# Bulk preconditioning (BaseFTL.preload) vs the per-page write loop
+# Preconditioning (BaseFTL.preload's fill) vs the per-page write loop
 # ---------------------------------------------------------------------------
 
 
 def count_fallback_writes(ftl):
-    """Record every page ``preload`` hands to ``write``.  The instance
-    attribute leaves the class-level identity guard untouched."""
+    """Record every page ``preload`` hands to ``write`` (an instance
+    attribute, so other drives of the class are untouched)."""
     calls = []
     write = ftl.write
 
@@ -587,8 +594,11 @@ def count_fallback_writes(ftl):
 @st.composite
 def preload_cases(draw):
     """A geometry (some tight enough that preloading crosses the GC low
-    watermark), a page list that may repeat fingerprints, and optional
-    writes that map LPNs before the preload starts."""
+    watermark), a page list that may repeat fingerprints, optional TRIMs
+    of a fresh drive (the drive stays fresh, but its OOB sequence moves
+    and ``_oob_trims`` fills) and optional writes that map LPNs before
+    the preload starts, and an adaptive pool window that may be shorter
+    than the page count."""
     config = SSDConfig(
         channels=2, chips_per_channel=1, dies_per_chip=1, planes_per_die=1,
         blocks_per_plane=draw(st.integers(min_value=4, max_value=12)),
@@ -605,11 +615,13 @@ def preload_cases(draw):
             max_size=3,
         )):
             values[target] = values[source]
+    pretrimmed = draw(st.lists(st.integers(0, logical - 1), max_size=3))
     premapped = draw(st.lists(
         st.tuples(st.integers(0, logical - 1), st.integers(0, 15)),
         max_size=draw(st.sampled_from([0, 0, 20])),
     ))
-    return config, values, premapped
+    window = draw(st.integers(min_value=1, max_value=2 * logical))
+    return config, values, pretrimmed, premapped, window
 
 
 def _outcome(call):
@@ -632,18 +644,20 @@ def test_preload_matches_write_loop(
     """``preload`` leaves exactly the state the per-page ``write`` loop
     leaves: counters, mapping columns, blocks, allocator, OOB journal,
     content and popularity tables (in order), pool contents and the
-    adaptive window — on fresh drives, across repeated fingerprints, GC
-    watermark crossings and already-mapped drives."""
-    config, values, premapped = case
+    adaptive window — on fresh and trimmed-fresh drives, across repeated
+    fingerprints, GC watermark crossings and already-mapped drives."""
+    config, values, pretrimmed, premapped, window = case
     options = dict(
         popularity_aware_gc=popularity_aware_gc,
         combine_read_popularity=combine_read_popularity,
     )
-    bulk = build(family, pool_name, config, **options)
-    loop = build(family, pool_name, config, **options)
-    for lpn, value in premapped:
-        bulk.write(lpn, fp(value))
-        loop.write(lpn, fp(value))
+    bulk = build(family, pool_name, config, window=window, **options)
+    loop = build(family, pool_name, config, window=window, **options)
+    for ftl in (bulk, loop):
+        for lpn in pretrimmed:
+            ftl.trim(lpn)
+        for lpn, value in premapped:
+            ftl.write(lpn, fp(value))
     fallback = count_fallback_writes(bulk)
     attempts = []
 
@@ -662,13 +676,13 @@ def test_preload_matches_write_loop(
     if premapped:
         assert fallback == list(range(attempted))
     elif len(set(values)) == len(values) and loop.gc.invocations == 0:
-        # The bulk loop took every in-range page.
+        # The fill took every in-range page.
         assert fallback == list(range(config.logical_pages, attempted))
     assert fallback == list(range(attempted - len(fallback), attempted))
 
 
 class TestPreloadRouting:
-    """Which drives take the bulk loop, and that a fallback is total."""
+    """Which drives take the fill, and that a fallback is total."""
 
     def _values(self):
         return [fp(1000 + lpn) for lpn in range(LOGICAL // 2)]
@@ -680,8 +694,17 @@ class TestPreloadRouting:
         assert fallback == []
         ftl.check_invariants()
 
+    @pytest.mark.parametrize("family", ["dedup", "dftl"])
+    def test_fresh_slot_drives_take_the_fill(self, family):
+        ftl = build(family, "mq")
+        fallback = count_fallback_writes(ftl)
+        assert ftl.preload(self._values()) == LOGICAL // 2
+        assert fallback == []
+        ftl.check_invariants()
+
     @pytest.mark.parametrize("setup", [
         "faults", "checker", "read-only", "clock", "pool-entry",
+        "programmed",
     ])
     def test_guard_sends_every_page_to_write(self, setup):
         ftl = BaseFTL(small_config(), pool=MQDeadValuePool(8))
@@ -699,6 +722,13 @@ class TestPreloadRouting:
             ftl.write_clock = 1
         elif setup == "pool-entry":
             ftl.pool.insert_garbage(fp(99), 0, 0)
+        elif setup == "programmed":
+            # Nothing mapped, no clock, an empty pool, but a page holds
+            # garbage: the planes' append points are no longer closed form.
+            ftl.write(0, fp(99))
+            ftl.trim(0)
+            ftl.pool.clear_volatile()
+            ftl.write_clock = 0
         fallback = count_fallback_writes(ftl)
         ftl.preload(self._values())
         assert fallback == list(range(LOGICAL // 2))

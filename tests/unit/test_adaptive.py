@@ -3,6 +3,12 @@
 import pytest
 
 from repro.core.adaptive import AdaptiveMQDeadValuePool
+from repro.core.dvp import (
+    InfiniteDeadValuePool,
+    LBARecencyPool,
+    LRUDeadValuePool,
+    MQDeadValuePool,
+)
 from repro.core.hashing import fingerprint_of_value as fp
 from repro.core.mq import MultiQueue
 
@@ -124,21 +130,38 @@ class TestAdaptation:
 
     @pytest.mark.parametrize("count", [0, 5, 256, 700])
     def test_skip_missed_lookups_matches_missing_lookups(self, count):
-        """Skipping ``count`` misses on an empty pool leaves the window, the
-        capacity and the resize telemetry as ``count`` real misses do."""
+        """On every pool kind, skipping ``count`` misses on an empty pool
+        leaves the stats, the window, the capacity and the resize
+        telemetry as ``count`` real misses do, also when the open window
+        already holds an insertion (the pool emptied again since)."""
         def state(pool):
-            return (pool._window_events, pool._window_insertions,
-                    pool._window_evictions, pool.capacity,
-                    pool.resizes_up, pool.resizes_down)
+            return (pool.stats, len(pool)) + tuple(
+                getattr(pool, name, None)
+                for name in ("_window_events", "_window_insertions",
+                             "_window_evictions", "capacity",
+                             "resizes_up", "resizes_down")
+            )
 
-        looked, skipped = (
-            AdaptiveMQDeadValuePool(128, min_entries=64, window=256)
-            for _ in range(2)
-        )
-        for i in range(count):
-            assert looked.lookup_for_write(fp(i), now=i) is None
-        skipped.skip_missed_lookups(count)
-        assert state(skipped) == state(looked)
+        pools = {
+            "infinite": InfiniteDeadValuePool,
+            "lru": lambda: LRUDeadValuePool(128),
+            "mq": lambda: MQDeadValuePool(128),
+            "lba-recency": lambda: LBARecencyPool(128),
+            "adaptive": lambda: AdaptiveMQDeadValuePool(
+                128, min_entries=64, window=256
+            ),
+        }
+        for kind, make in pools.items():
+            for pending in (0, 1):
+                looked, skipped = make(), make()
+                for pool in (looked, skipped):
+                    for i in range(pending):
+                        pool.insert_garbage(fp(10_000 + i), i, now=i, lpn=i)
+                        assert pool.discard_ppn(fp(10_000 + i), i)
+                for i in range(count):
+                    assert looked.lookup_for_write(fp(i), now=i) is None
+                skipped.skip_missed_lookups(count)
+                assert state(skipped) == state(looked), (kind, pending)
 
 
 class TestFactoryIntegration:

@@ -475,6 +475,10 @@ POOL_FIXTURE_PREAMBLE = """
         @abstractmethod
         def insert_garbage(self, fp, ppn, now, popularity=1, lpn=None): ...
 
+        def skip_missed_lookups(self, count):
+            self.stats.lookups += count
+            self.stats.misses += count
+
         def tracked_items(self):
             raise NotImplementedError
 """
