@@ -120,10 +120,6 @@ class SSDConfig:
     def raw_capacity_bytes(self) -> int:
         return self.total_pages * self.page_size
 
-    @property
-    def logical_capacity_bytes(self) -> int:
-        return self.logical_pages * self.page_size
-
     def with_timing(self, **kwargs: float) -> "SSDConfig":
         """A copy with some timing parameters overridden."""
         return replace(self, timing=replace(self.timing, **kwargs))

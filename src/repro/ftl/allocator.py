@@ -52,10 +52,6 @@ class PageAllocator:
     def free_block_count(self, plane: int) -> int:
         return len(self.free_blocks[plane])
 
-    def active_block(self, plane: int) -> Optional[int]:
-        """The block currently accepting writes in ``plane`` (may be None)."""
-        return self._active[plane]
-
     def writable_pages(self, plane: int) -> int:
         """Pages still programmable in ``plane`` without reclaiming space:
         both active blocks' free tails plus all free-listed blocks."""

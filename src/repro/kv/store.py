@@ -138,11 +138,6 @@ class KVStore:
         heapq.heappush(self._free, lpn)
 
     @property
-    def allocated_pages(self) -> int:
-        """High-water logical footprint (drive sizing)."""
-        return self._next_lpn
-
-    @property
     def live_keys(self) -> int:
         return len(self._extents) + self._packer.live_count
 
