@@ -41,7 +41,6 @@ __all__ = [
     "PrefillCache",
     "default_prefill_cache",
     "run_benchmark",
-    "write_benchmark",
 ]
 
 _EXPORTS = {
@@ -60,11 +59,10 @@ _EXPORTS = {
     "PrefillCache": ".snapshot",
     "default_prefill_cache": ".snapshot",
     "run_benchmark": ".bench",
-    "write_benchmark": ".bench",
 }
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
-    from .bench import run_benchmark, write_benchmark
+    from .bench import run_benchmark
     from .parallel import pool_chunksize, resolve_jobs, run_specs
     from .snapshot import PrefillCache, default_prefill_cache
     from .spec import (

@@ -2,15 +2,16 @@
 
 Selected with ``-m perf_smoke`` (``make perf-smoke``); also runs as part
 of the plain tier-1 suite.  Kept tiny — two workloads, three systems,
-``--jobs 2`` — so it exercises the process-pool round trip, the caches
-and the bench harness in seconds.
+``--jobs 2``, two cold legs per bench section — so it exercises the
+process-pool round trip, the caches and the bench harness in seconds.
 """
 
 import json
 
 import pytest
 
-from repro.perf.bench import run_benchmark, write_benchmark
+from repro.perf import bench
+from repro.perf.bench import run_benchmark, save_report
 from repro.perf.parallel import pool_chunksize, resolve_jobs, run_specs
 from repro.perf.spec import RunSpec, digest_of_digests, result_digest
 
@@ -20,6 +21,12 @@ SPECS = [
     for w in ("web", "trans")
     for s in ("baseline", "mq-dvp", "dedup")
 ]
+
+
+@pytest.fixture
+def two_legs(monkeypatch):
+    """Bench sections over two cold legs: the shape, not the statistic."""
+    monkeypatch.setattr(bench, "BENCH_LEGS", 2)
 
 
 @pytest.mark.perf_smoke
@@ -37,7 +44,7 @@ class TestPerfSmoke:
         parallel = [result_digest(r) for r in run_specs(SPECS, jobs=2)]
         assert serial == parallel
 
-    def test_bench_report_shape(self):
+    def test_bench_report_shape(self, two_legs):
         report = run_benchmark(
             sections={"matrix": [
                 RunSpec("web", system, scale=SCALE)
@@ -54,24 +61,27 @@ class TestPerfSmoke:
         ]
         for cell in section["cells"]:
             assert cell["serial_seconds"] >= 0
+            assert len(cell["windows"]) == bench.BENCH_LEGS
             assert cell["requests"] > 0
             assert len(cell["digest"]) == 64
             assert cell["record"]["digest"] == cell["digest"]
         assert section["serial_seconds"] > 0
         assert section["parallel_seconds"] > 0
 
-    def test_write_benchmark_emits_json(self, tmp_path):
+    def test_write_benchmark_emits_json(self, tmp_path, two_legs):
         path = tmp_path / "BENCH_matrix.json"
-        write_benchmark(
+        save_report(
+            run_benchmark(
+                sections={"matrix": [RunSpec("web", "baseline", scale=SCALE)]},
+                jobs=2,
+            ),
             str(path),
-            sections={"matrix": [RunSpec("web", "baseline", scale=SCALE)]},
-            jobs=2,
         )
         report = json.loads(path.read_text())
         assert report["schema"] == "repro.perf.bench_matrix/v2"
         assert report["sections"]["matrix"]["identical_results"] is True
 
-    def test_every_section_kind_times_uniform_cells(self):
+    def test_every_section_kind_times_uniform_cells(self, two_legs):
         """Fleet shards and KV legs are cells like matrix cells, and each
         section adds its extras."""
         from repro.fleet import FleetSpec
