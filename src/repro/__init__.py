@@ -51,7 +51,6 @@ from .ftl import (
 from .sim import IORequest, OpType, RunResult, SimulatedSSD, replay
 from .traces import (
     PROFILES,
-    SyntheticTraceGenerator,
     WorkloadProfile,
     audit_trace,
     generate_trace,
@@ -100,7 +99,6 @@ __all__ = [
     "WorkloadProfile",
     "PROFILES",
     "profile_by_name",
-    "SyntheticTraceGenerator",
     "generate_trace",
     "audit_trace",
 ]

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..experiments.config import RunConfig
 from ..experiments.runner import (
@@ -39,6 +39,7 @@ from ..experiments.runner import (
 )
 from ..ftl.dvp_ftl import build_system
 from ..sim.des_ssd import EventDrivenSSD
+from ..sim.request import IORequest
 from ..sim.ssd import SimulatedSSD
 from .invariants import InvariantChecker
 from .oracle import OracleFTL
@@ -139,13 +140,14 @@ def differential_run(
             "has no host queue-depth throttle"
         )
     context = ExperimentContext.for_workload(workload, cfg.scale)
-    trace = context.trace
+    trace: Sequence[IORequest] = context.trace
     if cfg.trim_every:
         from ..traces.transforms import with_trims
 
         # Materialise: the differential replays the trace twice (timeline
-        # then DES) and reports its length; with_trims streams.
-        trace = list(with_trims(trace, cfg.trim_every))
+        # then DES) and reports its length; with_trims streams rows.
+        rows = context.trace.rows()
+        trace = [IORequest(*row) for row in with_trims(rows, cfg.trim_every)]
     entries = scaled_pool_entries(cfg.paper_pool_entries, cfg.scale)
 
     def fresh_ftl():

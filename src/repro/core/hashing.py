@@ -128,11 +128,6 @@ INTERN_CACHE_SIZE = 1 << 18
 
 
 @lru_cache(maxsize=INTERN_CACHE_SIZE)
-def _interned(value_id: int) -> Fingerprint:
-    return Fingerprint(value_id)
-
-
-@lru_cache(maxsize=INTERN_CACHE_SIZE)
 def _digest_of(fp: Fingerprint) -> bytes:
     value = int(fp)
     if value >= _BYTES_TAG:
@@ -140,15 +135,17 @@ def _digest_of(fp: Fingerprint) -> bytes:
     return value.to_bytes(DIGEST_SIZE, "big")
 
 
+@lru_cache(maxsize=INTERN_CACHE_SIZE)
 def fingerprint_of_value(value_id: int) -> Fingerprint:
     """Fingerprint of a synthetic value id.
 
     Synthetic traces number every distinct 4KB content with an integer; two
     requests carry the same ``value_id`` exactly when the paper's traces
-    would carry the same MD5.  Instances are interned (LRU-bounded), so hot
-    ids reuse one shared immutable object.
+    would carry the same MD5.  Instances are interned (this function is
+    the LRU itself, so replay pays one call per write), so hot ids reuse
+    one shared immutable object.
     """
-    return _interned(value_id)
+    return Fingerprint(value_id)
 
 
 #: ``Fingerprint(value_id)`` without the per-call validation, for ids

@@ -30,9 +30,10 @@ and must be called in order:
     post-precondition, so prefill snapshots stay fault- and checker-free
     — and construct the timing device with the config's queue depth and
     observer.
-``step(requests)``
-    Service one batch of requests.  Batches compose: chunked stepping is
-    observably identical to a single whole-trace step
+``step(rows)``
+    Service one batch of request rows
+    (:meth:`~repro.sim.request.Trace.rows`).  Batches compose: chunked
+    stepping is observably identical to a single whole-trace step
     (:meth:`~repro.sim.ssd.SimulatedSSD.service` keeps the global
     request index, so crash injection still fires at the right request).
 ``finalize(workload)``
@@ -45,13 +46,13 @@ drivers over this class, so their per-drive semantics cannot drift apart.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..flash.config import SSDConfig
 from ..ftl.dvp_ftl import build_system
 from ..ftl.ftl import BaseFTL
 from ..sim.metrics import RunResult
-from ..sim.request import IORequest
+from ..sim.request import Row
 from ..sim.ssd import SimulatedSSD
 from .config import RunConfig
 
@@ -165,11 +166,12 @@ class Device:
 
     # -- stage 4: step -------------------------------------------------
 
-    def step(self, requests: Sequence[IORequest]) -> int:
-        """Service one request batch; returns how many were serviced."""
+    def step(self, rows: Iterable[Row]) -> int:
+        """Service one batch of request rows; returns how many were
+        serviced."""
         if self.ssd is None:
             raise RuntimeError("step() requires attach() first")
-        return self.ssd.service(requests)
+        return self.ssd.service(rows)
 
     # -- stage 5: finalize ---------------------------------------------
 

@@ -44,7 +44,7 @@ from ..flash.config import SSDConfig, scaled_config
 from ..ftl.dftl import TranslationStats
 from ..ftl.ftl import BaseFTL, FTLCounters
 from ..sim.metrics import RunResult
-from ..sim.request import IORequest
+from ..sim.request import Trace
 from ..traces.profiles import WorkloadProfile, profile_by_name
 from ..traces.synthetic import generate_trace, initial_value_of
 from .config import DEFAULT_SCALE, RunConfig
@@ -127,7 +127,7 @@ class ExperimentContext:
     """Shared setup for a family of runs over one workload."""
 
     profile: WorkloadProfile
-    trace: Sequence[IORequest]
+    trace: Trace
     config: SSDConfig
 
     @classmethod
@@ -143,15 +143,16 @@ class ExperimentContext:
         ``seed`` overrides the profile's generator seed (replication runs
         vary it).  With ``use_cache`` the trace comes from the process
         trace cache — generated at most once per distinct profile — and
-        is a *tuple*: cached traces are shared across every context built
-        for the profile, and handing out something list-like once let an
-        in-place ``sort()`` in one analysis poison every later run.  Pass
-        ``use_cache=False`` for a private, mutable list.
+        is shared across every context built for the profile, so it is an
+        immutable :class:`~repro.sim.request.Trace` (handing out something
+        list-like once let an in-place ``sort()`` in one analysis poison
+        every later run).  Pass ``use_cache=False`` for a private trace
+        of its own.
         """
         profile = profile_by_name(workload).scaled(scale)
         if seed is not None:
             profile = replace(profile, seed=seed)
-        trace: Sequence[IORequest]
+        trace: Trace
         if use_cache:
             from ..perf.trace_cache import cached_trace
 
@@ -209,12 +210,12 @@ def run_system(
     device = Device(system, context.config, entries)
     device.precondition(context.profile, reuse_prefill=cfg.reuse_prefill)
     device.attach(cfg)
-    trace = context.trace
+    rows = context.trace.rows()
     if cfg.trim_every:
         from ..traces.transforms import with_trims
 
-        trace = with_trims(trace, cfg.trim_every)
-    device.step(trace)
+        rows = with_trims(rows, cfg.trim_every)
+    device.step(rows)
     return device.finalize(workload=context.profile.name)
 
 

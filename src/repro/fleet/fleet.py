@@ -21,7 +21,7 @@ evaluation matrix ships :class:`~repro.perf.spec.RunSpec` cells, and
    ``i`` with the initial value of the *global* LBA it carries, so cold
    reads against the shard hit real flash pages with the right content
    (bulk preconditioning, :meth:`~repro.ftl.ftl.BaseFTL.preload`);
-4. stream the shard's slice of the trace, each request rebuilt with its
+4. stream the shard's slice of the trace's rows, each rebuilt with its
    local LPN, in ``chunk_requests`` batches through the composable
    :class:`~repro.experiments.device.Device` lifecycle (chunked stepping
    is observably identical to one whole-trace step).
@@ -63,7 +63,7 @@ from ..experiments.runner import ExperimentContext, scaled_pool_entries
 from ..flash.config import scaled_config
 from ..perf.parallel import resolve_jobs, run_specs
 from ..sim.metrics import RunResult
-from ..sim.request import IORequest
+from ..sim.request import Row
 from ..traces.synthetic import initial_value_of
 from .aggregate import FleetResult, PoolModeComparison, aggregate_fleet
 from .ring import HashRing
@@ -239,13 +239,10 @@ def execute_shard(spec: ShardSpec) -> RunResult:
 
     index = spec.index
     size = fleet.chunk_requests
-    chunk: List[IORequest] = []
-    for request in context.trace:
-        lpn = request.lpn
+    chunk: List[Row] = []
+    for arrival, op, lpn, value_id in context.trace.rows():
         if owners[lpn] == index:
-            chunk.append(IORequest(
-                request.arrival_us, request.op, local_of[lpn], request.value_id
-            ))
+            chunk.append((arrival, op, local_of[lpn], value_id))
             if len(chunk) >= size:
                 device.step(chunk)
                 chunk = []

@@ -676,18 +676,24 @@ class BaseFTL:
     def read(self, lpn: int) -> ReadOutcome:
         """Service one 4KB host read (after the CMT access, with DFTL)."""
         translation = self.translation
-        cost = () if translation is None else translation.access(lpn, dirty=False)
-        self._check_lpn(lpn)
-        self.counters.host_reads += 1
-        ppn = self.mapping.lookup(lpn)
-        if ppn is not None:
-            self.counters.flash_reads += 1
+        cost = None if translation is None else translation.access(lpn, dirty=False)
+        if not 0 <= lpn < self._logical_pages:
+            self._check_lpn(lpn)  # raises
+        counters = self.counters
+        counters.host_reads += 1
+        ppn = self.mapping._l2p[lpn]
+        if ppn < 0:
+            ppn = None
+        else:
+            counters.flash_reads += 1
             if self.combine_read_popularity:
                 fp = self._ppn_fp.get(ppn)
                 if fp is not None:
                     count = self._read_popularity.get(fp, 0) + 1
                     self._read_popularity[fp] = min(count, POPULARITY_MAX)
-        outcome = ReadOutcome(lpn, ppn, *cost)
+        outcome = (
+            ReadOutcome(lpn, ppn) if cost is None else ReadOutcome(lpn, ppn, *cost)
+        )
         if self.checker is not None:
             self.checker.after_read(self, lpn, outcome)
         return outcome

@@ -24,7 +24,7 @@ pool:
 The packer is pure bookkeeping: it never touches the FTL.  It emits
 symbolic flash actions (``("write", lpn, value_id)``, ``("read", lpn)``,
 ``("trim", lpn)``) that :class:`~repro.kv.store.KVStore` turns into
-:class:`~repro.sim.request.IORequest`\\ s, and it allocates/releases LPNs
+replay rows, and it allocates/releases LPNs
 through callbacks the store provides.
 """
 

@@ -2,7 +2,7 @@
 
 The KV layer speaks its own request language — GET/PUT/DELETE/SCAN over
 string or integer keys with byte-sized values — and translates it into
-the simulator's 4KB page operations (:class:`~repro.sim.request.IORequest`).
+the simulator's 4KB page operations (replay rows, :data:`~repro.sim.request.Row`).
 This module holds the request type plus the deterministic integer mixing
 everything above the page layer uses to derive ``value_id`` content
 identities.  Python's builtin ``hash`` is banned here (string hashing is

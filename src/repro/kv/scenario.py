@@ -143,13 +143,13 @@ class KVRunResult:
 def _apply_untimed(ftl, store: KVStore, stream) -> None:
     """Apply translated page ops directly to the FTL (load phase: state
     transitions only, no DES timing)."""
-    for request in store.translate(stream):
-        if request.op is OpType.WRITE:
-            ftl.write(request.lpn, fingerprint_of_value(request.value_id))
-        elif request.op is OpType.READ:
-            ftl.read(request.lpn)
+    for _, op, lpn, value_id in store.translate(stream):
+        if op is OpType.WRITE:
+            ftl.write(lpn, fingerprint_of_value(value_id))
+        elif op is OpType.READ:
+            ftl.read(lpn)
         else:
-            ftl.trim(request.lpn)
+            ftl.trim(lpn)
 
 
 def execute_kv_spec(spec: KVSpec) -> KVRunResult:
@@ -172,8 +172,8 @@ def execute_kv_spec(spec: KVSpec) -> KVRunResult:
     # Phase 1: load — populate the store against the bare FTL, then
     # reset every counter (the keyed analogue of prefill()'s epilogue).
     _apply_untimed(ftl, store, load_stream(workload))
-    for request in store.flush(arrival_us=0.0):
-        ftl.write(request.lpn, fingerprint_of_value(request.value_id))
+    for _, _, lpn, value_id in store.flush(arrival_us=0.0):
+        ftl.write(lpn, fingerprint_of_value(value_id))
     reset_measurements(ftl)
     store.stats = KVStats()
     store.packer.stats = PackerStats()

@@ -1,8 +1,9 @@
 """Key→LPN translation: a KV store that speaks the simulator's page ops.
 
 :class:`KVStore` maps string/int keys to flash locations and turns each
-:class:`~repro.kv.requests.KVRequest` into the page-level
-:class:`~repro.sim.request.IORequest`\\ s any in-tree FTL consumes:
+:class:`~repro.kv.requests.KVRequest` into the page-level replay rows
+(``(arrival_us, op, lpn, value_id)``, :data:`~repro.sim.request.Row`)
+any in-tree FTL consumes:
 
 * values of at least ``inline_threshold`` bytes occupy a private *extent*
   of whole pages (one WRITE per page; page ``i`` of content ``c`` always
@@ -43,7 +44,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..sim.request import IORequest, OpType
+from ..sim.request import OpType, Row
 from .inline import FlashAction, InlinePacker, InlineSlot
 from .requests import Key, KVOp, KVRequest, key_to_int, mix64
 
@@ -162,27 +163,27 @@ class KVStore:
 
     def put(
         self, key: Key, value_bytes: int, content_id: int, arrival_us: float
-    ) -> Iterator[IORequest]:
+    ) -> Iterator[Row]:
         """(Over)write ``key``; yields this op's page requests."""
         yield from self._put_requests(
             key, value_bytes, content_id, arrival_us
         )
 
-    def get(self, key: Key, arrival_us: float) -> Iterator[IORequest]:
+    def get(self, key: Key, arrival_us: float) -> Iterator[Row]:
         yield from self._get_requests(key, arrival_us)
 
-    def delete(self, key: Key, arrival_us: float) -> Iterator[IORequest]:
+    def delete(self, key: Key, arrival_us: float) -> Iterator[Row]:
         yield from self._delete_requests(key, arrival_us)
 
     def scan(
         self, start_key: int, length: int, arrival_us: float
-    ) -> Iterator[IORequest]:
+    ) -> Iterator[Row]:
         """Read up to ``length`` consecutive integer keys from
         ``start_key`` (missing keys are skipped, like an iterator over a
         sorted store)."""
         yield from self._scan_requests(start_key, length, arrival_us)
 
-    def flush(self, arrival_us: float) -> Iterator[IORequest]:
+    def flush(self, arrival_us: float) -> Iterator[Row]:
         """Seal a partially filled pack buffer (load-phase epilogue)."""
         yield from self._packed([], self._packer.flush(), arrival_us)
 
@@ -190,7 +191,7 @@ class KVStore:
 
     def translate(
         self, stream: Iterable[KVRequest]
-    ) -> Iterator[IORequest]:
+    ) -> Iterator[Row]:
         """Lazily translate a KV request stream into page requests: one
         flat loop over the same per-op helpers the public generators
         use."""
@@ -224,12 +225,12 @@ class KVStore:
 
     def _put_requests(
         self, key: Key, value_bytes: int, content_id: int, arrival_us: float
-    ) -> List[IORequest]:
+    ) -> List[Row]:
         if value_bytes <= 0:
             raise ValueError("value_bytes must be positive")
         stats = self.stats
         stats.puts += 1
-        requests: List[IORequest] = []
+        requests: List[Row] = []
         inline_new = value_bytes < self.inline_threshold
         old = self._extents.pop(key, None)
         if old is None:
@@ -261,14 +262,12 @@ class KVStore:
         self._extents[key] = _Extent(lpns, content_id)
         stats.flash_writes += pages
         requests += [
-            IORequest(
-                arrival_us, _OP_WRITE, lpn, page_value_id(content_id, index)
-            )
+            (arrival_us, _OP_WRITE, lpn, page_value_id(content_id, index))
             for index, lpn in enumerate(lpns)
         ]
         return requests
 
-    def _get_requests(self, key: Key, arrival_us: float) -> List[IORequest]:
+    def _get_requests(self, key: Key, arrival_us: float) -> List[Row]:
         self.stats.gets += 1
         requests = self._read_requests(key, arrival_us)
         if requests is None:
@@ -278,9 +277,9 @@ class KVStore:
 
     def _delete_requests(
         self, key: Key, arrival_us: float
-    ) -> List[IORequest]:
+    ) -> List[Row]:
         self.stats.deletes += 1
-        requests: List[IORequest] = []
+        requests: List[Row] = []
         extent = self._extents.pop(key, None)
         if extent is not None:
             self._trim_pages(requests, extent.lpns, arrival_us)
@@ -292,14 +291,14 @@ class KVStore:
 
     def _scan_requests(
         self, start_key: int, length: int, arrival_us: float
-    ) -> List[IORequest]:
+    ) -> List[Row]:
         if not isinstance(start_key, int) or isinstance(start_key, bool):
             raise TypeError("scans require integer keys")
         if length <= 0:
             raise ValueError("scan length must be positive")
         stats = self.stats
         stats.scans += 1
-        requests: List[IORequest] = []
+        requests: List[Row] = []
         read = self._read_requests
         for key in range(start_key, start_key + length):
             found = read(key, arrival_us)
@@ -312,41 +311,39 @@ class KVStore:
 
     def _read_requests(
         self, key: Key, arrival_us: float
-    ) -> Optional[List[IORequest]]:
+    ) -> Optional[List[Row]]:
         """Flash reads serving ``key``, ``[]`` for a RAM buffer hit,
         ``None`` for a missing key."""
         extent = self._extents.get(key)
         if extent is not None:
             self.stats.flash_reads += len(extent.lpns)
-            return [
-                IORequest(arrival_us, _OP_READ, lpn, 0) for lpn in extent.lpns
-            ]
+            return [(arrival_us, _OP_READ, lpn, 0) for lpn in extent.lpns]
         # The packer rebinds its open buffer on every seal: look keys up
         # through the packer each time, never through a saved reference.
         lpn = self._packer.lpn_of(key)
         if lpn is not None:
             self.stats.flash_reads += 1
-            return [IORequest(arrival_us, _OP_READ, lpn, 0)]
+            return [(arrival_us, _OP_READ, lpn, 0)]
         if key in self._packer:
             self.stats.buffer_hits += 1
             return []
         return None
 
     def _trim_pages(
-        self, requests: List[IORequest], lpns: Tuple[int, ...],
+        self, requests: List[Row], lpns: Tuple[int, ...],
         arrival_us: float,
     ) -> None:
         """Discard whole extent pages: TRIM each and free its LPN."""
         self.stats.flash_trims += len(lpns)
         release = self._release
         for lpn in lpns:
-            requests.append(IORequest(arrival_us, _OP_TRIM, lpn, 0))
+            requests.append((arrival_us, _OP_TRIM, lpn, 0))
             release(lpn)
 
     def _packed(
-        self, requests: List[IORequest], actions: List[FlashAction],
+        self, requests: List[Row], actions: List[FlashAction],
         arrival_us: float,
-    ) -> List[IORequest]:
+    ) -> List[Row]:
         """Append the packer's symbolic actions to ``requests`` as page
         requests, counting each; returns ``requests``."""
         stats = self.stats
@@ -360,5 +357,5 @@ class KVStore:
             else:
                 stats.flash_trims += 1
                 op = _OP_TRIM
-            requests.append(IORequest(arrival_us, op, lpn, value_id))
+            requests.append((arrival_us, op, lpn, value_id))
         return requests

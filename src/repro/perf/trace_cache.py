@@ -15,19 +15,24 @@ environment variable for the process-default cache) persists traces across
 processes and sessions, which is what lets parallel workers and repeated
 benchmark invocations skip regeneration entirely.
 
-Cached traces are shared objects: callers must treat them as immutable
-(the simulator only ever iterates them).
+Cached traces are shared objects, so each is an immutable
+:class:`~repro.sim.request.Trace`: read-only column views and a tuple of
+ops.  A disk entry is the four columns' raw bytes under a one-line
+header (key version, byte order, row count and a SHA-256 of the
+payload); an entry that is truncated, damaged or of another version
+counts as a miss, and the trace is regenerated and rewritten.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import pickle
+import sys
+from array import array
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Optional
 
-from ..sim.request import IORequest
+from ..sim.request import OpType, Trace
 from ..traces.profiles import WorkloadProfile
 from ..traces.synthetic import generate_trace
 
@@ -39,9 +44,11 @@ __all__ = [
 ]
 
 #: Bump when the trace format or generator semantics change, so stale
-#: on-disk entries can never be mistaken for current ones.  v2: traces
-#: are stored and returned as tuples (shared entries must be immutable).
-_KEY_VERSION = "repro-trace/v2"
+#: on-disk entries can never be mistaken for current ones.  v3: traces
+#: are columnar, stored as raw column bytes behind a checked header.
+_KEY_VERSION = "repro-trace/v3"
+
+_OP_OF_CODE = {ord(op.value): op for op in OpType}
 
 
 def profile_cache_key(profile: WorkloadProfile) -> str:
@@ -61,7 +68,7 @@ class TraceCache:
     Parameters
     ----------
     disk_dir:
-        Directory for pickled traces (created on first write), or ``None``
+        Directory for trace entries (created on first write), or ``None``
         for memory-only operation.  Writes are atomic (temp file + rename),
         so concurrent worker processes race benignly.
     max_entries:
@@ -76,7 +83,7 @@ class TraceCache:
             raise ValueError("max_entries must be positive")
         self.disk_dir = disk_dir
         self.max_entries = max_entries
-        self._mem: "OrderedDict[str, Tuple[IORequest, ...]]" = OrderedDict()
+        self._mem: "OrderedDict[str, Trace]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
@@ -88,9 +95,9 @@ class TraceCache:
 
     # ------------------------------------------------------------------
 
-    def get(self, profile: WorkloadProfile) -> Tuple[IORequest, ...]:
-        """The trace for ``profile`` — generated at most once per key,
-        returned as an immutable tuple (the entry is shared)."""
+    def get(self, profile: WorkloadProfile) -> Trace:
+        """The trace for ``profile`` — generated at most once per key
+        (the entry is shared, and immutable)."""
         key = profile_cache_key(profile)
         trace = self._mem.get(key)
         if trace is not None:
@@ -100,12 +107,11 @@ class TraceCache:
         trace = self._load_disk(key)
         if trace is not None:
             self.hits += 1
-            self._remember(key, trace)
-            return trace
-        self.misses += 1
-        trace = tuple(generate_trace(profile))
+        else:
+            self.misses += 1
+            trace = generate_trace(profile)
+            self._store_disk(key, trace)
         self._remember(key, trace)
-        self._store_disk(key, trace)
         return trace
 
     def clear(self) -> None:
@@ -114,32 +120,57 @@ class TraceCache:
 
     # ------------------------------------------------------------------
 
-    def _remember(self, key: str, trace: Tuple[IORequest, ...]) -> None:
+    def _remember(self, key: str, trace: Trace) -> None:
         self._mem[key] = trace
         self._mem.move_to_end(key)
         while len(self._mem) > self.max_entries:
             self._mem.popitem(last=False)
 
     def _disk_path(self, key: str) -> str:
-        return os.path.join(self.disk_dir, f"{key}.trace.pkl")
+        return os.path.join(self.disk_dir, f"{key}.trace")
 
-    def _load_disk(self, key: str) -> Optional[Tuple[IORequest, ...]]:
+    def _load_disk(self, key: str) -> Optional[Trace]:
+        """The entry's trace, or ``None`` when it is missing or damaged."""
         if self.disk_dir is None:
             return None
-        path = self._disk_path(key)
-        if not os.path.exists(path):
+        try:
+            with open(self._disk_path(key), "rb") as f:
+                header, _, payload = f.read().partition(b"\n")
+        except FileNotFoundError:
             return None
-        with open(path, "rb") as f:
-            return tuple(pickle.load(f))
+        fields = header.decode("ascii", "replace").split(" ")
+        if len(fields) != 4 or fields[:2] != [_KEY_VERSION, sys.byteorder]:
+            return None
+        rows = int(fields[2]) if fields[2].isdigit() else -1
+        if len(payload) != 25 * rows or (
+            hashlib.sha256(payload).hexdigest() != fields[3]
+        ):
+            return None
+        cut = 8 * rows
+        return Trace(
+            array("d", payload[:cut]),
+            tuple(map(_OP_OF_CODE.__getitem__, payload[3 * cut:])),
+            array("q", payload[cut:2 * cut]),
+            array("q", payload[2 * cut:3 * cut]),
+        )
 
-    def _store_disk(self, key: str, trace: Tuple[IORequest, ...]) -> None:
+    def _store_disk(self, key: str, trace: Trace) -> None:
         if self.disk_dir is None:
             return
+        payload = b"".join((
+            trace.arrival_us.tobytes(), trace.lpn.tobytes(),
+            trace.value_id.tobytes(),
+            "".join(op.value for op in trace.op).encode("ascii"),
+        ))
+        header = (
+            f"{_KEY_VERSION} {sys.byteorder} {len(trace)} "
+            f"{hashlib.sha256(payload).hexdigest()}\n"
+        )
         os.makedirs(self.disk_dir, exist_ok=True)
         path = self._disk_path(key)
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "wb") as f:
-            pickle.dump(trace, f, protocol=pickle.HIGHEST_PROTOCOL)
+            f.write(header.encode("ascii") + payload)
         os.replace(tmp, path)
 
 
@@ -154,6 +185,6 @@ def default_trace_cache() -> TraceCache:
     return _default
 
 
-def cached_trace(profile: WorkloadProfile) -> Tuple[IORequest, ...]:
+def cached_trace(profile: WorkloadProfile) -> Trace:
     """One-call helper against the process-default cache."""
     return default_trace_cache().get(profile)

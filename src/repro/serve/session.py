@@ -42,7 +42,7 @@ from ..experiments.device import Device
 from ..experiments.runner import config_for_profile, scaled_pool_entries
 from ..fleet.fleet import FleetSpec, build_shard_device, shard_local_pages
 from ..perf.snapshot import capture_live_state, restore_live_state
-from ..sim.request import IORequest
+from ..sim.request import IORequest, Row
 from ..traces.profiles import WorkloadProfile, profile_by_name
 from .config import DEFAULT_BATCH_REQUESTS, ServeSettings
 
@@ -56,7 +56,8 @@ __all__ = [
 
 #: Version tag inside session checkpoint blobs; readers refuse blobs
 #: from an incompatible writer instead of grafting mismatched state.
-SESSION_STATE_VERSION = 1
+#: v2: buffered requests are replay rows, not records.
+SESSION_STATE_VERSION = 2
 
 #: Tenant names become checkpoint file names, so they are restricted to
 #: a filesystem-safe alphabet.
@@ -213,7 +214,7 @@ class TenantSession:
                 fleet.shard(i).label(self.profile.name)
                 for i in range(config.shards)
             ]
-        self._buffers: List[List[IORequest]] = [
+        self._buffers: List[List[Row]] = [
             [] for _ in range(config.shards)
         ]
         if _state is None:
@@ -282,7 +283,8 @@ class TenantSession:
         return sum(len(buffered) for buffered in self._buffers)
 
     def push(self, request: IORequest) -> None:
-        """Buffer one streamed request, routed to its owning shard."""
+        """Buffer one streamed request as a replay row, routed to its
+        owning shard."""
         if self.finished:
             raise SessionError("session already closed")
         if not 0 <= request.lpn < self.profile.total_pages:
@@ -290,15 +292,14 @@ class TenantSession:
                 f"lpn {request.lpn} outside the workload's "
                 f"{self.profile.total_pages}-page space"
             )
-        if self.config.shards == 1:
-            self._buffers[0].append(request)
-            return
         lpn = request.lpn
-        shard = self._owners[lpn]
-        self._buffers[shard].append(IORequest(
-            request.arrival_us, request.op, self._local_of[shard][lpn],
-            request.value_id,
-        ))
+        shard = 0
+        if self.config.shards > 1:
+            shard = self._owners[lpn]
+            lpn = self._local_of[shard][lpn]
+        self._buffers[shard].append(
+            (request.arrival_us, request.op, lpn, request.value_id)
+        )
 
     def step_due(self) -> bool:
         """Whether any shard's buffer reached the batching threshold."""

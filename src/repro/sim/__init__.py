@@ -6,12 +6,13 @@ from .engine import EventEngine, EventHandle
 from .host import HostAdapter, HostCompletion, HostRequest
 from .logging import CompletionLog, LoggedRequest
 from .metrics import LatencyStats, RunResult, percent_improvement
-from .request import CompletedRequest, IORequest, OpType
+from .request import CompletedRequest, IORequest, OpType, Trace
 from .scheduler import HostQueue
 from .ssd import SimulatedSSD, replay
 
 __all__ = [
     "IORequest",
+    "Trace",
     "OpType",
     "CompletedRequest",
     "LatencyStats",

@@ -32,7 +32,7 @@ from ..ftl.ftl import BaseFTL
 from ..ftl.gc import GCWork
 from .logging import CompletionLog
 from .metrics import LatencyStats, RunResult
-from .request import CompletedRequest, IORequest, OpType
+from .request import CompletedRequest, IORequest, OpType, Row, rows_of
 from .scheduler import HostQueue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -90,8 +90,8 @@ class SimulatedSSD:
     def submit(self, request: IORequest) -> CompletedRequest:
         """Service one request; returns its completion record.
 
-        The :meth:`service` loop over one request, so it counts toward
-        ``requests_served`` (and crash injection) like any other.
+        The :meth:`service` loop over the request's row, so it counts
+        toward ``requests_served`` (and crash injection) like any other.
         """
         log = self.log
         completed: List[CompletedRequest] = []
@@ -101,7 +101,7 @@ class SimulatedSSD:
             if log is not None:
                 log.record(done)
 
-        self._replay((request,), None, record)
+        self._replay(rows_of((request,)), None, record)
         return completed[0]
 
     def _charge_translation(self, lpn: int, outcome, now: float) -> float:
@@ -127,32 +127,54 @@ class SimulatedSSD:
         return now
 
     def _charge_gc(self, work: GCWork, start: float) -> None:
-        """Append GC's physical ops to the victim chip's timeline."""
-        for old_ppn, new_ppn in work.relocations:
-            chip = self.geometry.chip_of_ppn(old_ppn)
-            self.timelines.chip_op(
-                chip, start, self.timing.read_us, self.timing.channel_xfer_us
-            )
-            self.timelines.chip_op(
-                chip, start, self.timing.program_us, self.timing.channel_xfer_us
-            )
+        """Append GC's physical ops to the victim chip's timeline.
+
+        Each relocation is a read then a program on the victim chip, both
+        arriving at ``start``: ``chip_op`` inlined, in its float
+        operation order (as in :meth:`_replay`).
+        """
+        timing = self.timing
+        xfer_us = timing.channel_xfer_us
+        ops = (timing.read_us, timing.program_us)
+        chips = self.timelines.chips
+        channels = self.timelines.channels
+        chips_per_channel = self.timelines._chips_per_channel
+        pages_per_chip = self.geometry.pages_per_chip
+        for old_ppn, _ in work.relocations:
+            chip = old_ppn // pages_per_chip
+            channel = channels[chip // chips_per_channel]
+            timeline = chips[chip]
+            for flash_us in ops:
+                busy = channel.busy_until
+                end = (busy if busy > start else start) + xfer_us
+                channel.busy_until = end
+                channel.busy_time += xfer_us
+                channel.op_count += 1
+                busy = timeline.busy_until
+                end = (busy if busy > end else end) + flash_us
+                timeline.busy_until = end
+                timeline.busy_time += flash_us
+                timeline.op_count += 1
+        erase_us = timing.erase_us
+        chip_of_block = self.geometry.chip_of_block
         for block in work.erased_blocks:
-            chip = self.geometry.chip_of_block(block)
-            self.timelines.chips[chip].schedule(start, self.timing.erase_us)
+            chips[chip_of_block(block)].schedule(start, erase_us)
         for block in work.retired_blocks:
             # The failed (or skipped-because-marked) erase attempt still
             # occupied the chip before the block could be retired.
-            chip = self.geometry.chip_of_block(block)
-            self.timelines.chips[chip].schedule(start, self.timing.erase_us)
+            chips[chip_of_block(block)].schedule(start, erase_us)
 
     # ------------------------------------------------------------------
 
     def service(
         self,
-        requests: Iterable[IORequest],
+        rows: Iterable[Row],
         progress: Optional[Callable[[int], None]] = None,
     ) -> int:
-        """Service a batch of requests; returns how many were serviced.
+        """Service a batch of request rows (``(arrival_us, op, lpn,
+        value_id)``, see :meth:`~repro.sim.request.Trace.rows`); returns
+        how many were serviced.  Records go through :meth:`run` or
+        :meth:`submit`.
 
         Batches compose: feeding a trace through several ``service`` calls
         is observably identical to one :meth:`run` over the whole trace —
@@ -164,12 +186,12 @@ class SimulatedSSD:
         """
         log = self.log
         return self._replay(
-            requests, progress, log.record if log is not None else None
+            rows, progress, log.record if log is not None else None
         )
 
     def _replay(
         self,
-        requests: Iterable[IORequest],
+        rows: Iterable[Row],
         progress: Optional[Callable[[int], None]],
         record: Optional[Callable[[CompletedRequest], None]],
     ) -> int:
@@ -183,11 +205,14 @@ class SimulatedSSD:
         operation order (``max(a, b)`` is ``b if b > a else a``).  Rare
         work (GC, DFTL translation traffic, hit verification, failed
         programs) goes through the methods.  The ``background`` slot, when
-        set, runs before each request at its arrival time.  A
-        :class:`CompletedRequest` is built only for ``record``.
+        set, runs before each request at its arrival time.  An
+        :class:`IORequest` and its :class:`CompletedRequest` are built
+        only for ``record``.
         """
         ftl = self.ftl
         ftl_write, ftl_read, ftl_trim = ftl.write, ftl.read, ftl.trim
+        fingerprint = fingerprint_of_value
+        translating = ftl.translation is not None
         faults = ftl.faults
         crash_after = None
         retry_rounds = None
@@ -221,8 +246,7 @@ class SimulatedSSD:
         horizon = self._horizon_us
         first = served = self.requests_served
         WRITE, TRIM = OpType.WRITE, OpType.TRIM
-        for request in requests:
-            arrival = request.arrival_us
+        for arrival, op, lpn, value_id in rows:
             if background is not None:
                 background(arrival)
             while heap and heap[0] <= arrival:
@@ -231,10 +255,8 @@ class SimulatedSSD:
                 start = arrival
             else:
                 start = heappop(heap)
-            op = request.op
-            lpn = request.lpn
             if op is WRITE:
-                outcome = ftl_write(lpn, fingerprint_of_value(request.value_id))
+                outcome = ftl_write(lpn, fingerprint(value_id))
                 now = start
                 if outcome.hashed:
                     busy = hash_unit.busy_until
@@ -243,7 +265,9 @@ class SimulatedSSD:
                     hash_unit.busy_time += hash_us
                     hash_unit.op_count += 1
                 now += mapping_us
-                if outcome.translation_reads or outcome.translation_writes:
+                if translating and (
+                    outcome.translation_reads or outcome.translation_writes
+                ):
                     now = charge_translation(lpn, outcome, now)
                 if outcome.verify_read_ppn is not None:
                     now = chip_op(
@@ -287,14 +311,17 @@ class SimulatedSSD:
             else:
                 outcome = ftl_read(lpn)
                 finish = start + mapping_us
-                if outcome.translation_reads or outcome.translation_writes:
+                if translating and (
+                    outcome.translation_reads or outcome.translation_writes
+                ):
                     finish = charge_translation(lpn, outcome, finish)
-                if outcome.flash_read:
+                ppn = outcome.ppn
+                if ppn is not None:
                     flash_us = read_us
                     if retry_rounds is not None:
                         # ECC read-retry (TimingParams.read_service_us).
                         flash_us = read_us + retry_rounds() * retry_us
-                    chip = outcome.ppn // pages_per_chip
+                    chip = ppn // pages_per_chip
                     channel = channels[chip // chips_per_channel]
                     busy = channel.busy_until
                     finish = (busy if busy > finish else finish) + xfer_us
@@ -315,6 +342,7 @@ class SimulatedSSD:
             if len(heap) > max_observed:
                 max_observed = host_queue.max_observed = len(heap)
             if record is not None:
+                request = IORequest(arrival, op, lpn, value_id)
                 if op is WRITE:
                     record(CompletedRequest(
                         request, start, finish,
@@ -369,8 +397,9 @@ class SimulatedSSD:
         workload: str = "",
         progress: Optional[Callable[[int], None]] = None,
     ) -> RunResult:
-        """Replay a whole trace and package the results."""
-        self.service(requests, progress=progress)
+        """Replay a whole trace (a :class:`~repro.sim.request.Trace` or
+        any records) and package the results."""
+        self.service(rows_of(requests), progress=progress)
         return self.result(system=system, workload=workload)
 
     def power_loss(self):

@@ -23,7 +23,7 @@ from .profiles import (
     audit_trace,
     profile_by_name,
 )
-from .synthetic import SyntheticTraceGenerator, generate_trace
+from .synthetic import generate_trace
 from .transforms import (
     filter_ops,
     interleave_tenants,
@@ -41,7 +41,6 @@ __all__ = [
     "profile_by_name",
     "TraceAudit",
     "audit_trace",
-    "SyntheticTraceGenerator",
     "generate_trace",
     "ZipfSampler",
     "zipf_rank",

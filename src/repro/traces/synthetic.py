@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Iterator, List
+from array import array
+from typing import Dict, List
 
-from ..sim.request import IORequest, OpType
+from ..sim.request import OpType, Trace
 from .profiles import WorkloadProfile
 # The block profiles' Table II knobs were calibrated under the legacy
 # (truncating) sampler and the perf goldens pin the traces it produces,
@@ -43,7 +44,6 @@ from .zipf import zipf_legacy_ranker
 __all__ = [
     "INITIAL_VALUE_BASE",
     "initial_value_of",
-    "SyntheticTraceGenerator",
     "generate_trace",
 ]
 
@@ -57,113 +57,101 @@ def initial_value_of(lpn: int) -> int:
     return INITIAL_VALUE_BASE + lpn
 
 
-class SyntheticTraceGenerator:
-    """Turns one workload profile into a deterministic request stream."""
+def generate_trace(profile: WorkloadProfile) -> Trace:
+    """Generate ``profile``'s trace as a columnar :class:`Trace`.
 
-    def __init__(self, profile: WorkloadProfile):
-        self.profile = profile
+    One flat loop appending to the four columns: the profile's fields
+    are hoisted, and ``expovariate`` and the three draws below are
+    inlined, with Zipf ranks from
+    :func:`~repro.traces.zipf.zipf_legacy_ranker`.  The order of the
+    ``rng`` calls fixes the trace byte for byte; the trace goldens pin
+    it.
 
-    def __iter__(self) -> Iterator[IORequest]:
-        return self.stream()
+    * **Value** — a fresh value id with probability ``new_value_prob``,
+      else an existing value redrawn Zipf over creation rank (rank 1 =
+      oldest).
+    * **Write target** — with probability ``placement_corr`` the page's
+      heat matches the value's popularity rank (popular value -> hot
+      page), which couples value popularity to update rate and
+      reproduces Figure 4a's "highly popular values are invalidated more
+      quickly".  Otherwise the page is an independent Zipf draw.
+    * **Read target** — with probability ``cold_read_frac`` a cold
+      uniform read over the full cold region (which extends past the
+      write working set, holding only pre-existing unique content); else
+      a hot read skewed like the writes.
+    """
+    rng = random.Random(profile.seed)
+    random_ = rng.random
+    randrange = rng.randrange
+    log = math.log
+    draw_value = zipf_legacy_ranker(rng, profile.value_zipf_s)
+    draw_write_page = zipf_legacy_ranker(rng, profile.lpn_zipf_s)
+    draw_read_page = zipf_legacy_ranker(rng, profile.read_zipf_s)
+    rate = 1.0 / profile.mean_interarrival_us
+    write_ratio = profile.targets.write_ratio
+    new_value_prob = profile.new_value_prob
+    placement_corr = profile.placement_corr
+    cold_read_frac = profile.cold_read_frac
+    pages = profile.working_set_pages
+    total_pages = profile.total_pages
+    scan_every = profile.scan_every_writes
+    scan_length = profile.scan_length
+    write, read = OpType.WRITE, OpType.READ
+    arrivals, lpns, values = array("d"), array("q"), array("q")
+    ops: List[OpType] = []
+    add_arrival, add_op = arrivals.append, ops.append
+    add_lpn, add_value = lpns.append, values.append
+    clock_us = 0.0
+    values_created = 0
+    writes_done = 0
+    scan_remaining = 0
+    scan_lpn = 0
+    # What each LPN currently holds; absent → its initial unique value.
+    content: Dict[int, int] = {}
 
-    def stream(self) -> Iterator[IORequest]:
-        """Yield the trace lazily (one pass, O(written-set) memory).
-
-        One flat loop: the profile's fields are hoisted, and
-        ``expovariate`` and the three draws below are inlined, with Zipf
-        ranks from :func:`~repro.traces.zipf.zipf_legacy_ranker`.  The
-        order of the ``rng`` calls fixes the trace byte for byte; the
-        trace goldens pin it.
-
-        * **Value** — a fresh value id with probability
-          ``new_value_prob``, else an existing value redrawn Zipf over
-          creation rank (rank 1 = oldest).
-        * **Write target** — with probability ``placement_corr`` the
-          page's heat matches the value's popularity rank (popular value
-          -> hot page), which couples value popularity to update rate and
-          reproduces Figure 4a's "highly popular values are invalidated
-          more quickly".  Otherwise the page is an independent Zipf draw.
-        * **Read target** — with probability ``cold_read_frac`` a cold
-          uniform read over the full cold region (which extends past the
-          write working set, holding only pre-existing unique content);
-          else a hot read skewed like the writes.
-        """
-        profile = self.profile
-        rng = random.Random(profile.seed)
-        random_ = rng.random
-        randrange = rng.randrange
-        log = math.log
-        draw_value = zipf_legacy_ranker(rng, profile.value_zipf_s)
-        draw_write_page = zipf_legacy_ranker(rng, profile.lpn_zipf_s)
-        draw_read_page = zipf_legacy_ranker(rng, profile.read_zipf_s)
-        rate = 1.0 / profile.mean_interarrival_us
-        write_ratio = profile.targets.write_ratio
-        new_value_prob = profile.new_value_prob
-        placement_corr = profile.placement_corr
-        cold_read_frac = profile.cold_read_frac
-        pages = profile.working_set_pages
-        total_pages = profile.total_pages
-        scan_every = profile.scan_every_writes
-        scan_length = profile.scan_length
-        write, read = OpType.WRITE, OpType.READ
-        clock_us = 0.0
-        values_created = 0
-        writes_done = 0
-        scan_remaining = 0
-        scan_lpn = 0
-        # What each LPN currently holds; absent → its initial unique value.
-        content: Dict[int, int] = {}
-
-        for _ in range(profile.num_requests):
-            clock_us += -log(1.0 - random_()) / rate
-            if random_() < write_ratio:
-                writes_done += 1
-                if (
-                    scan_every
-                    and scan_remaining == 0
-                    and writes_done % scan_every == 0
-                ):
-                    # A background job starts sweeping fresh content
-                    # sequentially through a random stretch of the space.
-                    scan_remaining = scan_length
-                    scan_lpn = randrange(pages)
-                if scan_remaining > 0:
-                    scan_remaining -= 1
+    for _ in range(profile.num_requests):
+        clock_us += -log(1.0 - random_()) / rate
+        add_arrival(clock_us)
+        if random_() < write_ratio:
+            writes_done += 1
+            if (
+                scan_every
+                and scan_remaining == 0
+                and writes_done % scan_every == 0
+            ):
+                # A background job starts sweeping fresh content
+                # sequentially through a random stretch of the space.
+                scan_remaining = scan_length
+                scan_lpn = randrange(pages)
+            if scan_remaining > 0:
+                scan_remaining -= 1
+                value_id = values_created
+                values_created += 1
+                lpn = scan_lpn
+                scan_lpn = (scan_lpn + 1) % pages
+            else:
+                if values_created == 0 or random_() < new_value_prob:
                     value_id = values_created
                     values_created += 1
-                    lpn = scan_lpn
-                    scan_lpn = (scan_lpn + 1) % pages
                 else:
-                    if values_created == 0 or random_() < new_value_prob:
-                        value_id = values_created
-                        values_created += 1
-                    else:
-                        value_id = draw_value(values_created) - 1
-                    if random_() < placement_corr:
-                        # value_id is its creation rank (0 = oldest = most
-                        # popular); the jitter is a +/- 2x spread.
-                        fraction = (value_id + 1) / values_created
-                        rank = int(fraction * pages * (0.5 + random_()))
-                        lpn = min(pages - 1, max(0, rank - 1))
-                    else:
-                        lpn = draw_write_page(pages) - 1
-                content[lpn] = value_id
-                yield IORequest(clock_us, write, lpn, value_id)
+                    value_id = draw_value(values_created) - 1
+                if random_() < placement_corr:
+                    # value_id is its creation rank (0 = oldest = most
+                    # popular); the jitter is a +/- 2x spread.
+                    fraction = (value_id + 1) / values_created
+                    rank = int(fraction * pages * (0.5 + random_()))
+                    lpn = min(pages - 1, max(0, rank - 1))
+                else:
+                    lpn = draw_write_page(pages) - 1
+            content[lpn] = value_id
+            add_op(write)
+        else:
+            if random_() < cold_read_frac:
+                lpn = randrange(total_pages)
             else:
-                if random_() < cold_read_frac:
-                    lpn = randrange(total_pages)
-                else:
-                    lpn = draw_read_page(pages) - 1
-                yield IORequest(
-                    clock_us, read, lpn,
-                    content.get(lpn, INITIAL_VALUE_BASE + lpn),
-                )
-
-    def generate(self) -> List[IORequest]:
-        """Materialise the whole trace (convenient for repeated replays)."""
-        return list(self.stream())
-
-
-def generate_trace(profile: WorkloadProfile) -> List[IORequest]:
-    """One-call helper: profile in, request list out."""
-    return SyntheticTraceGenerator(profile).generate()
+                lpn = draw_read_page(pages) - 1
+            value_id = content.get(lpn, INITIAL_VALUE_BASE + lpn)
+            add_op(read)
+        add_lpn(lpn)
+        add_value(value_id)
+    return Trace(arrivals, tuple(ops), lpns, values)

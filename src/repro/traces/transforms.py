@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Iterator, List, Sequence
 
-from ..sim.request import IORequest, OpType
+from ..sim.request import IORequest, OpType, Row
 
 __all__ = [
     "scale_time",
@@ -102,11 +102,13 @@ def shift_lpns(
         )
 
 
-def with_trims(
-    trace: Iterable[IORequest], every_writes: int
-) -> Iterator[IORequest]:
+def with_trims(rows: Iterable[Row], every_writes: int) -> Iterator[Row]:
     """Inject a TRIM after every ``every_writes``-th write, discarding
     that write's LPN at the same arrival time.
+
+    Works on replay rows (:meth:`~repro.sim.request.Trace.rows`, or
+    :func:`~repro.sim.request.rows_of` a record stream), since its output
+    feeds the replay loop.
 
     The synthetic profiles never emit TRIM (the paper does not evaluate
     it), but the FTL's trim path — discard journalling, revivable-garbage
@@ -123,17 +125,13 @@ def with_trims(
     if every_writes <= 0:
         raise ValueError("every_writes must be positive")
     writes = 0
-    for request in trace:
-        yield request
-        if request.op is OpType.WRITE:
+    WRITE, TRIM = OpType.WRITE, OpType.TRIM
+    for row in rows:
+        yield row
+        if row[1] is WRITE:
             writes += 1
             if writes % every_writes == 0:
-                yield IORequest(
-                    arrival_us=request.arrival_us,
-                    op=OpType.TRIM,
-                    lpn=request.lpn,
-                    value_id=0,
-                )
+                yield (row[0], TRIM, row[2], 0)
 
 
 def merge_traces(

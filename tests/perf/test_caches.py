@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.adaptive import AdaptiveMQDeadValuePool
-from repro.core.hashing import _interned, fingerprint_of_value
+from repro.core.hashing import fingerprint_of_value
 from repro.experiments.config import RunConfig
 from repro.experiments.runner import (
     ExperimentContext,
@@ -51,7 +51,7 @@ class TestTraceCache:
 
     def test_cached_trace_matches_direct_generation(self):
         profile = make_profile()
-        assert list(TraceCache().get(profile)) == generate_trace(profile)
+        assert TraceCache().get(profile) == generate_trace(profile)
 
     def test_seed_is_part_of_the_key(self):
         cache = TraceCache()
@@ -81,6 +81,42 @@ class TestTraceCache:
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):
             TraceCache(max_entries=0)
+
+
+class TestTraceCacheDamage:
+    """A damaged disk entry is a miss: the trace is regenerated and the
+    entry rewritten, never a crash or a wrong trace."""
+
+    @staticmethod
+    def _damaged(tmp_path, damage):
+        profile = make_profile(num_requests=500)
+        TraceCache(disk_dir=str(tmp_path)).get(profile)
+        (path,) = tmp_path.iterdir()
+        path.write_bytes(damage(path.read_bytes()))
+        cache = TraceCache(disk_dir=str(tmp_path))
+        trace = cache.get(profile)
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert trace == generate_trace(profile)
+        fresh = TraceCache(disk_dir=str(tmp_path))
+        assert fresh.get(profile) == trace  # the entry was rewritten
+        assert (fresh.hits, fresh.misses) == (1, 0)
+
+    def test_truncated_entry_is_a_miss(self, tmp_path):
+        self._damaged(tmp_path, lambda blob: blob[: len(blob) // 2])
+
+    def test_bit_flipped_entry_is_a_miss(self, tmp_path):
+        def flip(blob):
+            # A low mantissa bit of the first arrival time, just past the
+            # header: the entry keeps its length and still decodes.
+            at = blob.index(b"\n") + 1
+            return blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1:]
+
+        self._damaged(tmp_path, flip)
+
+    def test_wrong_version_entry_is_a_miss(self, tmp_path):
+        self._damaged(
+            tmp_path, lambda blob: blob.replace(b"repro-trace/v3", b"repro-trace/v2", 1)
+        )
 
 
 def _prefilled_directly(system, profile):
@@ -401,9 +437,9 @@ def test_prefill_skips_the_intern_cache():
     ftl = build_system("baseline", config_for_profile(profile), 0)
     # Every profile's initial values are the same ids, so an earlier
     # interning prefill would hide a new one: start from an empty cache.
-    _interned.cache_clear()
+    fingerprint_of_value.cache_clear()
     pages = prefill(ftl, profile)
-    assert _interned.cache_info().currsize == 0
+    assert fingerprint_of_value.cache_info().currsize == 0
     assert pages == profile.total_pages
     assert [ftl._ppn_fp[ftl.mapping.lookup(lpn)] for lpn in range(pages)] == [
         fingerprint_of_value(initial_value_of(lpn)) for lpn in range(pages)

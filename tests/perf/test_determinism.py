@@ -47,7 +47,7 @@ class TestTraceDeterminism:
 
     def test_cache_preserves_trace_content(self):
         profile = make_profile()
-        assert list(TraceCache().get(profile)) == generate_trace(profile)
+        assert TraceCache().get(profile) == generate_trace(profile)
 
 
 class TestRunDeterminism:

@@ -58,7 +58,7 @@ def read_only_run(system):
     trace = generate_trace(
         make_profile(working_set_pages=1500, num_requests=20000)
     )
-    assert device.service(trace) == len(trace)
+    assert device.service(trace.rows()) == len(trace)
     return ftl, device
 
 
@@ -114,7 +114,7 @@ def background_outcome(device, system):
 def test_background_gc_replay_matches_golden(system):
     device = background_device(system)
     trace = background_trace()
-    assert device.service(trace) == len(trace)
+    assert device.service(trace.rows()) == len(trace)
     outcome = background_outcome(device, system)
     assert outcome[1] > 0 and outcome[2] > 0
     assert device.ftl.counters.gc_erases >= outcome[1]
@@ -128,3 +128,16 @@ def test_background_gc_submit_loop_matches_golden(system):
     for request in background_trace():
         device.submit(request)
     assert background_outcome(device, system) == BACKGROUND_GOLDEN[system]
+
+
+@pytest.mark.parametrize("system", sorted(POOLS))
+def test_record_replay_matches_row_replay(system):
+    """A record list (converted to rows at the ``run`` edge) and the
+    trace's own rows replay to the same digest."""
+    trace = background_trace()
+    by_rows = SimulatedSSD(BaseFTL(drive_config(), pool=POOLS[system]()))
+    assert by_rows.service(trace.rows()) == len(trace)
+    by_records = SimulatedSSD(BaseFTL(drive_config(), pool=POOLS[system]()))
+    result = by_records.run(list(trace), system=system)
+    assert by_rows.ftl.counters.gc_erases > 0
+    assert result_digest(result) == result_digest(by_rows.result(system))

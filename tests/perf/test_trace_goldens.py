@@ -1,12 +1,14 @@
 """Synthetic trace goldens at small scale, and the cached legacy ranker.
 
-``SyntheticTraceGenerator.stream`` is a tuned hot loop: its draw helpers
-and ``expovariate`` are inlined and its Zipf ranks come from
-``zipf_legacy_ranker``.  None of that may change a trace.  The digests
-below were minted on the generator before it was flattened (three
-``_draw_*`` helpers, ``rng.expovariate``, ``zipf_rank_legacy`` per draw)
-and each must reproduce byte-for-byte: every request's arrival time (as
-its exact float hex), op, LPN and value id.
+``generate_trace`` is a tuned hot loop: its draw helpers and
+``expovariate`` are inlined, its Zipf ranks come from
+``zipf_legacy_ranker`` and it fills four columns instead of building
+request records.  None of that may change a trace.  The digests below
+were minted on the generator before it was flattened (three ``_draw_*``
+helpers, ``rng.expovariate``, ``zipf_rank_legacy`` per draw, one record
+per request) and each must reproduce byte-for-byte from the columns:
+every request's arrival time (as its exact float hex), op, LPN and value
+id.
 """
 
 import hashlib
@@ -18,7 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.traces.profiles import PROFILES
-from repro.traces.synthetic import SyntheticTraceGenerator
+from repro.traces.synthetic import generate_trace
 from repro.traces.zipf import zipf_legacy_ranker, zipf_rank_legacy
 
 GOLDEN_SCALE = 0.02
@@ -47,10 +49,9 @@ SCAN_GOLDEN = (
 
 def trace_digest(profile) -> str:
     digest = hashlib.sha256()
-    for request in SyntheticTraceGenerator(profile).stream():
+    for arrival_us, op, lpn, value_id in generate_trace(profile).rows():
         digest.update(repr((
-            request.arrival_us.hex(), request.op.value, request.lpn,
-            request.value_id,
+            arrival_us.hex(), op.value, lpn, value_id,
         )).encode("ascii"))
     return digest.hexdigest()
 

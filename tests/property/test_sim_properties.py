@@ -12,7 +12,7 @@ from repro.ftl.dvp_ftl import build_system
 from repro.obs import TimeSeriesSampler
 from repro.sim.background import BackgroundGCSSD
 from repro.sim.logging import CompletionLog
-from repro.sim.request import IORequest, OpType
+from repro.sim.request import IORequest, OpType, rows_of
 from repro.sim.ssd import SimulatedSSD
 from repro.traces.transforms import with_trims
 
@@ -174,7 +174,7 @@ def replay_pair(make_ftl, trace, chunk, queue_depth=None, faults=None,
         step = chunk or len(trace)
         for start in range(0, len(trace), step):
             batch = trace[start:start + step]
-            assert device.service(batch) == len(batch)
+            assert device.service(rows_of(batch)) == len(batch)
         devices.append(device)
     return devices
 
@@ -232,7 +232,9 @@ def test_batched_service_matches_per_request(
     without background collection before each request."""
     trace = to_trace(raw)
     if trim_every is not None:
-        trace = list(with_trims(trace, trim_every))
+        trace = [
+            IORequest(*row) for row in with_trims(rows_of(trace), trim_every)
+        ]
     batched, reference = replay_pair(
         FTL_FACTORIES[system], trace, chunk,
         queue_depth=queue_depth, log=log, observer=observer and not background,

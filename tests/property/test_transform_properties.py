@@ -17,9 +17,9 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.request import IORequest, OpType
+from repro.sim.request import IORequest, OpType, rows_of
 from repro.traces.profiles import PROFILES
-from repro.traces.synthetic import SyntheticTraceGenerator
+from repro.traces.synthetic import generate_trace
 from repro.traces.transforms import (
     filter_ops,
     interleave_tenants,
@@ -89,7 +89,7 @@ class TestTransformsPreserveArrivalOrder:
             take(trace, count),
             filter_ops(trace, op),
             shift_lpns(trace, offset),
-            with_trims(trace, every),
+            (IORequest(*row) for row in with_trims(rows_of(trace), every)),
         ):
             assert_arrival_ordered(list(output))
 
@@ -118,7 +118,10 @@ class TestTransformsPreserveArrivalOrder:
     @settings(max_examples=60)
     def test_composition_stays_ordered(self, trace, factor, every):
         """Transforms chain (the way experiments actually use them)."""
-        out = list(with_trims(scale_time(trace, factor), every))
+        out = [
+            IORequest(*row)
+            for row in with_trims(rows_of(scale_time(trace, factor)), every)
+        ]
         assert_arrival_ordered(out)
 
 
@@ -130,14 +133,13 @@ class TestGeneratorDeterminism:
     @settings(max_examples=12, deadline=None)
     def test_reseeded_profile_regenerates_identically(self, seed, name):
         """Same profile + same seed = the same stream, every time; the
-        lazy stream and the materialised list agree request-for-request."""
+        columns and the records built from them agree request-for-request."""
         profile = replace(PROFILES[name].scaled(0.002), seed=seed)
-        generator = SyntheticTraceGenerator(profile)
-        first = list(generator.stream())
-        second = list(generator.stream())
+        first = generate_trace(profile)
+        second = generate_trace(profile)
         assert first == second
-        assert SyntheticTraceGenerator(profile).generate() == first
-        assert_arrival_ordered(first)
+        assert list(first) == list(second)
+        assert_arrival_ordered(list(first))
 
     @given(seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=12, deadline=None)
@@ -146,9 +148,7 @@ class TestGeneratorDeterminism:
         stream of the same length — the shape comes from the profile,
         the randomness from the seed."""
         base = PROFILES["mail"].scaled(0.002)
-        a = SyntheticTraceGenerator(replace(base, seed=seed)).generate()
-        b = SyntheticTraceGenerator(
-            replace(base, seed=seed + 1)
-        ).generate()
+        a = generate_trace(replace(base, seed=seed))
+        b = generate_trace(replace(base, seed=seed + 1))
         assert len(a) == len(b) == base.num_requests
         assert a != b

@@ -32,7 +32,7 @@ from repro.ftl.dftl import DFTLFtl
 from repro.ftl.ftl import BaseFTL, WriteOutcome
 from repro.ftl.mapping import POPULARITY_MAX
 from repro.sim.background import BackgroundGCSSD
-from repro.sim.request import CompletedRequest, IORequest, OpType
+from repro.sim.request import CompletedRequest, IORequest, OpType, Row
 from repro.sim.ssd import SimulatedSSD
 
 __all__ = [
@@ -349,7 +349,7 @@ class PerRequestReplay:
 
     def service(
         self,
-        requests: Iterable[IORequest],
+        rows: Iterable[Row],
         progress: Optional[Callable[[int], None]] = None,
     ) -> int:
         faults = self.ftl.faults
@@ -357,8 +357,8 @@ class PerRequestReplay:
             faults.config.crash_after_requests if faults is not None else None
         )
         count = 0
-        for request in requests:
-            self.submit(request)
+        for row in rows:
+            self.submit(IORequest(*row))
             index = self.requests_served
             self.requests_served += 1
             count += 1

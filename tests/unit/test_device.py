@@ -29,7 +29,7 @@ class TestStageOrdering:
     def test_step_requires_attach(self, context):
         device = Device("baseline", context.config, 64).build()
         with pytest.raises(RuntimeError, match="attach"):
-            device.step(context.trace)
+            device.step(context.trace.rows())
 
     def test_finalize_requires_attach(self, context):
         device = Device("baseline", context.config, 64).build()
@@ -43,7 +43,7 @@ class TestStageOrdering:
             .precondition(context.profile, reuse_prefill=False)
         )
         device.attach(RunConfig(scale=SCALE))
-        assert device.step(context.trace) == len(context.trace)
+        assert device.step(context.trace.rows()) == len(context.trace)
         result = device.finalize(workload="web")
         assert result.counters.host_writes > 0
 
@@ -59,7 +59,7 @@ class TestChunkedStepping:
         device = Device("mq-dvp", context.config, entries)
         device.precondition(context.profile)
         device.attach(cfg)
-        trace = list(context.trace)
+        trace = list(context.trace.rows())
         step = 500
         for start in range(0, len(trace), step):
             device.step(trace[start:start + step])
@@ -82,7 +82,7 @@ class TestChunkedStepping:
         device = Device("mq-dvp", context.config, entries)
         device.precondition(context.profile)
         device.attach(cfg)
-        trace = list(context.trace)
+        trace = list(context.trace.rows())
         # Chunk boundary deliberately NOT aligned with the crash point.
         step = crash_at // 3 + 7
         for start in range(0, len(trace), step):

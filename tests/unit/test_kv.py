@@ -17,7 +17,7 @@ from repro.kv.zoo import (
     load_stream,
     txn_stream,
 )
-from repro.sim.request import OpType
+from repro.sim.request import IORequest, OpType
 
 
 class TestKeyMixing:
@@ -145,8 +145,9 @@ class TestInlinePacker:
 
 
 class TestKVStore:
-    def collect(self, iterator):
-        return list(iterator)
+    def collect(self, rows):
+        """The store emits replay rows; read them back as records."""
+        return [IORequest(*row) for row in rows]
 
     def test_large_put_allocates_extent(self):
         store = KVStore(page_bytes=4096)
@@ -222,7 +223,7 @@ class TestKVStore:
                                 value_bytes=4_096, content_id=key)
 
         stream = store.translate(endless())
-        first = [next(stream) for _ in range(5)]
+        first = self.collect(next(stream) for _ in range(5))
         assert [r.lpn for r in first] == [0, 1, 2, 3, 4]
 
     def test_max_pages_guard(self):

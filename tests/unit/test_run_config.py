@@ -127,19 +127,29 @@ class TestLegacyKwargsRemoved:
 
 
 class TestTraceCacheSafety:
-    def test_cached_trace_is_a_tuple(self):
+    def test_cached_trace_is_immutable(self):
         context = ExperimentContext.for_workload("web", SCALE)
-        assert isinstance(context.trace, tuple)
+        trace = context.trace
         again = ExperimentContext.for_workload("web", SCALE)
-        assert again.trace is context.trace  # shared, so it must be immutable
+        assert again.trace is trace  # shared, so it must be immutable
+        first = trace[0]
+        for column in (trace.arrival_us, trace.lpn, trace.value_id):
+            with pytest.raises(TypeError):
+                column[0] = 1
+        with pytest.raises(TypeError):
+            trace[0] = trace[1]
+        with pytest.raises(AttributeError):
+            trace.sort()
+        assert isinstance(trace.op, tuple)
+        assert trace[0] == first
 
-    def test_uncached_trace_is_private_and_mutable(self):
+    def test_uncached_trace_is_private(self):
         context = ExperimentContext.for_workload(
             "web", SCALE, use_cache=False
         )
-        assert isinstance(context.trace, list)
         cached = ExperimentContext.for_workload("web", SCALE)
-        context.trace.reverse()  # must not poison the shared copy
+        assert context.trace is not cached.trace
+        assert context.trace == cached.trace
         assert ExperimentContext.for_workload("web", SCALE).trace is (
             cached.trace
         )

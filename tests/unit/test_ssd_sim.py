@@ -7,7 +7,7 @@ from repro.faults import FaultConfig, FaultModel
 from repro.ftl.dedup import DedupFTL
 from repro.ftl.ftl import BaseFTL
 from repro.sim.background import BackgroundGCSSD
-from repro.sim.request import IORequest, OpType
+from repro.sim.request import IORequest, OpType, rows_of
 from repro.sim.ssd import SimulatedSSD, replay
 
 from ..reference import ReferenceSSD, as_reference
@@ -144,7 +144,7 @@ class TestServiceRouting:
         assert len(device.recovery_reports) == 1
         assert ftl.faults.stats.crashes == 1
         # Counting continues across submit and service alike.
-        assert device.service([w(10_000.0, 1, 9)]) == 1
+        assert device.service(rows_of([w(10_000.0, 1, 9)])) == 1
         assert device.requests_served == 6
 
     def test_submit_returns_what_the_reference_chain_returns(
@@ -175,5 +175,5 @@ class TestServiceRouting:
         monkeypatch.setattr(BackgroundGCSSD, "_background_pass", probe)
         device = BackgroundGCSSD(BaseFTL(tiny_config))
         trace = [w(i * 100.0, i % 8, i) for i in range(50)]
-        assert device.service(trace) == len(trace)
+        assert device.service(rows_of(trace)) == len(trace)
         assert seen == [request.arrival_us for request in trace]

@@ -5,7 +5,6 @@ import pytest
 from repro.sim.request import OpType
 from repro.traces.synthetic import (
     INITIAL_VALUE_BASE,
-    SyntheticTraceGenerator,
     generate_trace,
     initial_value_of,
 )
@@ -23,15 +22,15 @@ class TestDeterminism:
             make_profile(seed=2)
         )
 
-    def test_stream_matches_generate(self):
-        profile = make_profile(num_requests=500)
-        assert list(SyntheticTraceGenerator(profile).stream()) == generate_trace(
-            profile
-        )
+    def test_records_equal_rows(self):
+        trace = generate_trace(make_profile(num_requests=500))
+        records = [(r.arrival_us, r.op, r.lpn, r.value_id) for r in trace]
+        assert records == list(trace.rows())
+        assert [trace[i] for i in range(len(trace))] == list(trace)
 
     def test_iterable_protocol(self):
         profile = make_profile(num_requests=100)
-        assert len(list(SyntheticTraceGenerator(profile))) == 100
+        assert len(list(generate_trace(profile))) == 100
 
 
 class TestShape:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.request import IORequest, OpType
+from repro.sim.request import IORequest, OpType, rows_of
 from repro.traces.transforms import (
     filter_ops,
     interleave_tenants,
@@ -214,9 +214,14 @@ class TestTransformsFeedTheSimulator:
         assert compressed.mean_latency_us >= relaxed.mean_latency_us
 
 
+def trimmed(trace, every):
+    """``with_trims`` over the records' rows, read back as records."""
+    return (IORequest(*row) for row in with_trims(rows_of(trace), every))
+
+
 class TestWithTrims:
     def test_trims_follow_every_nth_write(self):
-        out = with_trims(TRACE, 2)
+        out = trimmed(TRACE, 2)
         # Writes at index 0, 2, 3; the 2nd write (lpn 1) gets a TRIM.
         ops = [(req.op, req.lpn) for req in out]
         assert ops == [
@@ -226,22 +231,22 @@ class TestWithTrims:
         ]
 
     def test_trim_shares_arrival_time(self):
-        out = with_trims(TRACE, 2)
+        out = trimmed(TRACE, 2)
         trim = next(req for req in out if req.op is OpType.TRIM)
         assert trim.arrival_us == 20.0
 
     def test_every_write_trimmed(self):
-        out = with_trims(TRACE, 1)
+        out = trimmed(TRACE, 1)
         trims = [req for req in out if req.op is OpType.TRIM]
         assert [t.lpn for t in trims] == [0, 1, 2]
 
     def test_reads_do_not_count(self):
-        out = with_trims([r(0.0, 5), r(1.0, 6)], 1)
+        out = trimmed([r(0.0, 5), r(1.0, 6)], 1)
         assert all(req.op is OpType.READ for req in out)
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
-            list(with_trims(TRACE, 0))
+            list(trimmed(TRACE, 0))
 
     def test_lazy_never_materialises(self):
         """Streams like every other transform: pulling a prefix of the
@@ -252,7 +257,7 @@ class TestWithTrims:
                 yield w(float(i), i % 8, i)
                 i += 1
 
-        out = with_trims(endless(), 2)
+        out = trimmed(endless(), 2)
         head = [next(out) for _ in range(6)]
         ops = [req.op for req in head]
         assert OpType.TRIM in ops
