@@ -3,9 +3,9 @@
 The paper's latency arguments are queueing arguments: programs and erases
 occupy chips, and everything behind them waits.  This module extracts the
 resource-occupancy picture from a finished simulation — per-chip busy
-fractions, channel and hash-unit utilisation, and a load-imbalance measure
-— so experiments can show *why* a configuration's latency moved, not just
-that it did.
+fractions and op counts, channel and hash-unit utilisation — so
+experiments can show *why* a configuration's latency moved, not just that
+it did.
 
 Works with both device models (the timeline model's
 :class:`~repro.flash.timing.ResourceTimeline` and the event model's
@@ -50,27 +50,6 @@ class UtilisationReport:
         return sum(
             c.utilisation(self.horizon_us) for c in self.chips
         ) / len(self.chips)
-
-    @property
-    def peak_chip_utilisation(self) -> float:
-        if not self.chips:
-            return 0.0
-        return max(c.utilisation(self.horizon_us) for c in self.chips)
-
-    @property
-    def chip_imbalance(self) -> float:
-        """Peak/mean busy-time ratio across chips (1.0 = perfectly even).
-
-        Striping should keep this near 1; a high value means some chips
-        became hot spots (e.g. GC concentrating on a few planes).
-        """
-        if not self.chips:
-            return 1.0
-        busy = [c.busy_time_us for c in self.chips]
-        mean = sum(busy) / len(busy)
-        if mean == 0:
-            return 1.0
-        return max(busy) / mean
 
     def rows(self) -> List[Sequence[object]]:
         """Table rows for :func:`repro.analysis.report.render_table`."""

@@ -4,7 +4,9 @@ Commands
 --------
 
 ``run``
-    Simulate one system on one workload and print the result summary.
+    Simulate one system on one workload and print the result summary;
+    the fault flags attach a seeded fault model (DESIGN.md §7) and add
+    its ``fault.*`` rows to the summary.
 ``compare``
     Run several systems on one workload; print a comparison table
     normalised to the first system.
@@ -17,14 +19,13 @@ Commands
     Multi-seed improvement statistics for one system/metric.
 ``matrix``
     Run a full (workloads × systems) matrix, optionally in parallel.
-``faults``
-    Run one system on an unreliable device (seeded fault injection),
-    or — with ``--recovery`` — measure the post-crash revival-rate
-    warmup against an uninterrupted run.
+``recovery``
+    Measure the post-crash revival-rate warmup against an
+    uninterrupted run of the same trace.
 ``fleet``
     Shard one workload across N simulated drives (consistent-hash
     routing), run the shards in parallel, and print the fleet
-    aggregate; ``--compare-pool-modes`` contrasts private per-drive
+    aggregate; ``--pool-mode both`` contrasts private per-drive
     dead-value pools with the shared-pool upper bound.
 ``kv``
     Run a keyed (KV-SSD) workload from the zoo (:mod:`repro.kv`) over
@@ -48,10 +49,10 @@ serve responses emit.  Commands that fan out over independent cells
 take ``--jobs N`` (0 = all cores); parallel results are bit-identical
 to ``--jobs 1``.  The tracked benchmark is not a subcommand: ``make
 bench`` runs ``benchmarks/perf/harness.py``, which gates the report.
-Shared flag groups (``--scale``, ``--jobs``, ``--seed``, the
-``--check`` trio, the fault probabilities, the ``--obs`` pair) are
-declared once in :mod:`repro.cliopts` and reused verbatim across
-subcommands.  Exit code 0 on success, 2 on usage errors.
+A flag that several subcommands take is declared once, in
+:data:`SHARED_FLAGS`.  Exit code 0 on success, 2 on usage errors: flags
+that cannot build a valid spec or config print ``error: …`` (raised as
+:class:`UsageError`, caught in :func:`main`).
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ import cProfile
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 
 from .analysis.characterize import (
     invalidation_cdf,
@@ -71,21 +72,9 @@ from .analysis.characterize import (
 )
 from .analysis.report import render_table
 from .api import record_from_run
-from .cliopts import (
-    add_check_flags,
-    add_fault_flags,
-    add_jobs,
-    add_obs_flags,
-    add_scale,
-    add_seed,
-    build_obs,
-    check_kwargs,
-    fault_config,
-    fault_config_or_none,
-)
 from .experiments import figures as figures_mod
 from .experiments.figures import EvaluationMatrix
-from .experiments.config import RunConfig
+from .experiments.config import DEFAULT_SCALE, RunConfig
 from .experiments.replication import paired_improvement
 from .experiments.runner import ExperimentContext, run_system
 from .ftl.dvp_ftl import SYSTEMS
@@ -93,6 +82,8 @@ from .traces.profiles import PROFILES
 from .traces.synthetic import generate_trace
 
 __all__ = ["main", "build_parser"]
+
+T = TypeVar("T")
 
 #: figure id → (callable, needs_matrix)
 FIGURES = {
@@ -112,6 +103,64 @@ FIGURES = {
     "fig15": (figures_mod.fig15_dedup_latency, True),
 }
 
+#: Every flag more than one subcommand takes: name → ``add_argument``
+#: keywords.  A subcommand names the ones it takes in :func:`_shared`,
+#: overriding a keyword only where its meaning differs (``--seed``,
+#: ``fleet --check``, the ``--obs`` of ``fleet`` and ``serve``).
+SHARED_FLAGS: Dict[str, Dict[str, Any]] = {
+    "--workload": dict(choices=sorted(PROFILES), required=True),
+    "--system": dict(choices=sorted(SYSTEMS), required=True),
+    "--pool": dict(
+        type=int, default=200_000,
+        help="pool size in paper-label entries (default 200K)",
+    ),
+    "--json": dict(action="store_true", help="print JSON, not a table"),
+    "--scale": dict(
+        type=float, default=DEFAULT_SCALE,
+        help=f"workload scale (default {DEFAULT_SCALE})",
+    ),
+    "--jobs": dict(
+        type=int, default=1, metavar="N",
+        help="worker processes for independent cells "
+             "(default 1 = serial, 0 = all cores)",
+    ),
+    "--seed": dict(type=int, default=None,
+                   help="trace-generator seed override"),
+    "--check": dict(
+        action="store_true",
+        help="run the correctness harness in lockstep: full invariant "
+             "audits plus the dict-based oracle FTL cross-checking "
+             "every read, revival and trim (see DESIGN.md)",
+    ),
+    "--check-interval": dict(
+        type=int, default=None, metavar="N",
+        help="events between full invariant audits (implies --check; "
+             "default 1000)",
+    ),
+    "--trim-every": dict(
+        type=int, default=0, metavar="N",
+        help="inject a TRIM after every Nth write (0 = none); "
+             "changes the trace, so results differ from the "
+             "untrimmed run by construction",
+    ),
+    "--obs": dict(
+        metavar="PATH", default=None,
+        help="write a JSONL time series of internal state to PATH "
+             "(see DESIGN.md, 'Observability')",
+    ),
+}
+
+#: ``--seed`` where it seeds the fault stream (``run``, ``recovery``).
+FAULT_SEED = dict(default=0, help="fault-stream seed (default 0)")
+
+
+def _shared(
+    parser: argparse.ArgumentParser, *flags: str, **overrides: Any
+) -> None:
+    """Add the :data:`SHARED_FLAGS` named by ``flags`` to ``parser``."""
+    for flag in flags:
+        parser.add_argument(flag, **{**SHARED_FLAGS[flag], **overrides})
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -121,58 +170,64 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="simulate one system on one workload")
-    run_p.add_argument("--workload", choices=sorted(PROFILES), required=True)
-    run_p.add_argument("--system", choices=sorted(SYSTEMS), required=True)
-    run_p.add_argument("--pool", type=int, default=200_000,
-                       help="pool size in paper-label entries (default 200K)")
-    run_p.add_argument("--json", action="store_true")
-    add_obs_flags(run_p)
+    _shared(run_p, "--workload", "--system", "--pool", "--json", "--obs")
+    run_p.add_argument(
+        "--obs-interval", type=int, default=1000, metavar="N",
+        help="sample every N completed host requests (default 1000)",
+    )
+    run_p.add_argument(
+        "--obs-interval-us", type=float, default=None, metavar="M",
+        help="also sample every M simulated microseconds",
+    )
     run_p.add_argument(
         "--profile", action="store_true",
         help="run under cProfile and print self time by repro layer",
     )
-    add_check_flags(run_p)
-    add_fault_flags(run_p)
-    add_scale(run_p)
+    _shared(run_p, "--check", "--check-interval", "--trim-every")
+    _shared(run_p, "--seed", **FAULT_SEED)
+    run_p.add_argument("--program-failure-prob", type=float, default=0.0,
+                       metavar="P", help="per-program failure probability")
+    run_p.add_argument("--erase-failure-prob", type=float, default=0.0,
+                       metavar="P", help="per-erase failure probability")
+    run_p.add_argument("--read-error-prob", type=float, default=0.0,
+                       metavar="P", help="per-read ECC-retry probability")
+    run_p.add_argument("--crash-after", type=int, default=None, metavar="N",
+                       help="power loss after N serviced host requests")
+    _shared(run_p, "--scale")
 
     cmp_p = sub.add_parser("compare", help="compare systems on one workload")
-    cmp_p.add_argument("--workload", choices=sorted(PROFILES), required=True)
+    _shared(cmp_p, "--workload")
     cmp_p.add_argument(
         "--systems", default="baseline,mq-dvp,dedup,dvp+dedup",
         help="comma-separated system names (first is the reference)",
     )
-    cmp_p.add_argument("--pool", type=int, default=200_000)
-    add_check_flags(cmp_p)
-    add_scale(cmp_p)
-    add_jobs(cmp_p)
+    _shared(cmp_p, "--pool", "--check", "--check-interval", "--trim-every",
+            "--scale", "--jobs")
 
     fig_p = sub.add_parser("figure", help="regenerate one paper artifact")
     fig_p.add_argument("id", choices=sorted(FIGURES))
-    add_scale(fig_p)
+    _shared(fig_p, "--scale")
 
     chr_p = sub.add_parser(
         "characterize", help="Section II analysis for one workload"
     )
-    chr_p.add_argument("--workload", choices=sorted(PROFILES), required=True)
-    add_scale(chr_p)
+    _shared(chr_p, "--workload", "--scale")
 
     report_p = sub.add_parser(
         "report", help="regenerate every artifact into one document"
     )
     report_p.add_argument("--out", default=None,
                           help="write to this file instead of stdout")
-    add_scale(report_p)
+    _shared(report_p, "--scale")
 
     rep_p = sub.add_parser(
         "replicate", help="multi-seed improvement statistics"
     )
-    rep_p.add_argument("--workload", choices=sorted(PROFILES), required=True)
-    rep_p.add_argument("--system", choices=sorted(SYSTEMS), required=True)
+    _shared(rep_p, "--workload", "--system")
     rep_p.add_argument("--metric", default="flash_writes")
     rep_p.add_argument("--seeds", default="1,2,3",
                        help="comma-separated seeds")
-    add_scale(rep_p)
-    add_jobs(rep_p)
+    _shared(rep_p, "--scale", "--jobs")
 
     mat_p = sub.add_parser(
         "matrix", help="run a (workloads x systems) matrix"
@@ -185,75 +240,52 @@ def build_parser() -> argparse.ArgumentParser:
         "--systems", default="baseline,mq-dvp,dedup",
         help="comma-separated system names",
     )
-    mat_p.add_argument("--pool", type=int, default=200_000,
-                       help="pool size in paper-label entries")
+    _shared(mat_p, "--pool")
     mat_p.add_argument("--queue-depth", type=int, default=None,
                        help="device queue depth (default: config value)")
-    mat_p.add_argument("--json", action="store_true")
-    add_scale(mat_p)
-    add_jobs(mat_p)
+    _shared(mat_p, "--json", "--scale", "--jobs")
 
-    flt_p = sub.add_parser(
-        "faults",
-        help="fault-injection run, or --recovery warmup measurement",
+    rec_p = sub.add_parser(
+        "recovery",
+        help="post-crash revival warmup: a crashed run against the "
+             "uninterrupted run of the same trace",
     )
-    flt_p.add_argument("--workload", choices=sorted(PROFILES), required=True)
-    flt_p.add_argument("--system", choices=sorted(SYSTEMS), required=True)
-    flt_p.add_argument("--pool", type=int, default=200_000,
-                       help="pool size in paper-label entries (default 200K)")
-    add_fault_flags(flt_p)
-    add_check_flags(flt_p)
-    flt_p.add_argument(
-        "--recovery", action="store_true",
-        help="run the crash-recovery warmup experiment instead "
-             "(crashed vs uninterrupted revival rate)",
-    )
-    flt_p.add_argument(
+    _shared(rec_p, "--workload", "--system", "--pool")
+    _shared(rec_p, "--seed", **FAULT_SEED)
+    rec_p.add_argument(
         "--crash-fraction", type=float, default=0.5, metavar="F",
-        help="--recovery: crash point as a fraction of the trace "
-             "(default 0.5)",
+        help="crash point as a fraction of the trace (default 0.5)",
     )
-    flt_p.add_argument(
+    rec_p.add_argument(
         "--window", type=int, default=2000, metavar="N",
-        help="--recovery: sampling window in host requests (default 2000)",
+        help="sampling window in host requests (default 2000)",
     )
-    flt_p.add_argument("--json", action="store_true")
-    add_scale(flt_p)
+    _shared(rec_p, "--json", "--scale")
 
     fleet_p = sub.add_parser(
         "fleet",
         help="shard one workload across N simulated drives and "
              "aggregate the fleet",
     )
-    fleet_p.add_argument("--workload", choices=sorted(PROFILES),
-                         required=True)
-    fleet_p.add_argument("--system", choices=sorted(SYSTEMS), required=True)
+    _shared(fleet_p, "--workload", "--system")
     fleet_p.add_argument("--shards", type=int, default=4, metavar="N",
                          help="number of simulated drives (default 4)")
-    fleet_p.add_argument("--pool", type=int, default=200_000,
-                         help="fleet pool budget in paper-label entries "
-                              "(default 200K)")
+    _shared(fleet_p, "--pool",
+            help="fleet pool budget in paper-label entries (default 200K)")
     fleet_p.add_argument(
-        "--pool-mode", choices=("per-drive", "shared"), default="per-drive",
+        "--pool-mode", choices=("per-drive", "shared", "both"),
+        default="per-drive",
         help="per-drive: split the budget across shards; shared: every "
-             "shard gets the full budget (fleet-wide-pool upper bound)",
+             "shard gets the full budget (fleet-wide-pool upper bound); "
+             "both: run both and report aggregate flash programs for each",
     )
-    fleet_p.add_argument(
-        "--compare-pool-modes", action="store_true",
-        help="run both pool modes and report aggregate flash programs "
-             "for each (overrides --pool-mode)",
-    )
-    add_seed(fleet_p, default=None, help="trace-generator seed override")
-    fleet_p.add_argument(
-        "--check", action="store_true",
-        help="attach the invariant checker + lockstep oracle to every "
-             "shard (digests are identical with and without it)",
-    )
-    add_obs_flags(fleet_p, intervals=False,
-                  help="write per-shard + fleet JSONL records to PATH")
-    fleet_p.add_argument("--json", action="store_true")
-    add_scale(fleet_p)
-    add_jobs(fleet_p)
+    _shared(fleet_p, "--seed")
+    _shared(fleet_p, "--check",
+            help="attach the invariant checker + lockstep oracle to every "
+                 "shard (digests are identical with and without it)")
+    _shared(fleet_p, "--obs",
+            help="write per-shard + fleet JSONL records to PATH")
+    _shared(fleet_p, "--json", "--scale", "--jobs")
 
     kv_p = sub.add_parser(
         "kv",
@@ -263,21 +295,18 @@ def build_parser() -> argparse.ArgumentParser:
     from .kv.zoo import KV_WORKLOADS
 
     kv_p.add_argument("--workload", choices=sorted(KV_WORKLOADS),
-                      default="ycsb-a",
-                      help="zoo workload (default ycsb-a)")
-    kv_p.add_argument("--system", choices=sorted(SYSTEMS), default="mq-dvp",
-                      help="studied system (default mq-dvp)")
-    kv_p.add_argument("--pool", type=int, default=200_000,
-                      help="pool size in paper-label entries (default 200K)")
+                      default="ycsb-a", help="zoo workload (default ycsb-a)")
+    _shared(kv_p, "--system", required=False, default="mq-dvp",
+            help="studied system (default mq-dvp)")
+    _shared(kv_p, "--pool")
     kv_p.add_argument(
         "--ablate", action="store_true",
         help="also run the system's pool-off counterpart and report "
              "the revival / write-amplification delta",
     )
-    kv_p.add_argument("--json", action="store_true")
-    add_seed(kv_p, default=None, help="workload generator seed override")
-    add_scale(kv_p)
-    add_jobs(kv_p)
+    _shared(kv_p, "--json")
+    _shared(kv_p, "--seed", help="workload generator seed override")
+    _shared(kv_p, "--scale", "--jobs")
 
     serve_p = sub.add_parser(
         "serve",
@@ -302,15 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="checkpoint a session every N serviced "
                               "requests (default: only on detach/drain)")
-    add_obs_flags(serve_p, intervals=False,
-                  help="append every serve.metrics/serve.session record "
-                       "to PATH as JSONL")
-    add_jobs(serve_p, help="simulation worker threads "
-                           "(default 1, 0 = all cores)")
-    add_seed(serve_p, default=None,
-             help="default trace-generator seed for sessions that do "
-                  "not pick one (default: profile seed)")
-    add_check_flags(serve_p)
+    _shared(serve_p, "--obs",
+            help="append every serve.metrics/serve.session record "
+                 "to PATH as JSONL")
+    _shared(serve_p, "--jobs",
+            help="simulation worker threads (default 1, 0 = all cores)")
+    _shared(serve_p, "--seed",
+            help="default trace-generator seed for sessions that do "
+                 "not pick one (default: profile seed)")
+    _shared(serve_p, "--check", "--check-interval")
 
     lint_p = sub.add_parser(
         "lint",
@@ -374,22 +403,107 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class UsageError(Exception):
+    """Flags that cannot build a valid spec or config.  :func:`main`
+    prints ``error: …`` and exits 2."""
+
+
+def _from_flags(build: Callable[[], T]) -> T:
+    """``build()``, with a :class:`ValueError` it raises turned into a
+    :class:`UsageError`.  Wrap only spec/config construction in it: a
+    ``ValueError`` from a run is a bug, not a usage error."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _names(raw: str, known: Sequence[str], kind: str) -> List[str]:
+    """The comma-separated ``kind`` names in ``raw``, each one of
+    ``known`` (``compare --systems``, ``matrix --workloads/--systems``)."""
+    names = [name.strip() for name in raw.split(",") if name.strip()]
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise UsageError(f"unknown {kind}: {', '.join(unknown)}")
+    if not names:
+        raise UsageError(f"no {kind} given")
+    # Results are keyed by name: a repeat would run twice, print once.
+    if len(set(names)) < len(names):
+        raise UsageError(f"{kind} named twice: {raw}")
+    return names
+
+
+def _check_kwargs(args: argparse.Namespace) -> Dict[str, Any]:
+    """RunConfig/ServeSettings kwargs from ``--check``/``--check-interval``:
+    either one turns on both the invariant audits and the lockstep
+    oracle."""
+    if args.check or args.check_interval is not None:
+        return {"oracle": True, "check_interval": args.check_interval}
+    return {}
+
+
+def _fault_config(args: argparse.Namespace):
+    """A FaultConfig when any fault flag was used, else None: a run
+    without fault flags stays on the perfect device, digest-identical
+    to a build without the fault layer."""
+    if (
+        args.program_failure_prob == 0.0
+        and args.erase_failure_prob == 0.0
+        and args.read_error_prob == 0.0
+        and args.crash_after is None
+    ):
+        return None
+    from .faults import FaultConfig
+
+    return FaultConfig(
+        seed=args.seed,
+        program_failure_prob=args.program_failure_prob,
+        erase_failure_prob=args.erase_failure_prob,
+        read_error_prob=args.read_error_prob,
+        crash_after_requests=args.crash_after,
+    )
+
+
+def _open_jsonl(path: str):
+    from .obs import JsonlWriter
+
+    try:
+        return JsonlWriter(path)
+    except OSError as exc:
+        raise UsageError(f"cannot open --obs file: {exc}") from None
+
+
+def _observer(args: argparse.Namespace):
+    """The ``--obs`` sampler with its JSONL writer as sink, or None.  The
+    cadence is checked before the file opens, so a bad value never
+    leaves an empty file behind."""
+    if not args.obs:
+        return None
+    from .obs import TimeSeriesSampler
+
+    observer = _from_flags(lambda: TimeSeriesSampler(
+        interval_requests=args.obs_interval,
+        interval_us=args.obs_interval_us,
+    ))
+    observer.sink = _open_jsonl(args.obs)
+    return observer
+
+
+def _print_json(payload: object) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     from .perf.snapshot import default_prefill_cache, prefill_key
 
-    context = ExperimentContext.for_workload(args.workload, args.scale)
-    try:
-        faults = fault_config_or_none(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    obs = build_obs(args)
-    if obs is None:
-        return 2
-    config = RunConfig(
+    config = _from_flags(lambda: RunConfig(
         paper_pool_entries=args.pool, scale=args.scale,
-        observer=obs.observer, faults=faults, **check_kwargs(args),
-    )
+        faults=_fault_config(args), trim_every=args.trim_every,
+        **_check_kwargs(args),
+    ))
+    context = ExperimentContext.for_workload(args.workload, args.scale)
+    observer = _observer(args)
+    config = config.replace(observer=observer)
     profiler = cProfile.Profile() if args.profile else None
     # One planned cell: no snapshot is captured that nothing restores.
     plan = [prefill_key(context.config, context.profile)]
@@ -402,19 +516,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
             else:
                 result = run_system(args.system, context, config=config)
     finally:
-        obs.close()
+        if observer is not None:
+            observer.sink.close()
     if args.json:
-        record = record_from_run(result)
-        print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
+        _print_json(record_from_run(result).to_dict())
     else:
-        summary = result.summary()
-        rows = [(k, v) for k, v in sorted(summary.items())]
+        summary = {**result.summary(), **result.fault_summary()}
         print(render_table(
-            ["metric", "value"], rows,
+            ["metric", "value"], sorted(summary.items()),
             title=f"{args.system} on {args.workload} (scale {args.scale})",
         ))
-    if obs.observer is not None:
-        print(f"observability: {obs.observer.sample_count} samples "
+    if observer is not None:
+        print(f"observability: {observer.sample_count} samples "
               f"-> {args.obs}", file=sys.stderr)
     if profiler is not None:
         print(_layer_profile(profiler))
@@ -448,41 +561,25 @@ def _layer_profile(profiler: cProfile.Profile) -> str:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from .perf.parallel import run_specs
-    from .perf.spec import RunSpec
+    from .experiments.runner import run_matrix
 
-    systems = [s.strip() for s in args.systems.split(",") if s.strip()]
-    unknown = [s for s in systems if s not in SYSTEMS]
-    if unknown:
-        print(f"unknown systems: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    check = check_kwargs(args)
-    specs = [
-        RunSpec(
-            workload=args.workload,
-            system=system,
-            paper_pool_entries=args.pool,
-            scale=args.scale,
-            check_interval=check.get("check_interval"),
-            oracle=check.get("oracle", False),
-            trim_every=check["trim_every"],
-        )
-        for system in systems
-    ]
-    results = run_specs(specs, jobs=args.jobs)
+    systems = _names(args.systems, SYSTEMS, "systems")
+    config = _from_flags(lambda: RunConfig(
+        paper_pool_entries=args.pool, scale=args.scale, jobs=args.jobs,
+        trim_every=args.trim_every, **_check_kwargs(args),
+    ))
+    results = run_matrix([args.workload], systems, config)[args.workload]
+    base = results[systems[0]].summary()["mean_latency_us"]
     rows = []
-    reference = None
-    for system, result in zip(systems, results):
+    for system, result in results.items():
         summary = result.summary()
-        if reference is None:
-            reference = summary
+        latency = summary["mean_latency_us"]
         rows.append((
             system,
             f"{summary['flash_writes']:.0f}",
             f"{summary['erases']:.0f}",
-            f"{summary['mean_latency_us']:.1f}",
-            f"{100 * (1 - summary['mean_latency_us'] / reference['mean_latency_us']):.1f}"
-            if reference["mean_latency_us"] else "0.0",
+            f"{latency:.1f}",
+            f"{100 * (1 - latency / base):.1f}" if base else "0.0",
         ))
     print(render_table(
         ["system", "flash writes", "erases", "mean latency (us)",
@@ -545,7 +642,9 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def _cmd_replicate(args: argparse.Namespace) -> int:
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    seeds = _from_flags(
+        lambda: [int(s) for s in args.seeds.split(",") if s.strip()]
+    )
     reps = paired_improvement(
         args.workload, args.system, args.metric, seeds, args.scale,
         jobs=args.jobs,
@@ -558,31 +657,21 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
 def _cmd_matrix(args: argparse.Namespace) -> int:
     from .experiments.runner import run_matrix
 
-    workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
-    systems = [s.strip() for s in args.systems.split(",") if s.strip()]
-    bad_w = [w for w in workloads if w not in PROFILES]
-    bad_s = [s for s in systems if s not in SYSTEMS]
-    if bad_w or bad_s:
-        for name, kind in [(bad_w, "workloads"), (bad_s, "systems")]:
-            if name:
-                print(f"unknown {kind}: {', '.join(name)}", file=sys.stderr)
-        return 2
-    results = run_matrix(
-        workloads, systems,
-        config=RunConfig(
-            paper_pool_entries=args.pool, scale=args.scale,
-            jobs=args.jobs, queue_depth=args.queue_depth,
-        ),
-    )
+    workloads = _names(args.workloads, PROFILES, "workloads")
+    systems = _names(args.systems, SYSTEMS, "systems")
+    config = _from_flags(lambda: RunConfig(
+        paper_pool_entries=args.pool, scale=args.scale,
+        jobs=args.jobs, queue_depth=args.queue_depth,
+    ))
+    results = run_matrix(workloads, systems, config)
     if args.json:
-        payload = {
+        _print_json({
             workload: {
                 system: record_from_run(result).to_dict()
                 for system, result in by_system.items()
             }
             for workload, by_system in results.items()
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        })
         return 0
     rows = [
         (
@@ -606,102 +695,78 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_faults(args: argparse.Namespace) -> int:
-    if args.recovery:
-        from .experiments.recovery import run_recovery_experiment
+def _cmd_recovery(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
 
-        try:
-            result = run_recovery_experiment(
-                workload=args.workload,
-                system=args.system,
-                scale=args.scale,
-                paper_pool_entries=args.pool,
-                crash_fraction=args.crash_fraction,
-                window_requests=args.window,
-                fault_seed=args.seed,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.json:
-            from dataclasses import asdict
+    from .experiments.recovery import crash_point, run_recovery_experiment
 
-            print(json.dumps(asdict(result), indent=2, sort_keys=True))
-            return 0
-        rows = [
-            (
-                (i + 1) * result.window_requests,
-                f"{warm:.4f}",
-                f"{ref:.4f}",
-                f"{ref - warm:+.4f}",
-            )
-            for i, (warm, ref) in enumerate(
-                zip(result.warmup_rates, result.reference_rates)
-            )
-        ]
-        print(render_table(
-            ["requests since crash", "revival rate (crashed)",
-             "revival rate (uninterrupted)", "gap"],
-            rows,
-            title=f"revival warmup: {args.system} on {args.workload} "
-                  f"(crash @ {result.crash_after_requests}, "
-                  f"scale {result.scale})",
-        ))
-        recovery_us = result.fault_summary.get("mean_recovery_us", 0.0)
-        print(f"recovery scan: {recovery_us:.0f} us; "
-              f"final gap {result.final_gap:+.4f}", file=sys.stderr)
-        return 0
-    try:
-        faults = fault_config(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = _from_flags(
+        lambda: RunConfig(paper_pool_entries=args.pool, scale=args.scale)
+    )
     context = ExperimentContext.for_workload(args.workload, args.scale)
-    result = run_system(
-        args.system, context,
-        config=RunConfig(
-            paper_pool_entries=args.pool, scale=args.scale,
-            faults=faults, **check_kwargs(args),
-        ),
+    _from_flags(
+        lambda: crash_point(len(context.trace), args.crash_fraction,
+                            args.window)
+    )
+    result = run_recovery_experiment(
+        workload=args.workload,
+        system=args.system,
+        crash_fraction=args.crash_fraction,
+        window_requests=args.window,
+        fault_seed=args.seed,
+        config=config,
     )
     if args.json:
-        record = record_from_run(result)
-        print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
-    else:
-        summary = dict(result.summary())
-        summary.update(result.fault_summary())
-        rows = [(k, v) for k, v in sorted(summary.items())]
-        print(render_table(
-            ["metric", "value"], rows,
-            title=f"{args.system} on {args.workload} with faults "
-                  f"(seed {args.seed}, scale {args.scale})",
-        ))
+        _print_json(asdict(result))
+        return 0
+    rows = [
+        (
+            (i + 1) * result.window_requests,
+            f"{warm:.4f}",
+            f"{ref:.4f}",
+            f"{ref - warm:+.4f}",
+        )
+        for i, (warm, ref) in enumerate(
+            zip(result.warmup_rates, result.reference_rates)
+        )
+    ]
+    print(render_table(
+        ["requests since crash", "revival rate (crashed)",
+         "revival rate (uninterrupted)", "gap"],
+        rows,
+        title=f"revival warmup: {args.system} on {args.workload} "
+              f"(crash @ {result.crash_after_requests}, "
+              f"scale {result.scale})",
+    ))
+    recovery_us = result.fault_summary.get("mean_recovery_us", 0.0)
+    print(f"recovery scan: {recovery_us:.0f} us; "
+          f"final gap {result.final_gap:+.4f}", file=sys.stderr)
     return 0
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     from .fleet import FleetSpec, compare_pool_modes, run_fleet
 
-    try:
-        spec = FleetSpec(
-            workload=args.workload,
-            system=args.system,
-            shards=args.shards,
-            paper_pool_entries=args.pool,
-            scale=args.scale,
-            seed=args.seed,
-            pool_mode=args.pool_mode,
-            oracle=args.check,
-            check_interval=None,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    both = args.pool_mode == "both"
+    if both and args.obs:
+        raise UsageError("--obs exports one fleet run; --pool-mode both "
+                         "runs two")
+    spec = _from_flags(lambda: FleetSpec(
+        workload=args.workload,
+        system=args.system,
+        shards=args.shards,
+        paper_pool_entries=args.pool,
+        scale=args.scale,
+        seed=args.seed,
+        pool_mode="per-drive" if both else args.pool_mode,
+        oracle=args.check,
+        check_interval=None,
+    ))
 
-    if args.compare_pool_modes:
+    if both:
         comparison = compare_pool_modes(spec, jobs=args.jobs)
         if args.json:
-            print(json.dumps(comparison.summary(), indent=2, sort_keys=True))
+            _print_json(comparison.summary())
             return 0
         rows = [
             ("per-drive", f"{comparison.per_drive_programs}",
@@ -724,26 +789,18 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     result = run_fleet(spec, jobs=args.jobs)
     if args.obs:
-        from .obs import JsonlWriter
-
-        try:
-            with JsonlWriter(args.obs) as writer:
-                records = result.export_jsonl(writer)
-        except OSError as exc:
-            print(f"error: cannot open --obs file: {exc}", file=sys.stderr)
-            return 2
+        with _open_jsonl(args.obs) as writer:
+            records = result.export_jsonl(writer)
         print(f"fleet export: {records} records -> {args.obs}",
               file=sys.stderr)
     if args.json:
         from .api import records_from_fleet
 
-        record = records_from_fleet(result)[-1]
-        print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
+        _print_json(records_from_fleet(result)[-1].to_dict())
         return 0
     summary = result.summary()
-    rows = [(k, v) for k, v in sorted(summary.items())]
     print(render_table(
-        ["metric", "value"], rows,
+        ["metric", "value"], sorted(summary.items()),
         title=f"fleet: {args.system} on {args.workload}, "
               f"{args.shards} shards, pool {args.pool_mode} "
               f"(scale {args.scale}, jobs {result.jobs})",
@@ -761,11 +818,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .serve import run_server, settings_from_env
 
-    if args.trim_every:
-        print("error: --trim-every is a trace transform; serve receives "
-              "the trace from its tenants, so apply it client-side",
-              file=sys.stderr)
-        return 2
     overrides = {
         "host": args.host,
         "port": args.port,
@@ -775,20 +827,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "batch_requests": args.batch_requests,
         "checkpoint_every": args.checkpoint_every,
         "default_seed": args.seed,
-        "check_interval": args.check_interval,
+        **_check_kwargs(args),
     }
     if args.jobs != 1:
         overrides["jobs"] = args.jobs
-    if args.check or args.check_interval is not None:
-        overrides["oracle"] = True
-    try:
-        settings = replace(
-            settings_from_env(),
-            **{k: v for k, v in overrides.items() if v is not None},
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    settings = _from_flags(lambda: replace(
+        settings_from_env(),
+        **{k: v for k, v in overrides.items() if v is not None},
+    ))
     return asyncio.run(run_server(settings))
 
 
@@ -796,28 +842,25 @@ def _cmd_kv(args: argparse.Namespace) -> int:
     from .api import record_from_kv_run, records_from_kv_ablation
     from .kv import KVSpec, execute_kv_spec, run_kv_ablation
 
-    try:
-        spec = KVSpec(
-            workload=args.workload,
-            system=args.system,
-            paper_pool_entries=args.pool,
-            scale=args.scale,
-            seed=args.seed,
-        )
-        if args.ablate:
-            on, off = run_kv_ablation(spec, jobs=args.jobs)
-        else:
-            on, off = execute_kv_spec(spec), None
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = _from_flags(lambda: KVSpec(
+        workload=args.workload,
+        system=args.system,
+        paper_pool_entries=args.pool,
+        scale=args.scale,
+        seed=args.seed,
+    ))
+    if args.ablate:
+        _from_flags(spec.pool_off)  # a system without a pool has no ablation
+        on, off = run_kv_ablation(spec, jobs=args.jobs)
+    else:
+        on, off = execute_kv_spec(spec), None
 
     if args.json:
         if off is not None:
             record = records_from_kv_ablation(on, off)[-1]
         else:
             record = record_from_kv_run(on)
-        print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
+        _print_json(record.to_dict())
         return 0
 
     def leg_rows(kv):
@@ -877,23 +920,19 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         codes = [c.strip() for c in raw.split(",") if c.strip()]
         unknown = [c for c in codes if c not in known]
         if unknown:
-            raise ValueError(
+            raise UsageError(
                 f"{flag}: unknown rule codes {', '.join(unknown)} "
                 f"(see repro lint --rules)"
             )
         return codes
 
-    try:
-        select = parse_codes(args.select, "--select")
-        ignore = parse_codes(args.ignore, "--ignore")
-        baseline = (
-            Baseline()
-            if args.no_baseline or args.write_baseline
-            else Baseline.load(args.baseline)
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    select = parse_codes(args.select, "--select")
+    ignore = parse_codes(args.ignore, "--ignore")
+    baseline = (
+        Baseline()
+        if args.no_baseline or args.write_baseline
+        else _from_flags(lambda: Baseline.load(args.baseline))
+    )
     engine = LintEngine(
         select=select,
         ignore=ignore,
@@ -904,8 +943,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     try:
         result = engine.run(args.paths)
     except (OSError, SyntaxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from None
 
     if args.write_baseline:
         previous = Baseline.load(args.baseline)
@@ -955,7 +993,7 @@ COMMANDS = {
     "characterize": _cmd_characterize,
     "replicate": _cmd_replicate,
     "matrix": _cmd_matrix,
-    "faults": _cmd_faults,
+    "recovery": _cmd_recovery,
     "fleet": _cmd_fleet,
     "kv": _cmd_kv,
     "serve": _cmd_serve,
@@ -964,9 +1002,12 @@ COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return COMMANDS[args.command](args)
+    args = build_parser().parse_args(argv)
+    try:
+        return COMMANDS[args.command](args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

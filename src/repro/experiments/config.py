@@ -47,8 +47,9 @@ class RunConfig:
         Device queue depth override (``None`` = the config's value).
     observer:
         A :class:`~repro.obs.TimeSeriesSampler` attached to the device for
-        the measured window.  Holds callbacks — not picklable, so configs
-        carrying one cannot fan out to worker processes.
+        the measured window.  Holds callbacks — not picklable, so
+        :func:`~repro.experiments.runner.run_matrix` rejects a config
+        carrying one.
     reuse_prefill:
         Precondition via the process prefill cache (bit-identical to a
         direct prefill; the determinism tests enforce it).

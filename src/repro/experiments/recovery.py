@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..faults.model import FaultConfig
 from .config import DEFAULT_SCALE, RunConfig
 
-__all__ = ["RecoveryExperimentResult", "run_recovery_experiment"]
+__all__ = ["RecoveryExperimentResult", "crash_point", "run_recovery_experiment"]
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,22 @@ def _rates_since(
     return tuple(rates)
 
 
+def crash_point(total: int, crash_fraction: float, window_requests: int) -> int:
+    """The power-loss request index: ``crash_fraction`` of a
+    ``total``-request trace, rounded down to a whole sampling window so
+    the at-crash sample exists exactly."""
+    if window_requests <= 0:
+        raise ValueError("window_requests must be positive")
+    crash_after = int(total * crash_fraction) // window_requests
+    crash_after *= window_requests
+    if crash_after <= 0 or crash_after >= total:
+        raise ValueError(
+            f"crash point {crash_after} outside the {total}-request trace; "
+            f"adjust crash_fraction/window_requests"
+        )
+    return crash_after
+
+
 def run_recovery_experiment(
     workload: str = "mail",
     system: str = "mq-dvp",
@@ -107,11 +123,10 @@ def run_recovery_experiment(
 ) -> RecoveryExperimentResult:
     """Measure post-crash revival warmup against an uninterrupted run.
 
-    ``crash_fraction`` places the power loss as a fraction of the trace,
-    rounded down to a multiple of ``window_requests`` so the at-crash
-    sample exists exactly.  ``config`` overrides the pool/scale/queue
-    parameters wholesale (its ``faults``/``observer`` fields are managed
-    by the experiment and must be unset).  Both runs replay the identical
+    ``crash_fraction`` places the power loss (:func:`crash_point`).
+    ``config`` overrides the pool/scale/queue parameters wholesale (its
+    ``faults``/``observer`` fields are managed by the experiment and
+    must be unset).  Both runs replay the identical
     trace, so every difference between the two curves is the crash.
     """
     from ..obs.sampler import TimeSeriesSampler
@@ -127,14 +142,7 @@ def run_recovery_experiment(
             "leave both unset in the RunConfig"
         )
     context = ExperimentContext.for_workload(workload, config.scale)
-    total = len(context.trace)
-    crash_after = int(total * crash_fraction) // window_requests
-    crash_after *= window_requests
-    if crash_after <= 0 or crash_after >= total:
-        raise ValueError(
-            f"crash point {crash_after} outside the {total}-request trace; "
-            f"adjust crash_fraction/window_requests"
-        )
+    crash_after = crash_point(len(context.trace), crash_fraction, window_requests)
     plain_sampler = TimeSeriesSampler(interval_requests=window_requests)
     plain = run_system(
         system, context, config=config.replace(observer=plain_sampler)

@@ -28,15 +28,8 @@ anything but a :class:`RunConfig` (or ``None``) raises :class:`TypeError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Iterable,
-    Optional,
-    Sequence,
-)
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional, Sequence
 
 from ..core.dvp import PoolStats
 from ..core.hashing import Fingerprint, fingerprints_of_values
@@ -49,9 +42,6 @@ from ..traces.profiles import WorkloadProfile, profile_by_name
 from ..traces.synthetic import generate_trace, initial_value_of
 from .config import DEFAULT_SCALE, RunConfig
 from .device import Device
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..obs.sampler import TimeSeriesSampler
 
 __all__ = [
     "DEFAULT_SCALE",
@@ -149,9 +139,7 @@ class ExperimentContext:
         every later run).  Pass ``use_cache=False`` for a private trace
         of its own.
         """
-        profile = profile_by_name(workload).scaled(scale)
-        if seed is not None:
-            profile = replace(profile, seed=seed)
+        profile = profile_by_name(workload).scaled(scale, seed)
         trace: Trace
         if use_cache:
             from ..perf.trace_cache import cached_trace
@@ -223,33 +211,26 @@ def run_matrix(
     workloads: Sequence[str],
     systems: Sequence[str],
     config: Optional[RunConfig] = None,
-    *,
-    observer_factory: Optional[
-        Callable[[str, str], "TimeSeriesSampler"]
-    ] = None,
 ) -> Dict[str, Dict[str, RunResult]]:
     """Run every (workload, system) pair; results[workload][system].
 
     ``config`` (a :class:`RunConfig`) carries the per-run parameters;
     its ``jobs`` field fans cells out over worker processes (``0`` = all
-    cores); results are collected in deterministic (workload, system)
-    order and are digest-identical to the serial path.
-
-    ``observer_factory(workload, system)`` builds a fresh per-cell
-    :class:`~repro.obs.TimeSeriesSampler`; samplers hold callbacks that
-    cannot cross a process boundary, so observers require ``jobs=1``.
-    ``config.faults`` applies the *same* fault config to every cell —
-    each cell gets its own freshly seeded model, which is what keeps
-    fault matrices bit-identical across ``jobs`` settings.
+    cores) through :func:`~repro.perf.parallel.run_specs`, and results
+    are collected in deterministic (workload, system) order, so every
+    ``jobs`` value gives the same digests.  ``config.faults`` applies the
+    *same* fault config to every cell — each cell gets its own freshly
+    seeded model.  A config carrying an observer is rejected at every
+    ``jobs`` value: cells are run from by-value specs, and a sampler
+    observes one run (attach it through :func:`run_system`).
     """
     cfg = _coerce_config("run_matrix", config)
-    if observer_factory is not None and cfg.jobs != 1:
+    if not cfg.picklable:
         raise ValueError(
-            "observer_factory requires jobs=1: samplers are attached to "
-            "the live device and cannot be shipped to worker processes"
+            "run_matrix runs cells from by-value specs and cannot carry "
+            "an observer; attach one per run through run_system"
         )
     from ..perf.parallel import run_specs
-    from ..perf.snapshot import default_prefill_cache
     from ..perf.spec import RunSpec
 
     specs = [
@@ -257,29 +238,8 @@ def run_matrix(
         for workload in workloads
         for system in systems
     ]
-    if cfg.jobs != 1:
-        if not cfg.picklable:
-            raise ValueError(
-                "a RunConfig carrying an observer cannot "
-                "fan out to worker processes; use jobs=1"
-            )
-        flat = iter(run_specs(specs, jobs=cfg.jobs))
-        return {
-            workload: {system: next(flat) for system in systems}
-            for workload in workloads
-        }
-    results: Dict[str, Dict[str, RunResult]] = {}
-    with default_prefill_cache().planned(spec.prefill_key() for spec in specs):
-        for workload in workloads:
-            context = ExperimentContext.for_workload(workload, cfg.scale)
-            results[workload] = {}
-            for system in systems:
-                cell_cfg = cfg
-                if observer_factory is not None:
-                    cell_cfg = cfg.replace(
-                        observer=observer_factory(workload, system)
-                    )
-                results[workload][system] = run_system(
-                    system, context, config=cell_cfg
-                )
-    return results
+    flat = iter(run_specs(specs, jobs=cfg.jobs))
+    return {
+        workload: {system: next(flat) for system in systems}
+        for workload in workloads
+    }

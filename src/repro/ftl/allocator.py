@@ -68,22 +68,12 @@ class PageAllocator:
             pages += self.array.block(block).free_pages
         return pages
 
-    def plane_of_next_write(self) -> int:
-        """Which plane the next host write will be striped to."""
-        return self._next_plane
-
     def _open_block(self, plane: int, actives: List[Optional[int]]) -> int:
         if not self.free_blocks[plane]:
             raise OutOfSpaceError(f"plane {plane} has no free blocks")
         block = self.free_blocks[plane].popleft()
         actives[plane] = block
         return block
-
-    def allocate(self) -> int:
-        """Program one host page on the round-robin plane; return its PPN."""
-        plane = self._next_plane
-        self._next_plane = (self._next_plane + 1) % self._planes
-        return self.allocate_in_plane(plane)
 
     def allocate_in_plane(self, plane: int, for_gc: bool = False) -> int:
         """Program one page in a specific plane.

@@ -148,9 +148,8 @@ class NoServeRule(ForbiddenImportRule):
     code = "layer.no-serve"
     summary = "a lower layer importing repro.serve (the top of the stack)"
 
-    #: The CLI that launches the service and the shared flag-group
-    #: helpers it wires up.
-    exempt = ("repro.cli", "repro.cliopts")
+    #: The CLI that launches the service.
+    exempt = ("repro.cli",)
     forbidden = ("repro.serve",)
     message = (
         "{module} imports {target}: repro.serve is the top of the "

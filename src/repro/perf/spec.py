@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..experiments.config import DEFAULT_SCALE, RunConfig
@@ -108,10 +108,7 @@ class RunSpec:
 
     def profile(self) -> WorkloadProfile:
         """The scaled workload profile this spec runs (seed applied)."""
-        profile = profile_by_name(self.workload).scaled(self.scale)
-        if self.seed is not None:
-            profile = replace(profile, seed=self.seed)
-        return profile
+        return profile_by_name(self.workload).scaled(self.scale, self.seed)
 
     def context(self) -> ExperimentContext:
         """Materialise the trace/config context (hits the trace cache)."""

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import pickle
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
 
 from ..api import ResultRecord, aggregate_record, record_from_run, session_digest
@@ -43,7 +43,7 @@ from ..experiments.runner import config_for_profile, scaled_pool_entries
 from ..fleet.fleet import FleetSpec, build_shard_device, shard_local_pages
 from ..perf.snapshot import capture_live_state, restore_live_state
 from ..sim.request import IORequest, Row
-from ..traces.profiles import WorkloadProfile, profile_by_name
+from ..traces.profiles import profile_by_name
 from .config import DEFAULT_BATCH_REQUESTS, ServeSettings
 
 __all__ = [
@@ -179,16 +179,6 @@ def session_config_of_open(
         raise SessionError(f"bad open message: {exc}") from None
 
 
-def _profile_for(config: SessionConfig) -> WorkloadProfile:
-    """The scaled (seed-overridden) profile — exactly how
-    :meth:`ExperimentContext.for_workload` derives it, minus the trace
-    generation a streamed session never needs."""
-    profile = profile_by_name(config.workload).scaled(config.scale)
-    if config.seed is not None:
-        profile = replace(profile, seed=config.seed)
-    return profile
-
-
 class TenantSession:
     """One tenant's long-lived streamed run (single drive or shard set)."""
 
@@ -198,7 +188,9 @@ class TenantSession:
         _state: Optional[Dict[str, Any]] = None,
     ):
         self.config = config
-        self.profile = _profile_for(config)
+        self.profile = profile_by_name(config.workload).scaled(
+            config.scale, config.seed
+        )
         self.served = 0
         #: ``served`` at the last periodic checkpoint (server cadence).
         self.checkpointed_at = 0

@@ -101,7 +101,7 @@ class SimulatedSSD:
             if log is not None:
                 log.record(done)
 
-        self._replay(rows_of((request,)), None, record)
+        self._replay(rows_of((request,)), record)
         return completed[0]
 
     def _charge_translation(self, lpn: int, outcome, now: float) -> float:
@@ -166,11 +166,7 @@ class SimulatedSSD:
 
     # ------------------------------------------------------------------
 
-    def service(
-        self,
-        rows: Iterable[Row],
-        progress: Optional[Callable[[int], None]] = None,
-    ) -> int:
+    def service(self, rows: Iterable[Row]) -> int:
         """Service a batch of request rows (``(arrival_us, op, lpn,
         value_id)``, see :meth:`~repro.sim.request.Trace.rows`); returns
         how many were serviced.  Records go through :meth:`run` or
@@ -179,20 +175,17 @@ class SimulatedSSD:
         Batches compose: feeding a trace through several ``service`` calls
         is observably identical to one :meth:`run` over the whole trace —
         ``requests_served`` carries the global request index across
-        batches, so crash injection (``crash_after_requests``) and the
-        progress cadence count from the start of the *run*, not the
-        batch.  This is what lets the fleet layer stream chunked request
-        batches through a long-lived device without perturbing digests.
+        batches, so crash injection (``crash_after_requests``) counts
+        from the start of the *run*, not the batch.  This is what lets
+        the fleet layer stream chunked request batches through a
+        long-lived device without perturbing digests.
         """
         log = self.log
-        return self._replay(
-            rows, progress, log.record if log is not None else None
-        )
+        return self._replay(rows, log.record if log is not None else None)
 
     def _replay(
         self,
         rows: Iterable[Row],
-        progress: Optional[Callable[[int], None]],
         record: Optional[Callable[[CompletedRequest], None]],
     ) -> int:
         """The replay loop behind :meth:`service` and :meth:`submit`:
@@ -354,13 +347,10 @@ class SimulatedSSD:
                 horizon = self._horizon_us = finish
             if observer is not None:
                 observer.on_request(finish)
-            index = served
             served += 1
             self.requests_served = served
             if crash_after is not None and served == crash_after:
                 self.power_loss()
-            if progress is not None and index % 10000 == 0:
-                progress(index)
         return served - first
 
     def result(self, system: str = "", workload: str = "") -> RunResult:
@@ -395,11 +385,10 @@ class SimulatedSSD:
         requests: Iterable[IORequest],
         system: str = "",
         workload: str = "",
-        progress: Optional[Callable[[int], None]] = None,
     ) -> RunResult:
         """Replay a whole trace (a :class:`~repro.sim.request.Trace` or
         any records) and package the results."""
-        self.service(rows_of(requests), progress=progress)
+        self.service(rows_of(requests))
         return self.result(system=system, workload=workload)
 
     def power_loss(self):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Optional
 
 from ..sim.request import IORequest, OpType
 
@@ -130,14 +130,18 @@ class WorkloadProfile:
             seed=self.seed * 1000 + index,
         )
 
-    def scaled(self, scale: float) -> "WorkloadProfile":
-        """Shrink/grow the trace and footprint together (see DESIGN.md §4)."""
+    def scaled(
+        self, scale: float, seed: Optional[int] = None
+    ) -> "WorkloadProfile":
+        """Shrink/grow the trace and footprint together (see DESIGN.md §4);
+        ``seed``, when given, replaces the generator seed."""
         if scale <= 0:
             raise ValueError("scale must be positive")
         return replace(
             self,
             num_requests=max(1000, int(self.num_requests * scale)),
             working_set_pages=max(256, int(self.working_set_pages * scale)),
+            seed=self.seed if seed is None else seed,
         )
 
 

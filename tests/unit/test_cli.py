@@ -79,6 +79,47 @@ class TestCompareCommand:
         assert code == 2
         assert "unknown systems" in capsys.readouterr().err
 
+    def test_compare_is_a_one_workload_matrix(self, capsys, monkeypatch):
+        """compare runs its cells through run_matrix, so it shares the
+        matrix's one path to run_specs."""
+        import repro.experiments.runner as runner
+
+        calls = []
+        real = runner.run_matrix
+
+        def spy(workloads, systems, config=None):
+            calls.append((list(workloads), list(systems), config))
+            return real(workloads, systems, config)
+
+        monkeypatch.setattr(runner, "run_matrix", spy)
+        assert main([
+            "compare", "--workload", "desktop", "--scale", "0.02",
+            "--systems", "baseline,ideal", "--trim-every", "7",
+        ]) == 0
+        [(workloads, systems, config)] = calls
+        assert (workloads, systems) == (["desktop"], ["baseline", "ideal"])
+        assert config.trim_every == 7 and not config.oracle
+
+
+class TestMatrixCommand:
+    def test_matrix_shares_the_name_list_check(self, capsys):
+        code = main(["matrix", "--workloads", "mail,nope", "--systems", ""])
+        assert code == 2
+        assert "unknown workloads: nope" in capsys.readouterr().err
+
+    def test_matrix_rejects_an_empty_system_list(self, capsys):
+        code = main(["matrix", "--workloads", "mail", "--systems", ","])
+        assert code == 2
+        assert "no systems given" in capsys.readouterr().err
+
+    def test_a_name_given_twice_is_rejected(self, capsys):
+        """Results are keyed by name, so a repeated cell would run twice
+        and print once."""
+        code = main(["compare", "--workload", "mail",
+                     "--systems", "baseline,mq-dvp,baseline"])
+        assert code == 2
+        assert "systems named twice" in capsys.readouterr().err
+
 
 class TestFigureCommand:
     def test_table1(self, capsys):
@@ -197,7 +238,7 @@ class TestCheckFlags:
 
     def test_faults_with_check(self, capsys):
         assert main([
-            "faults", "--workload", "mail", "--system", "mq-dvp",
+            "run", "--workload", "mail", "--system", "mq-dvp",
             "--scale", "0.004", "--check", "--trim-every", "9",
             "--program-failure-prob", "0.01", "--seed", "3", "--json",
         ]) == 0
@@ -213,6 +254,14 @@ class TestCheckFlags:
         ]) == 0
         assert "mq-dvp" in capsys.readouterr().out
 
+    def test_run_table_carries_fault_rows(self, capsys):
+        assert main([
+            "run", "--workload", "mail", "--system", "mq-dvp",
+            "--scale", "0.004", "--read-error-prob", "0.05",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "fault.read_errors" in out and "flash_writes" in out
+
     def test_run_without_fault_flags_builds_no_fault_model(self, capsys):
         """A plain run must stay on the perfect device (no fault stats)."""
         assert main([
@@ -221,3 +270,66 @@ class TestCheckFlags:
         ]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["faults"] is None
+
+
+class TestRecoveryCommand:
+    def test_recovery_json(self, capsys):
+        assert main([
+            "recovery", "--workload", "mail", "--system", "mq-dvp",
+            "--scale", "0.02", "--window", "500", "--json",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["crash_after_requests"] % 500 == 0
+        assert len(payload["warmup_rates"]) == len(payload["reference_rates"])
+
+    def test_recovery_takes_no_fault_probabilities(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([
+                "recovery", "--workload", "mail", "--system", "mq-dvp",
+                "--program-failure-prob", "0.1",
+            ])
+
+    def test_crash_point_outside_trace_is_a_usage_error(self, capsys):
+        code = main([
+            "recovery", "--workload", "mail", "--system", "mq-dvp",
+            "--scale", "0.02", "--crash-fraction", "1.5",
+        ])
+        assert code == 2
+        assert "error: crash point" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    def test_bad_config_flag_exits_two(self, capsys):
+        code = main([
+            "run", "--workload", "mail", "--system", "baseline",
+            "--pool", "0",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_kv_ablate_without_pool_exits_two(self, capsys):
+        code = main(["kv", "--system", "baseline", "--ablate"])
+        assert code == 2
+        assert "no pool to ablate" in capsys.readouterr().err
+
+    def test_serve_takes_no_trim_every(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--trim-every", "3"])
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--workload", "desktop", "--system", "baseline"],
+        ["kv", "--workload", "ycsb-a"],
+    ])
+    def test_a_failing_run_is_not_a_usage_error(self, command, monkeypatch):
+        """Only building specs and configs maps ValueError to exit 2; a
+        ValueError from the run itself propagates."""
+        import repro.cli as cli
+        import repro.kv as kv
+
+        def broken(*args, **kwargs):
+            raise ValueError("simulator bug")
+
+        monkeypatch.setattr(cli, "run_system", broken)
+        monkeypatch.setattr(kv, "execute_kv_spec", broken)
+        with pytest.raises(ValueError, match="simulator bug"):
+            main([*command, "--scale", "0.02"])

@@ -159,13 +159,24 @@ class TestFleetCli:
         code = main([
             "fleet", "--workload", "mail", "--system", "mq-dvp",
             "--shards", "2", "--scale", str(SCALE),
-            "--compare-pool-modes", "--json",
+            "--pool-mode", "both", "--json",
         ])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) >= {
             "per_drive_programs", "shared_programs", "programs_saved",
         }
+
+    def test_obs_with_both_pool_modes_is_a_usage_error(self, tmp_path,
+                                                       capsys):
+        out = tmp_path / "fleet.jsonl"
+        code = main([
+            "fleet", "--workload", "mail", "--system", "mq-dvp",
+            "--pool-mode", "both", "--obs", str(out),
+        ])
+        assert code == 2
+        assert "--pool-mode both" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fleet_obs_export(self, tmp_path, capsys):
         out = tmp_path / "fleet.jsonl"

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.request import IORequest, OpType, rows_of
+from repro.traces.synthetic import initial_value_of
 from repro.traces.transforms import (
     filter_ops,
     interleave_tenants,
@@ -142,6 +143,24 @@ class TestInterleaveTenants:
     def test_invalid_value_space(self):
         with pytest.raises(ValueError):
             interleave_tenants([[]], pages_per_tenant=16, value_space=0)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_cold_read_names_the_shifted_page(self, shared):
+        """A cold read carries its page's preconditioned value; after the
+        shift it must name the shifted page's initial value."""
+        cold = IORequest(0.0, OpType.READ, 5, initial_value_of(5))
+        out = interleave_tenants(
+            [[], [cold]], pages_per_tenant=16, share_values=shared,
+        )
+        assert [(x.lpn, x.value_id) for x in out] == [
+            (21, initial_value_of(21))
+        ]
+
+    def test_write_past_value_space_still_raises(self):
+        # Another page's initial value is an ordinary (huge) value id.
+        stray = w(0.0, 5, initial_value_of(6))
+        with pytest.raises(ValueError, match="private namespace"):
+            interleave_tenants([[stray]], pages_per_tenant=16)
 
     def test_namespace_collision_caused_spurious_revival(self, tiny_config):
         """Regression for the silent-collision bug: before validation, a

@@ -46,11 +46,13 @@ class TestReportFromTimelineModel:
     def test_mean_and_peak_bounds(self, tiny_config):
         report = utilisation_report(self._run(tiny_config))
         assert 0.0 < report.mean_chip_utilisation <= 1.0
-        assert report.peak_chip_utilisation >= report.mean_chip_utilisation
+        peak = max(c.utilisation(report.horizon_us) for c in report.chips)
+        assert peak >= report.mean_chip_utilisation
 
     def test_striping_keeps_chips_balanced(self, tiny_config):
         report = utilisation_report(self._run(tiny_config, n=400))
-        assert report.chip_imbalance < 1.5
+        busy = [c.busy_time_us for c in report.chips]
+        assert max(busy) / (sum(busy) / len(busy)) < 1.5
 
     def test_rows_render(self, tiny_config):
         from repro.analysis.report import render_table
@@ -89,5 +91,4 @@ class TestEmptyReport:
             hash_unit=ResourceUsage("hash", 0.0, 0),
         )
         assert report.mean_chip_utilisation == 0.0
-        assert report.peak_chip_utilisation == 0.0
-        assert report.chip_imbalance == 1.0
+        assert report.rows() == [("hash", "0.000", 0)]
