@@ -270,6 +270,16 @@ class GarbageCollector:
             if victim is None:
                 break
             work.merge(self._collect_block(victim, plane))
+        if (
+            self.allocator.free_block_count(plane) == 0
+            and getattr(self.delegate, "badblocks", None) is not None
+        ):
+            # The reserve could not be restored: retirements wore the plane
+            # down until nothing left is collectible.  Under the fault layer
+            # that is end of life, so degrade to read-only rather than let
+            # the next block open raise OutOfSpaceError.  A fault-free drive
+            # in this state is mis-provisioned and still raises.
+            self.delegate.enter_read_only()
 
     def background_collect(self, plane: int, watermark: int) -> GCWork:
         """Opportunistic collection during idle time.

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.dvp import MQDeadValuePool
 from repro.core.hashing import fingerprint_of_value as fp
+from repro.faults import FaultConfig, FaultModel
 from repro.flash.config import SSDConfig
 from repro.ftl.allocator import OutOfSpaceError
 from repro.ftl.ftl import BaseFTL
@@ -66,6 +67,25 @@ class TestDriveExhaustion:
             for i in range(config.total_pages * 4):
                 ftl.write(i % config.logical_pages, fp(10_000 + i))
         # the failure left the structures consistent
+        ftl.mapping.check_invariants()
+        ftl.array.check_invariants()
+
+    def test_worn_out_drive_degrades_to_read_only(self):
+        """The same exhausted drive under the fault layer is at end of
+        life: a collection pass that leaves its plane no free block turns
+        it read-only, and writes are rejected instead of raising."""
+        config = tiny_drive(blocks_per_plane=8, overprovision=0.15)
+        ftl = BaseFTL(config)
+        for lpn in range(config.logical_pages):
+            ftl.write(lpn, fp(lpn))
+        ftl.attach_faults(FaultModel(FaultConfig(seed=1)))
+        rejected = [
+            ftl.write(i % config.logical_pages, fp(10_000 + i)).rejected
+            for i in range(config.total_pages * 4)
+        ]
+        assert ftl.read_only and rejected[-1]
+        assert ftl.allocator.free_block_count(0) == 0
+        assert ftl.faults.stats.rejected_writes == sum(rejected)
         ftl.mapping.check_invariants()
         ftl.array.check_invariants()
 

@@ -16,7 +16,6 @@ from repro.faults import FaultConfig, FaultModel
 from repro.faults.recovery import RecoveryError, crash_and_recover
 from repro.flash.block import PageState
 from repro.flash.config import SSDConfig
-from repro.ftl.allocator import OutOfSpaceError
 from repro.ftl.dedup import DedupFTL
 from repro.ftl.dftl import DFTLFtl
 from repro.ftl.dvp_ftl import build_system
@@ -473,13 +472,7 @@ def test_faulted_writes_and_trims_match_per_call(
         if op == 3 or step % 50 == 0:
             assert fault_state(fused) == fault_state(per_call)
     assert fault_state(fused) == fault_state(per_call)
-    stats = per_call.faults.stats
-    if outcome[1] is not None:
-        # Retirements alone (erase failures, no spare blocks) can wear a
-        # drive out before any program fails.
-        assert outcome[1][0] is OutOfSpaceError and stats.retired_blocks > 0
-    else:
-        assert stats.program_failures > 0 or per_call.read_only
+    assert per_call.faults.stats.program_failures > 0 or per_call.read_only
 
 
 # ---------------------------------------------------------------------------
