@@ -703,18 +703,21 @@ def _cmd_recovery(args: argparse.Namespace) -> int:
     config = _from_flags(
         lambda: RunConfig(paper_pool_entries=args.pool, scale=args.scale)
     )
-    context = ExperimentContext.for_workload(args.workload, args.scale)
-    _from_flags(
-        lambda: crash_point(len(context.trace), args.crash_fraction,
-                            args.window)
+    # A synthetic trace has exactly num_requests requests, so the crash
+    # point is checked here without generating it.
+    crash_after = _from_flags(
+        lambda: crash_point(
+            PROFILES[args.workload].scaled(args.scale).num_requests,
+            args.crash_fraction, args.window,
+        )
     )
     result = run_recovery_experiment(
         workload=args.workload,
         system=args.system,
-        crash_fraction=args.crash_fraction,
         window_requests=args.window,
         fault_seed=args.seed,
         config=config,
+        crash_after=crash_after,
     )
     if args.json:
         _print_json(asdict(result))

@@ -120,10 +120,13 @@ def run_recovery_experiment(
     window_requests: int = 2000,
     fault_seed: int = 0,
     config: Optional[RunConfig] = None,
+    crash_after: Optional[int] = None,
 ) -> RecoveryExperimentResult:
     """Measure post-crash revival warmup against an uninterrupted run.
 
-    ``crash_fraction`` places the power loss (:func:`crash_point`).
+    ``crash_fraction`` places the power loss (:func:`crash_point`);
+    a caller that already applied that rule passes its ``crash_after``
+    instead.
     ``config`` overrides the pool/scale/queue parameters wholesale (its
     ``faults``/``observer`` fields are managed by the experiment and
     must be unset).  Both runs replay the identical
@@ -142,7 +145,10 @@ def run_recovery_experiment(
             "leave both unset in the RunConfig"
         )
     context = ExperimentContext.for_workload(workload, config.scale)
-    crash_after = crash_point(len(context.trace), crash_fraction, window_requests)
+    if crash_after is None:
+        crash_after = crash_point(
+            len(context.trace), crash_fraction, window_requests
+        )
     plain_sampler = TimeSeriesSampler(interval_requests=window_requests)
     plain = run_system(
         system, context, config=config.replace(observer=plain_sampler)

@@ -220,15 +220,17 @@ def run_matrix(
     are collected in deterministic (workload, system) order, so every
     ``jobs`` value gives the same digests.  ``config.faults`` applies the
     *same* fault config to every cell — each cell gets its own freshly
-    seeded model.  A config carrying an observer is rejected at every
-    ``jobs`` value: cells are run from by-value specs, and a sampler
-    observes one run (attach it through :func:`run_system`).
+    seeded model.  Cells are run from by-value specs, which always reuse
+    the prefill cache and carry no observer, so a config with
+    ``reuse_prefill=False`` or an observer is rejected at every ``jobs``
+    value (pass either per run through :func:`run_system`).
     """
     cfg = _coerce_config("run_matrix", config)
-    if not cfg.picklable:
+    if not cfg.picklable or not cfg.reuse_prefill:
         raise ValueError(
-            "run_matrix runs cells from by-value specs and cannot carry "
-            "an observer; attach one per run through run_system"
+            "run_matrix runs cells from by-value specs, which reuse the "
+            "prefill cache and carry no observer; pass reuse_prefill=False "
+            "or an observer per run through run_system"
         )
     from ..perf.parallel import run_specs
     from ..perf.spec import RunSpec

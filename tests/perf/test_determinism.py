@@ -160,6 +160,12 @@ class TestMatrixWiring:
             with pytest.raises(ValueError, match="observer"):
                 run_matrix(("web",), ("baseline",), config)
 
+    def test_cold_prefill_rejected_at_every_jobs(self):
+        for jobs in (1, 2):
+            config = RunConfig(scale=SCALE, jobs=jobs, reuse_prefill=False)
+            with pytest.raises(ValueError, match="reuse_prefill=False"):
+                run_matrix(("web",), ("baseline",), config)
+
     def test_queue_depth_reaches_cells(self):
         deep = run_matrix(("web",), ("baseline",), RunConfig(scale=SCALE))
         shallow = run_matrix(

@@ -18,7 +18,7 @@ from repro.cli import build_parser
 ROOT = Path(__file__).resolve().parents[2]
 #: The user docs plus the repo's verify-skill notes (a dot-directory).
 DOCS = [ROOT / "README.md", ROOT / "EXPERIMENTS.md",
-        *ROOT.glob("*/skills/verify/SKILL.md")]
+        ROOT / ".claude/skills/verify/SKILL.md"]
 COMMAND = re.compile(r"python -m repro ([^`]*)")
 SHELL_OPERATORS = {"&", "&&", "|", ";", ">", ">>", "2>", "2>&1"}
 
@@ -45,7 +45,6 @@ COMMANDS = documented_commands()
 
 
 def test_docs_document_commands():
-    assert len(DOCS) == 3
     assert len(COMMANDS) >= 30
 
 
