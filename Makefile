@@ -53,7 +53,11 @@ lint:
 # planned cell will restore it and releases it at the last planned
 # restore (serial and pool paths), while unplanned run_system calls keep
 # capture-on-miss.  Also GC's victim screening
-# against the room relocation can reach.  The plain suite (make test)
+# against the room relocation can reach, and teardown: with the cyclic
+# collector off, every system's finished drive (bare, checked, faulted,
+# restored from the prefill cache or from live state) and every cell of
+# a run_specs batch is freed as soon as it is dropped, because nothing
+# below the FTL refers back to it.  The plain suite (make test)
 # runs all of these too; this target isolates them for quick iteration
 # on FTL and replay hot paths.
 check:
@@ -79,7 +83,8 @@ check:
 		"tests/perf/test_caches.py::TestPrefillCache::test_restored_systems_do_not_share_state" \
 		"tests/perf/test_caches.py::TestPlannedPrefill" \
 		"tests/unit/test_gc.py::TestRelocationRoom" \
-		"tests/perf/test_determinism.py::TestRunDeterminism::test_prefill_cache_does_not_change_results"
+		"tests/perf/test_determinism.py::TestRunDeterminism::test_prefill_cache_does_not_change_results" \
+		tests/perf/test_teardown.py
 
 # Tiny parallel-engine smoke: process-pool round trip, caches, bench
 # harness shape.  Part of the plain suite too; this target isolates it.

@@ -45,8 +45,8 @@ Invariant catalog (kinds raised):
     The MQ structure underneath an MQ pool failed its own queue/entry
     consistency check.
 ``pool.popularity-orphan`` / ``pool.popularity-leak`` / ``pool.block-popularity``
-    The garbage-popularity side tables (``_garbage_pop_of_ppn`` /
-    ``_block_garbage_pop``) disagree with the pool's tracked set — the
+    The garbage-popularity table (``garbage_pop.of_ppn`` /
+    ``garbage_pop.of_block``) disagrees with the pool's tracked set — the
     exact skew that silently biases popularity-aware GC victim choice.
 ``allocator.free-list`` / ``allocator.duplicate-block`` / ``allocator.retired-free``
     A free-listed block has programmed pages, appears twice, or is
@@ -225,7 +225,7 @@ def _array_violations(ftl: "BaseFTL", out: List[InvariantViolation]) -> None:
 
 def _pool_violations(ftl: "BaseFTL", out: List[InvariantViolation]) -> None:
     pool = ftl.pool
-    garbage_pop = ftl._garbage_pop_of_ppn
+    garbage_pop = ftl.garbage_pop.of_ppn
     if pool is None:
         if garbage_pop:
             out.append(InvariantViolation(
@@ -309,12 +309,12 @@ def _pool_violations(ftl: "BaseFTL", out: List[InvariantViolation]) -> None:
     for ppn, pop in garbage_pop.items():
         block = block_of(ppn)
         sums[block] = sums.get(block, 0) + pop
-    if sums != ftl._block_garbage_pop:
+    of_block = ftl.garbage_pop.of_block
+    if sums != of_block:
         diff_blocks = {
-            block: (sums.get(block), ftl._block_garbage_pop.get(block))
-            for block in set(sums) ^ set(ftl._block_garbage_pop)
-            | {b for b in set(sums) & set(ftl._block_garbage_pop)
-               if sums[b] != ftl._block_garbage_pop[b]}
+            block: (sums.get(block), of_block.get(block))
+            for block in set(sums) ^ set(of_block)
+            | {b for b in set(sums) & set(of_block) if sums[b] != of_block[b]}
         }
         out.append(InvariantViolation(
             "pool.block-popularity",

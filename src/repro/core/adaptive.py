@@ -173,9 +173,12 @@ class AdaptiveMQDeadValuePool(MQDeadValuePool):
         else:
             self.resizes_down += 1
         evicted = self._mq.set_capacity(new_capacity)
+        garbage_pop = self.garbage_pop
         for _, entry in evicted:
             self.stats.evictions += 1
             self.stats.evicted_ppns += len(entry.ppns)
-            self._notify_drops(entry.ppns)
+            if garbage_pop is not None:
+                for ppn in entry.ppns:
+                    garbage_pop.drop(ppn)
         if new_capacity > self.capacity_high_water:
             self.capacity_high_water = new_capacity

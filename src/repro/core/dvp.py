@@ -30,7 +30,6 @@ from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
     Dict,
     Iterator,
     List,
@@ -45,6 +44,7 @@ from .mq import MultiQueue
 from .policies import LRUCache
 
 __all__ = [
+    "GarbagePopularity",
     "PoolStats",
     "DeadValuePool",
     "PoolBase",
@@ -72,7 +72,7 @@ class DeadValuePool(Protocol):
     """
 
     stats: PoolStats
-    drop_listener: Optional[Callable[[int], None]]
+    garbage_pop: Optional[GarbagePopularity]
 
     def lookup_for_write(self, fp: Fingerprint, now: int) -> Optional[int]:
         """Try to service a write of content ``fp`` from the pool.
@@ -116,8 +116,8 @@ class DeadValuePool(Protocol):
         them survives in the pool: after a crash the pool restarts cold and
         must re-learn the workload.  Cumulative :class:`PoolStats` are
         *kept* (they are measurements, not device state), and the
-        ``drop_listener`` is deliberately not fired — crash recovery resets
-        the FTL's popularity bookkeeping wholesale.
+        ``garbage_pop`` table is left alone — crash recovery clears the
+        FTL's popularity bookkeeping wholesale.
         """
         ...
 
@@ -142,6 +142,35 @@ class DeadValuePool(Protocol):
     def __contains__(self, fp: Fingerprint) -> bool:
         """Whether content ``fp`` is currently revivable."""
         ...
+
+
+class GarbagePopularity:
+    """Popularity mass of pool-tracked garbage per PPN and per block: the
+    popularity-aware GC metric (Section IV-D).  The FTL and its pool share
+    it (a pool drops what it evicts outside ``insert_garbage``), and it
+    refers to neither, so a drive stays a tree (DESIGN.md §10)."""
+
+    __slots__ = ("of_ppn", "of_block", "pages_per_block")
+
+    def __init__(self, pages_per_block: int) -> None:
+        self.of_ppn: Dict[int, int] = {}
+        self.of_block: Dict[int, int] = {}
+        self.pages_per_block = pages_per_block
+
+    def of(self, block: int) -> int:
+        return self.of_block.get(block, 0)
+
+    def drop(self, ppn: int) -> None:
+        """Forget ``ppn``'s mass, if it has any."""
+        popularity = self.of_ppn.pop(ppn, None)
+        if popularity is None:
+            return
+        block = ppn // self.pages_per_block
+        remaining = self.of_block.get(block, 0) - popularity
+        if remaining > 0:
+            self.of_block[block] = remaining
+        else:
+            self.of_block.pop(block, None)
 
 
 @dataclass
@@ -193,7 +222,7 @@ class _PoolEntry:
 
 
 class PoolBase(ABC):
-    """Shared machinery for the concrete pools (stats, drop notification).
+    """Shared machinery for the concrete pools (stats, ``garbage_pop``).
 
     Implementation detail: the public contract is the
     :class:`DeadValuePool` Protocol above — new pool variants need not
@@ -202,16 +231,9 @@ class PoolBase(ABC):
 
     def __init__(self) -> None:
         self.stats = PoolStats()
-        #: Optional callback fired with each PPN the pool stops tracking
-        #: *outside* the insert path (e.g. an adaptive-capacity shrink).
-        #: The FTL registers its garbage-popularity cleanup here so the
-        #: GC victim metric never counts unrevivable pages.
-        self.drop_listener: Optional[Callable[[int], None]] = None
-
-    def _notify_drops(self, ppns) -> None:
-        if self.drop_listener is not None:
-            for ppn in ppns:
-                self.drop_listener(ppn)
+        #: The owning FTL's :class:`GarbagePopularity` (the FTL sets it);
+        #: PPNs dropped outside ``insert_garbage`` are dropped here too.
+        self.garbage_pop: Optional[GarbagePopularity] = None
 
     @abstractmethod
     def lookup_for_write(self, fp: Fingerprint, now: int) -> Optional[int]:

@@ -129,8 +129,8 @@ def crash_and_recover(
         ftl.pool.clear_volatile()
     ftl._write_popularity = {}
     ftl._read_popularity = {}
-    ftl._block_garbage_pop = {}
-    ftl._garbage_pop_of_ppn = {}
+    ftl.garbage_pop.of_ppn.clear()  # in place: the pool shares the table
+    ftl.garbage_pop.of_block.clear()
     # Scan cost: one OOB read (no data transfer) per programmed page,
     # striped across every chip.
     scanned = ftl.array.valid_pages + ftl.array.invalid_pages

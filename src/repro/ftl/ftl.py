@@ -30,7 +30,7 @@ from typing import (
     TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple,
 )
 
-from ..core.dvp import DeadValuePool
+from ..core.dvp import DeadValuePool, GarbagePopularity
 from ..core.hashing import Fingerprint
 from ..flash.array import FlashArray
 from ..flash.block import PageState
@@ -177,16 +177,13 @@ class BaseFTL:
         )
         self.wear = WearTracker(self.array, guard_margin=wear_guard_margin)
         self.gc = GarbageCollector(
-            self.array,
-            self.allocator,
-            policy,
-            delegate=self,
-            garbage_popularity_of=self._block_garbage_popularity,
-            wear_guard=self.wear.allows_erase if wear_levelling else None,
+            policy, wear_guard=self.wear.allows_erase if wear_levelling else None
         )
         self.verify_hits = verify_hits
+        # Popularity mass of pool-tracked garbage, shared with the pool.
+        self.garbage_pop = GarbagePopularity(self.array._pages_per_block)
         if pool is not None:
-            pool.drop_listener = self._clear_garbage_pop
+            pool.garbage_pop = self.garbage_pop
         self.counters = FTLCounters()
         self.write_clock = 0
         #: Optional :class:`~repro.check.InvariantChecker`
@@ -218,9 +215,6 @@ class BaseFTL:
         # the paper allots in the LPN-to-PPN table (Section IV-C).
         self._write_popularity: Dict[Fingerprint, int] = {}
         self._read_popularity: Dict[Fingerprint, int] = {}
-        # Popularity mass of pool-tracked garbage, per block (GC metric).
-        self._block_garbage_pop: Dict[int, int] = {}
-        self._garbage_pop_of_ppn: Dict[int, int] = {}
         #: Dedup's live store, value -> the one PPN holding it (``DedupFTL``
         #: sets it), and DFTL's cached mapping table (``DFTLFtl``): data
         #: every path tests with ``is None``, not overrides.
@@ -241,9 +235,6 @@ class BaseFTL:
 
     def write_popularity_of(self, fp: Fingerprint) -> int:
         return self._write_popularity.get(fp, 0)
-
-    def _block_garbage_popularity(self, block_global: int) -> int:
-        return self._block_garbage_pop.get(block_global, 0)
 
     def oob_records(self) -> Iterator[Tuple[int, Tuple[int, int]]]:
         """The OOB journal's page records, ``(ppn, (lpn, seq))`` in PPN
@@ -301,7 +292,6 @@ class BaseFTL:
         audited baseline.  Returns ``self`` for chaining.
         """
         self.checker = checker
-        self.gc.checker = checker
         checker.on_attach(self)
         return self
 
@@ -392,10 +382,10 @@ class BaseFTL:
             block.valid_count += 1
             array.invalid_pages -= 1
             array.valid_pages += 1
-            garbage_pop = self._garbage_pop_of_ppn.pop(revived, None)
-            if garbage_pop is not None:
-                block_garbage_pop = self._block_garbage_pop
-                remaining = block_garbage_pop.get(block_index, 0) - garbage_pop
+            revived_pop = self.garbage_pop.of_ppn.pop(revived, None)
+            if revived_pop is not None:
+                block_garbage_pop = self.garbage_pop.of_block
+                remaining = block_garbage_pop.get(block_index, 0) - revived_pop
                 if remaining > 0:
                     block_garbage_pop[block_index] = remaining
                 else:
@@ -409,7 +399,7 @@ class BaseFTL:
             # room for this write and for any relocations GC itself needs.
             # The watermark test is maybe_collect's own early return.
             if len(allocator.free_blocks[plane]) < gc.low_watermark:
-                work = gc.maybe_collect(plane)
+                work = gc.maybe_collect(self, plane)
                 if work.erased_blocks or work.relocations or work.retired_blocks:
                     counters.gc_erases += len(work.erased_blocks)
                     counters.gc_relocations += len(work.relocations)
@@ -765,31 +755,17 @@ class BaseFTL:
         dropped = pool.insert_garbage(
             old_fp, old_ppn, self.write_clock, popularity=pool_pop, lpn=lpn
         )
-        self._garbage_pop_of_ppn[old_ppn] = pool_pop
-        block_garbage_pop = self._block_garbage_pop
+        garbage_pop = self.garbage_pop
+        garbage_pop.of_ppn[old_ppn] = pool_pop
+        block_garbage_pop = garbage_pop.of_block
         block_garbage_pop[block_index] = (
             block_garbage_pop.get(block_index, 0) + pool_pop
         )
         for dropped_ppn in dropped:
-            self._clear_garbage_pop(dropped_ppn)
+            garbage_pop.drop(dropped_ppn)
 
     # ------------------------------------------------------------------
-    # Popularity mass per block (input to popularity-aware GC)
-    # ------------------------------------------------------------------
-
-    def _clear_garbage_pop(self, ppn: int) -> None:
-        popularity = self._garbage_pop_of_ppn.pop(ppn, None)
-        if popularity is None:
-            return
-        block = self.array.geometry.block_of_ppn(ppn)
-        remaining = self._block_garbage_pop.get(block, 0) - popularity
-        if remaining > 0:
-            self._block_garbage_pop[block] = remaining
-        else:
-            self._block_garbage_pop.pop(block, None)
-
-    # ------------------------------------------------------------------
-    # GC delegate protocol (called by GarbageCollector)
+    # Bookkeeping hooks GarbageCollector calls back into
     # ------------------------------------------------------------------
 
     def relocate_page(self, old_ppn: int, new_ppn: int) -> None:
@@ -817,7 +793,7 @@ class BaseFTL:
             fp = self._ppn_fp.pop(ppn, None)
             if fp is not None and self.pool is not None:
                 self.pool.discard_ppn(fp, ppn)
-            self._clear_garbage_pop(ppn)
+            self.garbage_pop.drop(ppn)
         # The erase takes the whole block's OOB area with it: garbage
         # pages and the old copies of the pages just relocated.
         per_block = self.array._pages_per_block

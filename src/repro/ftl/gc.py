@@ -17,25 +17,27 @@ The :class:`GarbageCollector` runs per-plane (relocations stay in-plane)
 whenever the plane's free-block count drops below a watermark, relocating
 valid pages and erasing the victim.  It reports every physical operation so
 the simulator can charge read/program/erase latencies to the chip
-timelines, and calls back into the owning FTL for mapping and dead-value
-pool bookkeeping.
+timelines, and calls back into the FTL it collects for (passed to each
+pass, never stored) for mapping and dead-value pool bookkeeping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Protocol, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Protocol, Tuple
 
 from ..flash.array import FlashArray
-from .allocator import OutOfSpaceError, PageAllocator
+from .allocator import OutOfSpaceError
 from .mapping import POPULARITY_MAX
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
+    from .ftl import BaseFTL
 
 __all__ = [
     "GCWork",
     "VictimPolicy",
     "GreedyVictimPolicy",
     "PopularityAwareVictimPolicy",
-    "GCDelegate",
     "GarbageCollector",
 ]
 
@@ -142,26 +144,18 @@ class PopularityAwareVictimPolicy:
         return best
 
 
-class GCDelegate(Protocol):
-    """Bookkeeping hooks the owning FTL provides to the collector."""
-
-    def relocate_page(self, old_ppn: int, new_ppn: int) -> None:
-        """A valid page moved: fix mapping tables and fingerprint indexes."""
-
-    def erase_cleanup(self, block_global: int, invalid_ppns: List[int]) -> None:
-        """A block is about to be erased: drop pool entries for its garbage."""
-
-
 class GarbageCollector:
-    """Per-plane watermark-driven collection."""
+    """Per-plane watermark-driven collection.
+
+    The collector holds only its policy and knobs: every pass takes the
+    FTL it collects for and reads the flash array, allocator,
+    garbage-popularity table, fault layer and checker from it, so nothing
+    below the FTL refers back to it (DESIGN.md §10, ownership).
+    """
 
     def __init__(
         self,
-        array: FlashArray,
-        allocator: PageAllocator,
         policy: VictimPolicy,
-        delegate: GCDelegate,
-        garbage_popularity_of: Callable[[int], int],
         low_watermark: int = 2,
         max_blocks_per_invocation: int = 1,
         wear_guard: Optional[Callable[[int], bool]] = None,
@@ -170,11 +164,7 @@ class GarbageCollector:
             raise ValueError("low_watermark must be positive")
         if max_blocks_per_invocation <= 0:
             raise ValueError("max_blocks_per_invocation must be positive")
-        self.array = array
-        self.allocator = allocator
         self.policy = policy
-        self.delegate = delegate
-        self.garbage_popularity_of = garbage_popularity_of
         self.low_watermark = low_watermark
         self.max_blocks_per_invocation = max_blocks_per_invocation
         #: Optional wear-levelling predicate (block -> may erase?).  Vetoed
@@ -182,31 +172,25 @@ class GarbageCollector:
         #: levelling shapes preference, never correctness.
         self.wear_guard = wear_guard
         self.invocations = 0
-        #: Optional :class:`~repro.check.InvariantChecker` postcondition
-        #: hook (set via ``BaseFTL.attach_checker``).
-        self.checker = None
 
     # ------------------------------------------------------------------
 
-    def needs_collection(self, plane: int) -> bool:
-        return self.allocator.free_block_count(plane) < self.low_watermark
-
-    def _victim(self, plane: int) -> Optional[int]:
+    def _victim(self, ftl: "BaseFTL", plane: int) -> Optional[int]:
         """The policy's pick among the plane's collectible blocks."""
         return self.policy.select(
-            self._candidates(plane), self.array, self.garbage_popularity_of
+            self._candidates(ftl, plane), ftl.array, ftl.garbage_pop.of
         )
 
-    def _candidates(self, plane: int) -> List[int]:
+    def _candidates(self, ftl: "BaseFTL", plane: int) -> List[int]:
         """Collectible blocks: full, non-active, with garbage to reclaim,
         and whose valid pages fit in the room relocation can reach (the
         relocation block's tail and the free blocks, not the host block's
         tail), so relocation can never strand the plane."""
-        capacity = self.allocator.relocatable_pages(plane)
-        blocks_per_plane = self.array.geometry.blocks_per_plane
+        capacity = ftl.allocator.relocatable_pages(plane)
+        blocks_per_plane = ftl.array.geometry.blocks_per_plane
         base = plane * blocks_per_plane
-        blocks = self.array.blocks
-        active, active_gc = self.allocator.actives_of_plane(plane)
+        blocks = ftl.array.blocks
+        active, active_gc = ftl.allocator.actives_of_plane(plane)
         out = []
         for block in range(base, base + blocks_per_plane):
             b = blocks[block]
@@ -224,9 +208,9 @@ class GarbageCollector:
                 return levelled
         return out
 
-    def maybe_collect(self, plane: int) -> GCWork:
-        """Incremental collection: when the plane is below the watermark,
-        reclaim up to ``max_blocks_per_invocation`` victims.
+    def maybe_collect(self, ftl: "BaseFTL", plane: int) -> GCWork:
+        """Incremental collection: when ``ftl``'s plane is below the
+        watermark, reclaim up to ``max_blocks_per_invocation`` victims.
 
         Called *before* each page allocation.  Collecting a bounded number
         of blocks per write amortises GC instead of erasing dozens of
@@ -234,27 +218,31 @@ class GarbageCollector:
         page while the triggering write consumes exactly one, so free space
         converges without multi-millisecond stop-the-world episodes.
         """
-        if len(self.allocator.free_blocks[plane]) >= self.low_watermark:
+        if len(ftl.allocator.free_blocks[plane]) >= self.low_watermark:
             # Shared empty result for the common above-watermark path;
             # callers treat returned work as read-only.
             return _NO_WORK
         work = GCWork()
         self.invocations += 1
-        self._collect_to_watermark(plane, work)
-        if self.checker is not None:
-            self.checker.after_gc(self.delegate, plane, work)
+        self._collect_to_watermark(ftl, plane, work)
+        if ftl.checker is not None:
+            ftl.checker.after_gc(ftl, plane, work)
         return work
 
-    def _collect_to_watermark(self, plane: int, work: GCWork) -> None:
+    def _collect_to_watermark(
+        self, ftl: "BaseFTL", plane: int, work: GCWork
+    ) -> None:
+        allocator = ftl.allocator
         for _ in range(self.max_blocks_per_invocation):
-            if not self.needs_collection(plane) or getattr(
-                self.delegate, "read_only", False
+            if (
+                allocator.free_block_count(plane) >= self.low_watermark
+                or ftl.read_only
             ):
                 break
-            victim = self._victim(plane)
+            victim = self._victim(ftl, plane)
             if victim is None:
                 break
-            work.merge(self._collect_block(victim, plane))
+            work.merge(self._collect_block(ftl, victim, plane))
         # Emergency mode: the plane must always end an invocation with at
         # least one free block, or the *next* write could strand it (two
         # active blocks — host and relocation — may each need to open one).
@@ -262,26 +250,22 @@ class GarbageCollector:
         # exists or nothing is collectible.  A drive that went read-only
         # mid-invocation stops instead: writes are rejected from here on,
         # so the reserve no longer needs restoring.
-        while (
-            self.allocator.free_block_count(plane) == 0
-            and not getattr(self.delegate, "read_only", False)
-        ):
-            victim = self._victim(plane)
+        while allocator.free_block_count(plane) == 0 and not ftl.read_only:
+            victim = self._victim(ftl, plane)
             if victim is None:
                 break
-            work.merge(self._collect_block(victim, plane))
-        if (
-            self.allocator.free_block_count(plane) == 0
-            and getattr(self.delegate, "badblocks", None) is not None
-        ):
+            work.merge(self._collect_block(ftl, victim, plane))
+        if allocator.free_block_count(plane) == 0 and ftl.badblocks is not None:
             # The reserve could not be restored: retirements wore the plane
             # down until nothing left is collectible.  Under the fault layer
             # that is end of life, so degrade to read-only rather than let
             # the next block open raise OutOfSpaceError.  A fault-free drive
             # in this state is mis-provisioned and still raises.
-            self.delegate.enter_read_only()
+            ftl.enter_read_only()
 
-    def background_collect(self, plane: int, watermark: int) -> GCWork:
+    def background_collect(
+        self, ftl: "BaseFTL", plane: int, watermark: int
+    ) -> GCWork:
         """Opportunistic collection during idle time.
 
         Unlike :meth:`maybe_collect` (which runs only when the plane is
@@ -293,43 +277,40 @@ class GarbageCollector:
         if watermark <= self.low_watermark:
             raise ValueError("background watermark must exceed the low one")
         work = GCWork()
-        if self.allocator.free_block_count(plane) >= watermark:
+        if ftl.allocator.free_block_count(plane) >= watermark:
             return work
-        victim = self._victim(plane)
+        victim = self._victim(ftl, plane)
         if victim is not None:
-            work.merge(self._collect_block(victim, plane))
-        if self.checker is not None:
-            self.checker.after_gc(self.delegate, plane, work)
+            work.merge(self._collect_block(ftl, victim, plane))
+        if ftl.checker is not None:
+            ftl.checker.after_gc(ftl, plane, work)
         return work
 
-    def _collect_block(self, victim: int, plane: int) -> GCWork:
+    def _collect_block(self, ftl: "BaseFTL", victim: int, plane: int) -> GCWork:
         work = GCWork()
-        geometry = self.array.geometry
-        block = self.array.block(victim)
-        base_ppn = geometry.first_ppn_of_block(victim)
+        array = ftl.array
+        allocator = ftl.allocator
+        block = array.block(victim)
+        base_ppn = array.geometry.first_ppn_of_block(victim)
         # Relocate valid pages within the plane.
         for page in block.valid_page_indexes():
             old_ppn = base_ppn + page
             try:
-                new_ppn = self.allocator.allocate_in_plane(plane, for_gc=True)
+                new_ppn = allocator.allocate_in_plane(plane, for_gc=True)
             except OutOfSpaceError as exc:
                 raise OutOfSpaceError(
                     f"plane {plane}: no room to relocate during GC"
                 ) from exc
-            self.delegate.relocate_page(old_ppn, new_ppn)
-            self.array.invalidate(old_ppn)
+            ftl.relocate_page(old_ppn, new_ppn)
+            array.invalidate(old_ppn)
             work.relocations.append((old_ppn, new_ppn))
         invalid_ppns = [base_ppn + p for p in block.invalid_page_indexes()]
-        self.delegate.erase_cleanup(victim, invalid_ppns)
+        ftl.erase_cleanup(victim, invalid_ppns)
         # Fault layer: a victim marked bad (repeat program failures) or
-        # whose erase fails is retired instead of reclaimed.  The delegate
-        # attributes are absent on bare FTLs, so the fault-free path pays
-        # two getattr calls per victim and nothing else.
-        badblocks = getattr(self.delegate, "badblocks", None)
-        if badblocks is not None and badblocks.should_retire(
-            victim, getattr(self.delegate, "faults", None)
-        ):
-            if self.allocator.free_block_count(plane) == 0:
+        # whose erase fails is retired instead of reclaimed.
+        badblocks = ftl.badblocks
+        if badblocks is not None and badblocks.should_retire(victim, ftl.faults):
+            if allocator.free_block_count(plane) == 0:
                 # Retiring this victim would consume the plane's last bit
                 # of relocation headroom: a collection pass that ends with
                 # zero free blocks leaves the *next* pass unable to open a
@@ -338,18 +319,18 @@ class GarbageCollector:
                 # plane — degrade to read-only instead and reclaim the
                 # victim normally; the bad block staying in rotation is
                 # harmless because all future writes are rejected.
-                self.delegate.enter_read_only()
-                work.reclaimed_pages += self.array.erase(victim)
-                self.allocator.release_block(victim)
+                ftl.enter_read_only()
+                work.reclaimed_pages += array.erase(victim)
+                allocator.release_block(victim)
                 work.erased_blocks.append(victim)
             else:
-                self.array.retire_block(victim)
+                array.retire_block(victim)
                 work.retired_blocks.append(victim)
                 if not badblocks.retire(victim):
                     # Spare pool exhausted: degrade to read-only.
-                    self.delegate.enter_read_only()
+                    ftl.enter_read_only()
         else:
-            work.reclaimed_pages += self.array.erase(victim)
-            self.allocator.release_block(victim)
+            work.reclaimed_pages += array.erase(victim)
+            allocator.release_block(victim)
             work.erased_blocks.append(victim)
         return work

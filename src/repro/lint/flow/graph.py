@@ -29,14 +29,14 @@ __all__ = ["CallGraph", "SymbolTable", "build_symbol_table"]
 
 #: Method names distinctive enough to resolve on an *untyped* receiver:
 #: the protocol surfaces named in DESIGN — DeadValuePool, the BaseFTL
-#: GC hooks, GC delegation, MQ touch and the Device step surface.
+#: GC hooks, the collector's passes, MQ touch and the Device step surface.
 #: Deliberately excludes generic names (``read``/``write``/``get``),
 #: which on an untyped receiver would wire half the project together.
 PROTOCOL_METHODS = frozenset({
     # DeadValuePool implementations
     "lookup_for_write", "skip_missed_lookups", "insert_garbage",
     "discard_ppn", "clear_volatile", "tracked_ppn_count", "tracked_items",
-    # BaseFTL / GC delegate hooks
+    # BaseFTL hooks the collector calls back into, and its passes
     "relocate_page", "erase_cleanup", "maybe_collect",
     "background_collect",
     # Device step surface / MQ touch

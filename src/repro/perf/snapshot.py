@@ -127,10 +127,8 @@ def _restore(ftl: BaseFTL, snapshot: _Snapshot, last: bool = False) -> None:
         setattr(ftl, name, value)
     for name, table in tables.items():
         setattr(ftl, name, table if last else dict(table))
-    # The collector and wear tracker hold direct references to the array
-    # and allocator they were built with; point them at the grafted copies.
-    ftl.gc.array = ftl.array
-    ftl.gc.allocator = ftl.allocator
+    # The wear tracker holds the array it was built with; point it at the
+    # grafted copy (the collector reads the array from the FTL each pass).
     ftl.wear.array = ftl.array
     ftl._fill_slots(pages)
     reset_measurements(ftl)
@@ -262,8 +260,9 @@ class PrefillCache:
 # digest-identical to one that was never interrupted.  Unlike the
 # prefill path (which grafts a curated attribute subset onto a freshly
 # built FTL), a live checkpoint pickles the whole (ftl, ssd) object
-# graph in one piece, so every cross-reference (gc→array, timelines,
-# host queue heap, accumulated samples) survives by construction.
+# graph in one piece, so every cross-reference (the pool's shared
+# garbage-popularity table, timelines, host queue heap, accumulated
+# samples) survives by construction.
 # Restores are ``pickle.loads`` of an immutable byte string, so no two
 # restores share state.
 
@@ -278,7 +277,10 @@ class PrefillCache:
 #: ``translation`` slots; a version 3 FTL would resume without them.
 #: Version 5: every ``SimulatedSSD`` carries the ``background`` slot its
 #: replay loop tests; a version 4 device would resume without it.
-LIVE_STATE_VERSION = 5
+#: Version 6: the FTL and its pool share one ``garbage_pop`` table, and
+#: the collector holds neither the FTL nor its array; a version 5 FTL
+#: would resume with a pool callback and a collector bound to the FTL.
+LIVE_STATE_VERSION = 6
 
 
 def capture_live_state(ftl: BaseFTL, ssd: "SimulatedSSD") -> bytes:

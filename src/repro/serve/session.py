@@ -26,11 +26,13 @@ Checkpointing pickles the complete mid-run device graph
 (:func:`~repro.perf.snapshot.capture_live_state`) plus the unstepped
 buffers, so a session restored by :meth:`TenantSession.from_blob`
 continues exactly where the captured one stopped — the kill/resume
-tests prove digest identity with an uninterrupted stream.
+tests prove digest identity with an uninterrupted stream.  A seal (the
+version and the pickle's SHA-256) turns any damage into a SessionError.
 """
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 import re
 from dataclasses import dataclass
@@ -54,10 +56,12 @@ __all__ = [
     "TenantSession",
 ]
 
-#: Version tag inside session checkpoint blobs; readers refuse blobs
-#: from an incompatible writer instead of grafting mismatched state.
-#: v2: buffered requests are replay rows, not records.
-SESSION_STATE_VERSION = 2
+#: Version tag in session checkpoint blobs; readers refuse blobs from an
+#: incompatible writer instead of grafting mismatched state.
+#: v2: buffered requests are replay rows, not records.  v3: the pickled
+#: state follows a ``repro-session <version> <sha256>`` header line.
+SESSION_STATE_VERSION = 3
+_SEAL = "repro-session"
 
 #: Tenant names become checkpoint file names, so they are restricted to
 #: a filesystem-safe alphabet.
@@ -385,9 +389,8 @@ class TenantSession:
         """The complete resumable state of this session as one blob."""
         if self.finished:
             raise SessionError("cannot checkpoint a closed session")
-        blob = pickle.dumps(
+        payload = pickle.dumps(
             {
-                "version": SESSION_STATE_VERSION,
                 "config": self.config,
                 "served": self.served,
                 "buffers": [list(buffered) for buffered in self._buffers],
@@ -399,19 +402,28 @@ class TenantSession:
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         self.checkpointed_at = self.served
-        return blob
+        digest = hashlib.sha256(payload).hexdigest()
+        return f"{_SEAL} {SESSION_STATE_VERSION} {digest}\n".encode() + payload
 
     @classmethod
     def from_blob(cls, blob: bytes) -> "TenantSession":
-        """Rehydrate a checkpointed session, bit-exact."""
-        try:
-            state = pickle.loads(blob)
-        except Exception as exc:
-            raise SessionError(f"corrupt session checkpoint: {exc}") from None
-        version = state.get("version") if isinstance(state, dict) else None
-        if version != SESSION_STATE_VERSION:
+        """Rehydrate a checkpointed session, bit-exact.  Every way a blob
+        can fail — no seal, another version, a payload that does not
+        match its digest, state that does not restore — is a
+        :class:`SessionError`."""
+        header, _, payload = blob.partition(b"\n")
+        fields = header.decode("ascii", "replace").split(" ")
+        if len(fields) != 3 or fields[0] != _SEAL:
+            raise SessionError("corrupt session checkpoint: no seal")
+        if fields[1] != str(SESSION_STATE_VERSION):
             raise SessionError(
-                f"session checkpoint version {version!r} != supported "
+                f"session checkpoint version {fields[1]} != supported "
                 f"{SESSION_STATE_VERSION}"
             )
-        return cls(state["config"], _state=state)
+        if hashlib.sha256(payload).hexdigest() != fields[2]:
+            raise SessionError("corrupt session checkpoint: digest mismatch")
+        try:
+            state = pickle.loads(payload)
+            return cls(state["config"], _state=state)
+        except Exception as exc:
+            raise SessionError(f"corrupt session checkpoint: {exc!r}") from None

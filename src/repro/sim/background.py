@@ -86,7 +86,7 @@ class BackgroundGCSSD(SimulatedSSD):
             if self.timelines.chips[chip].busy_until > now_us:
                 continue
             work = self.ftl.gc.background_collect(
-                plane, self.background_watermark
+                self.ftl, plane, self.background_watermark
             )
             if work.erase_count or work.relocation_count:
                 self.ftl.counters.gc_erases += work.erase_count

@@ -14,8 +14,11 @@ No pytest-asyncio in the image, so the in-process server runs a plain
 with the blocking :class:`repro.serve.ServeClient`.
 """
 
+import hashlib
 import io
 import os
+import pickle
+import random
 import signal
 import socket
 import subprocess
@@ -30,7 +33,9 @@ from repro.experiments.config import RunConfig
 from repro.experiments.runner import ExperimentContext, run_system
 from repro.fleet import FleetSpec, run_fleet
 from repro.perf.spec import result_digest
-from repro.serve import ServeClient, ServeServer, ServeSettings
+from repro.serve import (
+    ServeClient, ServeClientError, ServeServer, ServeSettings,
+)
 from repro.traces.synthetic import generate_trace
 
 SCALE = 0.004
@@ -357,6 +362,63 @@ def test_sharded_session_matches_batch_fleet():
     assert record.meta["shard_digests"] == list(fleet.shard_digests)
     assert record.digest == fleet.fleet_digest
     assert record.digest == session_digest(list(fleet.shard_digests))
+
+
+def _sealed(state, version):
+    """A session checkpoint in the sealed format: a ``repro-session
+    <version> <sha256>`` header line, then the pickled state."""
+    payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+    digest = hashlib.sha256(payload).hexdigest()
+    return f"repro-session {version} {digest}\n".encode() + payload
+
+
+@pytest.mark.serve_smoke
+def test_damaged_checkpoints_are_refused_and_never_resume(tmp_path):
+    """A truncated checkpoint, single-bit flips anywhere in it, one from
+    another session version and one holding a live state from an older
+    writer each get an ``error`` reply naming the checkpoint; no session
+    resumes, and the connection serves on.  Unsealed, flips used to
+    resume with a wrong digest or escape as unpickling errors."""
+    from repro.perf.snapshot import LIVE_STATE_VERSION
+    from repro.serve import (
+        SESSION_STATE_VERSION, SessionConfig, TenantSession, save_checkpoint,
+    )
+
+    fields = dict(tenant="damaged", workload="web", system=SYSTEM,
+                  scale=SCALE, batch_requests=BATCH)
+    trace = trace_for("web")
+    session = TenantSession(SessionConfig(**fields))
+    for request in trace[:len(trace) // 2]:
+        session.push(request)
+    blob = session.checkpoint_blob()
+    state = pickle.loads(blob.partition(b"\n")[2])
+    assert blob == _sealed(state, SESSION_STATE_VERSION)
+    old_live = dict(state, blobs=[
+        pickle.dumps(dict(pickle.loads(live), version=LIVE_STATE_VERSION - 1))
+        for live in state["blobs"]
+    ])
+    rng = random.Random(1)
+    flips = []
+    for bit in rng.sample(range(8 * len(blob)), 60):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        flips.append(bytes(flipped))
+    damaged = [
+        blob[:len(blob) // 2],
+        _sealed(state, SESSION_STATE_VERSION - 1),
+        _sealed(old_live, SESSION_STATE_VERSION),
+        *flips,
+    ]
+    with ServerThread(checkpoint_dir=str(tmp_path)) as server:
+        with ServeClient("127.0.0.1", server.port) as client:
+            for bad in damaged:
+                save_checkpoint(str(tmp_path), "damaged", bad)
+                with pytest.raises(ServeClientError, match="session checkpoint"):
+                    client.open(**fields)
+                client.ping()
+            assert server.server.manager.sessions == {}
+            save_checkpoint(str(tmp_path), "damaged", blob)
+            assert client.open(**fields)["resumed"] is True
 
 
 def test_error_replies_keep_the_connection_alive():

@@ -269,8 +269,11 @@ class TestPrefillCache:
         cache = PrefillCache()
         self._system(cache, "baseline")
         restored = self._system(cache, "baseline")
-        assert restored.gc.array is restored.array
-        assert restored.gc.allocator is restored.allocator
+        # The collector holds no array or allocator of its own: each pass
+        # reads them from the FTL it collects for, so only the wear
+        # tracker needs rebinding.
+        assert not hasattr(restored.gc, "array")
+        assert not hasattr(restored.gc, "allocator")
         assert restored.wear.array is restored.array
 
     def test_unknown_subclass_prefills_directly(self, monkeypatch):

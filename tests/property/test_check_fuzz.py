@@ -111,7 +111,7 @@ def corrupt_pool_orphan(ftl):
 
 
 def corrupt_double_valid(ftl):
-    ppn = next(iter(ftl._garbage_pop_of_ppn), None)
+    ppn = next(iter(ftl.garbage_pop.of_ppn), None)
     if ppn is None:
         return None
     ftl.array.revive(ppn)

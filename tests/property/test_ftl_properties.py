@@ -149,7 +149,7 @@ def build(family, pool_name, config=None, per_call=False, window=16,
 
 def adaptive_pool(window=16):
     # Small window and bounds so the pool resizes (and drops PPNs
-    # through its listener) inside one example.
+    # from the shared garbage-popularity table) inside one example.
     return AdaptiveMQDeadValuePool(
         8, min_entries=4, max_entries=32, window=window
     )
@@ -216,8 +216,8 @@ def ftl_state(ftl):
         "ppn_fp": list(ftl._ppn_fp.items()),
         "write_popularity": list(ftl._write_popularity.items()),
         "read_popularity": list(ftl._read_popularity.items()),
-        "garbage_pop_of_ppn": list(ftl._garbage_pop_of_ppn.items()),
-        "block_garbage_pop": list(ftl._block_garbage_pop.items()),
+        "garbage_pop_of_ppn": list(ftl.garbage_pop.of_ppn.items()),
+        "block_garbage_pop": list(ftl.garbage_pop.of_block.items()),
         "gc_invocations": ftl.gc.invocations,
         "l2p": list(ftl.mapping._l2p),
         "owner": list(ftl.mapping._owner),

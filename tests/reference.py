@@ -161,7 +161,7 @@ class PerCallWrites:
         # Collect *before* allocating, so the target plane always has room
         # for this write and for any relocations GC itself needs.
         plane = plane_of_next_write(self.allocator)
-        work = self.gc.maybe_collect(plane)
+        work = self.gc.maybe_collect(self, plane)
         if work.erased_blocks or work.relocations or work.retired_blocks:
             self.counters.gc_erases += len(work.erased_blocks)
             self.counters.gc_relocations += len(work.relocations)
@@ -206,7 +206,7 @@ class PerCallWrites:
             outcome.verify_read_ppn = ppn
             self.counters.flash_reads += 1
         self.array.revive(ppn)
-        self._clear_garbage_pop(ppn)
+        self.garbage_pop.drop(ppn)
         self.mapping.map(lpn, ppn)
         self._record_oob(ppn, lpn)
         self.counters.short_circuits += 1
@@ -239,13 +239,13 @@ class PerCallWrites:
         )
         self._add_garbage_pop(ppn, popularity)
         for dropped_ppn in dropped:
-            self._clear_garbage_pop(dropped_ppn)
+            self.garbage_pop.drop(dropped_ppn)
 
     def _add_garbage_pop(self, ppn: int, popularity: int) -> None:
         block = self.array.geometry.block_of_ppn(ppn)
-        self._garbage_pop_of_ppn[ppn] = popularity
-        self._block_garbage_pop[block] = (
-            self._block_garbage_pop.get(block, 0) + popularity
+        self.garbage_pop.of_ppn[ppn] = popularity
+        self.garbage_pop.of_block[block] = (
+            self.garbage_pop.of_block.get(block, 0) + popularity
         )
 
 

@@ -17,13 +17,13 @@ def w(t, lpn, value):
 class TestBackgroundCollect:
     def test_no_collection_above_watermark(self, tiny_config):
         ftl = BaseFTL(tiny_config)
-        work = ftl.gc.background_collect(0, watermark=4)
+        work = ftl.gc.background_collect(ftl, 0, watermark=4)
         assert work.erase_count == 0
 
     def test_watermark_must_exceed_on_demand(self, tiny_config):
         ftl = BaseFTL(tiny_config)
         with pytest.raises(ValueError):
-            ftl.gc.background_collect(0, watermark=ftl.gc.low_watermark)
+            ftl.gc.background_collect(ftl, 0, watermark=ftl.gc.low_watermark)
 
     def test_collects_when_below_background_watermark(self, tiny_config):
         ftl = BaseFTL(tiny_config)
@@ -33,7 +33,7 @@ class TestBackgroundCollect:
         while ftl.allocator.free_block_count(0) > 5:
             for _ in range(ppb):
                 ftl.array.invalidate(ftl.allocator.allocate_in_plane(0))
-        work = ftl.gc.background_collect(0, watermark=8)
+        work = ftl.gc.background_collect(ftl, 0, watermark=8)
         assert work.erase_count == 1
 
 

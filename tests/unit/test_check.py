@@ -66,7 +66,7 @@ class TestSeededCorruptions:
         ftl = healthy_ftl(tiny_config)
         # Resurrect a dead page behind the FTL's back: a VALID page no
         # LPN references (the signature of a botched revival).
-        dead_ppn = next(iter(ftl._garbage_pop_of_ppn))
+        dead_ppn = next(iter(ftl.garbage_pop.of_ppn))
         ftl.array.revive(dead_ppn)
         found = kinds_of(audit(ftl))
         assert "array.unmapped-valid" in found
@@ -89,7 +89,7 @@ class TestMoreCorruptions:
         lpn = 0
         # Point the mapping at a dead page without invalidating the old
         # copy or fixing the side structures.
-        dead_ppn = next(iter(ftl._garbage_pop_of_ppn))
+        dead_ppn = next(iter(ftl.garbage_pop.of_ppn))
         ftl.mapping._l2p[lpn] = dead_ppn
         ftl.mapping._attach(lpn, dead_ppn)
         found = kinds_of(audit(ftl))
@@ -103,7 +103,7 @@ class TestMoreCorruptions:
 
     def test_popularity_leak(self, tiny_config):
         ftl = healthy_ftl(tiny_config)
-        ppn = next(iter(ftl._garbage_pop_of_ppn))
+        ppn = next(iter(ftl.garbage_pop.of_ppn))
         # Drop the pool's knowledge but keep the popularity record.
         pool_fp = ftl._ppn_fp[ppn]
         ftl.pool.discard_ppn(pool_fp, ppn)

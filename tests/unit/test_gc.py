@@ -4,6 +4,7 @@ from typing import List, Tuple
 
 import pytest
 
+from repro.core.dvp import GarbagePopularity
 from repro.flash.array import FlashArray
 from repro.ftl.allocator import PageAllocator
 from repro.ftl.gc import (
@@ -15,10 +16,19 @@ from repro.ftl.gc import (
 from repro.ftl.mapping import POPULARITY_MAX
 
 
-class RecordingDelegate:
-    """Minimal GC delegate that records calls and keeps a reverse map."""
+class RecordingFTL:
+    """The FTL surface a collection pass reads and calls back into: a
+    bare array and allocator, no fault layer or checker, and a recording
+    of every relocation and erase."""
 
-    def __init__(self):
+    def __init__(self, array: FlashArray, allocator: PageAllocator):
+        self.array = array
+        self.allocator = allocator
+        self.garbage_pop = GarbagePopularity(array.config.pages_per_block)
+        self.read_only = False
+        self.badblocks = None
+        self.faults = None
+        self.checker = None
         self.relocations: List[Tuple[int, int]] = []
         self.erased: List[Tuple[int, List[int]]] = []
 
@@ -43,13 +53,9 @@ def fill_block(array: FlashArray, allocator: PageAllocator, plane: int,
 def setup(tiny_config):
     array = FlashArray(tiny_config)
     allocator = PageAllocator(array)
-    delegate = RecordingDelegate()
-    pop = {}
-    collector = GarbageCollector(
-        array, allocator, GreedyVictimPolicy(), delegate,
-        garbage_popularity_of=lambda b: pop.get(b, 0),
-    )
-    return array, allocator, delegate, collector, pop
+    ftl = RecordingFTL(array, allocator)
+    collector = GarbageCollector(GreedyVictimPolicy())
+    return array, allocator, ftl, collector, ftl.garbage_pop.of_block
 
 
 class TestGreedyPolicy:
@@ -108,8 +114,8 @@ class TestPopularityAwarePolicy:
 
 class TestCollectionLoop:
     def test_no_collection_above_watermark(self, setup):
-        array, allocator, delegate, collector, _ = setup
-        work = collector.maybe_collect(0)
+        array, allocator, ftl, collector, _ = setup
+        work = collector.maybe_collect(ftl, 0)
         assert work.erase_count == 0
         assert collector.invocations == 0
 
@@ -119,49 +125,47 @@ class TestCollectionLoop:
             fill_block(array, allocator, plane, invalid_pages=8)
 
     def test_collects_when_low(self, setup, tiny_config):
-        array, allocator, delegate, collector, _ = setup
+        array, allocator, ftl, collector, _ = setup
         self._drain_plane(array, allocator, tiny_config)
-        work = collector.maybe_collect(0)
+        work = collector.maybe_collect(ftl, 0)
         assert work.erase_count >= 1
         assert work.reclaimed_pages > 0
         assert collector.invocations == 1
 
     def test_relocations_preserve_valid_data(self, setup, tiny_config):
-        array, allocator, delegate, collector, _ = setup
+        array, allocator, ftl, collector, _ = setup
         self._drain_plane(array, allocator, tiny_config)
         before_valid = array.valid_pages
-        work = collector.maybe_collect(0)
+        work = collector.maybe_collect(ftl, 0)
         assert array.valid_pages == before_valid  # relocation conserves
-        assert delegate.relocations == work.relocations
+        assert ftl.relocations == work.relocations
         # every relocation's destination is valid and in the same plane
         for old, new in work.relocations:
             assert array.geometry.split_ppn(old)[0] == array.geometry.split_ppn(new)[0]
 
     def test_erase_cleanup_reports_garbage_ppns(self, setup, tiny_config):
-        array, allocator, delegate, collector, _ = setup
+        array, allocator, ftl, collector, _ = setup
         self._drain_plane(array, allocator, tiny_config)
-        collector.maybe_collect(0)
-        assert delegate.erased
-        block, invalid_ppns = delegate.erased[0]
+        collector.maybe_collect(ftl, 0)
+        assert ftl.erased
+        block, invalid_ppns = ftl.erased[0]
         assert invalid_ppns  # the victim had garbage
         first = array.geometry.first_ppn_of_block(block)
         assert all(first <= p < first + tiny_config.pages_per_block
                    for p in invalid_ppns)
 
     def test_incremental_bound(self, setup, tiny_config):
-        array, allocator, delegate, collector, _ = setup
+        array, allocator, ftl, collector, _ = setup
         self._drain_plane(array, allocator, tiny_config)
-        work = collector.maybe_collect(0)
+        work = collector.maybe_collect(ftl, 0)
         assert work.erase_count <= collector.max_blocks_per_invocation
 
     def test_validation(self, setup):
-        array, allocator, delegate, _, _ = setup
+        array, allocator, ftl, _, _ = setup
         with pytest.raises(ValueError):
-            GarbageCollector(array, allocator, GreedyVictimPolicy(), delegate,
-                             lambda b: 0, low_watermark=0)
+            GarbageCollector(GreedyVictimPolicy(), low_watermark=0)
         with pytest.raises(ValueError):
-            GarbageCollector(array, allocator, GreedyVictimPolicy(), delegate,
-                             lambda b: 0, max_blocks_per_invocation=0)
+            GarbageCollector(GreedyVictimPolicy(), max_blocks_per_invocation=0)
 
     def test_gcwork_merge(self):
         a = GCWork(relocations=[(1, 2)], erased_blocks=[0], reclaimed_pages=4)
@@ -195,24 +199,21 @@ class TestRelocationRoom:
         return blocks
 
     def test_declines_a_victim_it_cannot_move(self, setup):
-        array, allocator, delegate, collector, _ = setup
+        array, allocator, ftl, collector, _ = setup
         (victim,) = self._plane_with_host_room(array, allocator, [3])
         assert array.block(victim).valid_count == 13
-        work = collector.maybe_collect(0)   # used to raise OutOfSpaceError
+        work = collector.maybe_collect(ftl, 0)   # used to raise OutOfSpaceError
         assert work.erase_count == 0
-        assert delegate.relocations == []
+        assert ftl.relocations == []
 
     def test_moves_the_best_victim_that_fits(self, setup):
-        array, allocator, delegate, _, pop = setup
-        collector = GarbageCollector(
-            array, allocator, PopularityAwareVictimPolicy(), delegate,
-            garbage_popularity_of=lambda b: pop.get(b, 0),
-        )
+        array, allocator, ftl, _, pop = setup
+        collector = GarbageCollector(PopularityAwareVictimPolicy())
         best, movable = self._plane_with_host_room(array, allocator, [3, 5])
         pop[movable] = 3 * POPULARITY_MAX   # scores 2 against best's 3
         assert PopularityAwareVictimPolicy().select(
-            [best, movable], array, collector.garbage_popularity_of
+            [best, movable], array, ftl.garbage_pop.of
         ) == best
-        work = collector.maybe_collect(0)
+        work = collector.maybe_collect(ftl, 0)
         assert work.erased_blocks == [movable]
         assert work.relocation_count == 11

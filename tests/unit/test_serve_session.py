@@ -17,6 +17,7 @@ from repro.experiments.runner import ExperimentContext, run_system
 from repro.perf.spec import result_digest
 from repro.serve import (
     CLIENT_TYPES,
+    SESSION_STATE_VERSION,
     SessionConfig,
     SessionError,
     SessionManager,
@@ -47,6 +48,16 @@ def context():
 def batch_digest(context):
     result = run_system(SYSTEM, context, config=RunConfig(scale=SCALE))
     return result_digest(result)
+
+
+def sealed(state, version=SESSION_STATE_VERSION):
+    """``state`` as a sealed session checkpoint of ``version``."""
+    import hashlib
+    import pickle
+
+    payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+    digest = hashlib.sha256(payload).hexdigest()
+    return f"repro-session {version} {digest}\n".encode() + payload
 
 
 def session_config(**overrides):
@@ -233,11 +244,11 @@ class TestCheckpointResume:
             if session.step_due():
                 session.flush()
         expected = session.metrics_record()
-        state = pickle.loads(session.checkpoint_blob())
+        state = pickle.loads(session.checkpoint_blob().partition(b"\n")[2])
         state["blobs"] = [
             legacy_dumps(pickle.loads(blob)) for blob in state["blobs"]
         ]
-        legacy_blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        legacy_blob = sealed(state)
         assert b"_sorted" in legacy_blob
 
         resumed = TenantSession.from_blob(legacy_blob)
@@ -253,20 +264,23 @@ class TestCheckpointResume:
     def test_blob_version_gate(self):
         import pickle
 
-        blob = pickle.dumps({"version": 999})
-        with pytest.raises(SessionError, match="version"):
-            TenantSession.from_blob(blob)
+        with pytest.raises(SessionError, match="version 999 != supported 3"):
+            TenantSession.from_blob(sealed({}, version=999))
         with pytest.raises(SessionError, match="corrupt"):
             TenantSession.from_blob(b"garbage")
+        # A version 2 writer pickled the state with no seal.
+        with pytest.raises(SessionError, match="no seal"):
+            TenantSession.from_blob(pickle.dumps({"version": 2}))
 
     def test_live_state_v1_blob_refused(self, tiny_config):
         """Version 1 live state predates the MQ head cache, version 2 the
-        per-PPN OOB columns, version 3 the dedup/DFTL slots and version 4
-        the simulator's ``background`` slot: restoring any would resume an
-        MQ pool without its head cache, an FTL with a tuple-dict journal,
-        an FTL without ``_live_index`` and ``translation``, or a device
-        whose replay loop finds no ``background``.  The reader refuses
-        each with the named error."""
+        per-PPN OOB columns, version 3 the dedup/DFTL slots, version 4
+        the simulator's ``background`` slot and version 5 the shared
+        ``garbage_pop`` table: restoring any would resume an MQ pool
+        without its head cache, an FTL with a tuple-dict journal, an FTL
+        without ``_live_index`` and ``translation``, a device whose replay
+        loop finds no ``background``, or an FTL without ``garbage_pop``.
+        The reader refuses each with the named error."""
         import pickle
 
         from repro.core.dvp import MQDeadValuePool
@@ -283,13 +297,20 @@ class TestCheckpointResume:
         for lpn in range(8):
             ftl.write(lpn, fingerprint_of_value(lpn % 3))
         state = pickle.loads(capture_live_state(ftl, SimulatedSSD(ftl)))
-        assert state["version"] == LIVE_STATE_VERSION == 5
+        assert state["version"] == LIVE_STATE_VERSION == 6
         restore_live_state(pickle.dumps(state))
-        # What a version 4 writer pickled: no ``background`` slot.
+        # What a version 5 writer pickled: no shared ``garbage_pop``; and
+        # a version 4 one: no ``background`` slot either.
+        del state["ftl"].garbage_pop, state["ftl"].pool.garbage_pop
+        state["version"] = 5
+        with pytest.raises(
+            ValueError, match="live-state blob version 5 != supported 6"
+        ):
+            restore_live_state(pickle.dumps(state))
         del state["ssd"].background
         state["version"] = 4
         with pytest.raises(
-            ValueError, match="live-state blob version 4 != supported 5"
+            ValueError, match="live-state blob version 4 != supported 6"
         ):
             restore_live_state(pickle.dumps(state))
         # A version 3 one: no FTL slots either; and a version 2 one: the
@@ -298,7 +319,7 @@ class TestCheckpointResume:
         del old._live_index, old.translation
         state["version"] = 3
         with pytest.raises(
-            ValueError, match="live-state blob version 3 != supported 5"
+            ValueError, match="live-state blob version 3 != supported 6"
         ):
             restore_live_state(pickle.dumps(state))
         old._oob = dict(old.oob_records())
@@ -307,7 +328,7 @@ class TestCheckpointResume:
             state["version"] = version
             with pytest.raises(
                 ValueError,
-                match=f"live-state blob version {version} != supported 5",
+                match=f"live-state blob version {version} != supported 6",
             ):
                 restore_live_state(pickle.dumps(state))
 
