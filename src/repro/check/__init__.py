@@ -20,7 +20,12 @@ from .differential import (
     DifferentialReport,
     differential_run,
 )
-from .invariants import InvariantChecker, InvariantViolation, audit
+from .invariants import (
+    InvariantChecker,
+    InvariantViolation,
+    audit,
+    checker_for,
+)
 from .oracle import OracleFTL
 
 __all__ = [
@@ -31,4 +36,5 @@ __all__ = [
     "DifferentialReport",
     "differential_run",
     "audit",
+    "checker_for",
 ]

@@ -41,8 +41,7 @@ from ..ftl.dvp_ftl import build_system
 from ..sim.des_ssd import EventDrivenSSD
 from ..sim.request import IORequest
 from ..sim.ssd import SimulatedSSD
-from .invariants import InvariantChecker
-from .oracle import OracleFTL
+from .invariants import checker_for
 
 __all__ = ["DifferentialMismatch", "DifferentialReport", "differential_run"]
 
@@ -153,14 +152,8 @@ def differential_run(
     def fresh_ftl():
         ftl = build_system(system, context.config, entries)
         prefill(ftl, context.profile)
-        if cfg.check_interval is not None or cfg.oracle:
-            checker = InvariantChecker(
-                interval=cfg.check_interval
-                if cfg.check_interval is not None
-                else InvariantChecker.DEFAULT_INTERVAL,
-                oracle=OracleFTL() if cfg.oracle else None,
-            )
-            ftl.attach_checker(checker)
+        if cfg.checking:
+            ftl.attach_checker(checker_for(cfg))
         return ftl
 
     timeline = SimulatedSSD(fresh_ftl()).run(

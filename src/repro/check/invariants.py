@@ -15,7 +15,10 @@ violation *kind* (a stable dotted name tests can assert on) and a state
 diff of the disagreeing values.
 
 The audit is also available stand-alone via :func:`audit` for tests that
-want the complete violation list instead of the first failure.
+want the complete violation list instead of the first failure.  It is
+the only statement of these rules: the flash and FTL structures carry no
+consistency hooks of their own (the MQ's internal check is wrapped below
+as ``pool.mq-internal``).
 
 Invariant catalog (kinds raised):
 
@@ -25,12 +28,22 @@ Invariant catalog (kinds raised):
     A mapped PPN is not VALID in the flash array.
 ``mapping.no-fingerprint`` / ``mapping.no-oob``
     A mapped PPN lost its content fingerprint or OOB journal record.
+``mapping.spill``
+    The shared-PPN spill store and the owner column disagree: a PPN
+    marked shared has fewer than two owners, or the spill store holds a
+    PPN the owner column gives one owner (or none).
+``array.block-state``
+    A block's ``valid_count``/``invalid_count`` disagree with a recount
+    of its state bytes, or a page past its write pointer is programmed.
 ``array.accounting``
     The array's incremental free/valid/invalid/erase totals disagree with
     a from-scratch recount of every block.
 ``array.unmapped-valid``
     A VALID flash page is referenced by no LPN (a double-valid / leaked
     revival).
+``dedup.live-index``
+    A dedup FTL's live-value index names a PPN that is not VALID or does
+    not hold that value's fingerprint.
 ``pool.empty-entry``
     A pool entry tracks zero PPNs (should have been removed).
 ``pool.duplicate-ppn``
@@ -81,14 +94,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from ..flash.block import PageState
+from ..flash.block import _FREE, _INVALID, _VALID, PageState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..experiments.config import RunConfig
     from ..ftl.ftl import BaseFTL
     from ..ftl.gc import GCWork
     from .oracle import OracleFTL
 
-__all__ = ["InvariantViolation", "InvariantChecker", "audit"]
+__all__ = ["InvariantViolation", "InvariantChecker", "audit", "checker_for"]
 
 
 class InvariantViolation(AssertionError):
@@ -140,9 +154,26 @@ def _mapping_violations(ftl: "BaseFTL", out: List[InvariantViolation]) -> None:
         current = owner[ppn]
         if current == _NONE:
             continue
-        reverse_total += (
-            len(shared.get(ppn, ())) if current == _SHARED else 1
-        )
+        if current != _SHARED:
+            reverse_total += 1
+            continue
+        owners = len(shared.get(ppn, ()))
+        reverse_total += owners
+        if owners < 2:
+            out.append(InvariantViolation(
+                "mapping.spill",
+                f"PPN {ppn} is marked shared but has {owners} owner(s)",
+                {"ppn": ppn, "spilled_lpns": sorted(shared.get(ppn, ()))},
+            ))
+    for ppn, lpns in shared.items():
+        current = owner[ppn] if 0 <= ppn < len(owner) else _NONE
+        if current != _SHARED:
+            out.append(InvariantViolation(
+                "mapping.spill",
+                f"spill store holds PPN {ppn}, which the owner column "
+                f"does not mark shared",
+                {"ppn": ppn, "owner": current, "spilled_lpns": sorted(lpns)},
+            ))
     if reverse_total != forward_total:
         out.append(InvariantViolation(
             "mapping.reverse-stale",
@@ -188,6 +219,22 @@ def _array_violations(ftl: "BaseFTL", out: List[InvariantViolation]) -> None:
     refcount = ftl.mapping.refcount
     geometry = array.geometry
     for index, block in enumerate(array.blocks):
+        states = block.states
+        pointer = block.write_pointer
+        recount = (
+            states.count(_VALID),
+            states.count(_INVALID),
+            len(states) - pointer - states.count(_FREE, pointer),
+        )
+        if recount != (block.valid_count, block.invalid_count, 0):
+            out.append(InvariantViolation(
+                "array.block-state",
+                f"block {index}'s counters disagree with its state bytes "
+                f"(recounted valid, invalid, programmed past the pointer)",
+                {"block": index, "write_pointer": pointer,
+                 "recounted": recount,
+                 "counters": (block.valid_count, block.invalid_count, 0)},
+            ))
         if block.retired:
             retired += 1
             continue
@@ -221,6 +268,22 @@ def _array_violations(ftl: "BaseFTL", out: List[InvariantViolation]) -> None:
             "incremental page totals disagree with a full recount",
             {"recounted": recounted, "incremental": incremental},
         ))
+
+
+def _dedup_violations(ftl: "BaseFTL", out: List[InvariantViolation]) -> None:
+    state_of = ftl.array.state_of
+    page_fp = ftl._ppn_fp
+    for fp, ppn in (ftl._live_index or {}).items():
+        state = state_of(ppn)
+        stored = page_fp.get(ppn)
+        if state is not PageState.VALID or stored != fp:
+            out.append(InvariantViolation(
+                "dedup.live-index",
+                f"live index names PPN {ppn} for a value the page does "
+                f"not hold live",
+                {"ppn": ppn, "state": state.name, "index_fp": fp,
+                 "page_fp": stored},
+            ))
 
 
 def _pool_violations(ftl: "BaseFTL", out: List[InvariantViolation]) -> None:
@@ -498,6 +561,7 @@ def audit(ftl: "BaseFTL") -> List[InvariantViolation]:
     out: List[InvariantViolation] = []
     _mapping_violations(ftl, out)
     _array_violations(ftl, out)
+    _dedup_violations(ftl, out)
     _pool_violations(ftl, out)
     _allocator_violations(ftl, out)
     _gc_violations(ftl, out)
@@ -643,3 +707,15 @@ class InvariantChecker:
                     v.kind for v in violations[1:]
                 ]
             raise first
+
+
+def checker_for(config: "RunConfig") -> InvariantChecker:
+    """The checker a run config asks for when ``config.checking``: audits
+    every ``check_interval`` events (default :attr:`InvariantChecker.
+    DEFAULT_INTERVAL`) and, with ``oracle``, the lockstep oracle."""
+    from .oracle import OracleFTL  # runtime: oracle imports this module
+
+    return InvariantChecker(
+        interval=config.check_interval or InvariantChecker.DEFAULT_INTERVAL,
+        oracle=OracleFTL() if config.oracle else None,
+    )

@@ -146,16 +146,9 @@ class Device:
             # prefill snapshots stay checker-free and the audited baseline
             # is the preconditioned drive.  Checking never mutates FTL
             # state, so the run's digest is identical with or without it.
-            from ..check import InvariantChecker, OracleFTL
+            from ..check import checker_for
 
-            self.ftl.attach_checker(InvariantChecker(
-                interval=(
-                    config.check_interval
-                    if config.check_interval is not None
-                    else InvariantChecker.DEFAULT_INTERVAL
-                ),
-                oracle=OracleFTL() if config.oracle else None,
-            ))
+            self.ftl.attach_checker(checker_for(config))
         self.ssd = SimulatedSSD(
             self.ftl,
             queue_depth=config.queue_depth,

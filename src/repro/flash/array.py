@@ -104,19 +104,3 @@ class FlashArray:
     def free_fraction(self) -> float:
         """Free pages as a fraction of raw capacity (GC trigger input)."""
         return self.free_pages / self.config.total_pages
-
-    def check_invariants(self) -> None:
-        """Recompute totals from scratch and compare (test hook)."""
-        free = valid = invalid = retired = 0
-        for block in self.blocks:
-            block.check_invariants()
-            if block.retired:
-                retired += 1
-                continue
-            valid += block.valid_count
-            invalid += block.invalid_count
-            free += block.pages_per_block - block.write_pointer
-        assert retired == self.retired_blocks, "retired_blocks out of sync"
-        assert free == self.free_pages, "free_pages out of sync"
-        assert valid == self.valid_pages, "valid_pages out of sync"
-        assert invalid == self.invalid_pages, "invalid_pages out of sync"

@@ -14,8 +14,8 @@ flash operation.
 Page states are packed one byte per page in a ``bytearray`` (columnar-state
 rework, ISSUE 6): a 256-page block costs 256 bytes instead of a list of 256
 enum references, erase/retire reset the buffer in place (one C-level
-memset) rather than reallocating it, and the valid/invalid recounts in
-``check_invariants`` run at ``bytes.count`` speed.  ``state_of`` still
+memset) rather than reallocating it, and the audit's valid/invalid
+recounts (``repro.check``) run at ``bytes.count`` speed.  ``state_of`` still
 returns the :class:`PageState` enum — the byte encoding is this module's
 private business.
 """
@@ -157,12 +157,3 @@ class Block:
         return [
             i for i in range(self.write_pointer) if states[i] == _INVALID
         ]
-
-    def check_invariants(self) -> None:
-        """Raise ``AssertionError`` on inconsistent counters (test hook)."""
-        valid = self.states.count(_VALID)
-        invalid = self.states.count(_INVALID)
-        assert valid == self.valid_count, "valid_count out of sync"
-        assert invalid == self.invalid_count, "invalid_count out of sync"
-        assert valid + invalid <= self.write_pointer, "programmed-count mismatch"
-        assert not any(self.states[self.write_pointer:]), "free tail violated"

@@ -113,24 +113,6 @@ class PageAllocator:
         """
         return self._active[plane], self._active_gc[plane]
 
-    def check_invariants(self) -> None:
-        """Free-listed blocks must be fully erased; actives must be open."""
-        for plane, blocks in enumerate(self.free_blocks):
-            for block in blocks:
-                b = self.array.block(block)
-                assert not b.retired, (
-                    f"retired block {block} on a free list"
-                )
-                assert b.write_pointer == 0, (
-                    f"free-listed block {block} has programmed pages"
-                )
-        for actives in (self._active, self._active_gc):
-            for plane, block in enumerate(actives):
-                if block is not None:
-                    assert not self.array.block(block).is_full, (
-                        f"active block {block} is full"
-                    )
-
 
 class BadBlockManager:
     """Grown-bad-block bookkeeping: spare budget, retirement, degradation.

@@ -801,23 +801,3 @@ class BaseFTL:
         cleared = _unmapped_column(per_block)
         self._oob_lpns[start:start + per_block] = cleared
         self._oob_seqs[start:start + per_block] = cleared
-
-    # ------------------------------------------------------------------
-
-    def check_invariants(self) -> None:
-        """Deep cross-structure consistency check (test hook)."""
-        self.array.check_invariants()
-        self.mapping.check_invariants()
-        self.allocator.check_invariants()
-        for ppn in self.mapping.mapped_ppns():
-            assert self.array.state_of(ppn) is PageState.VALID, (
-                f"mapped PPN {ppn} is not VALID"
-            )
-            assert ppn in self._ppn_fp, f"mapped PPN {ppn} has no fingerprint"
-            assert self._oob_seqs[ppn] >= 0, (
-                f"mapped PPN {ppn} has no OOB record"
-            )
-        for fp, ppn in (self._live_index or {}).items():
-            assert self._ppn_fp.get(ppn) == fp, f"stale live entry at PPN {ppn}"
-            state = self.array.state_of(ppn)
-            assert state is PageState.VALID, f"live index PPN {ppn} is {state}"

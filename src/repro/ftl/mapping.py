@@ -232,36 +232,3 @@ class MappingTable:
             value += 1
             self._pop[lpn] = value
         return value
-
-    def check_invariants(self) -> None:
-        """Forward, reverse and counter columns must agree (test hook)."""
-        owner = self._owner
-        shared = self._shared
-        forward_count = 0
-        for lpn in range(len(self._l2p)):
-            ppn = self._l2p[lpn]
-            if ppn < 0:
-                continue
-            forward_count += 1
-            assert 0 <= ppn < len(owner), f"LPN {lpn} maps beyond the owner column"
-            current = owner[ppn]
-            assert current == lpn or (
-                current == _SHARED and lpn in shared.get(ppn, ())
-            ), f"reverse map missing LPN {lpn} -> PPN {ppn}"
-        assert forward_count == self._mapped, "mapped-count column out of sync"
-        reverse_count = 0
-        for ppn in range(len(owner)):
-            current = owner[ppn]
-            if current == _NONE:
-                continue
-            if current == _SHARED:
-                lpns = shared.get(ppn, set())
-                assert len(lpns) >= 2, f"spilled PPN {ppn} has < 2 owners"
-                reverse_count += len(lpns)
-            else:
-                assert ppn not in shared, f"PPN {ppn} is both dense and spilled"
-                reverse_count += 1
-        assert set(shared) <= {
-            ppn for ppn in range(len(owner)) if owner[ppn] == _SHARED
-        }, "spill store holds PPNs the owner column does not mark shared"
-        assert reverse_count == forward_count, "reverse map has stale LPNs"

@@ -17,8 +17,8 @@ time someone runs ``--check``.  These rules close that gap statically:
   not must therefore override ``relocate_page`` (filling the base's own
   slots, as ``DedupFTL`` does, needs no hook), and one that hooks the
   content paths (``write`` / ``trim`` / ``_kill_fused``) must override
-  it, ``erase_cleanup`` and ``check_invariants`` — the exact trio that
-  silently desyncs when forgotten.
+  it and ``erase_cleanup`` — the exact pair that silently desyncs when
+  forgotten.
 """
 
 from __future__ import annotations
@@ -276,14 +276,14 @@ class FtlHooksRule(Rule):
     """FTL subclasses override the GC hooks their extra state requires."""
 
     code = "proto.ftl-hooks"
-    summary = "BaseFTL subclass missing a required GC/consistency hook"
+    summary = "BaseFTL subclass missing a required GC hook"
 
     ftl_base = "BaseFTL"
     #: Every subclass with state of its own must handle GC page movement.
     state_required: Tuple[str, ...] = ("relocate_page",)
-    #: Hooking content bookkeeping obliges the erase/audit pair too.
+    #: Hooking content bookkeeping obliges the erase hook too.
     content_triggers: Tuple[str, ...] = ("write", "trim", "_kill_fused")
-    content_required: Tuple[str, ...] = ("erase_cleanup", "check_invariants")
+    content_required: Tuple[str, ...] = ("erase_cleanup",)
 
     def check(self, program: Program) -> Iterator[Violation]:
         table = class_table(program)

@@ -276,7 +276,10 @@ class PrefillCache:
 #: Version 4: every ``BaseFTL`` carries the ``_live_index`` and
 #: ``translation`` slots; a version 3 FTL would resume without them.
 #: Version 5: every ``SimulatedSSD`` carries the ``background`` slot its
-#: replay loop tests; a version 4 device would resume without it.
+#: replay loop tests; a version 4 device would resume without it.  (The
+#: slot is now a class attribute, so it is no longer pickled; a plain
+#: ``SimulatedSSD`` blob that still holds it as ``None`` restores
+#: unchanged.)
 #: Version 6: the FTL and its pool share one ``garbage_pop`` table, and
 #: the collector holds neither the FTL nor its array; a version 5 FTL
 #: would resume with a pool callback and a collector bound to the FTL.

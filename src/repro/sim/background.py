@@ -7,7 +7,7 @@ hide much of this by collecting while the device is idle.
 
 :class:`BackgroundGCSSD` approximates idle-time GC within the trace-driven
 timeline model: before servicing each request (the simulator's
-``background`` slot, which it fills) it probes a few planes in
+``background`` slot, which it defines as a method) it probes a few planes in
 round-robin order, and any plane below the *background* watermark gets one
 block collected, with the flash operations charged to the plane's chip
 starting at the current arrival time.  When the drive is genuinely idle
@@ -68,9 +68,8 @@ class BackgroundGCSSD(SimulatedSSD):
         self._probe_cursor = 0
         self.background_erases = 0
         self.background_relocations = 0
-        self.background = self._background_pass
 
-    def _background_pass(self, now_us: float) -> None:
+    def background(self, now_us: float) -> None:
         """Probe the next ``planes_per_probe`` planes at ``now_us`` (a
         request's arrival) and collect one block in each idle one below
         the background watermark."""

@@ -44,6 +44,13 @@ __all__ = ["SimulatedSSD", "replay"]
 class SimulatedSSD:
     """Couples an FTL with the timing model and runs requests through both."""
 
+    #: Work run before each request at its arrival time, given that time
+    #: (:class:`~repro.sim.background.BackgroundGCSSD` defines its
+    #: idle-time collection pass); ``None`` runs nothing.  A class
+    #: attribute, not an instance one: a bound method stored on the
+    #: instance would make every such device a reference cycle.
+    background: Optional[Callable[[float], None]] = None
+
     def __init__(
         self,
         ftl: BaseFTL,
@@ -75,10 +82,6 @@ class SimulatedSSD:
         #: :class:`~repro.faults.recovery.RecoveryReport` per power-loss
         #: event injected during :meth:`run`.
         self.recovery_reports: list = []
-        #: Work run before each request at its arrival time, given that
-        #: time (:class:`~repro.sim.background.BackgroundGCSSD` sets its
-        #: idle-time collection pass); ``None`` runs nothing.
-        self.background: Optional[Callable[[float], None]] = None
 
     # ------------------------------------------------------------------
 

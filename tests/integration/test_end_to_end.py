@@ -6,6 +6,7 @@ and check cross-module consistency that no unit test can see.
 
 import pytest
 
+from repro.check import audit
 from repro.experiments.runner import (
     ExperimentContext,
     RunConfig,
@@ -112,7 +113,7 @@ class TestDriveStateAfterRun:
         device = SimulatedSSD(ftl)
         for request in context.trace:
             device.submit(request)
-        ftl.check_invariants()
+        assert not audit(ftl)
 
     def test_mapped_content_matches_trace(self, context):
         """After the run, every logical page holds exactly the last value

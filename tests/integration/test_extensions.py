@@ -8,6 +8,7 @@ exercise only in isolation.
 
 import pytest
 
+from repro.check import audit
 from repro.core.adaptive import AdaptiveMQDeadValuePool
 from repro.core.dvp import MQDeadValuePool
 from repro.experiments.runner import config_for_profile, prefill
@@ -50,7 +51,7 @@ class TestKitchenSinkFTL:
         log = CompletionLog()
         device = SimulatedSSD(ftl, log=log)
         result = device.run(trace)
-        ftl.check_invariants()
+        assert not audit(ftl)
         assert result.counters.short_circuits > 0
         assert ftl.translation.stats.misses > 0
         # verify-on-hit charged a read per revival
@@ -69,7 +70,7 @@ class TestKitchenSinkFTL:
         prefill(ftl, profile)
         device = BackgroundGCSSD(ftl, background_watermark=4)
         result = device.run(trace)
-        ftl.check_invariants()
+        assert not audit(ftl)
         assert result.counters.host_writes > 0
 
 
@@ -107,7 +108,7 @@ class TestTrimUnderLoad:
                     request.arrival_us + 0.5, OpType.TRIM,
                     request.lpn, 0,
                 ))
-        ftl.check_invariants()
+        assert not audit(ftl)
         assert ftl.counters.host_trims > 0
         # trims create revival opportunities too
         assert ftl.counters.short_circuits > 0

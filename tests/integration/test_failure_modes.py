@@ -8,6 +8,7 @@ explicit error or a graceful degenerate result — never silent corruption.
 
 import pytest
 
+from repro.check import audit
 from repro.core.dvp import MQDeadValuePool
 from repro.core.hashing import fingerprint_of_value as fp
 from repro.faults import FaultConfig, FaultModel
@@ -33,7 +34,7 @@ class TestDriveExhaustion:
         ftl = BaseFTL(config)
         for lpn in range(config.logical_pages):
             ftl.write(lpn, fp(lpn))
-        ftl.check_invariants()
+        assert not audit(ftl)
 
     def test_overcommit_beyond_logical_space_rejected(self):
         config = tiny_drive()
@@ -52,7 +53,7 @@ class TestDriveExhaustion:
             ftl.write(lpn, fp(lpn))
         for i in range(config.total_pages * 4):
             ftl.write(i % config.logical_pages, fp(10_000 + i))
-        ftl.check_invariants()
+        assert not audit(ftl)
         assert ftl.counters.gc_erases > 0
 
     def test_infeasible_overprovisioning_fails_loudly(self):
@@ -67,8 +68,7 @@ class TestDriveExhaustion:
             for i in range(config.total_pages * 4):
                 ftl.write(i % config.logical_pages, fp(10_000 + i))
         # the failure left the structures consistent
-        ftl.mapping.check_invariants()
-        ftl.array.check_invariants()
+        assert not audit(ftl)
 
     def test_worn_out_drive_degrades_to_read_only(self):
         """The same exhausted drive under the fault layer is at end of
@@ -86,8 +86,7 @@ class TestDriveExhaustion:
         assert ftl.read_only and rejected[-1]
         assert ftl.allocator.free_block_count(0) == 0
         assert ftl.faults.stats.rejected_writes == sum(rejected)
-        ftl.mapping.check_invariants()
-        ftl.array.check_invariants()
+        assert not audit(ftl)
 
     def test_unwritable_drive_raises_out_of_space(self):
         """A drive with zero over-provisioning and a full logical space
@@ -118,14 +117,14 @@ class TestDegenerateInputs:
         ftl = BaseFTL(tiny_config, pool=MQDeadValuePool(1))
         for i in range(100):
             ftl.write(i % 10, fp(i % 4))
-        ftl.check_invariants()
+        assert not audit(ftl)
 
     def test_single_page_blocks(self):
         config = tiny_drive(pages_per_block=1, blocks_per_plane=16)
         ftl = BaseFTL(config)
         for i in range(config.total_pages * 2):
             ftl.write(i % config.logical_pages, fp(i % 5))
-        ftl.check_invariants()
+        assert not audit(ftl)
 
     def test_repeated_identical_writes(self, tiny_config):
         ftl = BaseFTL(tiny_config, pool=MQDeadValuePool(8))

@@ -26,6 +26,7 @@ from repro.perf.snapshot import (
     restore_live_state,
 )
 from repro.perf.spec import RunSpec
+from repro.sim.background import BackgroundGCSSD
 
 SCALE = 0.01
 ENTRIES = 64
@@ -92,6 +93,16 @@ def test_restored_prefill_drive_is_freed(context, no_cyclic_gc):
         _finished("mq-dvp", context, SETUPS["bare"], reuse_prefill=True)
     )
     assert cache.hits == hits + 1  # the second drive was restored
+    assert _freed(refs)
+
+
+def test_background_gc_drive_is_freed(context, no_cyclic_gc):
+    device = Device("mq-dvp", context.config, ENTRIES)
+    device.precondition(context.profile, reuse_prefill=False)
+    ssd = BackgroundGCSSD(device.ftl)
+    ssd.service(context.trace.rows())
+    refs = weakref.ref(device.ftl), weakref.ref(ssd)
+    del device, ssd
     assert _freed(refs)
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flash.block import Block, PageState
-from repro.ftl.mapping import POPULARITY_MAX, MappingTable
+from repro.ftl.mapping import _SHARED, POPULARITY_MAX, MappingTable
 
 LPNS = 48
 PPNS = 96
@@ -165,6 +165,23 @@ def mapping_observation(table):
     }
 
 
+def assert_table_consistent(table):
+    """The forward column, the owner column and the spill store agree.
+
+    Every mapping is in the reverse map, the reverse map holds no stale
+    LPN, and a PPN sits in the spill store only while the owner column
+    marks it shared and two or more LPNs map to it (at one owner it
+    collapses back into the dense column)."""
+    for ppn, lpns in table._shared.items():
+        assert table._owner[ppn] == _SHARED, (ppn, lpns)
+        assert len(lpns) >= 2, (ppn, lpns)
+    forward = table.forward_items()
+    for lpn, ppn in forward.items():
+        assert lpn in table.lpns_of(ppn), (lpn, ppn)
+    assert len(forward) == table.mapped_lpn_count()
+    assert sum(table.refcount(p) for p in table.mapped_ppns()) == len(forward)
+
+
 class TestMappingModel:
     @given(operations=mapping_ops)
     @settings(max_examples=60, deadline=None)
@@ -191,7 +208,8 @@ class TestMappingModel:
             elif op == "setpop":
                 columnar.set_popularity(a, b)
                 reference.set_popularity(a, b)
-            columnar.check_invariants()
+            assert columnar.mapped_lpn_count() == reference.mapped_lpn_count()
+            assert_table_consistent(columnar)
         assert mapping_observation(columnar) == mapping_observation(reference)
 
     @given(operations=mapping_ops)
@@ -217,7 +235,8 @@ class TestMappingModel:
             elif op == "setpop":
                 lazy.set_popularity(a, b)
                 sized.set_popularity(a, b)
-            lazy.check_invariants()
+            assert lazy.mapped_lpn_count() == sized.mapped_lpn_count()
+            assert_table_consistent(lazy)
         assert mapping_observation(lazy) == mapping_observation(sized)
 
     def test_shared_spill_and_collapse(self):
@@ -233,7 +252,8 @@ class TestMappingModel:
         table.unmap(0)
         assert 5 not in table._shared  # collapsed back to single owner
         assert table._owner[5] == 2
-        table.check_invariants()
+        assert table.lpns_of(5) == {2} and table.mapped_lpn_count() == 1
+        assert_table_consistent(table)
 
 
 PAGES = 16
@@ -272,11 +292,12 @@ class TestBlockModel:
                 reference.revive(page)
             elif op == "erase":
                 if reference.valid_count != 0:
-                    packed.check_invariants()
                     continue
                 packed.erase()
                 reference.erase()
-            packed.check_invariants()
+            assert [packed.state_of(i) for i in range(PAGES)] == (
+                reference.states
+            )
             assert packed.valid_count == reference.valid_count
             assert packed.invalid_count == reference.invalid_count
             assert packed.write_pointer == reference.write_pointer
@@ -324,4 +345,5 @@ class TestRemapDeterminism:
             moved = table.remap_ppn(4, 5)
             assert moved == 3
             assert table.lpns_of(5) == {1, 2, 3}
-            table.check_invariants()
+            assert table.refcount(4) == 0 and 4 not in table._shared
+            assert_table_consistent(table)

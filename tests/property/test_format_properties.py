@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flash.array import FlashArray
+from repro.flash.block import PageState
 from repro.flash.config import SSDConfig
 from repro.flash.geometry import Geometry
 from repro.ftl.allocator import PageAllocator
@@ -85,8 +86,25 @@ def test_allocator_never_duplicates_pages(config, allocations):
         assert ppn not in seen
         seen.add(ppn)
         assert 0 <= ppn < config.total_pages
-    allocator.check_invariants()
-    array.check_invariants()
+    assert array.valid_pages == len(seen)
+    assert array.free_pages == config.total_pages - len(seen)
+    assert array.invalid_pages == 0 and array.retired_blocks == 0
+    for block in array.blocks:
+        # Nothing was invalidated: the programmed prefix is all VALID
+        # and the tail past the write pointer is erased.
+        pointer = block.write_pointer
+        assert [block.state_of(i) for i in range(block.pages_per_block)] == (
+            [PageState.VALID] * pointer
+            + [PageState.FREE] * (block.pages_per_block - pointer)
+        )
+        assert (block.valid_count, block.invalid_count) == (pointer, 0)
+    for blocks in allocator.free_blocks:
+        for block in blocks:
+            assert not array.block(block).retired
+            assert array.block(block).write_pointer == 0
+    for plane in range(config.total_planes):
+        for block in allocator.actives_of_plane(plane):
+            assert block is None or not array.block(block).is_full
 
 
 @given(

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check import InvariantChecker, audit
 from repro.core.adaptive import AdaptiveMQDeadValuePool
 from repro.core.dvp import (
     InfiniteDeadValuePool,
@@ -81,7 +82,7 @@ def test_data_integrity(system, operations):
 @settings(max_examples=25, deadline=None)
 def test_structural_invariants(system, operations):
     ftl, _ = drive(system, operations)
-    ftl.check_invariants()
+    assert not audit(ftl)
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
@@ -309,7 +310,7 @@ def test_fused_write_matches_per_call(
             assert ftl_state(fused) == ftl_state(per_call)
     assert ftl_state(fused) == ftl_state(per_call)
     assert per_call.counters.gc_erases > 0
-    fused.check_invariants()
+    assert not audit(fused)
 
 
 #: (op, lpn, value): op 0 writes, 1 trims, 2 reads.  Trims are a third of
@@ -376,7 +377,7 @@ def test_fused_trim_matches_per_call(
     assert per_call.counters.host_trims == trims
     if pool_name != "none":
         assert per_call.counters.short_circuits > 0
-    fused.check_invariants()
+    assert not audit(fused)
 
 
 def fault_state(ftl):
@@ -569,7 +570,7 @@ def test_oob_columns_match_dict_model(family, pool_name, per_call, operations):
         assert list(ftl.oob_records()) == sorted(model.records.items())
         assert ftl._oob_seq == model.seq
     assert ftl.counters.gc_relocations > 0
-    ftl.check_invariants()
+    assert not audit(ftl)
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +693,7 @@ class TestPreloadRouting:
         fallback = count_fallback_writes(ftl)
         assert ftl.preload(iter(self._values())) == LOGICAL // 2
         assert fallback == []
-        ftl.check_invariants()
+        assert not audit(ftl)
 
     @pytest.mark.parametrize("family", ["dedup", "dftl"])
     def test_fresh_slot_drives_take_the_fill(self, family):
@@ -700,7 +701,7 @@ class TestPreloadRouting:
         fallback = count_fallback_writes(ftl)
         assert ftl.preload(self._values()) == LOGICAL // 2
         assert fallback == []
-        ftl.check_invariants()
+        assert not audit(ftl)
 
     @pytest.mark.parametrize("setup", [
         "faults", "checker", "read-only", "clock", "pool-entry",
@@ -713,8 +714,6 @@ class TestPreloadRouting:
 
             ftl.attach_faults(FaultModel(FaultConfig()))
         elif setup == "checker":
-            from repro.check import InvariantChecker
-
             ftl.attach_checker(InvariantChecker())
         elif setup == "read-only":
             ftl.enter_read_only()

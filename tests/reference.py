@@ -387,5 +387,5 @@ class ReferenceBackgroundGCSSD(PerRequestReplay, BackgroundGCSSD):
     request's arrival, then the request."""
 
     def submit(self, request: IORequest) -> CompletedRequest:
-        self._background_pass(request.arrival_us)
+        self.background(request.arrival_us)
         return super().submit(request)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check import audit
 from repro.core.adaptive import AdaptiveMQDeadValuePool
 from repro.core.dvp import (
     InfiniteDeadValuePool,
@@ -172,5 +173,5 @@ class TestFactoryIntegration:
         ws = tiny_config.logical_pages // 2
         for i in range(tiny_config.total_pages * 2):
             ftl.write(i % ws, fp(i % 40))
-        ftl.check_invariants()
+        assert not audit(ftl)
         assert ftl.counters.short_circuits > 0

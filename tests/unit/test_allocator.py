@@ -92,4 +92,10 @@ class TestHotColdSeparation:
         for _ in range(5):
             allocate(allocator)
         allocator.allocate_in_plane(0, for_gc=True)
-        allocator.check_invariants()
+        for blocks in allocator.free_blocks:
+            for block in blocks:
+                assert not allocator.is_active(block)
+                assert allocator.array.block(block).write_pointer == 0
+        for plane in range(allocator.array.geometry.total_planes):
+            for block in allocator.actives_of_plane(plane):
+                assert block is None or not allocator.array.block(block).is_full

@@ -63,7 +63,10 @@ class TestArrayAccounting:
         for ppn in ppns[:5]:
             array.invalidate(ppn)
         array.revive(ppns[0])
-        array.check_invariants()
+        block = array.block(1)
+        assert (block.valid_count, block.invalid_count) == (4, 4)
+        assert array.valid_pages == 4 and array.invalid_pages == 4
+        assert array.free_pages == tiny_config.total_pages - 8
 
     def test_block_of_matches_geometry(self, tiny_config):
         array = FlashArray(tiny_config)

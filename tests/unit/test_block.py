@@ -132,7 +132,10 @@ class TestPageIndexes:
         for _ in range(5):
             block.program_next()
         block.invalidate(2)
-        block.check_invariants()
+        states = [block.state_of(page) for page in range(8)]
+        assert block.valid_count == states.count(PageState.VALID) == 4
+        assert block.invalid_count == states.count(PageState.INVALID) == 1
+        assert states[block.write_pointer:] == [PageState.FREE] * 3
 
     def test_zero_size_rejected(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,10 @@ import pytest
 from repro.check import InvariantChecker, InvariantViolation, OracleFTL, audit
 from repro.core.dvp import MQDeadValuePool
 from repro.core.hashing import fingerprint_of_value as fp
+from repro.flash.block import PageState
+from repro.ftl.dedup import DedupFTL
 from repro.ftl.ftl import BaseFTL
+from repro.ftl.mapping import _SHARED
 
 
 def healthy_ftl(config, pool_capacity=64):
@@ -131,6 +134,46 @@ class TestMoreCorruptions:
         assert "oob.trim-order" in found
         # Recovery replay would now drop the live copy too.
         assert "oob.recovery-divergence" in found
+
+
+class TestStructureCorruptions:
+    """Corruptions inside one structure's own columns: block state bytes,
+    the mapping's shared-PPN spill store, the dedup live-value index."""
+
+    def test_state_byte_past_write_pointer(self, tiny_config):
+        ftl = healthy_ftl(tiny_config)
+        block = next(
+            b for b in ftl.array.blocks
+            if 0 < b.write_pointer < b.pages_per_block
+        )
+        # A page programmed behind the block's counters and write pointer.
+        block.states[block.write_pointer] = PageState.VALID.value
+        assert kinds_of(audit(ftl)) == {"array.block-state"}
+
+    def test_spilled_ppn_with_one_owner(self, tiny_config):
+        ftl = healthy_ftl(tiny_config)
+        lpn, ppn = next(iter(ftl.mapping.forward_items().items()))
+        # Mark the PPN shared while only its one LPN maps to it: forward
+        # and reverse still agree, but the spill never collapsed.
+        ftl.mapping._owner[ppn] = _SHARED
+        ftl.mapping._shared[ppn] = {lpn}
+        assert kinds_of(audit(ftl)) == {"mapping.spill"}
+
+    def test_dense_ppn_in_spill_store(self, tiny_config):
+        ftl = healthy_ftl(tiny_config)
+        lpn, ppn = next(iter(ftl.mapping.forward_items().items()))
+        # Spilled while the owner column still names one dense owner.
+        ftl.mapping._shared[ppn] = {lpn, lpn + 1}
+        assert kinds_of(audit(ftl)) == {"mapping.spill"}
+
+    def test_stale_dedup_live_index(self, tiny_config):
+        ftl = DedupFTL(tiny_config)
+        for lpn in range(24):
+            ftl.write(lpn, fp(lpn % 7))
+        assert audit(ftl) == []
+        # Name a live page for a value it does not hold.
+        ftl._live_index[fp(9999)] = ftl.live_ppn_of(fp(0))
+        assert kinds_of(audit(ftl)) == {"dedup.live-index"}
 
 
 class TestCheckerHarness:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check import InvariantChecker, audit
 from repro.core.dvp import InfiniteDeadValuePool, MQDeadValuePool
 from repro.core.hashing import fingerprint_of_value as fp
 from repro.faults import FaultConfig, FaultModel
@@ -137,7 +138,7 @@ class TestGCIntegration:
     def test_gc_triggers_under_churn(self, ftl, tiny_config):
         self._churn(ftl, tiny_config, tiny_config.total_pages * 2)
         assert ftl.counters.gc_erases > 0
-        ftl.check_invariants()
+        assert not audit(ftl)
 
     def test_gc_preserves_mapping_integrity(self, ftl, tiny_config):
         self._churn(ftl, tiny_config, tiny_config.total_pages * 2)
@@ -168,7 +169,7 @@ class TestGCIntegration:
         )
         self._churn(ftl, tiny_config, tiny_config.total_pages * 2)
         assert ftl.counters.gc_erases > 0
-        ftl.check_invariants()
+        assert not audit(ftl)
 
 
 class TestReadPopularity:
@@ -213,8 +214,6 @@ def arm(system):
                 seed=0, program_failure_prob=0.05, erase_failure_prob=0.05,
             )))
         elif system == "checker":
-            from repro.check import InvariantChecker
-
             ftl.attach_checker(InvariantChecker())
         elif system == "read-only":
             ftl.enter_read_only()
@@ -291,13 +290,13 @@ class TestWriteRouting:
             fp(1000 + lpn) for lpn in range(pages)
         ) == pages
         assert fallback == []
-        preloaded.check_invariants()
+        assert not audit(preloaded)
         ftl = build_system(system, tiny_config, 64)
         self._churn(ftl, tiny_config)
         for lpn in range(0, tiny_config.logical_pages, 3):
             ftl.trim(lpn)
         assert ftl.counters.gc_erases > 0 and ftl.counters.host_trims > 0
-        ftl.check_invariants()
+        assert not audit(ftl)
 
 
 class TestTrimRouting:
@@ -352,7 +351,7 @@ class TestTrimRouting:
         assert ftl.counters.invalidations == 1
         assert ftl._oob_trims[7] == ftl._oob_seq
         assert ftl.write(9, fp(42)).revived_ppn == ppn
-        ftl.check_invariants()
+        assert not audit(ftl)
 
     def test_out_of_range_trim_raises(self, tiny_config):
         ftl = BaseFTL(tiny_config)
@@ -390,4 +389,4 @@ class TestOOBAllocation:
                 gc.enable()
         assert ftl.counters.gc_relocations > 0
         assert after - before < writes // 100
-        ftl.check_invariants()
+        assert not audit(ftl)

@@ -81,7 +81,11 @@ class TestReverseMapping:
         for lpn in range(10):
             table.map(lpn, 100 + lpn % 3)
         table.unmap(4)
-        table.check_invariants()
+        assert table.mapped_lpn_count() == 9
+        assert [table.lpns_of(ppn) for ppn in (100, 101, 102)] == [
+            {0, 3, 6, 9}, {1, 7}, {2, 5, 8},
+        ]
+        assert table.mapped_ppns() == [100, 101, 102]
 
 
 class TestPopularityByte:

@@ -166,13 +166,13 @@ class TestServiceRouting:
         self, tiny_config, monkeypatch
     ):
         seen = []
-        original = BackgroundGCSSD._background_pass
+        original = BackgroundGCSSD.background
 
         def probe(self, now_us):
             seen.append(now_us)
             return original(self, now_us)
 
-        monkeypatch.setattr(BackgroundGCSSD, "_background_pass", probe)
+        monkeypatch.setattr(BackgroundGCSSD, "background", probe)
         device = BackgroundGCSSD(BaseFTL(tiny_config))
         trace = [w(i * 100.0, i % 8, i) for i in range(50)]
         assert device.service(rows_of(trace)) == len(trace)

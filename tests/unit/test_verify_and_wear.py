@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check import audit
 from repro.core.dvp import InfiniteDeadValuePool, MQDeadValuePool
 from repro.core.hashing import fingerprint_of_value as fp
 from repro.ftl.dedup import DedupFTL
@@ -90,7 +91,7 @@ class TestWearLevelling:
         guard only filters when alternatives exist)."""
         ftl = BaseFTL(tiny_config, wear_levelling=True, wear_guard_margin=0)
         self._churn(ftl, tiny_config, tiny_config.total_pages * 4)
-        ftl.check_invariants()
+        assert not audit(ftl)
 
     def test_guard_composes_with_pool(self, tiny_config):
         ftl = BaseFTL(
@@ -100,4 +101,4 @@ class TestWearLevelling:
             wear_levelling=True,
         )
         self._churn(ftl, tiny_config, tiny_config.total_pages * 3)
-        ftl.check_invariants()
+        assert not audit(ftl)
