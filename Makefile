@@ -31,6 +31,10 @@ lint:
 # BaseFTL.write and BaseFTL.trim against the frozen per-call reference
 # model in tests/reference.py (also with a fault model attached and on a
 # drive turned read-only: fault counters and bad-block state included),
+# the fused GC pass (BaseFTL.relocate_block, the no-pool erase_cleanup
+# and the scalar victim policies) against the per-page reference
+# collector on tiny geometries (baseline, MQ pool, dedup with shared
+# pages, DFTL, and a fault model that retires blocks),
 # SimulatedSSD.service against the per-request reference chain (with and
 # without background GC and faults), the flat KVStore.translate against
 # its public per-op generators, preconditioning (BaseFTL.preload's
@@ -53,7 +57,8 @@ lint:
 # planned cell will restore it and releases it at the last planned
 # restore (serial and pool paths), while unplanned run_system calls keep
 # capture-on-miss.  Also GC's victim screening
-# against the room relocation can reach, and teardown: with the cyclic
+# against the room relocation can reach, the audit's stranded-plane kind
+# on a drive below the viability floor, and teardown: with the cyclic
 # collector off, every system's finished drive (bare, checked, faulted,
 # restored from the prefill cache or from live state) and every cell of
 # a run_specs batch is freed as soon as it is dropped, because nothing
@@ -67,6 +72,7 @@ check:
 		"tests/property/test_ftl_properties.py::test_fused_write_matches_per_call" \
 		"tests/property/test_ftl_properties.py::test_fused_trim_matches_per_call" \
 		"tests/property/test_ftl_properties.py::test_faulted_writes_and_trims_match_per_call" \
+		"tests/property/test_ftl_properties.py::test_fused_gc_matches_per_page" \
 		"tests/property/test_sim_properties.py::test_batched_service_matches_per_request" \
 		"tests/property/test_sim_properties.py::test_batched_service_matches_per_request_under_faults" \
 		"tests/property/test_kv_properties.py::test_translate_matches_public_ops" \
@@ -83,6 +89,7 @@ check:
 		"tests/perf/test_caches.py::TestPrefillCache::test_restored_systems_do_not_share_state" \
 		"tests/perf/test_caches.py::TestPlannedPrefill" \
 		"tests/unit/test_gc.py::TestRelocationRoom" \
+		"tests/integration/test_failure_modes.py::TestDriveExhaustion::test_infeasible_overprovisioning_fails_loudly" \
 		"tests/perf/test_determinism.py::TestRunDeterminism::test_prefill_cache_does_not_change_results" \
 		tests/perf/test_teardown.py
 

@@ -27,7 +27,6 @@ from .core import (
     InfiniteDeadValuePool,
     LBARecencyPool,
     LifecycleTracker,
-    LRUCache,
     LRUDeadValuePool,
     MQDeadValuePool,
     MultiQueue,
@@ -65,7 +64,6 @@ __all__ = [
     "Fingerprint",
     "fingerprint_of_value",
     "fingerprint_of_bytes",
-    "LRUCache",
     "MultiQueue",
     "LRUDeadValuePool",
     "MQDeadValuePool",

@@ -1,6 +1,6 @@
 """Section II characterisation toolkit: CDFs, life-cycle studies, reports."""
 
-from .cdf import bucket_means, cdf_at, empirical_cdf, lorenz_share
+from .cdf import bucket_means, empirical_cdf, lorenz_share
 from .characterize import (
     InvalidationCDF,
     LifecycleIntervals,
@@ -29,7 +29,6 @@ from .utilization import ResourceUsage, UtilisationReport, utilisation_report
 
 __all__ = [
     "empirical_cdf",
-    "cdf_at",
     "bucket_means",
     "lorenz_share",
     "run_lifecycle",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-__all__ = ["empirical_cdf", "cdf_at", "bucket_means", "lorenz_share"]
+__all__ = ["empirical_cdf", "bucket_means", "lorenz_share"]
 
 
 def empirical_cdf(values: Iterable[int]) -> List[Tuple[int, float]]:
@@ -31,16 +31,6 @@ def empirical_cdf(values: Iterable[int]) -> List[Tuple[int, float]]:
         cumulative += counts[value]
         out.append((value, cumulative / total))
     return out
-
-
-def cdf_at(cdf: Sequence[Tuple[int, float]], x: int) -> float:
-    """Evaluate an :func:`empirical_cdf` result at ``x``."""
-    best = 0.0
-    for value, probability in cdf:
-        if value > x:
-            break
-        best = probability
-    return best
 
 
 def bucket_means(

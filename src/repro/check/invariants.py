@@ -70,8 +70,10 @@ Invariant catalog (kinds raised):
     An erased block is on no free list and not active — its pages are
     unreachable (leaked free space).
 ``gc.stranded-plane``
-    A plane has zero writable pages and no collectible victim while the
-    drive is not read-only — the next write must hard-fail.
+    A plane has no room for a host write (host append point tail and free
+    blocks) and no collectible victim (a full block with garbage whose
+    valid pages fit the room relocation reaches) while the drive is not
+    read-only — the next write there must hard-fail.
 ``gc.headroom``
     A collection pass violated its own postcondition (erased victim not
     actually erased, or reclaim accounting off).
@@ -446,31 +448,41 @@ def _gc_violations(ftl: "BaseFTL", out: List[InvariantViolation]) -> None:
     if ftl.read_only:
         return
     allocator = ftl.allocator
-    geometry = ftl.array.geometry
+    array = ftl.array
+    geometry = array.geometry
     for plane in range(geometry.total_planes):
-        if allocator.writable_pages(plane) > 0:
+        # Room a host write can take: the host append point's free tail
+        # and the free blocks (the GC block's tail is out of its reach).
+        host, _ = allocator.actives_of_plane(plane)
+        host_room = allocator.free_block_count(plane)
+        if host is not None:
+            host_room += array.block(host).free_pages
+        if host_room > 0:
             continue
+        # GC can free a block only from a full victim with garbage whose
+        # valid pages fit the room relocation reaches (the screen the
+        # collector's candidate list applies).
+        capacity = allocator.relocatable_pages(plane)
         base = plane * geometry.blocks_per_plane
         collectible = False
         for block in range(base, base + geometry.blocks_per_plane):
-            b = ftl.array.block(block)
-            # With zero writable pages nothing can be relocated, so only
-            # an all-invalid full block makes progress possible.
+            b = array.block(block)
             if (
                 not b.retired
                 and b.is_full
                 and b.invalid_count > 0
-                and b.valid_count == 0
+                and b.valid_count <= capacity
             ):
                 collectible = True
                 break
         if not collectible:
             out.append(InvariantViolation(
                 "gc.stranded-plane",
-                f"plane {plane} has no writable pages and no collectible "
-                f"victim while the drive is not read-only",
+                f"plane {plane} has no room for a host write and no "
+                f"collectible victim while the drive is not read-only",
                 {"plane": plane,
-                 "free_blocks": allocator.free_block_count(plane)},
+                 "free_blocks": allocator.free_block_count(plane),
+                 "relocatable_pages": capacity},
             ))
 
 

@@ -1,5 +1,5 @@
-"""Core algorithms: fingerprints, replacement policies, the Multi-Queue
-algorithm, dead-value pools and value life-cycle tracking.
+"""Core algorithms: fingerprints, the Multi-Queue algorithm, dead-value
+pools and value life-cycle tracking.
 
 This package is substrate-free — nothing here knows about flash geometry or
 simulation time — so every piece can be unit- and property-tested in
@@ -11,7 +11,6 @@ from .adaptive import AdaptiveMQDeadValuePool
 from .hashing import Fingerprint, fingerprint_of_bytes, fingerprint_of_value
 from .lifecycle import LifecycleStats, LifecycleTracker, ValueStats
 from .mq import MQEntry, MultiQueue, queue_index_for_popularity
-from .policies import LFUCache, LRUCache
 from .dvp import (
     POOL_NAMES,
     DeadValuePool,
@@ -28,8 +27,6 @@ __all__ = [
     "Fingerprint",
     "fingerprint_of_bytes",
     "fingerprint_of_value",
-    "LRUCache",
-    "LFUCache",
     "MultiQueue",
     "MQEntry",
     "queue_index_for_popularity",

@@ -41,7 +41,6 @@ from typing import (
 
 from .hashing import Fingerprint
 from .mq import MultiQueue
-from .policies import LRUCache
 
 __all__ = [
     "GarbagePopularity",
@@ -369,22 +368,28 @@ class LRUDeadValuePool(PoolBase):
 
     def __init__(self, capacity: int):
         super().__init__()
-        self._cache: LRUCache[Fingerprint, _PoolEntry] = LRUCache(capacity)
+        if capacity <= 0:
+            raise ValueError("capacity must be positive")
+        self._capacity = capacity
+        #: Fingerprint → entry, least recently touched first.
+        self._entries: "OrderedDict[Fingerprint, _PoolEntry]" = OrderedDict()
 
     @property
     def capacity(self) -> int:
-        return self._cache.capacity
+        return self._capacity
 
     def lookup_for_write(self, fp: Fingerprint, now: int) -> Optional[int]:
         self.stats.lookups += 1
-        entry = self._cache.get(fp)
+        entry = self._entries.get(fp)
+        if entry is not None:
+            self._entries.move_to_end(fp)
         if entry is None or not entry.ppns:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
         ppn = _take_ppn(entry)
         if not entry.ppns:
-            self._cache.pop(fp)
+            del self._entries[fp]
         return ppn
 
     def insert_garbage(
@@ -396,44 +401,47 @@ class LRUDeadValuePool(PoolBase):
         lpn: Optional[int] = None,
     ) -> List[int]:
         self.stats.insertions += 1
-        entry = self._cache.peek(fp)
+        entries = self._entries
+        entry = entries.get(fp)
         if entry is not None:
             entry.add_ppn(ppn)
             entry.popularity = max(entry.popularity, popularity)
-            self._cache.get(fp)  # refresh recency
+            entries.move_to_end(fp)  # refresh recency
             return []
-        entry = _PoolEntry(ppns={ppn: None}, popularity=popularity)
-        evicted = self._cache.put(fp, entry)
+        evicted = None
+        if len(entries) >= self._capacity:
+            evicted = entries.popitem(last=False)[1]
+        entries[fp] = _PoolEntry(ppns={ppn: None}, popularity=popularity)
         if evicted is None:
             return []
         self.stats.evictions += 1
-        dropped = evicted[1].ppns
+        dropped = evicted.ppns
         self.stats.evicted_ppns += len(dropped)
         return list(dropped)
 
     def discard_ppn(self, fp: Fingerprint, ppn: int) -> bool:
-        entry = self._cache.peek(fp)
+        entry = self._entries.get(fp)
         if entry is None or not entry.discard(ppn):
             return False
         if not entry.ppns:
-            self._cache.pop(fp)
+            del self._entries[fp]
         self.stats.gc_removals += 1
         return True
 
     def clear_volatile(self) -> None:
-        self._cache = LRUCache(self._cache.capacity)
+        self._entries = OrderedDict()
 
     def __len__(self) -> int:
-        return len(self._cache)
+        return len(self._entries)
 
     def __contains__(self, fp: Fingerprint) -> bool:
-        return fp in self._cache
+        return fp in self._entries
 
     def tracked_ppn_count(self) -> int:
-        return sum(len(e.ppns) for _, e in self._cache.items_lru_to_mru())
+        return sum(len(e.ppns) for e in self._entries.values())
 
     def tracked_items(self) -> Iterator[Tuple[Fingerprint, int]]:
-        for fp, entry in self._cache.items_lru_to_mru():
+        for fp, entry in list(self._entries.items()):
             for ppn in entry.ppns:
                 yield fp, ppn
 

@@ -35,7 +35,7 @@ from ..core.hashing import Fingerprint
 from ..flash.array import FlashArray
 from ..flash.block import PageState
 from ..flash.config import SSDConfig
-from .allocator import BadBlockManager, PageAllocator
+from .allocator import BadBlockManager, OutOfSpaceError, PageAllocator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
     from ..faults.model import FaultModel
@@ -699,12 +699,6 @@ class BaseFTL:
                 f"({self._logical_pages} pages)"
             )
 
-    def _record_oob(self, ppn: int, lpn: int) -> None:
-        """Journal (lpn, seq) into ``ppn``'s out-of-band area."""
-        self._oob_seq += 1
-        self._oob_lpns[ppn] = lpn
-        self._oob_seqs[ppn] = self._oob_seq
-
     def _kill_fused(
         self, lpn: int, old_ppn: int, mapping: MappingTable,
         l2p: List[int], owner: List[int], array: FlashArray,
@@ -768,32 +762,116 @@ class BaseFTL:
     # Bookkeeping hooks GarbageCollector calls back into
     # ------------------------------------------------------------------
 
-    def relocate_page(self, old_ppn: int, new_ppn: int) -> None:
-        if self.translation is not None:
-            # Cached translations of the moved data are dirtied in place,
-            # with no MRU promotion or host hit (uncached ones are updated
-            # lazily on the next miss, as real DFTL does via the GTD).
-            for lpn in self.mapping.lpns_of(old_ppn):
-                self.translation.update_in_place(lpn)
-        self.mapping.remap_ppn(old_ppn, new_ppn)
-        fp = self._ppn_fp.pop(old_ppn, None)
-        if fp is not None:
-            self._ppn_fp[new_ppn] = fp
-            live_index = self._live_index
-            if live_index is not None and live_index.get(fp) == old_ppn:
-                live_index[fp] = new_ppn
-        if self._oob_seqs[old_ppn] >= 0:
-            # GC rewrote the page, so its OOB area is rewritten too; the
-            # old copy's record goes with the victim's erase
-            # (:meth:`erase_cleanup`).
-            self._record_oob(new_ppn, self._oob_lpns[old_ppn])
+    def relocate_block(
+        self, victim: int, plane: int, relocations: List[Tuple[int, int]]
+    ) -> None:
+        """Move every valid page of the full block ``victim`` to ``plane``'s
+        GC append point, appending each ``(old_ppn, new_ppn)`` to
+        ``relocations``.
+
+        One loop runs the whole pass, the way :meth:`write` services a
+        host write: the append point is opened and advanced inline (a
+        full or missing one opens a block, and no free block left raises
+        ``OutOfSpaceError``), the L2P/owner columns, ``_ppn_fp``, the
+        live index and the OOB record (a fresh sequence number) follow
+        each page, and the block and array counters are adjusted once per
+        append-point block.  A shared (dedup) owner or an occupied target
+        falls back to ``mapping.remap_ppn``, a retired or full target to
+        ``array.program_in_block`` (which raises), and DFTL's cached
+        translations of each moved LPN are dirtied in place.
+        """
+        array = self.array
+        blocks = array.blocks
+        per_block = array._pages_per_block
+        source = blocks[victim]
+        states = source.states
+        end = source.write_pointer
+        base = victim * per_block
+        allocator = self.allocator
+        actives = allocator._active_gc
+        mapping = self.mapping
+        l2p = mapping._l2p
+        owner = mapping._owner
+        ppn_fp = self._ppn_fp
+        live_index = self._live_index
+        translation = self.translation
+        oob_lpns = self._oob_lpns
+        oob_seqs = self._oob_seqs
+        page = states.find(_VALID, 0, end)
+        while page >= 0:
+            target = actives[plane]
+            if target is None or blocks[target].write_pointer >= per_block:
+                try:
+                    target = allocator._open_block(plane, actives)
+                except OutOfSpaceError as exc:
+                    raise OutOfSpaceError(
+                        f"plane {plane}: no room to relocate during GC"
+                    ) from exc
+            block = blocks[target]
+            first = block.write_pointer
+            if block.retired or first >= block.pages_per_block:
+                array.program_in_block(target)  # raises
+            start = new_ppn = target * per_block + first
+            limit = target * per_block + block.pages_per_block
+            seq = self._oob_seq
+            while page >= 0 and new_ppn < limit:
+                old_ppn = base + page
+                if translation is not None:
+                    # Cached translations of the moved data are dirtied in
+                    # place, with no MRU promotion or host hit.
+                    for moved_lpn in self.mapping.lpns_of(old_ppn):
+                        translation.update_in_place(moved_lpn)
+                lpn = owner[old_ppn]
+                if lpn >= 0 and owner[new_ppn] == -1:
+                    owner[old_ppn] = -1
+                    l2p[lpn] = new_ppn
+                    owner[new_ppn] = lpn
+                else:
+                    # Shared (dedup) or unowned page, or occupied target.
+                    self.mapping.remap_ppn(old_ppn, new_ppn)
+                fp = ppn_fp.pop(old_ppn, None)
+                if fp is not None:
+                    ppn_fp[new_ppn] = fp
+                    if live_index is not None and live_index.get(fp) == old_ppn:
+                        live_index[fp] = new_ppn
+                if oob_seqs[old_ppn] >= 0:
+                    # GC rewrote the page, so its OOB area is rewritten
+                    # too; the old copy's record goes with the victim's
+                    # erase (:meth:`erase_cleanup`).
+                    seq += 1
+                    oob_lpns[new_ppn] = oob_lpns[old_ppn]
+                    oob_seqs[new_ppn] = seq
+                states[page] = _INVALID
+                relocations.append((old_ppn, new_ppn))
+                new_ppn += 1
+                page = states.find(_VALID, page + 1, end)
+            moved = new_ppn - start
+            self._oob_seq = seq
+            block.states[first:first + moved] = bytes([_VALID]) * moved
+            block.write_pointer = first + moved
+            block.valid_count += moved
+            source.valid_count -= moved
+            source.invalid_count += moved
+            array.free_pages -= moved
+            array.invalid_pages += moved
+            array.total_programs += moved
+            if new_ppn >= limit:
+                actives[plane] = None
 
     def erase_cleanup(self, block_global: int, invalid_ppns: List[int]) -> None:
-        for ppn in invalid_ppns:
-            fp = self._ppn_fp.pop(ppn, None)
-            if fp is not None and self.pool is not None:
-                self.pool.discard_ppn(fp, ppn)
-            self.garbage_pop.drop(ppn)
+        ppn_fp = self._ppn_fp
+        pool = self.pool
+        garbage_pop = self.garbage_pop
+        if pool is None and not garbage_pop.of_ppn:
+            # No pool and no popularity mass: nothing to drop but content.
+            for ppn in invalid_ppns:
+                ppn_fp.pop(ppn, None)
+        else:
+            for ppn in invalid_ppns:
+                fp = ppn_fp.pop(ppn, None)
+                if fp is not None and pool is not None:
+                    pool.discard_ppn(fp, ppn)
+                garbage_pop.drop(ppn)
         # The erase takes the whole block's OOB area with it: garbage
         # pages and the old copies of the pages just relocated.
         per_block = self.array._pages_per_block

@@ -13,12 +13,17 @@ Two victim-selection policies from the paper:
     reclaim benefit by the weighted sum of the popularity degrees of its
     garbage pages, delaying the erasure of popular dead values.
 
+Both compare plain scalars per candidate (invalid count or score, then
+wear), with the first candidate winning a tie.
+
 The :class:`GarbageCollector` runs per-plane (relocations stay in-plane)
-whenever the plane's free-block count drops below a watermark, relocating
-valid pages and erasing the victim.  It reports every physical operation so
-the simulator can charge read/program/erase latencies to the chip
-timelines, and calls back into the FTL it collects for (passed to each
-pass, never stored) for mapping and dead-value pool bookkeeping.
+whenever the plane's free-block count drops below a watermark.  Each
+victim costs two calls into the FTL it collects for (passed to each pass,
+never stored): ``relocate_block`` moves every valid page to the plane's
+GC append point in one loop, and ``erase_cleanup`` drops the victim's
+content and pool bookkeeping; then the collector erases or (fault layer)
+retires the block.  It reports every physical operation so the simulator
+can charge read/program/erase latencies to the chip timelines.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, List, Optional, Protocol, Tuple
 
 from ..flash.array import FlashArray
-from .allocator import OutOfSpaceError
 from .mapping import POPULARITY_MAX
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
@@ -95,15 +99,21 @@ class GreedyVictimPolicy:
         array: FlashArray,
         garbage_popularity_of: Callable[[int], int],
     ) -> Optional[int]:
+        blocks = array.blocks
         best = None
-        best_key = None
+        best_invalid = best_wear = 0
         for block in candidates:
-            b = array.block(block)
-            if b.invalid_count == 0:
+            b = blocks[block]
+            invalid = b.invalid_count
+            if invalid == 0:
                 continue
-            key = (b.invalid_count, -b.erase_count)
-            if best_key is None or key > best_key:
-                best, best_key = block, key
+            # Key (invalid, -wear), first candidate wins a tie.
+            if (
+                best is None
+                or invalid > best_invalid
+                or (invalid == best_invalid and b.erase_count < best_wear)
+            ):
+                best, best_invalid, best_wear = block, invalid, b.erase_count
         return best
 
 
@@ -130,17 +140,24 @@ class PopularityAwareVictimPolicy:
         array: FlashArray,
         garbage_popularity_of: Callable[[int], int],
     ) -> Optional[int]:
+        blocks = array.blocks
+        weight = self.weight
         best = None
-        best_score = None
+        best_score = 0.0
+        best_wear = 0
         for block in candidates:
-            b = array.block(block)
+            b = blocks[block]
             if b.invalid_count == 0:
                 continue
-            penalty = self.weight * garbage_popularity_of(block) / POPULARITY_MAX
+            penalty = weight * garbage_popularity_of(block) / POPULARITY_MAX
             score = b.invalid_count - penalty
-            key = (score, -b.erase_count)
-            if best_score is None or key > best_score:
-                best, best_score = block, key
+            # Key (score, -wear), first candidate wins a tie.
+            if (
+                best is None
+                or score > best_score
+                or (score == best_score and b.erase_count < best_wear)
+            ):
+                best, best_score, best_wear = block, score, b.erase_count
         return best
 
 
@@ -150,7 +167,10 @@ class GarbageCollector:
     The collector holds only its policy and knobs: every pass takes the
     FTL it collects for and reads the flash array, allocator,
     garbage-popularity table, fault layer and checker from it, so nothing
-    below the FTL refers back to it (DESIGN.md §10, ownership).
+    below the FTL refers back to it (DESIGN.md §10, ownership).  The FTL
+    owns the relocation itself (``relocate_block``: its mapping, content,
+    OOB and append-point state move together); the collector owns victim
+    choice, the erase and the fault layer's retirement.
     """
 
     def __init__(
@@ -290,21 +310,14 @@ class GarbageCollector:
         work = GCWork()
         array = ftl.array
         allocator = ftl.allocator
-        block = array.block(victim)
-        base_ppn = array.geometry.first_ppn_of_block(victim)
-        # Relocate valid pages within the plane.
-        for page in block.valid_page_indexes():
-            old_ppn = base_ppn + page
-            try:
-                new_ppn = allocator.allocate_in_plane(plane, for_gc=True)
-            except OutOfSpaceError as exc:
-                raise OutOfSpaceError(
-                    f"plane {plane}: no room to relocate during GC"
-                ) from exc
-            ftl.relocate_page(old_ppn, new_ppn)
-            array.invalidate(old_ppn)
-            work.relocations.append((old_ppn, new_ppn))
-        invalid_ppns = [base_ppn + p for p in block.invalid_page_indexes()]
+        base_ppn = victim * array._pages_per_block
+        # The victim's garbage, taken before relocation turns the pages it
+        # moves to garbage too (their content went with them).
+        invalid_ppns = [
+            base_ppn + p for p in array.blocks[victim].invalid_page_indexes()
+        ]
+        # Relocate valid pages within the plane, in one FTL call.
+        ftl.relocate_block(victim, plane, work.relocations)
         ftl.erase_cleanup(victim, invalid_ppns)
         # Fault layer: a victim marked bad (repeat program failures) or
         # whose erase fails is retired instead of reclaimed.

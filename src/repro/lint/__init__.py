@@ -42,7 +42,7 @@ Actions annotations.
 from __future__ import annotations
 
 from .baseline import Baseline, BaselineEntry
-from .engine import LintEngine, LintResult, Program, lint_paths
+from .engine import LintEngine, LintResult, Program
 from .imports import ImportGraph, build_import_graph, find_cycles
 from .registry import (
     Rule,
@@ -66,7 +66,6 @@ __all__ = [
     "all_rules",
     "build_import_graph",
     "find_cycles",
-    "lint_paths",
     "register_rule",
     "render_github",
     "render_jsonl",

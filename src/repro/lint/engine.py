@@ -34,7 +34,7 @@ from .imports import (
 from .registry import Rule, all_rules
 from .violations import Violation, suppression_table
 
-__all__ = ["LintEngine", "LintResult", "ModuleInfo", "Program", "lint_paths"]
+__all__ = ["LintEngine", "LintResult", "ModuleInfo", "Program"]
 
 #: Directory names never descended into.
 _SKIP_DIRS = {"__pycache__", ".git", ".hg", "build", "dist", ".eggs"}
@@ -279,21 +279,3 @@ class LintEngine:
             files_checked=len(program.modules),
         )
 
-
-def lint_paths(
-    paths: Sequence[str],
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-    baseline: Optional[Baseline] = None,
-    package_root: Optional[str] = None,
-    cache_dir: Optional[str] = None,
-) -> LintResult:
-    """One-call façade: lint ``paths`` with the full registry."""
-    engine = LintEngine(
-        select=select,
-        ignore=ignore,
-        baseline=baseline,
-        package_root=package_root,
-        cache_dir=cache_dir,
-    )
-    return engine.run(paths)

@@ -37,7 +37,7 @@ PROTOCOL_METHODS = frozenset({
     "lookup_for_write", "skip_missed_lookups", "insert_garbage",
     "discard_ppn", "clear_volatile", "tracked_ppn_count", "tracked_items",
     # BaseFTL hooks the collector calls back into, and its passes
-    "relocate_page", "erase_cleanup", "maybe_collect",
+    "relocate_block", "erase_cleanup", "maybe_collect",
     "background_collect",
     # Device step surface / MQ touch
     "step", "access",

@@ -14,7 +14,7 @@ time someone runs ``--check``.  These rules close that gap statically:
 * ``proto.ftl-hooks`` — an FTL subclass keeps auxiliary state keyed by
   physical page; GC moves and erases physical pages behind its back.
   Every ``BaseFTL`` subclass that stores an attribute ``BaseFTL`` does
-  not must therefore override ``relocate_page`` (filling the base's own
+  not must therefore override ``relocate_block`` (filling the base's own
   slots, as ``DedupFTL`` does, needs no hook), and one that hooks the
   content paths (``write`` / ``trim`` / ``_kill_fused``) must override
   it and ``erase_cleanup`` — the exact pair that silently desyncs when
@@ -280,7 +280,7 @@ class FtlHooksRule(Rule):
 
     ftl_base = "BaseFTL"
     #: Every subclass with state of its own must handle GC page movement.
-    state_required: Tuple[str, ...] = ("relocate_page",)
+    state_required: Tuple[str, ...] = ("relocate_block",)
     #: Hooking content bookkeeping obliges the erase hook too.
     content_triggers: Tuple[str, ...] = ("write", "trim", "_kill_fused")
     content_required: Tuple[str, ...] = ("erase_cleanup",)

@@ -67,8 +67,9 @@ class TestDriveExhaustion:
         with pytest.raises(OutOfSpaceError):
             for i in range(config.total_pages * 4):
                 ftl.write(i % config.logical_pages, fp(10_000 + i))
-        # the failure left the structures consistent
-        assert not audit(ftl)
+        # the failure left the structures consistent, and the audit names
+        # the stranded plane
+        assert {v.kind for v in audit(ftl)} == {"gc.stranded-plane"}
 
     def test_worn_out_drive_degrades_to_read_only(self):
         """The same exhausted drive under the fault layer is at end of

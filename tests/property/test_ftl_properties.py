@@ -1,5 +1,7 @@
 """Property-based tests: random host workloads keep every FTL consistent."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,9 @@ from repro.ftl.dftl import DFTLFtl
 from repro.ftl.dvp_ftl import build_system
 from repro.ftl.ftl import BaseFTL
 
-from ..reference import ReferenceDedupFTL, ReferenceDFTLFtl, ReferenceFTL
+from ..reference import (
+    ReferenceDedupFTL, ReferenceDFTLFtl, ReferenceFTL, as_per_page_gc,
+)
 
 
 def small_config() -> SSDConfig:
@@ -474,6 +478,145 @@ def test_faulted_writes_and_trims_match_per_call(
             assert fault_state(fused) == fault_state(per_call)
     assert fault_state(fused) == fault_state(per_call)
     assert per_call.faults.stats.program_failures > 0 or per_call.read_only
+
+
+# ---------------------------------------------------------------------------
+# Fused GC pass vs the per-page reference collector
+# ---------------------------------------------------------------------------
+
+
+#: Tiny geometries: two planes of 8-page blocks, and one plane of 4-page
+#: blocks, where a victim's relocations often fill the GC append point
+#: and open the next block mid-victim.
+GC_GEOMETRIES = {
+    "2x12x8": small_config(),
+    "1x10x4": SSDConfig(
+        channels=1, chips_per_channel=1, dies_per_chip=1, planes_per_die=1,
+        blocks_per_plane=10, pages_per_block=4, overprovision=0.3,
+    ),
+}
+
+#: system → (family, pool, fault model attached).  ``dedup`` shares pages
+#: between LPNs (relocating one is the ``remap_ppn`` fallback), ``dftl``
+#: dirties cached translations, ``faulted`` fails programs and erases and
+#: retires blocks.
+GC_SYSTEMS = {
+    "baseline": ("base", "none", False),
+    "mq-dvp": ("base", "mq", False),
+    "dedup": ("dedup", "none", False),
+    "dftl": ("dftl", "none", False),
+    "faulted": ("base", "mq", True),
+}
+
+#: (op, lpn, value): op 0 writes, 1 trims, 2 reads, 3 runs a background
+#: collection pass on plane ``lpn % planes``.  LPNs are taken modulo the
+#: geometry's exported capacity; the small value space shares pages on a
+#: dedup drive and revives them on a pool drive.
+gc_ops = st.lists(
+    st.tuples(
+        st.sampled_from([0] * 10 + [1, 1, 2, 3]),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=0, max_value=11),
+    ),
+    min_size=1,
+    max_size=250,
+)
+
+
+def gc_state(ftl):
+    """:func:`ftl_state` (or :func:`fault_state`) plus both raw OOB
+    columns, so a record left on an erased page shows too."""
+    state = fault_state(ftl) if ftl.faults is not None else ftl_state(ftl)
+    state["oob_lpns"] = list(ftl._oob_lpns)
+    state["oob_seqs"] = list(ftl._oob_seqs)
+    return state
+
+
+@pytest.mark.parametrize("geometry", sorted(GC_GEOMETRIES))
+@pytest.mark.parametrize("system", list(GC_SYSTEMS))
+@given(
+    operations=gc_ops,
+    popularity_aware_gc=st.booleans(),
+    wear_levelling=st.booleans(),
+    seed=st.integers(min_value=0, max_value=10_000),
+    erase_failure_prob=st.sampled_from([0.0, 0.2]),
+)
+@settings(max_examples=25, deadline=None)
+def test_fused_gc_matches_per_page(
+    geometry, system, operations, popularity_aware_gc, wear_levelling, seed,
+    erase_failure_prob,
+):
+    """``BaseFTL.relocate_block``, the fast ``erase_cleanup`` and the
+    scalar victim policies leave exactly the per-page reference
+    collector's tables: L2P/owner columns, the spill store, ``_ppn_fp``,
+    the live index, both OOB columns and the journal clock, block state
+    bytes and counters, array totals, free lists and both append points,
+    garbage popularity, pool contents, CMT, fault and bad-block state, and
+    every ``GCWork`` a write or a background pass returns."""
+    family, pool_name, faulted = GC_SYSTEMS[system]
+    config = GC_GEOMETRIES[geometry]
+    logical = config.logical_pages
+    planes = config.total_planes
+    options = dict(
+        popularity_aware_gc=popularity_aware_gc, wear_levelling=wear_levelling
+    )
+    fused = build(family, pool_name, config=config, **options)
+    per_page = as_per_page_gc(build(family, pool_name, config=config, **options))
+    # Unique values everywhere, then one value shared by the first LPNs
+    # (one page on a dedup drive) and two unique overwrite passes over the
+    # rest in shuffled order, so victims hold valid pages and the block
+    # holding the shared page is collected.
+    shared = min(6, logical // 4)
+    prefix = [(0, lpn, 1000 + lpn) for lpn in range(logical)]
+    prefix += [(0, lpn, 99) for lpn in range(shared)]
+    for round_ in (1, 2):
+        rest = list(range(shared, logical))
+        random.Random(round_).shuffle(rest)
+        prefix += [(0, lpn, 1000 + round_ * logical + lpn) for lpn in rest]
+    drives = (fused, per_page)
+    for step, (op, lpn, value) in enumerate(prefix):
+        if step == logical and faulted:
+            for ftl in drives:
+                ftl.attach_faults(FaultModel(FaultConfig(
+                    seed=seed, program_failure_prob=0.05,
+                    erase_failure_prob=erase_failure_prob,
+                    program_failure_retire_threshold=1,
+                    spare_block_fraction=0.5,
+                )))
+        outcome = _outcome(lambda: fused.write(lpn, fp(value)))
+        assert outcome == _outcome(lambda: per_page.write(lpn, fp(value)))
+        if outcome[1] is not None:
+            break
+        if step == logical + shared - 1:
+            shared_ppn = fused.mapping.lookup(0)
+    if family == "dedup":
+        # GC moved the shared page, all its LPNs with it.
+        moved = fused.mapping.lookup(0)
+        assert moved != shared_ppn
+        assert fused.mapping.refcount(moved) == shared
+    assert gc_state(fused) == gc_state(per_page)
+    for step, (op, lpn, value) in enumerate(operations):
+        lpn %= logical
+        if op == 0:
+            call = lambda ftl: ftl.write(lpn, fp(value))  # noqa: E731
+        elif op == 1:
+            call = lambda ftl: ftl.trim(lpn)  # noqa: E731
+        elif op == 2:
+            call = lambda ftl: ftl.read(lpn)  # noqa: E731
+        else:
+            call = lambda ftl: ftl.gc.background_collect(  # noqa: E731
+                ftl, lpn % planes, ftl.gc.low_watermark + 2
+            )
+        outcome = _outcome(lambda: call(fused))
+        assert outcome == _outcome(lambda: call(per_page))
+        assert fused.counters == per_page.counters
+        if outcome[1] is not None:
+            break  # both raised alike: a drive too worn to collect
+        result = outcome[0]
+        if op == 3 or getattr(result, "gc", None) is not None or step % 25 == 0:
+            assert gc_state(fused) == gc_state(per_page)
+    assert gc_state(fused) == gc_state(per_page)
+    assert per_page.counters.gc_relocations > 0
 
 
 # ---------------------------------------------------------------------------

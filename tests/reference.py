@@ -1,9 +1,11 @@
-"""Frozen reference models of the FTL write path and the replay loop.
+"""Frozen reference models of the FTL write path, the GC pass and the
+replay loop.
 
-``BaseFTL.write``/``trim`` and ``SimulatedSSD.service`` each run one
-fused body.  The code here is the step-by-step form they replaced, kept
-as it shipped so the differentials in ``tests/property`` can hold the one
-path to it, outcome for outcome and table for table:
+``BaseFTL.write``/``trim``, ``BaseFTL.relocate_block`` and
+``SimulatedSSD.service`` each run one fused body.  The code here is the
+step-by-step form they replaced, kept as it shipped so the differentials
+in ``tests/property`` can hold the one path to it, outcome for outcome
+and table for table:
 
 * :class:`PerCallWrites` is the FTL protocol of the paper's Section
   IV-C as one method per step: ``write`` → ``_handle_write`` →
@@ -20,6 +22,15 @@ path to it, outcome for outcome and table for table:
   priced through ``TimelineSet.chip_op``/``hash_op``, and a ``service``
   that loops over ``submit``.  In this chain ``submit`` does not count
   toward ``requests_served``; only ``service`` does.
+* :class:`PerPageCollector` and :class:`PerPageGC` are the collection
+  pass as one FTL call per relocated page: ``_collect_block`` →
+  ``allocate_in_plane`` → ``relocate_page`` → ``FlashArray.invalidate``
+  for each valid page, then ``erase_cleanup`` dropping every garbage
+  page's popularity.  :class:`PerTupleGreedyPolicy` and
+  :class:`PerTuplePopularityAwarePolicy` pick victims by comparing one
+  key tuple per candidate.  :func:`as_per_page_gc` switches a built
+  drive's FTL, collector and policy to them; the write path stays the
+  shipped one.
 
 Do not edit these bodies to follow a change in the shipped paths: a
 difference is what the differentials exist to catch.
@@ -27,14 +38,18 @@ difference is what the differentials exist to catch.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, List, Optional
 
 from repro.core.hashing import Fingerprint
+from repro.flash.array import FlashArray
 from repro.ftl.dedup import DedupFTL
 from repro.ftl.dftl import DFTLFtl
-from repro.ftl.allocator import PageAllocator
+from repro.ftl.allocator import OutOfSpaceError, PageAllocator
 from repro.ftl.ftl import BaseFTL, WriteOutcome
-from repro.ftl.mapping import POPULARITY_MAX
+from repro.ftl.gc import (
+    GarbageCollector, GCWork, GreedyVictimPolicy, PopularityAwareVictimPolicy,
+)
+from repro.ftl.mapping import POPULARITY_MAX, _unmapped_column
 from repro.sim.background import BackgroundGCSSD
 from repro.sim.request import CompletedRequest, IORequest, OpType, Row
 from repro.sim.ssd import SimulatedSSD
@@ -43,6 +58,8 @@ __all__ = [
     "PerCallWrites", "ReferenceFTL", "ReferenceDedupFTL", "ReferenceDFTLFtl",
     "as_reference", "PerRequestReplay", "ReferenceSSD",
     "ReferenceBackgroundGCSSD", "plane_of_next_write", "allocate",
+    "PerPageCollector", "PerPageGC", "PerTupleGreedyPolicy",
+    "PerTuplePopularityAwarePolicy", "as_per_page_gc",
 ]
 
 
@@ -58,7 +75,17 @@ def allocate(allocator: PageAllocator) -> int:
     return allocator.allocate_in_plane(plane)
 
 
-class PerCallWrites:
+class _OOBJournal:
+    """The OOB journal append the per-call paths share."""
+
+    def _record_oob(self, ppn: int, lpn: int) -> None:
+        """Journal (lpn, seq) into ``ppn``'s out-of-band area."""
+        self._oob_seq += 1
+        self._oob_lpns[ppn] = lpn
+        self._oob_seqs[ppn] = self._oob_seq
+
+
+class PerCallWrites(_OOBJournal):
     """The FTL write and trim, one method call per step."""
 
     def write(self, lpn: int, fp: Fingerprint) -> WriteOutcome:
@@ -389,3 +416,170 @@ class ReferenceBackgroundGCSSD(PerRequestReplay, BackgroundGCSSD):
     def submit(self, request: IORequest) -> CompletedRequest:
         self.background(request.arrival_us)
         return super().submit(request)
+
+
+class PerPageCollector(GarbageCollector):
+    """The collection pass with one FTL call per relocated page."""
+
+    def _collect_block(self, ftl: "BaseFTL", victim: int, plane: int) -> GCWork:
+        work = GCWork()
+        array = ftl.array
+        allocator = ftl.allocator
+        block = array.block(victim)
+        base_ppn = array.geometry.first_ppn_of_block(victim)
+        # Relocate valid pages within the plane.
+        for page in block.valid_page_indexes():
+            old_ppn = base_ppn + page
+            try:
+                new_ppn = allocator.allocate_in_plane(plane, for_gc=True)
+            except OutOfSpaceError as exc:
+                raise OutOfSpaceError(
+                    f"plane {plane}: no room to relocate during GC"
+                ) from exc
+            ftl.relocate_page(old_ppn, new_ppn)
+            array.invalidate(old_ppn)
+            work.relocations.append((old_ppn, new_ppn))
+        invalid_ppns = [base_ppn + p for p in block.invalid_page_indexes()]
+        ftl.erase_cleanup(victim, invalid_ppns)
+        # Fault layer: a victim marked bad (repeat program failures) or
+        # whose erase fails is retired instead of reclaimed.
+        badblocks = ftl.badblocks
+        if badblocks is not None and badblocks.should_retire(victim, ftl.faults):
+            if allocator.free_block_count(plane) == 0:
+                # Retiring this victim would consume the plane's last bit
+                # of relocation headroom: a collection pass that ends with
+                # zero free blocks leaves the *next* pass unable to open a
+                # relocation block (hard OutOfSpaceError mid-GC).  Keep
+                # the invariant that every pass returns a block to the
+                # plane — degrade to read-only instead and reclaim the
+                # victim normally; the bad block staying in rotation is
+                # harmless because all future writes are rejected.
+                ftl.enter_read_only()
+                work.reclaimed_pages += array.erase(victim)
+                allocator.release_block(victim)
+                work.erased_blocks.append(victim)
+            else:
+                array.retire_block(victim)
+                work.retired_blocks.append(victim)
+                if not badblocks.retire(victim):
+                    # Spare pool exhausted: degrade to read-only.
+                    ftl.enter_read_only()
+        else:
+            work.reclaimed_pages += array.erase(victim)
+            allocator.release_block(victim)
+            work.erased_blocks.append(victim)
+        return work
+
+
+class PerPageGC(_OOBJournal):
+    """The FTL's per-page GC hooks: one call per moved page, and an erase
+    cleanup that drops every garbage page's popularity."""
+
+    def relocate_page(self, old_ppn: int, new_ppn: int) -> None:
+        if self.translation is not None:
+            # Cached translations of the moved data are dirtied in place,
+            # with no MRU promotion or host hit (uncached ones are updated
+            # lazily on the next miss, as real DFTL does via the GTD).
+            for lpn in self.mapping.lpns_of(old_ppn):
+                self.translation.update_in_place(lpn)
+        self.mapping.remap_ppn(old_ppn, new_ppn)
+        fp = self._ppn_fp.pop(old_ppn, None)
+        if fp is not None:
+            self._ppn_fp[new_ppn] = fp
+            live_index = self._live_index
+            if live_index is not None and live_index.get(fp) == old_ppn:
+                live_index[fp] = new_ppn
+        if self._oob_seqs[old_ppn] >= 0:
+            # GC rewrote the page, so its OOB area is rewritten too; the
+            # old copy's record goes with the victim's erase
+            # (:meth:`erase_cleanup`).
+            self._record_oob(new_ppn, self._oob_lpns[old_ppn])
+
+    def erase_cleanup(self, block_global: int, invalid_ppns: List[int]) -> None:
+        for ppn in invalid_ppns:
+            fp = self._ppn_fp.pop(ppn, None)
+            if fp is not None and self.pool is not None:
+                self.pool.discard_ppn(fp, ppn)
+            self.garbage_pop.drop(ppn)
+        # The erase takes the whole block's OOB area with it: garbage
+        # pages and the old copies of the pages just relocated.
+        per_block = self.array._pages_per_block
+        start = block_global * per_block
+        cleared = _unmapped_column(per_block)
+        self._oob_lpns[start:start + per_block] = cleared
+        self._oob_seqs[start:start + per_block] = cleared
+
+
+class PerTupleGreedyPolicy(GreedyVictimPolicy):
+    def select(
+        self,
+        candidates: List[int],
+        array: FlashArray,
+        garbage_popularity_of: Callable[[int], int],
+    ) -> Optional[int]:
+        best = None
+        best_key = None
+        for block in candidates:
+            b = array.block(block)
+            if b.invalid_count == 0:
+                continue
+            key = (b.invalid_count, -b.erase_count)
+            if best_key is None or key > best_key:
+                best, best_key = block, key
+        return best
+
+
+class PerTuplePopularityAwarePolicy(PopularityAwareVictimPolicy):
+    def select(
+        self,
+        candidates: List[int],
+        array: FlashArray,
+        garbage_popularity_of: Callable[[int], int],
+    ) -> Optional[int]:
+        best = None
+        best_score = None
+        for block in candidates:
+            b = array.block(block)
+            if b.invalid_count == 0:
+                continue
+            penalty = self.weight * garbage_popularity_of(block) / POPULARITY_MAX
+            score = b.invalid_count - penalty
+            key = (score, -b.erase_count)
+            if best_score is None or key > best_score:
+                best, best_score = block, key
+        return best
+
+
+class PerPageGCFTL(PerPageGC, BaseFTL):
+    pass
+
+
+class PerPageGCDedupFTL(PerPageGC, DedupFTL):
+    pass
+
+
+class PerPageGCDFTLFtl(PerPageGC, DFTLFtl):
+    pass
+
+
+_PER_PAGE_GC_OF = {
+    BaseFTL: PerPageGCFTL,
+    DedupFTL: PerPageGCDedupFTL,
+    DFTLFtl: PerPageGCDFTLFtl,
+}
+
+_PER_TUPLE_POLICY_OF = {
+    GreedyVictimPolicy: PerTupleGreedyPolicy,
+    PopularityAwareVictimPolicy: PerTuplePopularityAwarePolicy,
+}
+
+
+def as_per_page_gc(ftl: BaseFTL) -> BaseFTL:
+    """Switch a built drive's FTL, collector and victim policy to the
+    per-page collection models in place; they add methods, no state.
+    Returns ``ftl``."""
+    ftl.__class__ = _PER_PAGE_GC_OF[type(ftl)]
+    ftl.gc.__class__ = PerPageCollector
+    policy = ftl.gc.policy
+    policy.__class__ = _PER_TUPLE_POLICY_OF[type(policy)]
+    return ftl

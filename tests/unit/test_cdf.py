@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.cdf import bucket_means, cdf_at, empirical_cdf, lorenz_share
+from repro.analysis.cdf import bucket_means, empirical_cdf, lorenz_share
 
 
 class TestEmpiricalCDF:
@@ -19,13 +19,6 @@ class TestEmpiricalCDF:
     def test_last_point_is_one(self):
         cdf = empirical_cdf([9, 3, 7, 3])
         assert cdf[-1][1] == 1.0
-
-    def test_cdf_at(self):
-        cdf = empirical_cdf([1, 1, 2, 3])
-        assert cdf_at(cdf, 0) == 0.0
-        assert cdf_at(cdf, 1) == 0.5
-        assert cdf_at(cdf, 2) == 0.75
-        assert cdf_at(cdf, 100) == 1.0
 
 
 class TestBucketMeans:

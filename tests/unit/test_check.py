@@ -12,6 +12,8 @@ from repro.check import InvariantChecker, InvariantViolation, OracleFTL, audit
 from repro.core.dvp import MQDeadValuePool
 from repro.core.hashing import fingerprint_of_value as fp
 from repro.flash.block import PageState
+from repro.flash.config import SSDConfig
+from repro.ftl.allocator import OutOfSpaceError
 from repro.ftl.dedup import DedupFTL
 from repro.ftl.ftl import BaseFTL
 from repro.ftl.mapping import _SHARED
@@ -174,6 +176,31 @@ class TestStructureCorruptions:
         # Name a live page for a value it does not hold.
         ftl._live_index[fp(9999)] = ftl.live_ppn_of(fp(0))
         assert kinds_of(audit(ftl)) == {"dedup.live-index"}
+
+
+class TestStrandedPlane:
+    def test_room_only_behind_the_gc_block(self):
+        """A drive below the viability floor ends with its plane's only
+        room in the GC block's tail, out of a host write's reach, and its
+        only garbage in a victim too full to relocate there: every write
+        raises, and the audit names the stranded plane."""
+        config = SSDConfig(
+            channels=1, chips_per_channel=1, dies_per_chip=1,
+            planes_per_die=1, blocks_per_plane=8, pages_per_block=4,
+            overprovision=0.15,
+        )
+        ftl = BaseFTL(config)
+        for lpn in range(config.logical_pages):
+            ftl.write(lpn, fp(lpn))
+        with pytest.raises(OutOfSpaceError):
+            for i in range(config.total_pages * 4):
+                ftl.write(i % config.logical_pages, fp(10_000 + i))
+        allocator = ftl.allocator
+        assert allocator.free_block_count(0) == 0
+        assert allocator.writable_pages(0) > 0  # the GC block's tail
+        assert kinds_of(audit(ftl)) == {"gc.stranded-plane"}
+        with pytest.raises(OutOfSpaceError):
+            ftl.write(0, fp(1))
 
 
 class TestCheckerHarness:

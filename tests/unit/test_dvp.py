@@ -125,6 +125,37 @@ class TestLRUPool:
         pool.lookup_for_write(fp(2), now=3)
         assert pool.stats.hit_rate == 0.5
 
+    def test_capacity_must_be_positive(self):
+        with pytest.raises(ValueError):
+            LRUDeadValuePool(0)
+
+    def test_lookup_refreshes_recency(self):
+        pool = LRUDeadValuePool(2)
+        pool.insert_garbage(fp(1), 1, now=1)
+        pool.insert_garbage(fp(1), 11, now=2)
+        pool.insert_garbage(fp(2), 2, now=3)
+        assert pool.lookup_for_write(fp(1), now=4) == 11  # fp(1) stays
+        assert pool.insert_garbage(fp(3), 3, now=5) == [2]
+        assert fp(1) in pool and fp(2) not in pool
+
+    def test_discard_does_not_refresh(self):
+        pool = LRUDeadValuePool(2)
+        pool.insert_garbage(fp(1), 1, now=1)
+        pool.insert_garbage(fp(1), 11, now=2)
+        pool.insert_garbage(fp(2), 2, now=3)
+        assert pool.discard_ppn(fp(1), 11)
+        assert pool.insert_garbage(fp(3), 3, now=4) == [1]
+
+    def test_tracked_items_cold_to_hot(self):
+        pool = LRUDeadValuePool(3)
+        pool.insert_garbage(fp(1), 1, now=1)
+        pool.insert_garbage(fp(2), 2, now=2)
+        pool.insert_garbage(fp(1), 11, now=3)
+        assert list(pool.tracked_items()) == [
+            (fp(2), 2), (fp(1), 1), (fp(1), 11)
+        ]
+        assert pool.tracked_ppn_count() == 3
+
 
 class TestMQPool:
     def test_popular_value_survives_unpopular_flood(self):

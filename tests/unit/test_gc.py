@@ -19,7 +19,8 @@ from repro.ftl.mapping import POPULARITY_MAX
 class RecordingFTL:
     """The FTL surface a collection pass reads and calls back into: a
     bare array and allocator, no fault layer or checker, and a recording
-    of every relocation and erase."""
+    of every relocation and erase.  It moves pages physically (GC append
+    point in, victim page invalidated) and keeps no mapping."""
 
     def __init__(self, array: FlashArray, allocator: PageAllocator):
         self.array = array
@@ -32,8 +33,14 @@ class RecordingFTL:
         self.relocations: List[Tuple[int, int]] = []
         self.erased: List[Tuple[int, List[int]]] = []
 
-    def relocate_page(self, old_ppn: int, new_ppn: int) -> None:
-        self.relocations.append((old_ppn, new_ppn))
+    def relocate_block(self, victim: int, plane: int,
+                       relocations: List[Tuple[int, int]]) -> None:
+        base = self.array.geometry.first_ppn_of_block(victim)
+        for page in self.array.block(victim).valid_page_indexes():
+            new_ppn = self.allocator.allocate_in_plane(plane, for_gc=True)
+            self.array.invalidate(base + page)
+            relocations.append((base + page, new_ppn))
+            self.relocations.append((base + page, new_ppn))
 
     def erase_cleanup(self, block_global: int, invalid_ppns: List[int]) -> None:
         self.erased.append((block_global, list(invalid_ppns)))

@@ -576,7 +576,7 @@ def test_ftl_subclass_missing_hooks_fires(tmp_path):
     result = lint_sources(tmp_path, {
         "repro/ftl/bad.py": """
             class BaseFTL:
-                def relocate_page(self, old_ppn, new_ppn):
+                def relocate_block(self, victim, plane, relocations):
                     return None
 
                 def erase_cleanup(self, block_global, invalid_ppns):
@@ -589,7 +589,7 @@ def test_ftl_subclass_missing_hooks_fires(tmp_path):
     }, select=["proto.ftl-hooks"])
     assert codes_of(result) == ["proto.ftl-hooks"]
     (violation,) = result.violations
-    for hook in ("relocate_page", "erase_cleanup"):
+    for hook in ("relocate_block", "erase_cleanup"):
         assert hook in violation.message
     assert "check_invariants" not in violation.message
 
@@ -598,14 +598,14 @@ def test_ftl_subclass_with_hooks_passes(tmp_path):
     result = lint_sources(tmp_path, {
         "repro/ftl/good.py": """
             class BaseFTL:
-                def relocate_page(self, old_ppn, new_ppn):
+                def relocate_block(self, victim, plane, relocations):
                     return None
 
             class CarefulFTL(BaseFTL):
                 def write(self, lpn, fp):
                     self.extra = lpn
 
-                def relocate_page(self, old_ppn, new_ppn):
+                def relocate_block(self, victim, plane, relocations):
                     return None
 
                 def erase_cleanup(self, block_global, invalid_ppns):
@@ -623,7 +623,7 @@ def test_ftl_subclass_filling_base_slots_needs_no_hooks(tmp_path):
             def __init__(self):
                 self._live_index = None
 
-            def relocate_page(self, old_ppn, new_ppn):
+            def relocate_block(self, victim, plane, relocations):
                 return None
 
         class SlotFTL(BaseFTL):
@@ -646,7 +646,7 @@ def test_ftl_subclass_filling_base_slots_needs_no_hooks(tmp_path):
     assert codes_of(result) == ["proto.ftl-hooks"]
     (violation,) = result.violations
     assert "ExtraFTL" in violation.message
-    assert "relocate_page" in violation.message
+    assert "relocate_block" in violation.message
 
 
 # ---------------------------------------------------------------------------
@@ -1124,7 +1124,7 @@ def test_rule_exits_nonzero_on_its_fixture(code, tmp_path, capsys):
         "proto.ftl-hooks": {
             "repro/ftl/bad.py": (
                 "class BaseFTL:\n"
-                "    def relocate_page(self, a, b):\n"
+                "    def relocate_block(self, a, b, c):\n"
                 "        return None\n"
                 "class F(BaseFTL):\n"
                 "    def write(self, lpn, fp):\n"
