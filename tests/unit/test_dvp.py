@@ -125,6 +125,13 @@ class TestLRUPool:
         pool.lookup_for_write(fp(2), now=3)
         assert pool.stats.hit_rate == 0.5
 
+    def test_eviction_order_is_lru(self):
+        pool = LRUDeadValuePool(2)
+        pool.insert_garbage(fp(1), 1, now=1)
+        pool.insert_garbage(fp(2), 2, now=2)
+        assert pool.insert_garbage(fp(3), 3, now=3) == [1]
+        assert fp(1) not in pool
+
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             LRUDeadValuePool(0)
