@@ -8,12 +8,15 @@ cell dicts.  Consumers had to know which producer they were reading.
 :class:`ResultRecord` unifies them: one frozen, typed record with an
 explicit ``schema_version``, a ``kind`` tag naming the producer, the
 full counter set, exact-percentile latency summaries and the run's
-content digest.  Every machine-readable surface — ``repro run/matrix/
-faults/fleet --json``, the fleet/obs JSONL exporters, the bench
-harness's per-cell entries and every ``repro serve`` response — emits
-this shape and nothing else; :func:`parse_record` round-trips it back
-into the typed form (``parse_record(r.to_dict()) == r``, enforced by
-the schema tests).
+content digest.  ``repro run/matrix/fleet --json``, the fleet/obs
+JSONL exporters (an ``--obs`` sample is a ``telemetry.sample``
+record), the bench harness's per-cell entries and every ``repro serve``
+response emit this shape and nothing else; :func:`parse_record`
+round-trips it back into the typed form (``parse_record(r.to_dict())
+== r``, enforced by the schema tests).  Two outputs are not records
+yet: ``repro recovery --json`` (``asdict(RecoveryExperimentResult)``)
+and ``repro fleet --pool-mode both --json``
+(``PoolModeComparison.summary()``).
 
 Versioning contract: ``SCHEMA`` names the surface (``repro.api/v1``);
 a reader seeing an unknown version must refuse rather than guess
@@ -73,6 +76,7 @@ KINDS = (
     "kv.run",       # one keyed (KV-SSD) run over a zoo workload
     "kv.ablation",  # a KV run paired with its pool-off counterpart
     "lint.finding",  # one lint violation (repro lint --format=jsonl)
+    "telemetry.sample",  # one mid-run sample of repro.obs (--obs)
 )
 
 

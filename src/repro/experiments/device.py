@@ -154,7 +154,6 @@ class Device:
             queue_depth=config.queue_depth,
             observer=config.observer,
         )
-        self._observer = config.observer
         return self
 
     # -- stage 4: step -------------------------------------------------
@@ -173,6 +172,6 @@ class Device:
         if self.ssd is None:
             raise RuntimeError("finalize() requires attach() first")
         result = self.ssd.result(system=self.system, workload=workload)
-        if self._observer is not None:
-            self._observer.force_sample(self.ssd.horizon_us)
+        if self.ssd.observer is not None:
+            self.ssd.observer.force_sample(self.ssd.horizon_us)
         return result

@@ -22,10 +22,13 @@ the warmup curve the benchmark test pins down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..faults.model import FaultConfig
 from .config import DEFAULT_SCALE, RunConfig
+
+if TYPE_CHECKING:  # pragma: no cover - keeps repro.api out of plain runs
+    from ..api.schema import ResultRecord
 
 __all__ = ["RecoveryExperimentResult", "crash_point", "run_recovery_experiment"]
 
@@ -69,13 +72,13 @@ class RecoveryExperimentResult:
 
 
 def _rates_since(
-    samples: List[Dict[str, Any]], crash_after: int
+    samples: List["ResultRecord"], crash_after: int
 ) -> Tuple[float, ...]:
     """Cumulative ``Δshort_circuits / Δhost_writes`` per post-crash sample,
     measured against the last sample at or before ``crash_after`` requests."""
     base = None
     for sample in samples:
-        if sample["requests"] <= crash_after:
+        if sample.meta["requests"] <= crash_after:
             base = sample
         else:
             break
@@ -86,10 +89,11 @@ def _rates_since(
         )
     rates = []
     for sample in samples:
-        if sample["requests"] <= base["requests"]:
+        if sample.meta["requests"] <= base.meta["requests"]:
             continue
-        writes = sample["host_writes"] - base["host_writes"]
-        revived = sample["short_circuits"] - base["short_circuits"]
+        now, then = sample.counters, base.counters
+        writes = now["host_writes"] - then["host_writes"]
+        revived = now["short_circuits"] - then["short_circuits"]
         if writes > 0:
             rates.append(revived / writes)
     return tuple(rates)

@@ -81,6 +81,12 @@ class PageAllocator:
         ``for_gc`` selects the plane's relocation block, so cold relocated
         pages never share a block with fresh host data (the hot/cold
         separation real FTLs use to keep write amplification down).
+        The shipped collector advances that block inline
+        (:meth:`~repro.ftl.ftl.BaseFTL.relocate_block`); the branch is
+        kept because the per-page reference collector in
+        ``tests/reference.py`` and ``tests/unit/test_gc.py`` relocate
+        through it, and the differentials compare the shipped path
+        against that reference.
         """
         actives = self._active_gc if for_gc else self._active
         blocks = self.array.blocks

@@ -1,16 +1,18 @@
-"""JSONL sinks and loaders for observability samples.
+"""The JSONL sink for observability samples and other records.
 
-One JSON object per line; the schema of sampler output is documented in
-DESIGN.md ("Observability").  The writer is callable so it can be handed
-directly to :class:`~repro.obs.sampler.TimeSeriesSampler` as its sink.
+One JSON object per line — for the sampler, the fleet exporter and the
+serve ``--obs`` tap, each one ``repro.api/v1`` record dict, read back
+line by line with :func:`~repro.api.schema.parse_record`.  The writer
+is callable so it can be handed directly to
+:class:`~repro.obs.sampler.TimeSeriesSampler` as its sink.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, IO, List, Union
+from typing import Any, Dict, IO, Union
 
-__all__ = ["JsonlWriter", "read_jsonl"]
+__all__ = ["JsonlWriter"]
 
 
 class JsonlWriter:
@@ -50,9 +52,3 @@ class JsonlWriter:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def read_jsonl(path: str) -> List[Dict[str, Any]]:
-    """Load a JSONL file written by :class:`JsonlWriter`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]

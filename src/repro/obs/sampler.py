@@ -1,21 +1,26 @@
 """Time-series sampling of the simulator's internal state.
 
-The sampler is *pull-based*: it is attached to an FTL and reads the
-FTL, its pool and its fault model directly.  After every completed host
-request the device calls :meth:`on_request` with the current simulated
-time.  When the request- or time-interval elapses, one sample is
-collected and appended to ``samples`` (and to the sink, when one is
-configured — typically a :class:`~repro.obs.export.JsonlWriter`).
+The sampler is *pull-based*: it is attached to the timing device
+(:class:`~repro.sim.ssd.SimulatedSSD`) and reads it, its FTL, pool and
+fault model directly.  After every completed host request the device
+calls :meth:`on_request` with the request's completion time.  When the
+request- or time-interval elapses, one sample is collected and appended
+to ``samples`` (and its dict form to the sink, when one is configured —
+typically a :class:`~repro.obs.export.JsonlWriter`).
 
-Each sample is one flat-ish JSON object; the full schema is documented
-in DESIGN.md ("Observability") and asserted by ``tests/unit/test_obs.py``.
-Timestamps (``t_us``) and request counts are monotonically non-decreasing
-across samples.
+A sample is a ``repro.api/v1`` record of kind ``telemetry.sample``: the
+device's :meth:`~repro.sim.ssd.SimulatedSSD.result` so far, with
+``meta`` carrying what a final record cannot (sample index, time,
+request count, free blocks, pool occupancy, the MQ view; DESIGN.md
+"Observability").  Timestamps (``meta["t_us"]``) and request counts are
+monotonically non-decreasing across samples.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
+
+from ..api.schema import ResultRecord, record_from_run
 
 __all__ = ["TimeSeriesSampler"]
 
@@ -36,8 +41,8 @@ class TimeSeriesSampler:
         have passed since the previous one (``None`` disables the time
         trigger).  The two triggers are OR-ed.
     sink:
-        Optional callable invoked with each sample dict as it is taken
-        (e.g. a :class:`~repro.obs.export.JsonlWriter`).
+        Optional callable invoked with each sample's ``to_dict()`` form
+        as it is taken (e.g. a :class:`~repro.obs.export.JsonlWriter`).
     """
 
     def __init__(
@@ -55,9 +60,9 @@ class TimeSeriesSampler:
         self.interval_requests = interval_requests
         self.interval_us = interval_us
         self.sink = sink
-        self.samples: List[Dict[str, Any]] = []
+        self.samples: List[ResultRecord] = []
         self.sample_count = 0
-        self._ftl = None
+        self._device = None
         self._requests = 0
         self._requests_at_last = 0
         self._last_t_us = 0.0
@@ -66,9 +71,9 @@ class TimeSeriesSampler:
     # Wiring
     # ------------------------------------------------------------------
 
-    def attach(self, ftl) -> "TimeSeriesSampler":
-        """Bind the sampler to the FTL whose state it snapshots."""
-        self._ftl = ftl
+    def attach(self, device) -> "TimeSeriesSampler":
+        """Bind the sampler to the timing device whose state it snapshots."""
+        self._device = device
         return self
 
     # ------------------------------------------------------------------
@@ -91,7 +96,7 @@ class TimeSeriesSampler:
         ):
             self._take(now_us)
 
-    def force_sample(self, now_us: float) -> Dict[str, Any]:
+    def force_sample(self, now_us: float) -> ResultRecord:
         """Take a sample immediately (used for the end-of-run snapshot)."""
         return self._take(now_us)
 
@@ -99,11 +104,11 @@ class TimeSeriesSampler:
     # Collection
     # ------------------------------------------------------------------
 
-    def _take(self, now_us: float) -> Dict[str, Any]:
-        if self._ftl is None:
-            raise RuntimeError("sampler not attached to an FTL")
-        # Clamp so t_us is monotonically non-decreasing even when the
-        # device completes requests out of arrival order (DES mode).
+    def _take(self, now_us: float) -> ResultRecord:
+        if self._device is None:
+            raise RuntimeError("sampler not attached to a device")
+        # Clamp so t_us is monotonically non-decreasing: requests on
+        # different chips complete out of arrival order.
         t_us = max(float(now_us), self._last_t_us)
         sample = self._collect(t_us)
         self._last_t_us = t_us
@@ -111,32 +116,18 @@ class TimeSeriesSampler:
         self.sample_count += 1
         self.samples.append(sample)
         if self.sink is not None:
-            self.sink(sample)
+            self.sink(sample.to_dict())
         return sample
 
-    def _collect(self, t_us: float) -> Dict[str, Any]:
-        ftl = self._ftl
-        counters = ftl.counters
-        host_writes = counters.host_writes
-        total_programs = counters.programs + counters.gc_relocations
-        sample: Dict[str, Any] = {
+    def _collect(self, t_us: float) -> ResultRecord:
+        device = self._device
+        ftl = device.ftl
+        meta: Dict[str, Any] = {
             "seq": self.sample_count,
             "t_us": t_us,
             "requests": self._requests,
-            "host_writes": host_writes,
-            "host_reads": counters.host_reads,
-            "programs": counters.programs,
-            "flash_reads": counters.flash_reads,
-            "short_circuits": counters.short_circuits,
-            "dedup_hits": counters.dedup_hits,
-            "invalidations": counters.invalidations,
-            "gc_relocations": counters.gc_relocations,
-            "gc_erases": counters.gc_erases,
             "gc_invocations": ftl.gc.invocations,
             "write_clock": ftl.write_clock,
-            "write_amp": (
-                total_programs / host_writes if host_writes else 0.0
-            ),
             "free_blocks": sum(
                 len(blocks) for blocks in ftl.allocator.free_blocks
             ),
@@ -147,10 +138,6 @@ class TimeSeriesSampler:
             pool_view: Dict[str, Any] = {
                 "occupancy": len(pool),
                 "tracked_ppns": pool.tracked_ppn_count(),
-                "lookups": stats.lookups,
-                "hits": stats.hits,
-                "insertions": stats.insertions,
-                "evictions": stats.evictions,
                 "evicted_ppns": stats.evicted_ppns,
                 "gc_removals": stats.gc_removals,
             }
@@ -161,20 +148,22 @@ class TimeSeriesSampler:
                 value = getattr(pool, name, None)
                 if value is not None:
                     pool_view[name] = value
-            sample["pool"] = pool_view
+            meta["pool"] = pool_view
             mq = getattr(pool, "mq", None)
             if mq is not None:
-                sample["mq"] = {
+                meta["mq"] = {
                     "queue_lengths": mq.queue_lengths(),
                     "promotions": mq.promotions,
                     "demotions": mq.demotions,
                     "evictions": mq.evictions,
                     "hottest_interval": mq.hottest_interval,
                 }
-        faults = ftl.faults
-        if faults is not None:
-            fault_view: Dict[str, Any] = faults.stats.summary()
-            fault_view["spares_remaining"] = ftl.badblocks.spares_remaining
-            fault_view["read_only"] = ftl.read_only
-            sample["faults"] = fault_view
-        return sample
+        if ftl.faults is not None:
+            meta["spares_remaining"] = ftl.badblocks.spares_remaining
+            meta["read_only"] = ftl.read_only
+        return record_from_run(
+            device.result(),
+            kind="telemetry.sample",
+            with_digest=False,
+            meta=meta,
+        )

@@ -258,7 +258,6 @@ class TenantSession:
             device = Device(config.system, ftl.config, entries)
             device.ftl = ftl
             device.ssd = ssd
-            device._observer = None
             self._devices.append(device)
         if config.shards > 1:
             # Routing tables are pure functions of the config; recompute

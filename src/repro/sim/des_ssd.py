@@ -107,14 +107,8 @@ class EventDrivenSSD:
         ftl: BaseFTL,
         chip_policy: str = "fifo",
         log: Optional[CompletionLog] = None,
-        observer=None,
     ):
         self.ftl = ftl
-        #: Optional :class:`~repro.obs.TimeSeriesSampler`, ticked once
-        #: per completed host request with the completion time.
-        self.observer = observer
-        if observer is not None:
-            observer.attach(ftl)
         config = ftl.config
         self.timing = config.timing
         self.geometry = ftl.array.geometry
@@ -198,8 +192,6 @@ class EventDrivenSSD:
             self.log.record(completed)
         if finish_us > self.horizon_us:
             self.horizon_us = finish_us
-        if self.observer is not None:
-            self.observer.on_request(finish_us)
 
     def _on_write(self, request: IORequest) -> None:
         outcome = self.ftl.write(request.lpn, request.fingerprint)

@@ -61,10 +61,11 @@ class SimulatedSSD:
         self.ftl = ftl
         self.log = log
         #: Optional :class:`~repro.obs.TimeSeriesSampler`, ticked once
-        #: per completed host request with the completion time.
+        #: per completed host request with the completion time; it reads
+        #: this device's :meth:`result` for each sample.
         self.observer = observer
         if observer is not None:
-            observer.attach(ftl)
+            observer.attach(self)
         config = ftl.config
         self.timing = config.timing
         self.geometry = ftl.array.geometry

@@ -193,7 +193,7 @@ class TestSchemaConstants:
         assert set(KINDS) == {
             "run", "bench.cell", "fleet.shard", "fleet",
             "serve.metrics", "serve.session",
-            "kv.run", "kv.ablation", "lint.finding",
+            "kv.run", "kv.ablation", "lint.finding", "telemetry.sample",
         }
 
     def test_record_is_frozen(self, run_result):

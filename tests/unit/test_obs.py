@@ -2,30 +2,38 @@
 
 import io
 import json
+from dataclasses import asdict
 
 import pytest
 
+from repro.api import parse_record
 from repro.cli import main
 from repro.experiments.runner import ExperimentContext, RunConfig, run_system
 from repro.faults import FaultConfig
-from repro.obs import JsonlWriter, TimeSeriesSampler, read_jsonl
+from repro.obs import JsonlWriter, TimeSeriesSampler
 from repro.perf.spec import result_digest
 
-#: Top-level fields every sample must carry (DESIGN.md, "Observability").
-SAMPLE_FIELDS = {
-    "seq", "t_us", "requests", "host_writes", "host_reads", "programs",
-    "flash_reads", "short_circuits", "dedup_hits", "invalidations",
-    "gc_relocations", "gc_erases", "gc_invocations", "write_clock",
-    "write_amp", "free_blocks",
+#: ``meta`` keys every sample carries (DESIGN.md, "Observability").
+META_FIELDS = {
+    "seq", "t_us", "requests", "gc_invocations", "write_clock",
+    "free_blocks",
 }
-POOL_FIELDS = {
-    "occupancy", "tracked_ppns", "lookups", "hits", "insertions",
-    "evictions", "evicted_ppns", "gc_removals",
+#: Pool fields a final record cannot carry, in ``meta["pool"]``.
+POOL_META_FIELDS = {
+    "occupancy", "tracked_ppns", "evicted_ppns", "gc_removals",
 }
+#: The pool stats every record carries, in ``pool``.
+POOL_FIELDS = {"lookups", "hits", "hit_rate", "insertions", "evictions"}
 MQ_FIELDS = {
     "queue_lengths", "promotions", "demotions", "evictions",
     "hottest_interval",
 }
+
+
+def read_records(path):
+    """Every line of a JSONL file, parsed as a ``repro.api/v1`` record."""
+    with open(path, encoding="utf-8") as fh:
+        return [parse_record(json.loads(line)) for line in fh]
 
 
 class TestJsonlWriter:
@@ -34,7 +42,10 @@ class TestJsonlWriter:
         with JsonlWriter(path) as writer:
             writer.write({"a": 1})
             writer({"b": [1, 2]})
-        assert read_jsonl(path) == [{"a": 1}, {"b": [1, 2]}]
+        with open(path, encoding="utf-8") as fh:
+            assert [json.loads(line) for line in fh] == [
+                {"a": 1}, {"b": [1, 2]},
+            ]
 
     def test_borrowed_stream_stays_open(self):
         stream = io.StringIO()
@@ -88,27 +99,35 @@ class TestSamplerSchema:
 
     def test_every_sample_has_the_schema(self, obs_run):
         _, sampler = obs_run
-        for sample in sampler.samples:
-            assert SAMPLE_FIELDS <= set(sample)
-            assert POOL_FIELDS <= set(sample["pool"])
-            assert MQ_FIELDS <= set(sample["mq"])
-            assert len(sample["mq"]["queue_lengths"]) == 8
+        for seq, sample in enumerate(sampler.samples):
+            assert sample.kind == "telemetry.sample"
+            assert sample.digest is None
+            assert sample.meta["seq"] == seq
+            assert META_FIELDS <= set(sample.meta)
+            assert POOL_FIELDS <= set(sample.pool)
+            assert POOL_META_FIELDS <= set(sample.meta["pool"])
+            assert MQ_FIELDS <= set(sample.meta["mq"])
+            assert len(sample.meta["mq"]["queue_lengths"]) == 8
 
     def test_timestamps_and_counts_monotonic(self, obs_run):
         _, sampler = obs_run
         samples = sampler.samples
         for earlier, later in zip(samples, samples[1:]):
-            assert later["t_us"] >= earlier["t_us"]
-            assert later["requests"] >= earlier["requests"]
-            assert later["host_writes"] >= earlier["host_writes"]
-            assert later["gc_erases"] >= earlier["gc_erases"]
+            assert later.meta["t_us"] >= earlier.meta["t_us"]
+            assert later.meta["requests"] >= earlier.meta["requests"]
+            for name, value in later.counters.items():
+                assert value >= earlier.counters[name], name
 
     def test_final_sample_matches_run_result(self, obs_run):
         result, sampler = obs_run
         last = sampler.samples[-1]
-        assert last["host_writes"] == result.counters.host_writes
-        assert last["programs"] == result.counters.programs
-        assert last["gc_erases"] == result.counters.gc_erases
+        assert last.counters == asdict(result.counters)
+        assert last.pool == result.pool_stats
+        assert last.horizon_us == result.horizon_us
+        assert last.meta["t_us"] == result.horizon_us
+        assert last.meta["requests"] == (
+            result.reads.count + result.writes.count
+        )
 
     def test_write_amp_is_cumulative_ratio(self, obs_run):
         result, sampler = obs_run
@@ -118,12 +137,21 @@ class TestSamplerSchema:
             (counters.programs + counters.gc_relocations)
             / counters.host_writes
         )
-        assert last["write_amp"] == pytest.approx(expected)
+        assert "write_amp" not in last.meta
+        assert last.write_amplification == pytest.approx(expected)
+
+    def test_sample_round_trips_through_parse_record(self, obs_run):
+        _, sampler = obs_run
+        for sample in sampler.samples:
+            assert parse_record(sample.to_dict()) == sample
+            assert parse_record(
+                json.loads(json.dumps(sample.to_dict()))
+            ) == sample
 
     def test_request_interval_is_respected(self, obs_run):
         _, sampler = obs_run
         gaps = [
-            later["requests"] - earlier["requests"]
+            later.meta["requests"] - earlier.meta["requests"]
             for earlier, later in zip(sampler.samples, sampler.samples[1:])
         ]
         # Every gap except the forced end-of-run sample is the interval.
@@ -141,7 +169,7 @@ class TestTimeTrigger:
         ))
         assert sampler.sample_count >= 2
         for earlier, later in zip(sampler.samples, sampler.samples[1:]):
-            assert later["t_us"] >= earlier["t_us"]
+            assert later.meta["t_us"] >= earlier.meta["t_us"]
 
 
 class TestDirectReads:
@@ -154,10 +182,10 @@ class TestDirectReads:
             paper_pool_entries=200_000, scale=0.02, observer=sampler,
         ))
         last = sampler.samples[-1]
-        assert "metrics" not in last
-        assert last["write_clock"] > 0
-        assert last["gc_invocations"] >= 0
-        pool = last["pool"]
+        assert "metrics" not in last.meta
+        assert last.meta["write_clock"] > 0
+        assert last.meta["gc_invocations"] >= 0
+        pool = last.meta["pool"]
         assert {
             "capacity", "capacity_high_water", "resizes_up", "resizes_down",
         } <= set(pool)
@@ -165,10 +193,11 @@ class TestDirectReads:
 
     def test_mq_pool_has_no_adaptive_fields(self, obs_run):
         _, sampler = obs_run
-        pool = sampler.samples[-1]["pool"]
-        assert "capacity" in pool
-        assert "resizes_up" not in pool
-        assert "faults" not in sampler.samples[-1]
+        last = sampler.samples[-1]
+        assert "capacity" in last.meta["pool"]
+        assert "resizes_up" not in last.meta["pool"]
+        assert last.faults is None
+        assert "read_only" not in last.meta
 
     def test_faults_view_after_crash_matches_result(self):
         context = ExperimentContext.for_workload("mail", 0.02)
@@ -177,11 +206,11 @@ class TestDirectReads:
             paper_pool_entries=200_000, scale=0.02, observer=sampler,
             faults=FaultConfig(seed=0, crash_after_requests=1000),
         ))
-        view = dict(sampler.samples[-1]["faults"])
-        assert view.pop("read_only") is False
-        assert view.pop("spares_remaining") > 0
-        assert view == result.fault_stats
-        assert view["recoveries"] == 1
+        last = sampler.samples[-1]
+        assert last.meta["read_only"] is False
+        assert last.meta["spares_remaining"] > 0
+        assert last.faults == result.fault_stats
+        assert last.faults["recoveries"] == 1
 
 
 class TestObserverCannotPerturb:
@@ -208,14 +237,49 @@ class TestCliObsFlag:
             "--scale", "0.02", "--obs", path, "--obs-interval", "100",
         ])
         assert code == 0
-        samples = read_jsonl(path)
+        samples = read_records(path)
         assert len(samples) >= 2
         for sample in samples:
-            assert SAMPLE_FIELDS <= set(sample)
-            assert POOL_FIELDS <= set(sample["pool"])
-            assert "queue_lengths" in sample["mq"]
-        times = [s["t_us"] for s in samples]
+            assert sample.kind == "telemetry.sample"
+            assert META_FIELDS <= set(sample.meta)
+            assert POOL_FIELDS <= set(sample.pool)
+            assert POOL_META_FIELDS <= set(sample.meta["pool"])
+            assert "queue_lengths" in sample.meta["mq"]
+        times = [s.meta["t_us"] for s in samples]
         assert times == sorted(times)
+
+    def test_last_obs_sample_equals_run_json_record(self, tmp_path, capsys):
+        """The last ``--obs`` line is the same run's ``--json`` record,
+        field for field, in every part a finished record carries."""
+        path = str(tmp_path / "obs.jsonl")
+        code = main([
+            "run", "--workload", "mail", "--system", "mq-dvp",
+            "--scale", "0.02", "--seed", "11",
+            "--program-failure-prob", "0.005",
+            "--obs", path, "--obs-interval", "100", "--json",
+        ])
+        assert code == 0
+        final = parse_record(json.loads(capsys.readouterr().out))
+        last = read_records(path)[-1]
+        assert last.faults is not None
+        assert last.faults["program_failures"] > 0
+        assert last.counters == final.counters
+        assert last.pool == final.pool
+        assert last.faults == final.faults
+        assert last.reads == final.reads
+        assert last.writes == final.writes
+        assert last.requests == final.requests
+        assert last.horizon_us == final.horizon_us
+
+    def test_fleet_obs_lines_parse_as_fleet_records(self, tmp_path, capsys):
+        path = str(tmp_path / "fleet.jsonl")
+        code = main([
+            "fleet", "--workload", "mail", "--system", "mq-dvp",
+            "--shards", "2", "--scale", "0.02", "--obs", path,
+        ])
+        assert code == 0
+        kinds = [record.kind for record in read_records(path)]
+        assert kinds == ["fleet.shard", "fleet.shard", "fleet"]
 
     def test_obs_disabled_by_default(self, capsys):
         code = main([
