@@ -106,7 +106,9 @@ fleet-smoke:
 # Serve smoke: three tenants stream small traces through the socket
 # service, final digests must equal the batch runs, a SIGTERM'd server
 # checkpoints every session and a restart resumes them bit-exact; the
-# transport tests pin NODELAY on both ends and coalesced client writes.
+# transport tests pin NODELAY on both ends and coalesced client writes,
+# and the ingest tests hold the chunked reader, the decoder, the row
+# parser and the client's trace encoder to their per-line references.
 serve-smoke:
 	$(PYTHON) -m pytest -q -m serve_smoke
 

@@ -46,6 +46,9 @@ Invariant catalog (kinds raised):
     not hold that value's fingerprint.
 ``pool.empty-entry``
     A pool entry tracks zero PPNs (should have been removed).
+``pool.tracked-count``
+    The pool's ``tracked_ppn_count`` disagrees with the PPNs it tracks
+    (the MQ pool keeps that count as a running total).
 ``pool.duplicate-ppn``
     The same garbage PPN is tracked under two fingerprints.
 ``pool.orphan-ppn``
@@ -343,6 +346,12 @@ def _pool_violations(ftl: "BaseFTL", out: List[InvariantViolation]) -> None:
             "pool entry count disagrees with entries holding PPNs",
             {"resident_entries": len(pool),
              "entries_with_ppns": tracked_entries},
+        ))
+    if pool.tracked_ppn_count() != pairs:
+        out.append(InvariantViolation(
+            "pool.tracked-count",
+            "tracked-PPN count disagrees with the PPNs the pool tracks",
+            {"count": pool.tracked_ppn_count(), "tracked": pairs},
         ))
     mq = getattr(pool, "mq", None)
     if mq is not None:

@@ -177,6 +177,7 @@ class AdaptiveMQDeadValuePool(MQDeadValuePool):
         for _, entry in evicted:
             self.stats.evictions += 1
             self.stats.evicted_ppns += len(entry.ppns)
+            self._tracked -= len(entry.ppns)
             if garbage_pop is not None:
                 for ppn in entry.ppns:
                     garbage_pop.drop(ppn)

@@ -460,6 +460,13 @@ class MQDeadValuePool(PoolBase):
         self._mq: MultiQueue[Fingerprint, _PoolEntry] = MultiQueue(
             capacity, num_queues=num_queues
         )
+        #: PPNs across every entry, kept as they come and go.
+        self._tracked = 0
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        if "_tracked" not in state:  # pickled before the count was kept
+            self._tracked = sum(1 for _ in self.tracked_items())
 
     @property
     def capacity(self) -> int:
@@ -477,6 +484,7 @@ class MQDeadValuePool(PoolBase):
             self.stats.misses += 1
             return None
         self.stats.hits += 1
+        self._tracked -= 1
         ppn = _take_ppn(entry)
         if not entry.ppns:
             # Last dead copy revived: the entry no longer describes garbage.
@@ -497,6 +505,7 @@ class MQDeadValuePool(PoolBase):
         existing = self._mq.get(fp)
         if existing is not None:
             existing.add_ppn(ppn)
+            self._tracked += 1
             existing.popularity = max(existing.popularity, popularity)
             self._mq.access(fp, now)
             if popularity > self._mq.entry(fp).popularity:
@@ -513,10 +522,12 @@ class MQDeadValuePool(PoolBase):
             # floor(log2(popularity + 1)) straight away (Section IV-C).
             self._mq.set_popularity(fp, popularity, now)
         if evicted is None:
+            self._tracked += 1
             return []
         self.stats.evictions += 1
         dropped = evicted[1].ppns
         self.stats.evicted_ppns += len(dropped)
+        self._tracked += 1 - len(dropped)
         return list(dropped)
 
     def discard_ppn(self, fp: Fingerprint, ppn: int) -> bool:
@@ -526,12 +537,14 @@ class MQDeadValuePool(PoolBase):
         if not entry.ppns:
             self._mq.remove(fp)
         self.stats.gc_removals += 1
+        self._tracked -= 1
         return True
 
     def clear_volatile(self) -> None:
         self._mq = MultiQueue(
             self._mq.capacity, num_queues=self._mq.num_queues
         )
+        self._tracked = 0
 
     def __len__(self) -> int:
         return len(self._mq)
@@ -540,11 +553,7 @@ class MQDeadValuePool(PoolBase):
         return fp in self._mq
 
     def tracked_ppn_count(self) -> int:
-        total = 0
-        for index in range(self._mq.num_queues):
-            for key in self._mq.keys_in_queue(index):
-                total += len(self._mq.get(key).ppns)
-        return total
+        return self._tracked
 
     def tracked_items(self) -> Iterator[Tuple[Fingerprint, int]]:
         for index in range(self._mq.num_queues):

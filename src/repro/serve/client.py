@@ -3,8 +3,9 @@
 Used by the integration tests and by scripts that drive a serve
 process; plain blocking sockets (no asyncio) so it drops into ordinary
 test code.  ``io`` lines are fire-and-forget by protocol design — the
-server applies backpressure by not reading ahead — and :meth:`flush` is
-the acknowledgement barrier that surfaces any queued error.
+server applies backpressure by reading at most one bounded chunk ahead
+— and :meth:`flush` is the acknowledgement barrier that surfaces any
+queued error.
 
 Transport: the socket runs with ``TCP_NODELAY`` (the server's asyncio
 transport sets it too), and ``io`` lines only fill the buffered socket
@@ -19,10 +20,10 @@ from __future__ import annotations
 import json
 import math
 import socket
+from itertools import starmap
 from typing import Any, Dict, Iterable, Optional
 
-from ..sim.request import IORequest, OpType
-from ..traces.jsonl import record_of_request
+from ..sim.request import IORequest, OpType, Trace
 from .protocol import SERVER_TYPES, ProtocolError, decode_message, encode_message
 
 __all__ = ["ServeClientError", "ServeClient"]
@@ -31,8 +32,8 @@ __all__ = ["ServeClientError", "ServeClient"]
 _OP_JSON = {op: json.dumps(op.value) for op in OpType}
 
 
-def _io_line(request: IORequest) -> bytes:
-    """The ``io`` wire line for ``request``: byte for byte
+def _row_line(t: float, op: OpType, lpn: int, value: int) -> bytes:
+    """The ``io`` wire line for one request's fields: byte for byte
     ``encode_message(dict(record_of_request(request), type="io"))``.
 
     The common case fills a template with the keys in ``sort_keys``
@@ -41,21 +42,27 @@ def _io_line(request: IORequest) -> bytes:
     times, int times, bools or other number types) goes through
     ``encode_message``.
     """
-    t = request.arrival_us
-    lpn = request.lpn
-    value = request.value_id
-    op = _OP_JSON.get(request.op)
+    op_json = _OP_JSON.get(op)
     if (
         type(t) is float
         and math.isfinite(t)
         and type(lpn) is int
         and type(value) is int
-        and op is not None
+        and op_json is not None
     ):
         return (
-            f'{{"lpn":{lpn},"op":{op},"t":{t!r},"type":"io","value":{value}}}\n'
+            f'{{"lpn":{lpn},"op":{op_json},"t":{t!r},"type":"io","value":{value}}}\n'
         ).encode("ascii")
-    return encode_message(dict(record_of_request(request), type="io"))
+    return encode_message(
+        {"t": t, "op": op.value, "lpn": lpn, "value": value, "type": "io"}
+    )
+
+
+def _io_line(request: IORequest) -> bytes:
+    """The ``io`` wire line for ``request``."""
+    return _row_line(
+        request.arrival_us, request.op, request.lpn, request.value_id
+    )
 
 
 class ServeClientError(RuntimeError):
@@ -112,7 +119,14 @@ class ServeClient:
         self._fh.write(_io_line(request))
 
     def stream(self, requests: Iterable[IORequest]) -> int:
-        """Stream a whole request sequence; returns how many were sent."""
+        """Stream a whole request sequence; returns how many were sent.
+
+        A :class:`~repro.sim.request.Trace` is written straight from its
+        rows: the same bytes :meth:`send` would write per request.
+        """
+        if isinstance(requests, Trace):
+            self._fh.writelines(starmap(_row_line, requests.rows()))
+            return len(requests)
         count = 0
         for request in requests:
             self.send(request)

@@ -15,8 +15,9 @@ Client → server::
 ``io`` lines reuse the JSONL trace record shape verbatim
 (:func:`repro.traces.jsonl.record_of_request`), so a trace file *is* a
 valid request stream — and they are deliberately **not** acknowledged:
-the server does not read the next line until the previous message is
-fully processed, so TCP flow control is the per-tenant backpressure.
+the server reads one bounded chunk of lines at a time and reads no more
+until every line of it is processed, so TCP flow control is the
+per-tenant backpressure.
 A client may hold ``io`` lines back — unacknowledged and buffered until
 the next control message — and the bundled
 :class:`~repro.serve.client.ServeClient` does, so a window leaves in a
@@ -52,8 +53,9 @@ __all__ = [
 PROTOCOL_VERSION = 1
 
 #: The longest message line the server reads, not counting its newline
-#: (asyncio's default stream limit).  A longer line is discarded whole and answered
-#: with an ``error``; the connection keeps serving.
+#: (asyncio's default stream limit), and the most it reads at once.  A
+#: longer line is discarded whole and answered with an ``error``; the
+#: connection keeps serving.
 MAX_LINE_BYTES = 1 << 16
 
 CLIENT_TYPES = (
@@ -75,6 +77,28 @@ def encode_message(message: Dict[str, Any]) -> bytes:
     ).encode("utf-8")
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+_whitespace = json.decoder.WHITESPACE.match
+
+
+def _loads(line: bytes) -> Any:
+    """``json.loads(line.decode("utf-8"))``.  A line that opens with
+    ``{`` goes straight to ``JSONDecoder.raw_decode`` (the scan
+    ``json.loads`` runs) and is done when only JSON whitespace follows
+    the value; every other line, and any that path rejects, takes
+    ``json.loads`` for its error text."""
+    if line[:1] == b"{":
+        try:
+            text = line.decode("utf-8")
+            obj, end = _raw_decode(text)
+        except ValueError:  # UnicodeDecodeError, JSONDecodeError
+            pass
+        else:
+            if _whitespace(text, end).end() == len(text):
+                return obj
+    return json.loads(line.decode("utf-8"))
+
+
 def decode_message(
     line: bytes, allowed: Optional[Sequence[str]] = None
 ) -> Dict[str, Any]:
@@ -86,7 +110,7 @@ def decode_message(
     half-understood.
     """
     try:
-        obj = json.loads(line.decode("utf-8"))
+        obj = _loads(line)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"invalid JSON line: {exc}") from None
     if not isinstance(obj, dict):

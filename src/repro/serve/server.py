@@ -1,17 +1,19 @@
 """The asyncio serve loop: many tenants, one process, graceful exits.
 
 Concurrency model: ``asyncio.start_server`` accepts any number of
-tenant connections; each connection handler processes its line-oriented
-messages strictly one at a time — the next line is not read until the
-previous message is fully serviced, so TCP flow control is the
-per-tenant backpressure, and one tenant's session is never mutated
-concurrently.  CPU-bound work (device stepping, finalize, checkpoint
-pickling) runs on a bounded worker-thread pool so independent tenants
-interleave instead of serialising behind one long step.
+tenant connections; each connection handler reads its line-oriented
+messages one bounded chunk (at most ``MAX_LINE_BYTES``) at a time and
+services that chunk's lines strictly in order — the next chunk is not
+read until every line of the last one is serviced, so read-ahead is one
+chunk, TCP flow control is the per-tenant backpressure, and one
+tenant's session is never mutated concurrently.  CPU-bound work
+(device stepping, finalize, checkpoint pickling) runs on a bounded
+worker-thread pool so independent tenants interleave instead of
+serialising behind one long step.
 
 Lifecycle: SIGTERM/SIGINT (or a client ``shutdown`` message) set the
 stop event; the server then stops accepting, closes every connection
-(handlers finish their in-flight message, then see EOF and detach
+(handlers finish the lines already read, then see EOF and detach
 their tenant), waits for all handlers, drains every session's buffered
 batch and checkpoints it, and returns cleanly — the process exits 0.
 A mid-stream disconnect is the same detach path for one tenant: the
@@ -29,11 +31,13 @@ import asyncio
 import signal
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from ..obs.export import JsonlWriter
 from ..perf.parallel import resolve_jobs
-from ..traces.jsonl import JSONLFormatError, request_of_record
+from ..traces.jsonl import JSONLFormatError, row_of_record
+# Not called here: the e2e trace probes wrap it by name in this module.
+from ..traces.jsonl import request_of_record  # noqa: F401
 from .checkpoint import CheckpointError
 from .config import ServeSettings
 from .manager import SessionManager
@@ -117,8 +121,8 @@ class ServeServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        # Closing the transports makes every handler's readline return
-        # EOF after its in-flight message completes; handlers are never
+        # Closing the transports makes every handler's read return EOF
+        # once the lines already received are serviced; handlers are never
         # cancelled, so no session is abandoned mid-mutation.
         for writer in list(self._conn_writers):
             writer.close()
@@ -169,101 +173,103 @@ class ServeServer:
         self._conn_writers.add(writer)
         tenant: Optional[str] = None
         session: Optional[TenantSession] = None
+        lines = _LineReader(reader)
         try:
             while True:
-                line = await _read_line(reader)
-                if line is None:
-                    await self._reply(writer, {
-                        "type": "error",
-                        "error": f"message line exceeds {MAX_LINE_BYTES} "
-                                 "bytes; discarded",
-                    })
-                    continue
-                if not line:
+                chunk = await lines.read()
+                if not chunk:
                     break
-                try:
-                    message = decode_message(line, CLIENT_TYPES)
-                except ProtocolError as exc:
-                    await self._reply(
-                        writer, {"type": "error", "error": str(exc)}
-                    )
-                    continue
-                kind = message["type"]
-                try:
-                    if kind == "open":
-                        if tenant is not None:
-                            raise SessionError(
-                                "connection already serves tenant "
-                                f"{tenant!r}; close or detach first"
-                            )
-                        config = session_config_of_open(
-                            message, self.settings
-                        )
-                        session, resumed = await self._run(
-                            self.manager.open, config
-                        )
-                        tenant = config.tenant
+                for line in chunk:
+                    if line is None:
                         await self._reply(writer, {
-                            "type": "opened",
-                            "tenant": tenant,
-                            "resumed": resumed,
-                            "served": session.served,
-                            "protocol": PROTOCOL_VERSION,
+                            "type": "error",
+                            "error": f"message line exceeds {MAX_LINE_BYTES} "
+                                     "bytes; discarded",
                         })
-                    elif kind == "io":
-                        if session is None:
-                            raise SessionError("no open session; send open")
-                        # Parse and buffer inline (cheap); only actual
-                        # device stepping goes to the worker pool.  No
-                        # ack — flush is the barrier.
-                        session.push(request_of_record(message))
-                        if session.step_due():
-                            await self._run(session.flush)
-                            if self.manager.checkpoint_due(tenant):
-                                await self._run(
-                                    self.manager.checkpoint, tenant
+                        continue
+                    try:
+                        message = decode_message(line, CLIENT_TYPES)
+                    except ProtocolError as exc:
+                        await self._reply(
+                            writer, {"type": "error", "error": str(exc)}
+                        )
+                        continue
+                    kind = message["type"]
+                    try:
+                        if kind == "io":
+                            if session is None:
+                                raise SessionError("no open session; send open")
+                            # Parse and buffer inline (cheap); only actual
+                            # device stepping goes to the worker pool.  No
+                            # ack — flush is the barrier.
+                            session.push_row(row_of_record(message))
+                            if session.step_due():
+                                await self._run(session.flush)
+                                if self.manager.checkpoint_due(tenant):
+                                    await self._run(
+                                        self.manager.checkpoint, tenant
+                                    )
+                        elif kind == "open":
+                            if tenant is not None:
+                                raise SessionError(
+                                    "connection already serves tenant "
+                                    f"{tenant!r}; close or detach first"
                                 )
-                    elif kind == "flush":
-                        if session is None:
-                            raise SessionError("no open session; send open")
-                        record = await self._run(
-                            self._flush_and_metrics, session
-                        )
-                        self._export(record)
+                            config = session_config_of_open(
+                                message, self.settings
+                            )
+                            session, resumed = await self._run(
+                                self.manager.open, config
+                            )
+                            tenant = config.tenant
+                            await self._reply(writer, {
+                                "type": "opened",
+                                "tenant": tenant,
+                                "resumed": resumed,
+                                "served": session.served,
+                                "protocol": PROTOCOL_VERSION,
+                            })
+                        elif kind == "flush":
+                            if session is None:
+                                raise SessionError("no open session; send open")
+                            record = await self._run(
+                                self._flush_and_metrics, session
+                            )
+                            self._export(record)
+                            await self._reply(
+                                writer, {"type": "metrics", "record": record}
+                            )
+                        elif kind == "close":
+                            if tenant is None:
+                                raise SessionError("no open session; send open")
+                            result = await self._run(self.manager.close, tenant)
+                            record = result.to_dict()
+                            self._export(record)
+                            await self._reply(
+                                writer, {"type": "result", "record": record}
+                            )
+                            tenant, session = None, None
+                        elif kind == "detach":
+                            if tenant is None:
+                                raise SessionError("no open session; send open")
+                            served = session.served if session else 0
+                            await self._run(self.manager.detach, tenant)
+                            await self._reply(
+                                writer, {"type": "bye", "served": served}
+                            )
+                            tenant, session = None, None
+                        elif kind == "ping":
+                            await self._reply(writer, {"type": "pong"})
+                        elif kind == "shutdown":
+                            await self._reply(writer, {"type": "draining"})
+                            self.request_stop()
+                            return
+                    except (
+                        SessionError, JSONLFormatError, CheckpointError
+                    ) as exc:
                         await self._reply(
-                            writer, {"type": "metrics", "record": record}
+                            writer, {"type": "error", "error": str(exc)}
                         )
-                    elif kind == "close":
-                        if tenant is None:
-                            raise SessionError("no open session; send open")
-                        result = await self._run(self.manager.close, tenant)
-                        record = result.to_dict()
-                        self._export(record)
-                        await self._reply(
-                            writer, {"type": "result", "record": record}
-                        )
-                        tenant, session = None, None
-                    elif kind == "detach":
-                        if tenant is None:
-                            raise SessionError("no open session; send open")
-                        served = session.served if session else 0
-                        await self._run(self.manager.detach, tenant)
-                        await self._reply(
-                            writer, {"type": "bye", "served": served}
-                        )
-                        tenant, session = None, None
-                    elif kind == "ping":
-                        await self._reply(writer, {"type": "pong"})
-                    elif kind == "shutdown":
-                        await self._reply(writer, {"type": "draining"})
-                        self.request_stop()
-                        break
-                except (
-                    SessionError, JSONLFormatError, CheckpointError
-                ) as exc:
-                    await self._reply(
-                        writer, {"type": "error", "error": str(exc)}
-                    )
         except (ConnectionResetError, BrokenPipeError):
             pass  # disconnect mid-line: handled like EOF below
         finally:
@@ -278,22 +284,50 @@ class ServeServer:
             writer.close()
 
 
-async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
-    """The next message line, ``b""`` at EOF (a final unterminated line
-    is returned as is, like ``readline``), or ``None`` for a line over the
-    reader's limit, which is consumed up to and including its newline."""
-    oversized = False
-    while True:
-        try:
-            line = await reader.readuntil(b"\n")
-        except asyncio.IncompleteReadError as exc:
-            line = exc.partial
-        except asyncio.LimitOverrunError as exc:
-            # Drop what was scanned and keep looking for the newline.
-            await reader.readexactly(exc.consumed)
-            oversized = True
-            continue
-        return None if oversized else line
+class _LineReader:
+    """Message lines off a stream, one bounded chunk at a time.
+
+    Each :meth:`read` takes at most :data:`MAX_LINE_BYTES` from the
+    stream and hands back the lines that chunk completes, so nothing more
+    is read until the caller has serviced them.  Only the unterminated
+    start of the next line is carried over, and never more than the
+    limit: past it the line is discarded as it arrives.
+    """
+
+    def __init__(self, reader: asyncio.StreamReader):
+        self._reader = reader
+        self._tail = b""
+        self._discarding = False
+
+    async def read(self) -> List[Optional[bytes]]:
+        """The next lines, each with its newline; ``None`` stands for a
+        line over the limit (not counting its newline), discarded whole.
+        At EOF a final unterminated line is returned as is, then ``[]``.
+        """
+        while True:
+            chunk = await self._reader.read(MAX_LINE_BYTES)
+            if not chunk:
+                tail, discarding = self._tail, self._discarding
+                self._tail, self._discarding = b"", False
+                if discarding:
+                    return [None]
+                return [tail] if tail else []
+            *ended, rest = chunk.split(b"\n")
+            if not ended:  # no newline: the chunk extends the open line
+                if not self._discarding:
+                    self._tail += rest
+                    if len(self._tail) > MAX_LINE_BYTES:
+                        self._tail, self._discarding = b"", True
+                continue
+            lines: List[Optional[bytes]] = [line + b"\n" for line in ended]
+            first = self._tail + lines[0]
+            lines[0] = (
+                None
+                if self._discarding or len(first) > MAX_LINE_BYTES + 1
+                else first
+            )
+            self._tail, self._discarding = rest, False
+            return lines
 
 
 async def run_server(settings: ServeSettings) -> int:

@@ -277,29 +277,33 @@ class TenantSession:
         """Requests buffered but not yet stepped."""
         return sum(len(buffered) for buffered in self._buffers)
 
-    def push(self, request: IORequest) -> None:
-        """Buffer one streamed request as a replay row, routed to its
-        owning shard."""
+    def push_row(self, row: Row) -> None:
+        """Buffer one streamed replay row, routed to its owning shard."""
         if self.finished:
             raise SessionError("session already closed")
-        if not 0 <= request.lpn < self.profile.total_pages:
+        lpn = row[2]
+        if not 0 <= lpn < self.profile.total_pages:
             raise SessionError(
-                f"lpn {request.lpn} outside the workload's "
+                f"lpn {lpn} outside the workload's "
                 f"{self.profile.total_pages}-page space"
             )
-        lpn = request.lpn
-        shard = 0
-        if self.config.shards > 1:
-            shard = self._owners[lpn]
-            lpn = self._local_of[shard][lpn]
+        if self._owners is None:
+            self._buffers[0].append(row)
+            return
+        shard = self._owners[lpn]
         self._buffers[shard].append(
-            (request.arrival_us, request.op, lpn, request.value_id)
+            (row[0], row[1], self._local_of[shard][lpn], row[3])
+        )
+
+    def push(self, request: IORequest) -> None:
+        """:meth:`push_row` for one request record."""
+        self.push_row(
+            (request.arrival_us, request.op, request.lpn, request.value_id)
         )
 
     def step_due(self) -> bool:
         """Whether any shard's buffer reached the batching threshold."""
-        batch = self.config.batch_requests
-        return any(len(buffered) >= batch for buffered in self._buffers)
+        return max(map(len, self._buffers)) >= self.config.batch_requests
 
     def flush(self) -> int:
         """Step every buffered request; returns how many were serviced."""

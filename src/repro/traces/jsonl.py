@@ -17,11 +17,12 @@ from __future__ import annotations
 import json
 from typing import Iterable, Iterator, TextIO
 
-from ..sim.request import IORequest, OpType
+from ..sim.request import IORequest, OpType, Row
 
 __all__ = [
     "JSONLFormatError",
     "record_of_request",
+    "row_of_record",
     "request_of_record",
     "write_jsonl",
     "iter_jsonl_requests",
@@ -42,22 +43,39 @@ def record_of_request(request: IORequest) -> dict:
     }
 
 
-def request_of_record(record: dict) -> IORequest:
-    """Parse one request dict; raises :class:`JSONLFormatError` on bad
-    fields.  The inverse of :func:`record_of_request` (round trips are
-    lossless: JSON floats serialise via ``repr``); shared by the trace
-    files and the ``repro serve`` wire protocol, so the two surfaces
-    cannot drift apart."""
+#: Each op by its wire letter; anything else goes to ``OpType`` for the error.
+_OP_OF = {op.value: op for op in OpType}
+
+
+def row_of_record(record: dict) -> Row:
+    """Parse one request dict into a replay row ``(arrival_us, op, lpn,
+    value_id)``; raises :class:`JSONLFormatError` on bad fields.
+
+    Fields are checked in a fixed order: ``op``, then ``t``, ``lpn`` and
+    ``value`` (0 when omitted), so the first bad one names the error.
+    The inverse of :func:`record_of_request` (round trips are lossless:
+    JSON floats serialise via ``repr``); shared by the trace files and
+    the ``repro serve`` wire protocol, so the two surfaces cannot drift
+    apart."""
     try:
-        op = OpType(record["op"])
-        return IORequest(
-            arrival_us=float(record["t"]),
-            op=op,
-            lpn=int(record["lpn"]),
-            value_id=int(record.get("value", 0)),
+        op = record["op"]
+        try:
+            op = _OP_OF[op]
+        except (KeyError, TypeError):  # unknown or unhashable
+            op = OpType(op)
+        return (
+            float(record["t"]),
+            op,
+            int(record["lpn"]),
+            int(record.get("value", 0)),
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise JSONLFormatError(str(exc)) from None
+
+
+def request_of_record(record: dict) -> IORequest:
+    """:func:`row_of_record` as an :class:`IORequest`."""
+    return IORequest(*row_of_record(record))
 
 
 def write_jsonl(stream: TextIO, requests: Iterable[IORequest]) -> int:

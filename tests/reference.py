@@ -31,6 +31,11 @@ and table for table:
   key tuple per candidate.  :func:`as_per_page_gc` switches a built
   drive's FTL, collector and policy to them; the write path stays the
   shipped one.
+* :func:`read_line`, :func:`decode_message` and :func:`request_of_record`
+  are serve ingest one step at a time: one ``readuntil`` per line, the
+  ``json.loads`` decode, and the record parsed through an
+  :class:`IORequest`.  The server's chunked reader, its decoder and
+  ``row_of_record`` are held to them.
 
 Do not edit these bodies to follow a change in the shipped paths: a
 difference is what the differentials exist to catch.
@@ -38,7 +43,9 @@ difference is what the differentials exist to catch.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
+import asyncio
+import json
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.hashing import Fingerprint
 from repro.flash.array import FlashArray
@@ -50,16 +57,19 @@ from repro.ftl.gc import (
     GarbageCollector, GCWork, GreedyVictimPolicy, PopularityAwareVictimPolicy,
 )
 from repro.ftl.mapping import POPULARITY_MAX, _unmapped_column
+from repro.serve.protocol import ProtocolError
 from repro.sim.background import BackgroundGCSSD
 from repro.sim.request import CompletedRequest, IORequest, OpType, Row
 from repro.sim.ssd import SimulatedSSD
+from repro.traces.jsonl import JSONLFormatError
 
 __all__ = [
     "PerCallWrites", "ReferenceFTL", "ReferenceDedupFTL", "ReferenceDFTLFtl",
     "as_reference", "PerRequestReplay", "ReferenceSSD",
     "ReferenceBackgroundGCSSD", "plane_of_next_write", "allocate",
     "PerPageCollector", "PerPageGC", "PerTupleGreedyPolicy",
-    "PerTuplePopularityAwarePolicy", "as_per_page_gc",
+    "PerTuplePopularityAwarePolicy", "as_per_page_gc", "read_line",
+    "decode_message", "request_of_record",
 ]
 
 
@@ -583,3 +593,54 @@ def as_per_page_gc(ftl: BaseFTL) -> BaseFTL:
     policy = ftl.gc.policy
     policy.__class__ = _PER_TUPLE_POLICY_OF[type(policy)]
     return ftl
+
+
+async def read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next message line, ``b""`` at EOF (a final unterminated line
+    is returned as is, like ``readline``), or ``None`` for a line over the
+    reader's limit, which is consumed up to and including its newline."""
+    oversized = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial
+        except asyncio.LimitOverrunError as exc:
+            # Drop what was scanned and keep looking for the newline.
+            await reader.readexactly(exc.consumed)
+            oversized = True
+            continue
+        return None if oversized else line
+
+
+def decode_message(
+    line: bytes, allowed: Optional[Sequence[str]] = None
+) -> Dict[str, Any]:
+    """Parse one wire line; raises :class:`ProtocolError` on bad input."""
+    try:
+        obj = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ProtocolError(f"invalid JSON line: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ProtocolError("expected a JSON object")
+    kind = obj.get("type")
+    if not isinstance(kind, str):
+        raise ProtocolError("missing message type")
+    if allowed is not None and kind not in allowed:
+        raise ProtocolError(f"unexpected message type {kind!r}")
+    return obj
+
+
+def request_of_record(record: dict) -> IORequest:
+    """Parse one request dict; raises :class:`JSONLFormatError` on bad
+    fields."""
+    try:
+        op = OpType(record["op"])
+        return IORequest(
+            arrival_us=float(record["t"]),
+            op=op,
+            lpn=int(record["lpn"]),
+            value_id=int(record.get("value", 0)),
+        )
+    except (KeyError, ValueError, TypeError) as exc:
+        raise JSONLFormatError(str(exc)) from None

@@ -124,6 +124,11 @@ class TestMoreCorruptions:
         mq._head_entry[index] = None
         assert "pool.mq-internal" in kinds_of(audit(ftl))
 
+    def test_skewed_tracked_ppn_count(self, tiny_config):
+        ftl = healthy_ftl(tiny_config)
+        ftl.pool._tracked += 1
+        assert kinds_of(audit(ftl)) == {"pool.tracked-count"}
+
     def test_trim_order_violation(self, tiny_config):
         ftl = healthy_ftl(tiny_config)
         lpn, ppn = next(iter(ftl.mapping.forward_items().items()))
